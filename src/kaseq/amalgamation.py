@@ -13,21 +13,22 @@ weighs each matched pair by teacher confidence.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import matching, tensor as T
 from .data import TaskPartition
 from .errors import ContractError, ShapeError
+from .settings import Settings
 from .tensor import Tensor
 
 _UNIT_FLOOR = 1e-12
 
 
 @dataclass
-class KAWeights:
+class KAWeights(Settings):
     """Loss weights, match-cost weights, and the pool confidence filter."""
 
     lambda_seq: float = 1.0
@@ -42,45 +43,17 @@ class KAWeights:
     giou_weight: float = 2.0
     confidence_threshold: float = 0.1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KAWeights":
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # sequence-level amalgamation
 
 
-def channel_normalize(batch: Sequence[Tensor]) -> list[Tensor]:
-    """Normalize every embedding channel over the whole mini-batch.
-
-    All sequences in the batch share the statistics (mean and std per
-    channel, epsilon 1e-6 on the std); student and teacher batches are
-    expected to be normalized separately with their own statistics.
-    """
-    if not batch:
-        raise ContractError("channel_normalize of an empty batch")
-    if len(batch) == 1:
-        return [T.channel_norm(batch[0])]
-    stacked = T.channel_norm(T.concat_rows(list(batch)))
-    out, start = [], 0
-    for seq in batch:
-        out.append(T.slice_rows(stacked, start, start + seq.shape[0]))
-        start += seq.shape[0]
-    return out
-
-
 def sa_loss(student_layers: Sequence[Tensor], teacher_layers: Sequence[Tensor],
-            n_teachers: int, mean_over_elements: bool = False) -> Tensor:
+            n_teachers: int) -> Tensor:
     """(1/N) * sum_l ||Y_student^l - Y_teacher^l||_F^2 over supervision layers.
 
     Inputs must already share shapes layer by layer (any compression applied
-    identically to both sides beforehand). ``mean_over_elements`` divides
-    each layer term by its element count; it defaults off to keep the
-    printed normalization (1/N only).
+    identically to both sides beforehand).
     """
     if len(student_layers) != len(teacher_layers):
         raise ShapeError("student and teacher supervision layer counts differ")
@@ -91,8 +64,6 @@ def sa_loss(student_layers: Sequence[Tensor], teacher_layers: Sequence[Tensor],
         if ys.shape != yt.shape:
             raise ShapeError(f"supervised layer shapes differ: {ys.shape} vs {yt.shape}")
         term = T.frobenius_sq(T.sub(ys, yt))
-        if mean_over_elements:
-            term = T.scale(term, 1.0 / ys.data.size)
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / n_teachers)
 
@@ -132,13 +103,6 @@ def redundancy_all(x: np.ndarray) -> np.ndarray:
     return unit @ unit.mean(axis=0)
 
 
-def token_redundancy(index: int, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if not 0 <= index < x.shape[0]:
-        raise ContractError(f"token index {index} out of range")
-    return float(redundancy_all(x)[index])
-
-
 def compress_redundancy(x_concat: np.ndarray, n_teachers: int, n_tokens: int) -> np.ndarray:
     """Keep, per grid position, the candidate token with minimum redundancy.
 
@@ -165,17 +129,18 @@ def compress_random(n_teachers: int, n_tokens: int, rng: np.random.Generator) ->
     return np.sort(t_keep * n_tokens + np.arange(n_tokens))
 
 
-def apply_compression(seq: Union[Tensor, np.ndarray], p_slim) -> Union[Tensor, np.ndarray]:
-    """Select the kept rows in ascending index order."""
-    idx = np.asarray(p_slim, dtype=np.intp)
-    if idx.ndim != 1 or (idx.size > 1 and np.any(np.diff(idx) <= 0)):
-        raise ContractError("kept-index set must be strictly ascending")
-    if isinstance(seq, Tensor):
-        return T.gather_rows(seq, idx)
-    seq = np.asarray(seq)
-    if idx.size and (idx[0] < 0 or idx[-1] >= seq.shape[0]):
-        raise ContractError("kept index out of range")
-    return seq[idx].copy()
+def select_tokens(strategy: str, x_concat: np.ndarray, n_parts: int, n_tokens: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Kept indices of one image's concatenated (n_parts * n_tokens)-row
+    sequence under a compression strategy; ``x_concat`` is read only by the
+    redundancy rule and ``rng`` only by the random one."""
+    if strategy == "redundancy":
+        return compress_redundancy(x_concat, n_parts, n_tokens)
+    if strategy == "isometric":
+        return compress_isometric(n_parts, n_tokens)
+    if strategy == "random":
+        return compress_random(n_parts, n_tokens, rng)
+    raise ContractError(f"no token selection for compression strategy {strategy!r}")
 
 
 def kept_positions(p_slim, n_tokens: int) -> np.ndarray:
@@ -187,27 +152,13 @@ def kept_positions(p_slim, n_tokens: int) -> np.ndarray:
 # task-level amalgamation
 
 
-def pad_prediction(p: np.ndarray, partition: TaskPartition, t: int) -> np.ndarray:
-    """Lift a teacher's local distribution onto the student category universe.
+def pad_predictions(dists: np.ndarray, partition: TaskPartition, t: int) -> np.ndarray:
+    """Lift teacher t's local distributions, one per row of an (m, |C^t|+1)
+    matrix, onto the student category universe.
 
     The teacher's local order is its sorted subset followed by the
     no-object entry, which is carried over unchanged.
     """
-    p = np.asarray(p, dtype=np.float64)
-    subset = sorted(partition.subset(t))
-    if p.shape != (len(subset) + 1,):
-        raise ContractError(f"expected {len(subset) + 1} entries for task {t}, got {p.shape}")
-    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < -1e-12):
-        raise ContractError("distribution must be normalized")
-    out = np.zeros(partition.num_categories + 1)
-    for local, cat in enumerate(subset):
-        out[cat - 1] = p[local]
-    out[-1] = p[-1]
-    return out
-
-
-def pad_predictions(dists: np.ndarray, partition: TaskPartition, t: int) -> np.ndarray:
-    """Row-wise :func:`pad_prediction` for an (m, |C^t|+1) matrix."""
     dists = np.asarray(dists, dtype=np.float64)
     subset = sorted(partition.subset(t))
     out = np.zeros((dists.shape[0], partition.num_categories + 1))

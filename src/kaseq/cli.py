@@ -18,10 +18,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import data as D
 from . import traineval as tv
@@ -36,11 +33,11 @@ COMPRESSION_SUITE = ("redundancy", "isometric", "random")
 
 def default_config() -> dict:
     return {
-        "detector": asdict(DetectorConfig()),
-        "weights": asdict(KAWeights()),
-        "optim": asdict(tv.OptimSettings()),
+        "detector": DetectorConfig().to_dict(),
+        "weights": KAWeights().to_dict(),
+        "optim": tv.OptimSettings().to_dict(),
         "train": {"epochs": 40, "teacher_epochs": 60, "batch_size": 16,
-                  "use_cache": True, "eval_batch_size": 32},
+                  "eval_batch_size": 32},
         "seed": 0,
     }
 
@@ -137,11 +134,8 @@ def parse_task_spec(spec: str) -> list[int]:
 
 
 def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
-    exists = os.path.isdir(path) if is_dir else os.path.exists(path)
     marker = os.path.join(path, "annotations.json") if is_dir else path
-    if is_dir:
-        exists = os.path.exists(marker)
-    if exists and not force:
+    if os.path.exists(marker) and not force:
         raise UsageError(f"refusing to overwrite {marker}; pass --force")
 
 
@@ -160,6 +154,74 @@ def _full_partition_for_subset(subset: list[int], num_categories: int) -> D.Task
     complement = tuple(c for c in range(1, num_categories + 1) if c not in set(subset))
     subsets = (tuple(subset),) + ((complement,) if complement else ())
     return D.TaskPartition(subsets, num_categories)
+
+
+# ---------------------------------------------------------------------------
+# training runs, one per kind, shared by the commands and the ablation suites
+
+
+def _run_settings(cfg: dict, out: str) -> dict:
+    """Arguments every training run takes from the configuration and from
+    the checkpoint path ``out``. A run starts its metrics log afresh, so rows
+    of an earlier or interrupted run at the same path never precede its own."""
+    settings = {"opt_settings": tv.OptimSettings.from_dict(cfg["optim"]),
+                "weights": KAWeights.from_dict(cfg["weights"]),
+                "batch_size": cfg["train"]["batch_size"],
+                "csv_path": out + ".metrics.csv", "crash_dump": out + ".crash.ckpt"}
+    if os.path.exists(settings["csv_path"]):
+        os.remove(settings["csv_path"])
+    return settings
+
+
+def run_teacher(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
+                partition: D.TaskPartition, task_index: int, seed: int, epochs: int,
+                out: str) -> tv.Checkpoint:
+    """Train teacher ``task_index`` of ``partition`` and save it at ``out``."""
+    ckpt, _ = tv.train_teacher(train, partition, task_index, _detector_config(cfg),
+                               epochs=epochs, seed=seed, eval_ds=eval_ds,
+                               **_run_settings(cfg, out))
+    tv.save_checkpoint(ckpt, out)
+    return ckpt
+
+
+def run_baseline(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
+                 variant: str, parts: int, seed: int, epochs: int,
+                 out: str) -> tv.Checkpoint:
+    """Train a ground-truth-only detector over all categories and save it at ``out``."""
+    det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
+                               compression="none")
+    ckpt, _ = tv.train_detector_gt(
+        train, det_cfg, epochs=epochs, seed=seed,
+        category_ids=list(range(1, train.num_categories + 1)), eval_ds=eval_ds,
+        mode_label=variant, **_run_settings(cfg, out))
+    tv.save_checkpoint(ckpt, out)
+    return ckpt
+
+
+def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
+                     teacher_ckpts: list, mode: str, compress: str, label_free: bool,
+                     seed: int, epochs: int, out: str,
+                     teachers_by_id: Optional[dict] = None) -> tv.Checkpoint:
+    """Amalgamate the teachers into a student and save it at ``out``."""
+    parts = 1 if mode == "sag" else len(teacher_ckpts)
+    det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
+                               compression=compress)
+    ckpt = tv.amalgamate(teacher_ckpts, train, det_cfg, mode, epochs=epochs, seed=seed,
+                         eval_ds=eval_ds, label_free=label_free,
+                         teachers_by_id=teachers_by_id, **_run_settings(cfg, out))
+    tv.save_checkpoint(ckpt, out)
+    return ckpt
+
+
+def _evaluate_checkpoint(cfg: dict, ckpt: tv.Checkpoint, dataset: D.Dataset) -> tv.EvalReport:
+    """Evaluate over the category ids and task partition the checkpoint records."""
+    num = ckpt.config.num_categories
+    partition = None
+    if "partition" in ckpt.metadata:
+        partition = D.TaskPartition.from_jsonable(ckpt.metadata["partition"], num)
+    return tv.evaluate(ckpt, dataset,
+                       category_ids=ckpt.metadata.get("category_ids", list(range(1, num + 1))),
+                       partition=partition, batch_size=cfg["train"]["eval_batch_size"])
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +254,14 @@ def _load_train_eval(args):
     return train, eval_ds
 
 
+def _load_teachers(paths: Sequence[str]) -> list:
+    ckpts = []
+    for path in paths:
+        _require_file(path, "teacher checkpoint")
+        ckpts.append(tv.load_checkpoint(path))
+    return ckpts
+
+
 def cmd_train_teacher(args) -> int:
     cfg = build_config(args)
     _guard_output(args.out, args.force)
@@ -200,15 +270,8 @@ def cmd_train_teacher(args) -> int:
     if max(subset) > train.num_categories:
         raise UsageError(f"task categories exceed the dataset universe 1..{train.num_categories}")
     partition = _full_partition_for_subset(subset, train.num_categories)
-    epochs = args.epochs or cfg["train"]["teacher_epochs"]
-    det_cfg = _detector_config(cfg)
-    ckpt, _ = tv.train_teacher(
-        train, partition, 0, det_cfg, epochs=epochs, seed=cfg["seed"],
-        eval_ds=eval_ds, opt_settings=tv.OptimSettings.from_dict(cfg["optim"]),
-        weights=KAWeights.from_dict(cfg["weights"]),
-        batch_size=cfg["train"]["batch_size"], csv_path=args.out + ".metrics.csv",
-        crash_dump=args.out + ".crash.ckpt")
-    tv.save_checkpoint(ckpt, args.out)
+    run_teacher(cfg, train, eval_ds, partition, 0, cfg["seed"],
+                args.epochs or cfg["train"]["teacher_epochs"], args.out)
     dump_effective_config(cfg, "train-teacher", args.out)
     print(f"teacher checkpoint written to {args.out}")
     return 0
@@ -218,19 +281,8 @@ def cmd_train_baseline(args) -> int:
     cfg = build_config(args)
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
-    parts = 1 if args.variant == "raw" else args.parts
-    det_cfg = _detector_config(cfg, num_parts=parts,
-                               num_categories=train.num_categories,
-                               compression="none")
-    epochs = args.epochs or cfg["train"]["epochs"]
-    ckpt, _ = tv.train_detector_gt(
-        train, det_cfg, epochs=epochs, seed=cfg["seed"],
-        category_ids=list(range(1, train.num_categories + 1)),
-        eval_ds=eval_ds, opt_settings=tv.OptimSettings.from_dict(cfg["optim"]),
-        weights=KAWeights.from_dict(cfg["weights"]),
-        batch_size=cfg["train"]["batch_size"], csv_path=args.out + ".metrics.csv",
-        mode_label=args.variant, crash_dump=args.out + ".crash.ckpt")
-    tv.save_checkpoint(ckpt, args.out)
+    run_baseline(cfg, train, eval_ds, args.variant, 1 if args.variant == "raw" else args.parts,
+                 cfg["seed"], args.epochs or cfg["train"]["epochs"], args.out)
     dump_effective_config(cfg, "train-baseline", args.out)
     print(f"{args.variant} checkpoint written to {args.out}")
     return 0
@@ -247,23 +299,9 @@ def cmd_amalgamate(args) -> int:
     if args.label_free:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)
-    teacher_ckpts = []
-    for path in args.teachers:
-        _require_file(path, "teacher checkpoint")
-        teacher_ckpts.append(tv.load_checkpoint(path))
-    parts = 1 if args.mode == "sag" else len(teacher_ckpts)
-    det_cfg = _detector_config(cfg, num_parts=parts,
-                               num_categories=train.num_categories,
-                               compression=args.compress)
-    epochs = args.epochs or cfg["train"]["epochs"]
-    ckpt = tv.amalgamate(
-        teacher_ckpts, train, det_cfg, args.mode, epochs=epochs, seed=cfg["seed"],
-        eval_ds=eval_ds, label_free=args.label_free,
-        weights=KAWeights.from_dict(cfg["weights"]),
-        opt_settings=tv.OptimSettings.from_dict(cfg["optim"]),
-        batch_size=cfg["train"]["batch_size"], csv_path=args.out + ".metrics.csv",
-        use_cache=cfg["train"]["use_cache"], crash_dump=args.out + ".crash.ckpt")
-    tv.save_checkpoint(ckpt, args.out)
+    run_amalgamation(cfg, train, eval_ds, _load_teachers(args.teachers), args.mode,
+                     args.compress, args.label_free, cfg["seed"],
+                     args.epochs or cfg["train"]["epochs"], args.out)
     dump_effective_config(cfg, "amalgamate", args.out)
     print(f"student checkpoint written to {args.out}")
     return 0
@@ -274,16 +312,7 @@ def cmd_evaluate(args) -> int:
     _require_file(args.model, "checkpoint")
     _require_file(os.path.join(args.data, "annotations.json"), "dataset")
     ckpt = tv.load_checkpoint(args.model)
-    dataset = D.load_dataset(args.data)
-    partition = None
-    if "partition" in ckpt.metadata:
-        partition = D.TaskPartition.from_jsonable(
-            ckpt.metadata["partition"], ckpt.config.num_categories)
-    category_ids = ckpt.metadata.get(
-        "category_ids", list(range(1, ckpt.config.num_categories + 1)))
-    report = tv.evaluate(ckpt, dataset, category_ids=category_ids,
-                         partition=partition,
-                         batch_size=cfg["train"]["eval_batch_size"])
+    report = _evaluate_checkpoint(cfg, ckpt, D.load_dataset(args.data))
     print(f"AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     for name, value in sorted(report.per_subset.items()):
         print(f"  {name}: AP={value:.4f}")
@@ -346,48 +375,17 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
         with open(report_path) as fh:
             return json.load(fh)
 
-    det_overrides: dict = {"num_categories": train.num_categories,
-                           "compression": setting["compress"]}
     epochs = cfg["train"]["epochs"]
-    opt = tv.OptimSettings.from_dict(cfg["optim"])
-    weights = KAWeights.from_dict(cfg["weights"])
-    batch = cfg["train"]["batch_size"]
-    csv_path = os.path.join(run_dir, f"{label}.metrics.csv")
-
-    if not os.path.exists(ckpt_path):
-        if setting["mode"] == "raw":
-            det_cfg = _detector_config(cfg, num_parts=1, compression="none",
-                                       num_categories=train.num_categories)
-            ckpt, _ = tv.train_detector_gt(
-                train, det_cfg, epochs=epochs, seed=seed,
-                category_ids=list(range(1, train.num_categories + 1)),
-                eval_ds=eval_ds, opt_settings=opt, weights=weights,
-                batch_size=batch, csv_path=csv_path, mode_label="raw",
-                crash_dump=ckpt_path + ".crash")
-        else:
-            parts = 1 if setting["mode"] == "sag" else len(teacher_ckpts)
-            det_overrides["num_parts"] = parts
-            if setting["mode"] == "sag":
-                det_overrides["compression"] = "none"
-            det_cfg = _detector_config(cfg, **det_overrides)
-            ckpt = tv.amalgamate(
-                teacher_ckpts, train, det_cfg, setting["mode"], epochs=epochs,
-                seed=seed, eval_ds=eval_ds, label_free=setting["label_free"],
-                weights=weights, opt_settings=opt, batch_size=batch,
-                csv_path=csv_path, use_cache=cfg["train"]["use_cache"],
-                crash_dump=ckpt_path + ".crash", teachers_by_id=teachers_by_id)
-        tv.save_checkpoint(ckpt, ckpt_path)
-    else:
+    if os.path.exists(ckpt_path):
         ckpt = tv.load_checkpoint(ckpt_path)
+    elif setting["mode"] == "raw":
+        ckpt = run_baseline(cfg, train, eval_ds, "raw", 1, seed, epochs, ckpt_path)
+    else:
+        ckpt = run_amalgamation(cfg, train, eval_ds, teacher_ckpts, setting["mode"],
+                                setting["compress"], setting["label_free"], seed, epochs,
+                                ckpt_path, teachers_by_id)
 
-    partition = None
-    if "partition" in ckpt.metadata:
-        partition = D.TaskPartition.from_jsonable(ckpt.metadata["partition"],
-                                                  train.num_categories)
-    report = tv.evaluate(ckpt, eval_ds,
-                         category_ids=list(range(1, train.num_categories + 1)),
-                         partition=partition,
-                         batch_size=cfg["train"]["eval_batch_size"])
+    report = _evaluate_checkpoint(cfg, ckpt, eval_ds)
     row = {"mode": setting["label"], "seed": seed, "AP": report.ap,
            "AP50": report.ap50, "AP75": report.ap75}
     with open(report_path, "w") as fh:
@@ -397,30 +395,18 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
 
 def _prepare_teachers(args, cfg, train, eval_ds, out_dir) -> list:
     if args.teachers:
-        ckpts = []
-        for path in args.teachers:
-            _require_file(path, "teacher checkpoint")
-            ckpts.append(tv.load_checkpoint(path))
-        return ckpts
+        return _load_teachers(args.teachers)
     teacher_dir = os.path.join(out_dir, "teachers")
     os.makedirs(teacher_dir, exist_ok=True)
     partition = D.TaskPartition.equal_split(train.num_categories, args.teacher_count)
-    epochs = cfg["train"]["teacher_epochs"]
     ckpts = []
     for t in range(args.teacher_count):
         path = os.path.join(teacher_dir, f"teacher{t + 1}.ckpt")
         if os.path.exists(path):
             ckpts.append(tv.load_checkpoint(path))
-            continue
-        det_cfg = _detector_config(cfg)
-        ckpt, _ = tv.train_teacher(
-            train, partition, t, det_cfg, epochs=epochs, seed=cfg["seed"] + 1000 + t,
-            eval_ds=eval_ds, opt_settings=tv.OptimSettings.from_dict(cfg["optim"]),
-            weights=KAWeights.from_dict(cfg["weights"]),
-            batch_size=cfg["train"]["batch_size"],
-            csv_path=path + ".metrics.csv", crash_dump=path + ".crash")
-        tv.save_checkpoint(ckpt, path)
-        ckpts.append(ckpt)
+        else:
+            ckpts.append(run_teacher(cfg, train, eval_ds, partition, t, cfg["seed"] + 1000 + t,
+                                     cfg["train"]["teacher_epochs"], path))
     return ckpts
 
 
@@ -436,7 +422,10 @@ def cmd_ablate(args) -> int:
 
     seeds = list(range(args.seeds))
     jobs = [(setting, seed) for setting in settings for seed in seeds]
-    workers = int(os.environ.get("KASEQ_THREADS", args.workers))
+    try:
+        workers = int(os.environ.get("KASEQ_THREADS", args.workers))
+    except ValueError:
+        raise UsageError("KASEQ_THREADS must be an integer process count") from None
     rows = []
     if workers > 1:
         import multiprocessing as mp
@@ -568,7 +557,9 @@ def build_parser() -> _Parser:
                    help="pretrained teacher checkpoints (default: train them)")
     p.add_argument("--teacher-count", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel run replicas (KASEQ_THREADS overrides)")
+                   help="worker processes running ablation cells in parallel; the "
+                        "KASEQ_THREADS environment variable, when set, overrides "
+                        "this process count")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

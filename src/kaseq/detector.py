@@ -10,7 +10,7 @@ not.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,13 +19,14 @@ from . import amalgamation as ka
 from . import tensor as T
 from . import transformer as tf
 from .errors import ConfigError, ContractError, ShapeError
+from .settings import Settings
 from .tensor import Tensor
 
 COMPRESSION_MODES = ("none", "isometric", "random", "redundancy")
 
 
 @dataclass
-class DetectorConfig:
+class DetectorConfig(Settings):
     image_size: int = 64
     patch_size: int = 8
     d_model: int = 64
@@ -62,35 +63,6 @@ class DetectorConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * 3
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        return cls(**d)
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One predicted or annotated object: normalized box plus class distribution."""
-
-    box: np.ndarray   # (cx, cy, w, h) in [0, 1]
-    dist: np.ndarray  # probabilities over num_categories + 1 entries, last = no-object
-
-
-@dataclass
-class DetectionSet:
-    """Exactly m detections as stacked arrays."""
-
-    dists: np.ndarray  # (m, C + 1)
-    boxes: np.ndarray  # (m, 4)
-
-    def __len__(self) -> int:
-        return self.dists.shape[0]
-
-    def detection(self, i: int) -> Detection:
-        return Detection(box=self.boxes[i].copy(), dist=self.dists[i].copy())
 
 
 @dataclass
@@ -202,15 +174,6 @@ def normalized_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
     return image_to_patches(image, patch_size) * 2.0 - 1.0
 
 
-def backbone_project(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
-                     part_index: int = 0) -> Tensor:
-    """Project one image's patches with the given part's own parameters."""
-    if not 0 <= part_index < cfg.num_parts:
-        raise ContractError(f"part index {part_index} out of range for N={cfg.num_parts}")
-    patches = Tensor(normalized_patches(image, cfg.patch_size))
-    return T.add(T.matmul(patches, params.proj_w[part_index]), params.proj_b[part_index])
-
-
 @dataclass
 class BatchOutput:
     """Stacked forward results for a batch of B images."""
@@ -220,13 +183,7 @@ class BatchOutput:
     layer_seqs: list[Tensor]  # supervision sequences, each (B * L, d)
     p_slims: Optional[list[np.ndarray]]  # kept indices per image, when compressed
     batch: int
-    seq_len: int           # token rows per image inside each layer_seq
     memory_len: int        # memory rows per image seen by the decoder
-
-    def image_detections(self, b: int) -> DetectionSet:
-        m = self.dists.shape[0] // self.batch
-        return DetectionSet(dists=self.dists.data[b * m:(b + 1) * m].copy(),
-                            boxes=self.boxes.data[b * m:(b + 1) * m].copy())
 
 
 def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
@@ -234,19 +191,6 @@ def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
     # source t * (batch * tokens) + b * tokens + j.
     src = np.arange(parts * batch * tokens).reshape(parts, batch, tokens)
     return src.transpose(1, 0, 2).reshape(-1)
-
-
-def default_pslim(x_extended: np.ndarray, cfg: DetectorConfig,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Kept-index set for one image from its own extended sequence."""
-    n, parts = cfg.tokens, cfg.num_parts
-    if cfg.compression == "redundancy":
-        return ka.compress_redundancy(x_extended, parts, n)
-    if cfg.compression == "isometric":
-        return ka.compress_isometric(parts, n)
-    if cfg.compression == "random":
-        return ka.compress_random(parts, n, rng or np.random.default_rng(0))
-    raise ContractError("default_pslim called without an active compression strategy")
 
 
 def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
@@ -276,8 +220,10 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     compressed = cfg.compression != "none" and parts > 1
     if compressed:
         if p_slims is None:
-            p_slims = [default_pslim(extended.data[b * parts * n:(b + 1) * parts * n],
-                                     cfg, rng) for b in range(batch)]
+            p_slims = [ka.select_tokens(cfg.compression,
+                                        extended.data[b * parts * n:(b + 1) * parts * n],
+                                        parts, n, rng or np.random.default_rng(0))
+                       for b in range(batch)]
         p_slims = [np.asarray(p, dtype=np.intp) for p in p_slims]
         for p in p_slims:
             if p.shape != (n,):
@@ -285,14 +231,14 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
         gather = np.concatenate([b * parts * n + p for b, p in enumerate(p_slims)])
         x = T.gather_rows(extended, gather)
         pos = np.concatenate([params.pos[ka.kept_positions(p, n)] for p in p_slims])
-        seq_len, blocks = n, batch
+        blocks = batch
     else:
         p_slims = None
         x = extended
         pos = np.tile(params.pos, (batch * parts, 1))
-        seq_len, blocks = parts * n, batch * parts
+        blocks = batch * parts
 
-    mask = tf.AttentionMask.uniform(blocks, x.shape[0] // blocks, x.shape[0] // blocks)
+    mask = tf.AttentionMask(blocks, x.shape[0] // blocks, x.shape[0] // blocks)
     # The supervision/compression/redundancy point is the raw projection
     # output; the encoder consumes it with positional content mixed in, since
     # a linear patch embedding of near-uniform backgrounds carries no spatial
@@ -306,8 +252,8 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     queries = T.gather_rows(params.query_embed, np.tile(np.arange(m), batch))
     decoded = tf.decoder_forward(
         memory, queries, params.transformer,
-        self_mask=tf.AttentionMask.uniform(batch, m, m),
-        cross_mask=tf.AttentionMask.uniform(batch, m, memory_len))
+        self_mask=tf.AttentionMask(batch, m, m),
+        cross_mask=tf.AttentionMask(batch, m, memory_len))
 
     dists = T.softmax_rows(T.add(T.matmul(decoded, params.class_w), params.class_b))
     hidden = T.relu(T.add(T.matmul(decoded, params.box_w1), params.box_b1))
@@ -316,29 +262,4 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
 
     return BatchOutput(dists=dists, boxes=boxes, layer_seqs=layer_seqs,
                        p_slims=list(p_slims) if p_slims is not None else None,
-                       batch=batch, seq_len=seq_len, memory_len=memory_len)
-
-
-def student_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
-                    p_slim: Optional[np.ndarray] = None,
-                    rng: Optional[np.random.Generator] = None):
-    """Single-image forward: (DetectionSet, per-layer supervision sequences)."""
-    out = forward_batch([image], params, cfg,
-                        p_slims=[p_slim] if p_slim is not None else None, rng=rng)
-    return out.image_detections(0), out.layer_seqs
-
-
-def teacher_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig):
-    """Teacher forward is the N=1 student forward over the task's class arity."""
-    if cfg.num_parts != 1:
-        raise ContractError("teachers are single-part models")
-    return student_forward(image, params, cfg)
-
-
-def split_parts(seq: Tensor, parts: int) -> list[Tensor]:
-    """View an extended (N*n, d) sequence as its N per-part sequences."""
-    rows = seq.shape[0]
-    if rows % parts:
-        raise ShapeError("sequence length is not divisible by the part count")
-    n = rows // parts
-    return [T.slice_rows(seq, t * n, (t + 1) * n) for t in range(parts)]
+                       batch=batch, memory_len=memory_len)

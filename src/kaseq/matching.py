@@ -1,4 +1,4 @@
-"""Box geometry, divergences, pairwise match costs, and optimal assignment.
+"""Box overlap, pairwise match costs, and optimal assignment.
 
 Everything here is a pure function of numpy values: the matching decision is
 not differentiated through (the losses rebuild their terms on the tape from
@@ -11,22 +11,7 @@ import numpy as np
 
 from .errors import ContractError, InfeasibleError
 
-_NORM_ATOL = 1e-6
 _KL_FLOOR = 1e-12
-
-
-def _check_box(b) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (4,):
-        raise ContractError(f"box must be (cx, cy, w, h), got shape {b.shape}")
-    if b[2] <= 0 or b[3] <= 0:
-        raise ContractError(f"degenerate box with w={b[2]}, h={b[3]}")
-    return b
-
-
-def box_l1(b1, b2) -> float:
-    """L1 distance on (cx, cy, w, h)."""
-    return float(np.abs(_check_box(b1) - _check_box(b2)).sum())
 
 
 def box_cxcywh_to_corners(b) -> np.ndarray:
@@ -35,65 +20,12 @@ def box_cxcywh_to_corners(b) -> np.ndarray:
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
-def box_giou(b1, b2) -> float:
-    """Generalized IoU in (-1, 1]: IoU minus the enclosure penalty."""
-    c1 = box_cxcywh_to_corners(_check_box(b1))
-    c2 = box_cxcywh_to_corners(_check_box(b2))
-    iw = max(0.0, min(c1[2], c2[2]) - max(c1[0], c2[0]))
-    ih = max(0.0, min(c1[3], c2[3]) - max(c1[1], c2[1]))
-    inter = iw * ih
-    a1 = (c1[2] - c1[0]) * (c1[3] - c1[1])
-    a2 = (c2[2] - c2[0]) * (c2[3] - c2[1])
-    union = a1 + a2 - inter
-    ew = max(c1[2], c2[2]) - min(c1[0], c2[0])
-    eh = max(c1[3], c2[3]) - min(c1[1], c2[1])
-    enclosure = ew * eh
-    return float(inter / union - (enclosure - union) / enclosure)
-
-
-def _check_dist(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ContractError("distribution must be a vector")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > _NORM_ATOL:
-        raise ContractError("distribution must be non-negative and sum to 1")
-    return p
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) with q clamped at 1e-12 and the 0 * log 0 = 0 convention."""
-    p = _check_dist(p)
-    q = _check_dist(q)
-    if p.shape != q.shape:
-        raise ContractError("distributions must have equal arity")
-    qc = np.maximum(q, _KL_FLOOR)
-    pos = p > 0
-    return float(np.sum(p[pos] * (np.log(p[pos]) - np.log(qc[pos]))))
-
-
-def confidence(p) -> float:
-    """Largest probability among non-background entries (background is last)."""
-    p = _check_dist(p)
-    return float(p[:-1].max()) if p.size > 1 else 0.0
-
-
-def box_cost(b_teacher, b_student, l1_weight: float = 5.0, giou_weight: float = 2.0) -> float:
-    return l1_weight * box_l1(b_teacher, b_student) + giou_weight * (1.0 - box_giou(b_teacher, b_student))
-
-
-def match_cost(t_dist, t_box, s_dist, s_box,
-               alpha_kl: float = 1.0, alpha_box: float = 1.0, alpha_conf: float = 1.0,
-               l1_weight: float = 5.0, giou_weight: float = 2.0) -> float:
-    """Pairwise teacher-student matching cost: KL + box terms minus teacher confidence."""
-    return (alpha_kl * kl_divergence(t_dist, s_dist)
-            + alpha_box * box_cost(t_box, s_box, l1_weight, giou_weight)
-            - alpha_conf * confidence(t_dist))
-
-
-def _pairwise_giou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """GIoU for every (a, b) pair; rows index a, columns index b."""
-    ca = box_cxcywh_to_corners(boxes_a)[:, None, :]
-    cb = box_cxcywh_to_corners(boxes_b)[None, :, :]
+def pairwise_iou_giou(corners_a: np.ndarray,
+                      corners_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and generalized IoU (IoU minus the enclosure penalty) for every
+    (a, b) pair of (x0, y0, x1, y1) boxes; rows index a, columns index b."""
+    ca = np.asarray(corners_a, dtype=np.float64)[:, None, :]
+    cb = np.asarray(corners_b, dtype=np.float64)[None, :, :]
     iw = np.maximum(0.0, np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0]))
     ih = np.maximum(0.0, np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1]))
     inter = iw * ih
@@ -103,7 +35,8 @@ def _pairwise_giou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     ew = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
     eh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
     enclosure = ew * eh
-    return inter / union - (enclosure - union) / enclosure
+    iou = inter / union
+    return iou, iou - (enclosure - union) / enclosure
 
 
 def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
@@ -117,7 +50,8 @@ def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
     plogp = np.where(p > 0, p * np.log(np.maximum(p, _KL_FLOOR)), 0.0).sum(axis=1)
     kl = plogp[None, :] - np.log(q) @ p.T  # (m, K)
     l1 = np.abs(student_boxes[:, None, :] - pool_boxes[None, :, :]).sum(axis=-1)
-    giou = _pairwise_giou(np.asarray(student_boxes), np.asarray(pool_boxes))
+    _, giou = pairwise_iou_giou(box_cxcywh_to_corners(student_boxes),
+                                box_cxcywh_to_corners(pool_boxes))
     conf = np.asarray(pool_dists)[:, :-1].max(axis=1)
     return (alpha_kl * kl
             + alpha_box * (l1_weight * l1 + giou_weight * (1.0 - giou))
@@ -186,8 +120,3 @@ def hungarian(cost) -> list[int]:
         if row < m:
             assignment[row] = j - 1
     return assignment
-
-
-def assignment_cost(cost, assignment) -> float:
-    cost = np.asarray(cost, dtype=np.float64)
-    return float(sum(cost[i, j] for i, j in enumerate(assignment)))

@@ -4,18 +4,23 @@ Teachers train with the standard set-prediction ground-truth loss on their
 task-filtered annotations. Amalgamation trains the student against frozen
 teachers with any combination of sequence-level, task-level, aggregation
 baseline, and ground-truth supervision. Teachers never change during
-amalgamation, so their per-image outputs are cached once (float32) and
-reused across epochs and runs.
+amalgamation, so each teacher's per-image outputs on the training set are
+computed once into a :class:`TeacherCache` (float32), the only source of
+teacher outputs, and reused across epochs. A caller-owned memo reuses
+caches across runs; its key is a digest of the teacher's configuration and
+tensors, the training-set object itself, and the task partition.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import json
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,9 +28,10 @@ import numpy as np
 from . import amalgamation as ka
 from . import matching
 from . import tensor as T
-from .data import Annotation, Dataset, TaskPartition, apply_task
+from .data import Annotation, Dataset, TaskPartition
 from .detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch)
 from .errors import ConfigError, ContractError, DataFormatError, NumericError
+from .settings import Settings
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"KASQ"
@@ -41,19 +47,12 @@ AMALGAMATION_MODES = ("sa", "ta", "sa+ta", "sag")
 
 
 @dataclass
-class OptimSettings:
+class OptimSettings(Settings):
     lr: float = 1e-4
     weight_decay: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimSettings":
-        return cls(**d)
 
 
 class AdamW:
@@ -148,6 +147,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(raw[12:12 + header_len])
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}: corrupt header at byte {12 + e.pos}") from None
+    if not isinstance(header, dict) or not {"config", "tensors"} <= header.keys():
+        raise DataFormatError(f"{path}: header lacks its config or tensor list")
+    try:
+        config = DetectorConfig.from_dict(header["config"])
+    except ConfigError as e:
+        raise DataFormatError(f"{path}: bad config in header: {e}") from None
     offset = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -161,8 +166,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return Checkpoint(config=DetectorConfig.from_dict(header["config"]),
-                      tensors=tensors, metadata=header.get("metadata", {}))
+    return Checkpoint(config=config, tensors=tensors, metadata=header.get("metadata", {}))
 
 
 def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, DetectorConfig]:
@@ -208,6 +212,7 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
     matched_boxes: list[np.ndarray] = []
     dists_np = out.dists.data
     boxes_np = out.boxes.data
+    corners_np = matching.box_cxcywh_to_corners(boxes_np)
     for b, (gt_boxes, gt_labels) in enumerate(targets):
         g = gt_boxes.shape[0]
         if g == 0:
@@ -216,7 +221,8 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
         prob = dists_np[rows]
         cost_class = -prob[:, gt_labels].T  # (g, m)
         l1 = np.abs(gt_boxes[:, None, :] - boxes_np[rows][None, :, :]).sum(-1)
-        giou = matching._pairwise_giou(gt_boxes, boxes_np[rows])
+        _, giou = matching.pairwise_iou_giou(matching.box_cxcywh_to_corners(gt_boxes),
+                                             corners_np[rows])
         cost = cost_class + weights.l1_weight * l1 + weights.giou_weight * (1.0 - giou)
         assign = matching.hungarian(cost)
         for gi, slot in enumerate(assign):
@@ -277,58 +283,6 @@ class TeacherCache:
         return self.layers[layer][gather].astype(np.float64)
 
 
-class LiveTeacher:
-    """Uncached teacher forwards with the TeacherCache access interface."""
-
-    def __init__(self, params: DetectorParams, cfg: DetectorConfig,
-                 dataset: Dataset, partition: TaskPartition, task_index: int):
-        self.params = params
-        self.cfg = cfg
-        self.dataset = dataset
-        self.partition = partition
-        self.task_index = task_index
-        self._batch_ids: Optional[tuple[int, ...]] = None
-        self._out: Optional[BatchOutput] = None
-
-    def _ensure(self, image_ids: np.ndarray) -> BatchOutput:
-        key = tuple(int(i) for i in image_ids)
-        if self._batch_ids != key:
-            self._out = forward_batch([self.dataset.image(i) for i in image_ids],
-                                      self.params, self.cfg)
-            self._batch_ids = key
-        return self._out
-
-    def layer_rows(self, layer: int, image_ids: np.ndarray) -> np.ndarray:
-        return self._ensure(image_ids).layer_seqs[layer].data
-
-    @property
-    def dists(self):
-        return _LiveView(self, "dists")
-
-    @property
-    def boxes(self):
-        return _LiveView(self, "boxes")
-
-
-class _LiveView:
-    def __init__(self, teacher: LiveTeacher, kind: str):
-        self.teacher = teacher
-        self.kind = kind
-
-    def __getitem__(self, image_ids):
-        image_ids = np.atleast_1d(np.asarray(image_ids))
-        out = self.teacher._ensure(image_ids)
-        m = self.teacher.cfg.queries
-        raw = (out.dists if self.kind == "dists" else out.boxes).data
-        raw = raw.reshape(len(image_ids), m, -1)
-        if self.kind == "dists":
-            flat = raw.reshape(len(image_ids) * m, -1)
-            padded = ka.pad_predictions(flat, self.teacher.partition,
-                                        self.teacher.task_index)
-            return padded.reshape(len(image_ids), m, -1)
-        return raw
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -347,61 +301,53 @@ class EvalReport:
                 "per_subset": self.per_subset}
 
 
-def _corner(box: np.ndarray) -> np.ndarray:
-    cx, cy, w, h = box
-    return np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
+_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
-def _iou_corners(a: np.ndarray, b: np.ndarray) -> float:
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
-    return inter / union
-
-
-def _ap_101(scored_flags: list[tuple[float, int, int, bool]], total_gt: int) -> float:
-    """101-point interpolated AP from (score-sorted) true/false positive flags."""
+def _ap_101(hits: np.ndarray, total_gt: int) -> float:
+    """101-point interpolated AP from score-ordered true-positive flags: at
+    each recall point, the best precision at that recall or beyond."""
     if total_gt == 0:
         return 0.0
-    tp = np.cumsum([1.0 if f else 0.0 for (_, _, _, f) in scored_flags])
-    fp = np.cumsum([0.0 if f else 1.0 for (_, _, _, f) in scored_flags])
+    tp = np.cumsum(hits, dtype=np.float64)
+    fp = np.cumsum(~hits, dtype=np.float64)
     recall = tp / total_gt
     precision = tp / np.maximum(tp + fp, 1e-12)
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        ap += float(precision[mask].max()) if mask.any() else 0.0
-    return ap / 101.0
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    # recall never decreases, so the ranks reaching a recall point form a suffix
+    first = np.searchsorted(recall, _RECALL_POINTS - 1e-12, side="left")
+    return sum(envelope[first].tolist()) / 101.0
 
 
 def category_ap(predictions, gt_boxes_by_image, threshold: float) -> Optional[float]:
     """AP for one category at one IoU threshold; None when the category has
-    no ground truth. Greedy matching by descending score, best unmatched IoU."""
+    no ground truth. Greedy matching by descending score, best unmatched IoU.
+
+    ``predictions`` holds (score, image, slot, corner box) tuples and
+    ``gt_boxes_by_image`` maps an image to its corner boxes."""
     total_gt = sum(len(v) for v in gt_boxes_by_image.values())
     if total_gt == 0:
         return None
     preds = sorted(predictions, key=lambda p: (-p[0], p[1], p[2]))
-    taken: dict[int, np.ndarray] = {img: np.zeros(len(boxes), dtype=bool)
-                                    for img, boxes in gt_boxes_by_image.items()}
-    flags = []
-    for score, img, slot, box in preds:
-        candidates = gt_boxes_by_image.get(img, [])
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(candidates):
-            if taken[img][j]:
-                continue
-            iou = _iou_corners(box, gt)
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= threshold:
-            taken[img][best_j] = True
-            flags.append((score, img, slot, True))
-        else:
-            flags.append((score, img, slot, False))
-    return _ap_101(flags, total_gt)
+    hits = np.zeros(len(preds), dtype=bool)
+    if preds:
+        spans, gt_rows, start = {}, [], 0
+        for img, boxes in gt_boxes_by_image.items():
+            spans[img] = range(start, start + len(boxes))
+            gt_rows.extend(boxes)
+            start += len(boxes)
+        iou, _ = matching.pairwise_iou_giou(np.asarray([p[3] for p in preds]),
+                                            np.asarray(gt_rows))
+        taken = [False] * total_gt
+        for rank, ((_, img, _, _), row) in enumerate(zip(preds, iou.tolist())):
+            best_iou, best_j = 0.0, -1
+            for j in spans.get(img, ()):
+                if not taken[j] and row[j] > best_iou:
+                    best_iou, best_j = row[j], j
+            if best_j >= 0 and best_iou >= threshold:
+                taken[best_j] = True
+                hits[rank] = True
+    return _ap_101(hits, total_gt)
 
 
 def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Dataset,
@@ -415,7 +361,7 @@ def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Da
         out = forward_batch([dataset.image(i) for i in idx], params, cfg,
                             rng=rng or np.random.default_rng(0))
         dists = out.dists.data
-        boxes = out.boxes.data
+        corners = matching.box_cxcywh_to_corners(out.boxes.data)
         for row in range(dists.shape[0]):
             img = idx[row // m]
             slot = row % m
@@ -423,7 +369,7 @@ def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Da
             if best == dists.shape[1] - 1:
                 continue  # no-object slot
             preds[category_ids[best]].append(
-                (float(dists[row, best]), img, slot, _corner(boxes[row])))
+                (float(dists[row, best]), img, slot, corners[row]))
     return preds
 
 
@@ -440,12 +386,13 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset,
         raise ContractError("model class arity disagrees with the category id map")
     preds = collect_predictions(params, cfg, dataset, category_ids, batch_size)
 
-    gt: dict[int, dict[int, list]] = {c: {} for c in category_ids}
     wanted = set(category_ids)
-    for i in range(len(dataset)):
-        for ann in dataset.annotations_for(i):
-            if ann.category in wanted:
-                gt[ann.category].setdefault(i, []).append(_corner(ann.box_array()))
+    owners = [(ann, i) for i in range(len(dataset)) for ann in dataset.annotations_for(i)
+              if ann.category in wanted]
+    corners = matching.box_cxcywh_to_corners(np.reshape([ann.box for ann, _ in owners], (-1, 4)))
+    gt: dict[int, dict[int, list]] = {c: {} for c in category_ids}
+    for (ann, i), corner in zip(owners, corners):
+        gt[ann.category].setdefault(i, []).append(corner)
 
     ap_table: dict[int, np.ndarray] = {}
     for c in category_ids:
@@ -600,10 +547,13 @@ def train_teacher(train_ds: Dataset, partition: TaskPartition, task_index: int,
 # amalgamation
 
 
-def _normalize_np(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=0, keepdims=True)
-    sd = x.std(axis=0, keepdims=True)
-    return (x - mu) / (sd + 1e-6)
+def _teacher_digest(ckpt: Checkpoint) -> str:
+    """Digest of a checkpoint's configuration and tensor values."""
+    digest = hashlib.sha256(json.dumps(ckpt.config.to_dict(), sort_keys=True).encode())
+    for name in sorted(ckpt.tensors):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(ckpt.tensors[name], dtype="<f8"))
+    return digest.hexdigest()
 
 
 def _teacher_extended_rows(teachers, layer: int, image_ids: np.ndarray,
@@ -624,7 +574,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                opt_settings: Optional[OptimSettings] = None,
                batch_size: int = 16,
                csv_path: Optional[str] = None,
-               use_cache: bool = True,
                crash_dump: Optional[str] = None,
                teachers_by_id: Optional[dict] = None) -> Checkpoint:
     """Train the student against frozen teachers with the selected losses.
@@ -632,7 +581,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     ``mode`` is one of sa | ta | sa+ta | sag; ``label_free`` removes the
     ground-truth term entirely (its lambda is forced to zero and annotations
     are never read during updates). ``teachers_by_id`` is an optional memo
-    reusing built teacher caches across runs on the same dataset.
+    reusing built teacher caches across runs; a cache is reused only for the
+    same teacher weights, the same dataset object, and the same partition.
     """
     if mode not in AMALGAMATION_MODES:
         raise ConfigError(f"unknown amalgamation mode {mode!r}")
@@ -664,17 +614,13 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
 
     teachers = []
     for t, (params_t, cfg_t) in enumerate(teacher_models):
-        if use_cache:
-            key = (subsets[t], len(train_ds))
-            if teachers_by_id is not None and key in teachers_by_id:
-                teachers.append(teachers_by_id[key])
-                continue
-            cache = TeacherCache(params_t, cfg_t, train_ds, partition, t)
-            if teachers_by_id is not None:
-                teachers_by_id[key] = cache
-            teachers.append(cache)
-        else:
-            teachers.append(LiveTeacher(params_t, cfg_t, train_ds, partition, t))
+        if teachers_by_id is None:
+            teachers.append(TeacherCache(params_t, cfg_t, train_ds, partition, t))
+            continue
+        key = (_teacher_digest(teacher_ckpts[t]), train_ds, partition, t)
+        if key not in teachers_by_id:
+            teachers_by_id[key] = TeacherCache(params_t, cfg_t, train_ds, partition, t)
+        teachers.append(teachers_by_id[key])
 
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
@@ -721,15 +667,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                 # Training-time rule: compression is guided by the teachers'
                 # concatenated projection sequences.
                 xt = _teacher_extended_rows(teachers, 0, idx, n)
-                p_slims = []
-                for b in range(batch):
-                    block = xt[b * n_teachers * n:(b + 1) * n_teachers * n]
-                    if cfg.compression == "redundancy":
-                        p_slims.append(ka.compress_redundancy(block, n_teachers, n))
-                    elif cfg.compression == "isometric":
-                        p_slims.append(ka.compress_isometric(n_teachers, n))
-                    else:
-                        p_slims.append(ka.compress_random(n_teachers, n, rng))
+                rows = n_teachers * n
+                p_slims = [ka.select_tokens(cfg.compression, xt[b * rows:(b + 1) * rows],
+                                            n_teachers, n, rng) for b in range(batch)]
 
             out = forward_batch(images, params, cfg, p_slims=p_slims, rng=rng)
             _guard_outputs(out, last_good, crash_dump)
@@ -744,39 +684,27 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                         gather = np.concatenate(
                             [b * n_teachers * n + p for b, p in enumerate(p_slims)])
                         target = target[gather]
-                    teacher_norm.append(Tensor(_normalize_np(target)))
+                    teacher_norm.append(T.channel_norm(Tensor(target)))
                 l_seq = T.scale(ka.sa_loss(student_norm, teacher_norm, n_teachers),
                                 1.0 / batch)
             elif use_sag:
-                per_layer = []
-                teacher_norms_by_layer = []
-                for j in range(n_layers):
-                    teacher_norms_by_layer.append(
-                        [Tensor(_normalize_np(t.layer_rows(j, idx))) for t in teachers])
-                for j, seq in enumerate(out.layer_seqs):
-                    per_layer.append(ka.sag_loss(
-                        T.channel_norm(seq), teacher_norms_by_layer[j],
-                        [w_a[t][j] for t in range(n_teachers)]))
-                total_sag = per_layer[0]
-                for piece in per_layer[1:]:
-                    total_sag = T.add(total_sag, piece)
-                l_seq = T.scale(total_sag, 1.0 / batch)
+                per_layer = [ka.sag_loss(T.channel_norm(seq),
+                                         [T.channel_norm(Tensor(t.layer_rows(j, idx)))
+                                          for t in teachers],
+                                         [w_a[t][j] for t in range(n_teachers)])
+                             for j, seq in enumerate(out.layer_seqs)]
+                l_seq = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
 
             l_task = None
             if use_ta:
                 pool_dists = np.concatenate([t.dists[idx] for t in teachers], axis=1)
                 pool_boxes = np.concatenate([t.boxes[idx] for t in teachers], axis=1)
-                per_image = []
-                for b in range(batch):
-                    sd = T.slice_rows(out.dists, b * m, (b + 1) * m)
-                    sb = T.slice_rows(out.boxes, b * m, (b + 1) * m)
-                    per_image.append(ka.ta_loss(
-                        sd, sb, pool_dists[b].astype(np.float64),
-                        pool_boxes[b].astype(np.float64), weights))
-                total_ta = per_image[0]
-                for piece in per_image[1:]:
-                    total_ta = T.add(total_ta, piece)
-                l_task = T.scale(total_ta, 1.0 / batch)
+                per_image = [ka.ta_loss(T.slice_rows(out.dists, b * m, (b + 1) * m),
+                                        T.slice_rows(out.boxes, b * m, (b + 1) * m),
+                                        pool_dists[b].astype(np.float64),
+                                        pool_boxes[b].astype(np.float64), weights)
+                             for b in range(batch)]
+                l_task = T.scale(functools.reduce(T.add, per_image), 1.0 / batch)
 
             l_direct = None
             if weights.lambda_direct > 0.0:

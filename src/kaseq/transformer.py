@@ -4,10 +4,11 @@ Multi-head attention is computed as sum_i softmax(A_i / sqrt(d_k)) . V . W_i_vo
 with A_i = Q W_i_q (W_i_k)^T K^T, so every projection shape is independent of
 sequence length and concatenated sequences extend it natively.
 
-The attention mask is represented as block bounds (never a dense matrix):
-query block j may attend only to key block j. Attention is evaluated
-blockwise, which keeps the cost linear in the number of blocks and makes
-masked entries contribute exactly zero weight.
+The attention mask is a count of equal-size aligned blocks (never a dense
+matrix): query block j may attend only to key block j. Every block of a
+mask has the same query length and the same key length, so attention runs
+as one batched product over all blocks, which keeps the cost linear in the
+number of blocks and makes masked entries contribute exactly zero weight.
 """
 
 from __future__ import annotations
@@ -24,36 +25,19 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class AttentionMask:
-    """Aligned block bounds for a concatenated sequence of independent parts."""
+    """Block-diagonal mask over ``blocks`` aligned pairs: query rows
+    [j * q_block, (j + 1) * q_block) attend only to key rows
+    [j * k_block, (j + 1) * k_block)."""
 
-    q_sizes: tuple[int, ...]
-    k_sizes: tuple[int, ...]
+    blocks: int
+    q_block: int
+    k_block: int
 
     def __post_init__(self):
-        if len(self.q_sizes) != len(self.k_sizes):
-            raise ShapeError("attention mask needs one key block per query block")
-        if not self.q_sizes:
+        if self.blocks < 1:
             raise ContractError("attention mask with no blocks")
-        if any(s <= 0 for s in self.q_sizes) or any(s <= 0 for s in self.k_sizes):
+        if self.q_block < 1 or self.k_block < 1:
             raise ContractError("attention mask blocks must be non-empty")
-
-    @classmethod
-    def for_parts(cls, sizes: Sequence[int]) -> "AttentionMask":
-        """Self-attention mask decoupling concatenated parts of these lengths."""
-        return cls(tuple(sizes), tuple(sizes))
-
-    @classmethod
-    def uniform(cls, blocks: int, q_size: int, k_size: int) -> "AttentionMask":
-        return cls((q_size,) * blocks, (k_size,) * blocks)
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.q_sizes)) == 1 and len(set(self.k_sizes)) == 1
-
-    def bounds(self):
-        qs = np.concatenate([[0], np.cumsum(self.q_sizes)])
-        ks = np.concatenate([[0], np.cumsum(self.k_sizes)])
-        return [(qs[i], qs[i + 1], ks[i], ks[i + 1]) for i in range(len(self.q_sizes))]
 
 
 @dataclass
@@ -183,57 +167,20 @@ def mha(q: Tensor, k: Tensor, v: Tensor,
     if k.shape[0] != v.shape[0]:
         raise ShapeError("keys and values must have equal length")
     if mask is None:
-        mask = AttentionMask((q.shape[0],), (k.shape[0],))
-    if sum(mask.q_sizes) != q.shape[0] or sum(mask.k_sizes) != k.shape[0]:
+        mask = AttentionMask(1, q.shape[0], k.shape[0])
+    if mask.blocks * mask.q_block != q.shape[0] or mask.blocks * mask.k_block != k.shape[0]:
         raise ShapeError("attention mask blocks do not tile the sequences")
     inv_sqrt_dk = 1.0 / np.sqrt(p.d_k)
-
-    if mask.is_uniform:
-        qb, kb = mask.q_sizes[0], mask.k_sizes[0]
-        out = None
-        for i in range(p.heads):
-            qi = T.matmul(q, p.wq[i])
-            ki = T.matmul(k, p.wk[i])
-            scores = T.scale(T.block_scores(qi, ki, qb, kb), inv_sqrt_dk)
-            attn = T.softmax_rows(scores)
-            mixed = T.matmul(T.block_mix(attn, v, qb, kb), p.wvo[i])
-            out = mixed if out is None else T.add(out, mixed)
-        return out
-
-    # Ragged blocks: evaluate each span independently and re-concatenate.
-    pieces = []
-    for qs, qe, ks, ke in mask.bounds():
-        qi_part = T.slice_rows(q, qs, qe)
-        ki_part = T.slice_rows(k, ks, ke)
-        vi_part = T.slice_rows(v, ks, ke)
-        part_out = None
-        for i in range(p.heads):
-            qi = T.matmul(qi_part, p.wq[i])
-            ki = T.matmul(ki_part, p.wk[i])
-            scores = T.scale(T.matmul(qi, T.transpose(ki)), inv_sqrt_dk)
-            attn = T.softmax_rows(scores)
-            mixed = T.matmul(T.matmul(attn, vi_part), p.wvo[i])
-            part_out = mixed if part_out is None else T.add(part_out, mixed)
-        pieces.append(part_out)
-    return pieces[0] if len(pieces) == 1 else T.concat_rows(pieces)
-
-
-def masked_self_attention(parts: Sequence[Tensor], p: MHAParams) -> list[Tensor]:
-    """Run one self-attention over concatenated parts with flow cut between them."""
-    if not parts:
-        raise ContractError("masked_self_attention needs at least one part")
-    widths = {part.shape[1] for part in parts}
-    if len(widths) != 1:
-        raise ShapeError("all parts must share d_model")
-    x = parts[0] if len(parts) == 1 else T.concat_rows(list(parts))
-    mask = AttentionMask.for_parts([part.shape[0] for part in parts])
-    y = mha(x, x, x, p, mask)
-    outs = []
-    start = 0
-    for part in parts:
-        outs.append(T.slice_rows(y, start, start + part.shape[0]))
-        start += part.shape[0]
-    return outs
+    qb, kb = mask.q_block, mask.k_block
+    out = None
+    for i in range(p.heads):
+        qi = T.matmul(q, p.wq[i])
+        ki = T.matmul(k, p.wk[i])
+        scores = T.scale(T.block_scores(qi, ki, qb, kb), inv_sqrt_dk)
+        attn = T.softmax_rows(scores)
+        mixed = T.matmul(T.block_mix(attn, v, qb, kb), p.wvo[i])
+        out = mixed if out is None else T.add(out, mixed)
+    return out
 
 
 # ---------------------------------------------------------------------------

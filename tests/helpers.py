@@ -1,12 +1,22 @@
 """Shared independent oracles for the test suite.
 
 Everything here is deliberately naive (finite differences, per-element
-loops, exhaustive enumeration) so it cannot share a failure mode with the
-library code it checks.
+loops, exhaustive enumeration, scalar formulas, single-image forwards) so it
+cannot share a failure mode with the batched library code it checks.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from kaseq import tensor as T
+from kaseq.amalgamation import redundancy_all
+from kaseq.data import TaskPartition
+from kaseq.detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch,
+                            normalized_patches)
+from kaseq.errors import ContractError, ShapeError
+from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
 
 
@@ -59,3 +69,190 @@ def check_grad(build_loss, values, h=1e-5, tol=1e-6):
     err = rel_err(g_ad, g_fd)
     assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol:.1e}"
     return err
+
+
+# ---------------------------------------------------------------------------
+# scalar reference formulas (the library computes these batched)
+
+_NORM_ATOL = 1e-6
+_KL_FLOOR = 1e-12
+
+
+def _check_box(b) -> np.ndarray:
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (4,):
+        raise ContractError(f"box must be (cx, cy, w, h), got shape {b.shape}")
+    if b[2] <= 0 or b[3] <= 0:
+        raise ContractError(f"degenerate box with w={b[2]}, h={b[3]}")
+    return b
+
+
+def box_l1(b1, b2) -> float:
+    """L1 distance on (cx, cy, w, h)."""
+    return float(np.abs(_check_box(b1) - _check_box(b2)).sum())
+
+
+def box_giou(b1, b2) -> float:
+    """Generalized IoU in (-1, 1]: IoU minus the enclosure penalty."""
+    c1 = box_cxcywh_to_corners(_check_box(b1))
+    c2 = box_cxcywh_to_corners(_check_box(b2))
+    iw = max(0.0, min(c1[2], c2[2]) - max(c1[0], c2[0]))
+    ih = max(0.0, min(c1[3], c2[3]) - max(c1[1], c2[1]))
+    inter = iw * ih
+    a1 = (c1[2] - c1[0]) * (c1[3] - c1[1])
+    a2 = (c2[2] - c2[0]) * (c2[3] - c2[1])
+    union = a1 + a2 - inter
+    ew = max(c1[2], c2[2]) - min(c1[0], c2[0])
+    eh = max(c1[3], c2[3]) - min(c1[1], c2[1])
+    enclosure = ew * eh
+    return float(inter / union - (enclosure - union) / enclosure)
+
+
+def _check_dist(p) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ContractError("distribution must be a vector")
+    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > _NORM_ATOL:
+        raise ContractError("distribution must be non-negative and sum to 1")
+    return p
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) with q clamped at 1e-12 and the 0 * log 0 = 0 convention."""
+    p = _check_dist(p)
+    q = _check_dist(q)
+    if p.shape != q.shape:
+        raise ContractError("distributions must have equal arity")
+    qc = np.maximum(q, _KL_FLOOR)
+    pos = p > 0
+    return float(np.sum(p[pos] * (np.log(p[pos]) - np.log(qc[pos]))))
+
+
+def confidence(p) -> float:
+    """Largest probability among non-background entries (background is last)."""
+    p = _check_dist(p)
+    return float(p[:-1].max()) if p.size > 1 else 0.0
+
+
+def box_cost(b_teacher, b_student, l1_weight: float = 5.0, giou_weight: float = 2.0) -> float:
+    return l1_weight * box_l1(b_teacher, b_student) + giou_weight * (1.0 - box_giou(b_teacher, b_student))
+
+
+def match_cost(t_dist, t_box, s_dist, s_box,
+               alpha_kl: float = 1.0, alpha_box: float = 1.0, alpha_conf: float = 1.0,
+               l1_weight: float = 5.0, giou_weight: float = 2.0) -> float:
+    """Pairwise teacher-student matching cost: KL + box terms minus teacher confidence."""
+    return (alpha_kl * kl_divergence(t_dist, s_dist)
+            + alpha_box * box_cost(t_box, s_box, l1_weight, giou_weight)
+            - alpha_conf * confidence(t_dist))
+
+
+def assignment_cost(cost, assignment) -> float:
+    cost = np.asarray(cost, dtype=np.float64)
+    return float(sum(cost[i, j] for i, j in enumerate(assignment)))
+
+
+def token_redundancy(index: int, x: np.ndarray) -> float:
+    x = np.asarray(x, dtype=np.float64)
+    if not 0 <= index < x.shape[0]:
+        raise ContractError(f"token index {index} out of range")
+    return float(redundancy_all(x)[index])
+
+
+def apply_compression(seq, p_slim):
+    """Select the kept rows in ascending index order."""
+    idx = np.asarray(p_slim, dtype=np.intp)
+    if idx.ndim != 1 or (idx.size > 1 and np.any(np.diff(idx) <= 0)):
+        raise ContractError("kept-index set must be strictly ascending")
+    if isinstance(seq, Tensor):
+        return T.gather_rows(seq, idx)
+    seq = np.asarray(seq)
+    if idx.size and (idx[0] < 0 or idx[-1] >= seq.shape[0]):
+        raise ContractError("kept index out of range")
+    return seq[idx].copy()
+
+
+def pad_prediction(p: np.ndarray, partition: TaskPartition, t: int) -> np.ndarray:
+    """Lift a teacher's local distribution onto the student category universe.
+
+    The teacher's local order is its sorted subset followed by the
+    no-object entry, which is carried over unchanged.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    subset = sorted(partition.subset(t))
+    if p.shape != (len(subset) + 1,):
+        raise ContractError(f"expected {len(subset) + 1} entries for task {t}, got {p.shape}")
+    if abs(p.sum() - 1.0) > 1e-6 or np.any(p < -1e-12):
+        raise ContractError("distribution must be normalized")
+    out = np.zeros(partition.num_categories + 1)
+    for local, cat in enumerate(subset):
+        out[cat - 1] = p[local]
+    out[-1] = p[-1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# single-image views of the batched detector
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One predicted or annotated object: normalized box plus class distribution."""
+
+    box: np.ndarray   # (cx, cy, w, h) in [0, 1]
+    dist: np.ndarray  # probabilities over num_categories + 1 entries, last = no-object
+
+
+@dataclass
+class DetectionSet:
+    """Exactly m detections as stacked arrays."""
+
+    dists: np.ndarray  # (m, C + 1)
+    boxes: np.ndarray  # (m, 4)
+
+    def __len__(self) -> int:
+        return self.dists.shape[0]
+
+    def detection(self, i: int) -> Detection:
+        return Detection(box=self.boxes[i].copy(), dist=self.dists[i].copy())
+
+
+def image_detections(out: BatchOutput, b: int) -> DetectionSet:
+    """The m detections of image ``b`` of a batched forward."""
+    m = out.dists.shape[0] // out.batch
+    return DetectionSet(dists=out.dists.data[b * m:(b + 1) * m].copy(),
+                        boxes=out.boxes.data[b * m:(b + 1) * m].copy())
+
+
+def backbone_project(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
+                     part_index: int = 0) -> Tensor:
+    """Project one image's patches with the given part's own parameters."""
+    if not 0 <= part_index < cfg.num_parts:
+        raise ContractError(f"part index {part_index} out of range for N={cfg.num_parts}")
+    patches = Tensor(normalized_patches(image, cfg.patch_size))
+    return T.add(T.matmul(patches, params.proj_w[part_index]), params.proj_b[part_index])
+
+
+def student_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
+                    p_slim: Optional[np.ndarray] = None,
+                    rng: Optional[np.random.Generator] = None):
+    """Single-image forward: (DetectionSet, per-layer supervision sequences)."""
+    out = forward_batch([image], params, cfg,
+                        p_slims=[p_slim] if p_slim is not None else None, rng=rng)
+    return image_detections(out, 0), out.layer_seqs
+
+
+def teacher_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig):
+    """Teacher forward is the N=1 student forward over the task's class arity."""
+    if cfg.num_parts != 1:
+        raise ContractError("teachers are single-part models")
+    return student_forward(image, params, cfg)
+
+
+def split_parts(seq: Tensor, parts: int) -> list[Tensor]:
+    """View an extended (N*n, d) sequence as its N per-part sequences."""
+    rows = seq.shape[0]
+    if rows % parts:
+        raise ShapeError("sequence length is not divisible by the part count")
+    n = rows // parts
+    return [T.slice_rows(seq, t * n, (t + 1) * n) for t in range(parts)]

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from kaseq import amalgamation as A
-from kaseq import matching as M
 from kaseq import tensor as T
 from kaseq import transformer as tf
 from kaseq.data import TaskPartition
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import check_grad
+from helpers import (apply_compression, box_cost, box_giou, check_grad, confidence,
+                     kl_divergence, match_cost, pad_prediction, token_redundancy)
 
 RNG = np.random.default_rng(31)
 
@@ -29,16 +29,18 @@ def random_box(rng):
 
 
 class TestChannelNormalize:
+    """SA normalizes each side's stacked mini-batch sequences with
+    ``T.channel_norm``: the student on the tape, the teacher as a constant."""
+
     def test_batch_statistics(self):
-        batch = [Tensor(RNG.standard_normal((6, 5)) * 3 + 1) for _ in range(4)]
-        normed = A.channel_normalize(batch)
-        stacked = np.vstack([t.data for t in normed])
-        np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(stacked.var(axis=0), 1.0, atol=1e-5)
+        batch = [RNG.standard_normal((6, 5)) * 3 + 1 for _ in range(4)]
+        normed = T.channel_norm(Tensor(np.vstack(batch))).data
+        np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(normed.var(axis=0), 1.0, atol=1e-5)
 
     def test_constant_channel_maps_to_zero(self):
         x = np.column_stack([np.full(8, 2.5), RNG.standard_normal(8)])
-        out = A.channel_normalize([Tensor(x)])[0]
+        out = T.channel_norm(Tensor(x))
         np.testing.assert_array_equal(out.data[:, 0], 0.0)
 
     def test_matches_direct_mean_variance_oracle(self):
@@ -47,8 +49,10 @@ class TestChannelNormalize:
         mu = stacked.mean(axis=0)
         sd = stacked.std(axis=0)
         expected = (stacked - mu) / (sd + 1e-6)
-        normed = A.channel_normalize([Tensor(b) for b in batch])
-        np.testing.assert_allclose(np.vstack([t.data for t in normed]), expected, atol=1e-12)
+        normed = T.channel_norm(Tensor(stacked))
+        np.testing.assert_array_equal(normed.data, expected)
+        # a constant input (the teacher side) adds no node to the tape
+        assert normed.is_leaf and not normed.requires_grad
 
 
 class TestSALoss:
@@ -161,7 +165,7 @@ class TestRedundancy:
         unit = x / np.linalg.norm(x, axis=1, keepdims=True)
         s = unit @ unit.T
         for i in range(5):
-            assert abs(A.token_redundancy(i, x) - s[i].mean()) < 1e-12
+            assert abs(token_redundancy(i, x) - s[i].mean()) < 1e-12
 
     def test_bounded_in_minus_one_one(self):
         x = RNG.standard_normal((30, 6))
@@ -229,18 +233,18 @@ class TestCompression:
 
     def test_apply_identity(self):
         x = RNG.standard_normal((4, 3))
-        np.testing.assert_array_equal(A.apply_compression(x, np.arange(4)), x)
+        np.testing.assert_array_equal(apply_compression(x, np.arange(4)), x)
 
     def test_apply_nested_reselection_idempotent(self):
         x = RNG.standard_normal((8, 3))
         outer = np.array([0, 2, 4, 6])
-        once = A.apply_compression(x, outer)
-        again = A.apply_compression(once, np.arange(4))
+        once = apply_compression(x, outer)
+        again = apply_compression(once, np.arange(4))
         np.testing.assert_array_equal(once, again)
 
     def test_apply_out_of_range_rejected(self):
         with pytest.raises(ContractError):
-            A.apply_compression(RNG.standard_normal((3, 2)), [0, 5])
+            apply_compression(RNG.standard_normal((3, 2)), [0, 5])
 
     def test_selection_order_commutes_with_encoder(self):
         # Selecting rows in a different order permutes encoder outputs the
@@ -249,7 +253,7 @@ class TestCompression:
         x = RNG.standard_normal((8, 4))
         idx_sorted = np.array([1, 3, 4, 6])
         shuffle = np.array([2, 0, 3, 1])
-        base = tf.encoder_forward(Tensor(A.apply_compression(x, idx_sorted)), layers)[0].data
+        base = tf.encoder_forward(Tensor(apply_compression(x, idx_sorted)), layers)[0].data
         permuted = tf.encoder_forward(Tensor(x[idx_sorted[shuffle]]), layers)[0].data
         assert np.max(np.abs(permuted - base[shuffle])) < 1e-10
 
@@ -257,14 +261,14 @@ class TestCompression:
 class TestPadPrediction:
     def test_forced_example(self):
         part = TaskPartition(((1, 2), (3, 4)), 4)
-        out = A.pad_prediction(np.array([0.7, 0.2, 0.1]), part, 0)
+        out = pad_prediction(np.array([0.7, 0.2, 0.1]), part, 0)
         np.testing.assert_allclose(out, [0.7, 0.2, 0.0, 0.0, 0.1])
 
     def test_pure_background_stays_pure(self):
         part = TaskPartition.equal_split(8, 2)
         p = np.zeros(5)
         p[-1] = 1.0
-        out = A.pad_prediction(p, part, 1)
+        out = pad_prediction(p, part, 1)
         assert out[-1] == 1.0 and out[:-1].sum() == 0.0
 
     def test_sum_preserved(self):
@@ -272,21 +276,21 @@ class TestPadPrediction:
         for _ in range(100):
             p = random_dist(RNG, 3)
             t = int(RNG.integers(0, 4))
-            assert abs(A.pad_prediction(p, part, t).sum() - 1.0) < 1e-12
+            assert abs(pad_prediction(p, part, t).sum() - 1.0) < 1e-12
 
     def test_confidence_preserved(self):
         part = TaskPartition.equal_split(8, 2)
         for _ in range(50):
             p = random_dist(RNG, 5)
-            assert M.confidence(A.pad_prediction(p, part, 0)) == pytest.approx(
-                M.confidence(p), abs=1e-12)
+            assert confidence(pad_prediction(p, part, 0)) == pytest.approx(
+                confidence(p), abs=1e-12)
 
     def test_row_wise_matches_single(self):
         part = TaskPartition.equal_split(8, 2)
         dists = np.stack([random_dist(RNG, 5) for _ in range(6)])
         rows = A.pad_predictions(dists, part, 1)
         for i in range(6):
-            np.testing.assert_allclose(rows[i], A.pad_prediction(dists[i], part, 1))
+            np.testing.assert_allclose(rows[i], pad_prediction(dists[i], part, 1))
 
 
 class TestBoxLossRows:
@@ -295,7 +299,7 @@ class TestBoxLossRows:
         target = np.stack([random_box(RNG) for _ in range(5)])
         rows = A.box_giou_rows(Tensor(pred), target)
         for i in range(5):
-            assert rows.data[i, 0] == pytest.approx(M.box_giou(pred[i], target[i]), abs=1e-12)
+            assert rows.data[i, 0] == pytest.approx(box_giou(pred[i], target[i]), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         target = np.stack([random_box(RNG) for _ in range(4)])
@@ -340,14 +344,14 @@ class TestTALoss:
         best_cost, best = np.inf, None
         for combo in itertools.permutations(range(k), m):
             total = sum(
-                M.match_cost(pool_dists[j], pool_boxes[j], s_dists[i], s_boxes[i])
+                match_cost(pool_dists[j], pool_boxes[j], s_dists[i], s_boxes[i])
                 for i, j in enumerate(combo))
             if total < best_cost:
                 best_cost, best = total, combo
         expected = sum(
-            M.confidence(pool_dists[j]) * (
-                w.beta_kl * M.kl_divergence(pool_dists[j], s_dists[i])
-                + w.beta_box * M.box_cost(pool_boxes[j], s_boxes[i]))
+            confidence(pool_dists[j]) * (
+                w.beta_kl * kl_divergence(pool_dists[j], s_dists[i])
+                + w.beta_box * box_cost(pool_boxes[j], s_boxes[i]))
             for i, j in enumerate(best))
 
         got = A.ta_loss(Tensor(s_dists), Tensor(s_boxes), pool_dists, pool_boxes, w)

@@ -1,0 +1,179 @@
+"""End-to-end command-line runs on a tiny configuration, through ``cli.main``.
+
+One module-scoped workspace holds the generated datasets and two trained
+teachers; every test writes its own outputs beside them.
+"""
+
+import csv
+import json
+import os
+import struct
+
+import pytest
+
+from kaseq import cli
+
+TINY = {
+    "detector": {"image_size": 32, "patch_size": 8, "d_model": 16, "heads": 2,
+                 "enc_layers": 1, "dec_layers": 1, "queries": 8, "ffn_dim": 16},
+    "train": {"epochs": 1, "teacher_epochs": 1, "batch_size": 8, "eval_batch_size": 8},
+}
+
+
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+def metrics_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    config = root / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    paths = {"root": root, "config": config, "train": root / "train",
+             "eval": root / "eval", "t1": root / "t1.ckpt", "t2": root / "t2.ckpt"}
+    assert run("gen-data", "--out", paths["train"], "--images", 16, "--categories", 4,
+               "--size", 32, "--seed", 0) == 0
+    assert run("gen-data", "--out", paths["eval"], "--images", 8, "--categories", 4,
+               "--size", 32, "--seed", 1) == 0
+    for key, task in (("t1", "1-2"), ("t2", "3,4")):
+        assert run("train-teacher", "--data", paths["train"], "--task", task,
+                   "--out", paths[key], "--config", config, "--seed", 5) == 0
+    return paths
+
+
+def test_gen_data_writes_dataset_and_config(ws):
+    assert (ws["train"] / "annotations.json").exists()
+    dump = json.loads((ws["train"] / "config.json").read_text())
+    assert dump["command"] == "gen-data"
+    assert dump["config"]["gen"] == {"images": 16, "categories": 4, "size": 32}
+    assert dump["config"]["seed"] == 0
+
+
+def test_train_teacher_dumps_effective_config(ws):
+    dump = json.loads((ws["root"] / "t1.ckpt.config.json").read_text())
+    assert dump["command"] == "train-teacher"
+    assert dump["config"]["seed"] == 5
+    assert dump["config"]["detector"]["d_model"] == 16  # config file over defaults
+    assert dump["config"]["optim"]["lr"] == 1e-4        # defaults kept
+    assert len(metrics_rows(str(ws["t1"]) + ".metrics.csv")) == 1
+
+
+def test_amalgamate_then_evaluate(ws, capsys):
+    student = ws["root"] / "student.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+               "--mode", "sa+ta", "--compress", "redundancy", "--out", student,
+               "--config", ws["config"], "--set", "weights.lambda_task=0.5") == 0
+    dump = json.loads((ws["root"] / "student.ckpt.config.json").read_text())
+    assert dump["command"] == "amalgamate"
+    assert dump["config"]["weights"]["lambda_task"] == 0.5
+    report = ws["root"] / "report.json"
+    assert run("evaluate", "--model", student, "--data", ws["eval"], "--report", report,
+               "--config", ws["config"]) == 0
+    values = json.loads(report.read_text())
+    assert set(values) == {"AP", "AP50", "AP75", "per_category", "per_subset"}
+    assert 0.0 <= values["AP"] <= values["AP50"] <= 1.0
+    assert "AP=" in capsys.readouterr().out
+
+
+def test_ablate_resumes_without_duplicating_metrics(ws):
+    out = ws["root"] / "ablate"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+            "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    assert run(*argv) == 0
+    table = out / "compression.csv"
+    first = metrics_rows(table)
+    assert [r["mode"] for r in first] == ["sa+ta_redundancy", "sa+ta_isometric",
+                                         "sa+ta_random"]
+    runs = out / "runs"
+    kept = runs / "sa+ta_redundancy_s0.ckpt"
+    kept_mtime = os.stat(kept).st_mtime_ns
+    # A cell interrupted mid-training leaves its metrics log and no checkpoint.
+    os.remove(runs / "sa+ta_random_s0.ckpt")
+    os.remove(runs / "sa+ta_random_s0.report.json")
+    assert run(*argv) == 0
+    assert metrics_rows(table) == first
+    assert os.stat(kept).st_mtime_ns == kept_mtime
+    assert len(metrics_rows(runs / "sa+ta_random_s0.ckpt.metrics.csv")) == 1
+
+
+def test_forced_retraining_starts_a_fresh_metrics_log(ws):
+    out = ws["root"] / "raw.ckpt"
+    argv = ["train-baseline", "--data", ws["train"], "--out", out,
+            "--config", ws["config"], "--epochs", 2]
+    assert run(*argv) == 0
+    assert run(*argv, "--force") == 0
+    rows = metrics_rows(str(out) + ".metrics.csv")
+    assert [r["epoch"] for r in rows] == ["0", "1"]
+
+
+def test_existing_output_needs_force(ws, capsys):
+    assert run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", ws["t1"],
+               "--config", ws["config"]) == 1
+    assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["4-1", "x", "1,,2"])
+def test_bad_task_spec_exits_1(ws, capsys, task):
+    assert run("train-teacher", "--data", ws["train"], "--task", task,
+               "--out", ws["root"] / "bad.ckpt", "--config", ws["config"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("key", ["detector.bogus", "weights.bogus", "optim.bogus"])
+def test_unknown_config_key_exits_1(ws, capsys, key):
+    assert run("train-teacher", "--data", ws["train"], "--task", "1-2",
+               "--out", ws["root"] / "unknown.ckpt", "--config", ws["config"],
+               "--set", f"{key}=1") == 1
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "Traceback" not in err
+
+
+def test_wrongly_typed_config_value_exits_1(ws, capsys):
+    assert run("train-teacher", "--data", ws["train"], "--task", "1-2",
+               "--out", ws["root"] / "typed.ckpt", "--config", ws["config"],
+               "--set", "optim.lr=fast") == 1
+    assert "OptimSettings.lr" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_exits_2(ws, capsys):
+    bad = ws["root"] / "corrupt.ckpt"
+    bad.write_bytes(b"KASQ" + b"\0" * 32)
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_checkpoint_header_with_unknown_config_key_exits_2(ws, capsys):
+    raw = ws["t1"].read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + length])
+    header["config"]["bogus"] = 1
+    encoded = json.dumps(header).encode()
+    bad = ws["root"] / "bogus_header.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length:])
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_exploding_learning_rate_exits_3_with_crash_dump(ws, capsys):
+    out = ws["root"] / "boom.ckpt"
+    with pytest.warns(RuntimeWarning):
+        code = run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", out,
+                   "--config", ws["config"], "--set", "optim.lr=1e300")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
+    assert not out.exists()
+    assert (ws["root"] / "boom.ckpt.crash.ckpt").exists()
+
+
+def test_non_integer_process_count_exits_1(ws, capsys, monkeypatch):
+    monkeypatch.setenv("KASEQ_THREADS", "many")
+    assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+               "--eval-data", ws["eval"], "--out", ws["root"] / "threads", "--seeds", 1,
+               "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
+    assert "KASEQ_THREADS" in capsys.readouterr().err

@@ -8,6 +8,9 @@ from kaseq import tensor as T
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
+from helpers import (backbone_project, image_detections, split_parts, student_forward,
+                     teacher_forward)
+
 RNG = np.random.default_rng(17)
 
 
@@ -41,7 +44,7 @@ class TestBackbone:
     def test_patch_count_and_width(self):
         cfg = tiny_cfg()
         params = det.DetectorParams.init(cfg, RNG)
-        seq = det.backbone_project(rand_image(), params, cfg, 0)
+        seq = backbone_project(rand_image(), params, cfg, 0)
         assert seq.shape == (16, cfg.d_model)
 
     def test_identical_parameters_identical_sequences(self):
@@ -50,14 +53,14 @@ class TestBackbone:
         params.proj_w[1].data[:] = params.proj_w[0].data
         params.proj_b[1].data[:] = params.proj_b[0].data
         img = rand_image()
-        a = det.backbone_project(img, params, cfg, 0)
-        b = det.backbone_project(img, params, cfg, 1)
+        a = backbone_project(img, params, cfg, 0)
+        b = backbone_project(img, params, cfg, 1)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradient_isolated_to_used_projection(self):
         cfg = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg, RNG)
-        seq = det.backbone_project(rand_image(), params, cfg, 1)
+        seq = backbone_project(rand_image(), params, cfg, 1)
         T.frobenius_sq(seq).backward()
         assert params.proj_w[1].grad is not None
         assert params.proj_w[0].grad is None
@@ -74,8 +77,11 @@ class TestStudentForward:
     def test_single_part_plain_forward(self):
         cfg = tiny_cfg()
         params = det.DetectorParams.init(cfg, RNG)
-        dets, layers = det.student_forward(rand_image(), params, cfg)
+        dets, layers = student_forward(rand_image(), params, cfg)
         assert len(dets) == cfg.queries
+        last = dets.detection(cfg.queries - 1)
+        np.testing.assert_array_equal(last.box, dets.boxes[-1])
+        np.testing.assert_array_equal(last.dist, dets.dists[-1])
         assert len(layers) == cfg.enc_layers + 1  # projection supervised by default
         assert layers[0].shape == (cfg.tokens, cfg.d_model)
 
@@ -93,7 +99,7 @@ class TestStudentForward:
     def test_outputs_are_valid_detections(self):
         cfg = tiny_cfg(num_parts=2, compression="isometric")
         params = det.DetectorParams.init(cfg, RNG)
-        dets, _ = det.student_forward(rand_image(), params, cfg)
+        dets, _ = student_forward(rand_image(), params, cfg)
         assert np.all(dets.boxes >= 0.0) and np.all(dets.boxes <= 1.0)
         np.testing.assert_allclose(dets.dists.sum(axis=1), 1.0, atol=1e-9)
 
@@ -103,9 +109,9 @@ class TestStudentForward:
         cfg = tiny_cfg(num_parts=2)
         img = rand_image()
         params = det.DetectorParams.init(cfg, RNG)
-        _, layers_before = det.student_forward(img, params, cfg)
+        _, layers_before = student_forward(img, params, cfg)
         params.proj_w[1].data[:] = RNG.standard_normal(params.proj_w[1].shape)
-        _, layers_after = det.student_forward(img, params, cfg)
+        _, layers_after = student_forward(img, params, cfg)
         n = cfg.tokens
         for before, after in zip(layers_before, layers_after):
             np.testing.assert_allclose(after.data[:n], before.data[:n], atol=1e-12)
@@ -115,8 +121,8 @@ class TestStudentForward:
         cfg = tiny_cfg(num_parts=2, compression="redundancy")
         params = det.DetectorParams.init(cfg, RNG)
         img = rand_image()
-        a, _ = det.student_forward(img, params, cfg)
-        b, _ = det.student_forward(img, params, cfg)
+        a, _ = student_forward(img, params, cfg)
+        b, _ = student_forward(img, params, cfg)
         np.testing.assert_array_equal(a.dists, b.dists)
         np.testing.assert_array_equal(a.boxes, b.boxes)
 
@@ -126,8 +132,8 @@ class TestStudentForward:
         imgs = [rand_image() for _ in range(3)]
         batched = det.forward_batch(imgs, params, cfg)
         for b, img in enumerate(imgs):
-            solo, solo_layers = det.student_forward(img, params, cfg)
-            got = batched.image_detections(b)
+            solo, solo_layers = student_forward(img, params, cfg)
+            got = image_detections(batched, b)
             np.testing.assert_allclose(got.dists, solo.dists, atol=1e-10)
             np.testing.assert_allclose(got.boxes, solo.boxes, atol=1e-10)
             rows = batched.layer_seqs[0].shape[0] // len(imgs)
@@ -148,7 +154,7 @@ class TestTeacherForward:
     def test_contracts(self):
         cfg = tiny_cfg(num_categories=2)
         params = det.DetectorParams.init(cfg, RNG)
-        dets, layers = det.teacher_forward(rand_image(), params, cfg)
+        dets, layers = teacher_forward(rand_image(), params, cfg)
         assert len(dets) == cfg.queries
         assert dets.dists.shape[1] == 3
         assert len(layers) == cfg.enc_layers + 1
@@ -157,7 +163,7 @@ class TestTeacherForward:
         cfg = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg, RNG)
         with pytest.raises(ContractError):
-            det.teacher_forward(rand_image(), params, cfg)
+            teacher_forward(rand_image(), params, cfg)
 
 
 class TestParameterAccounting:
@@ -179,6 +185,6 @@ class TestParameterAccounting:
         cfg = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg, RNG)
         out = det.forward_batch([rand_image()], params, cfg)
-        parts = det.split_parts(out.layer_seqs[0], 2)
+        parts = split_parts(out.layer_seqs[0], 2)
         np.testing.assert_array_equal(
             np.vstack([p.data for p in parts]), out.layer_seqs[0].data)

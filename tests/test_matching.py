@@ -1,4 +1,6 @@
-"""Box geometry, divergences, match cost, and Hungarian assignment."""
+"""Box geometry, divergences, match cost, and Hungarian assignment.
+
+The scalar formulas come from ``helpers`` and pin the batched cost matrix."""
 
 import itertools
 
@@ -7,6 +9,9 @@ import pytest
 
 from kaseq import matching as M
 from kaseq.errors import ContractError, InfeasibleError
+
+from helpers import (assignment_cost, box_cost, box_giou, box_l1, confidence,
+                     kl_divergence, match_cost)
 
 RNG = np.random.default_rng(11)
 
@@ -52,98 +57,98 @@ def brute_force_assignment(cost):
 class TestBoxes:
     def test_identical_boxes(self):
         b = np.array([0.5, 0.5, 0.2, 0.3])
-        assert M.box_l1(b, b) == 0.0
-        assert M.box_giou(b, b) == pytest.approx(1.0)
+        assert box_l1(b, b) == 0.0
+        assert box_giou(b, b) == pytest.approx(1.0)
 
     def test_disjoint_corner_boxes_closed_form(self):
         # (0,0)-(1,1) vs (2,2)-(3,3): IoU 0, union 2, enclosure 9.
         b1 = np.array([0.5, 0.5, 1.0, 1.0])
         b2 = np.array([2.5, 2.5, 1.0, 1.0])
-        assert M.box_giou(b1, b2) == pytest.approx(-7.0 / 9.0, abs=1e-12)
+        assert box_giou(b1, b2) == pytest.approx(-7.0 / 9.0, abs=1e-12)
 
     def test_random_pairs_match_corner_rederivation(self):
         for _ in range(200):
             b1, b2 = random_box(RNG), random_box(RNG)
-            assert abs(M.box_giou(b1, b2) - corner_giou_oracle(b1, b2)) < 1e-12
+            assert abs(box_giou(b1, b2) - corner_giou_oracle(b1, b2)) < 1e-12
 
     def test_giou_never_exceeds_iou_bound(self):
         for _ in range(200):
             b1, b2 = random_box(RNG), random_box(RNG)
-            assert -1.0 < M.box_giou(b1, b2) <= 1.0 + 1e-12
+            assert -1.0 < box_giou(b1, b2) <= 1.0 + 1e-12
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ContractError):
-            M.box_l1([0.5, 0.5, 0.0, 0.1], [0.5, 0.5, 0.1, 0.1])
+            box_l1([0.5, 0.5, 0.0, 0.1], [0.5, 0.5, 0.1, 0.1])
         with pytest.raises(ContractError):
-            M.box_giou([0.5, 0.5, 0.1, -0.1], [0.5, 0.5, 0.1, 0.1])
+            box_giou([0.5, 0.5, 0.1, -0.1], [0.5, 0.5, 0.1, 0.1])
 
 
 class TestKL:
     def test_identical_distributions(self):
         p = random_dist(RNG, 5)
-        assert M.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_forced_ln2(self):
-        assert M.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_random_pairs_match_direct_sum(self):
         for _ in range(200):
             p = random_dist(RNG, 6)
             q = random_dist(RNG, 6)
             direct = sum(pi * np.log(pi / qi) for pi, qi in zip(p, q) if pi > 0)
-            assert abs(M.kl_divergence(p, q) - direct) < 1e-12
+            assert abs(kl_divergence(p, q) - direct) < 1e-12
 
     def test_nonnegative_with_zero_only_at_equality(self):
         for _ in range(200):
             p = random_dist(RNG, 4)
             q = random_dist(RNG, 4)
-            assert M.kl_divergence(p, q) >= 0.0
+            assert kl_divergence(p, q) >= 0.0
 
     def test_padded_zeros_contribute_nothing(self):
         p = np.array([0.6, 0.0, 0.0, 0.4])
         q = random_dist(RNG, 4)
         expected = 0.6 * np.log(0.6 / q[0]) + 0.4 * np.log(0.4 / q[3])
-        assert M.kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
+        assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ContractError):
-            M.kl_divergence([0.5, 0.4], [0.5, 0.5])
+            kl_divergence([0.5, 0.4], [0.5, 0.5])
 
 
 class TestConfidence:
     def test_pure_background(self):
-        assert M.confidence([0.0, 0.0, 1.0]) == 0.0
+        assert confidence([0.0, 0.0, 1.0]) == 0.0
 
     def test_forced_max(self):
-        assert M.confidence([0.7, 0.2, 0.1]) == pytest.approx(0.7)
+        assert confidence([0.7, 0.2, 0.1]) == pytest.approx(0.7)
 
     def test_uniform_foreground(self):
-        assert M.confidence([0.2, 0.2, 0.2, 0.2, 0.2]) == pytest.approx(0.2)
+        assert confidence([0.2, 0.2, 0.2, 0.2, 0.2]) == pytest.approx(0.2)
 
 
 class TestMatchCost:
     def test_identical_detection_reduces_to_negative_confidence(self):
         box = random_box(RNG)
         dist = random_dist(RNG, 5)
-        cost = M.match_cost(dist, box, dist, box)
-        assert cost == pytest.approx(-M.confidence(dist), abs=1e-9)
+        cost = match_cost(dist, box, dist, box)
+        assert cost == pytest.approx(-confidence(dist), abs=1e-9)
 
     def test_pure_background_teacher_drops_confidence_term(self):
         box1, box2 = random_box(RNG), random_box(RNG)
         t = np.zeros(4)
         t[-1] = 1.0
         s = random_dist(RNG, 4)
-        expected = M.kl_divergence(t, s) + M.box_cost(box1, box2)
-        assert M.match_cost(t, box1, s, box2) == pytest.approx(expected, abs=1e-12)
+        expected = kl_divergence(t, s) + box_cost(box1, box2)
+        assert match_cost(t, box1, s, box2) == pytest.approx(expected, abs=1e-12)
 
     def test_term_by_term_composition(self):
         t_dist, s_dist = random_dist(RNG, 6), random_dist(RNG, 6)
         t_box, s_box = random_box(RNG), random_box(RNG)
-        expected = (2.0 * M.kl_divergence(t_dist, s_dist)
-                    + 0.5 * (5.0 * M.box_l1(t_box, s_box)
-                             + 2.0 * (1.0 - M.box_giou(t_box, s_box)))
-                    - 3.0 * M.confidence(t_dist))
-        got = M.match_cost(t_dist, t_box, s_dist, s_box,
+        expected = (2.0 * kl_divergence(t_dist, s_dist)
+                    + 0.5 * (5.0 * box_l1(t_box, s_box)
+                             + 2.0 * (1.0 - box_giou(t_box, s_box)))
+                    - 3.0 * confidence(t_dist))
+        got = match_cost(t_dist, t_box, s_dist, s_box,
                            alpha_kl=2.0, alpha_box=0.5, alpha_conf=3.0)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -157,14 +162,14 @@ class TestMatchCost:
         for i in range(m):
             for j in range(k):
                 assert mat[i, j] == pytest.approx(
-                    M.match_cost(pd[j], pb[j], sd[i], sb[i]), abs=1e-9)
+                    match_cost(pd[j], pb[j], sd[i], sb[i]), abs=1e-9)
 
 
 class TestHungarian:
     def test_diagonal_zero_identity(self):
         cost = np.ones((3, 3)) - np.eye(3)
         assert M.hungarian(cost) == [0, 1, 2]
-        assert M.assignment_cost(cost, [0, 1, 2]) == 0.0
+        assert assignment_cost(cost, [0, 1, 2]) == 0.0
 
     def test_single_cell(self):
         assert M.hungarian(np.array([[3.7]])) == [0]
@@ -174,7 +179,7 @@ class TestHungarian:
         best_cost, _ = brute_force_assignment(cost)
         got = M.hungarian(cost)
         assert sorted(set(got)) == sorted(got)  # injective
-        assert M.assignment_cost(cost, got) == best_cost
+        assert assignment_cost(cost, got) == best_cost
 
     def test_thousand_random_instances_match_brute_force(self):
         rng = np.random.default_rng(991)
@@ -185,7 +190,7 @@ class TestHungarian:
             best_cost, _ = brute_force_assignment(cost)
             got = M.hungarian(cost)
             assert len(set(got)) == m
-            assert M.assignment_cost(cost, got) == best_cost
+            assert assignment_cost(cost, got) == best_cost
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -194,8 +199,8 @@ class TestHungarian:
             base = M.hungarian(cost)
             shifted = M.hungarian(cost + 17.25)
             assert base == shifted
-            assert (M.assignment_cost(cost + 17.25, shifted)
-                    == pytest.approx(M.assignment_cost(cost, base) + 4 * 17.25))
+            assert (assignment_cost(cost + 17.25, shifted)
+                    == pytest.approx(assignment_cost(cost, base) + 4 * 17.25))
 
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleError):

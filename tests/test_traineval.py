@@ -8,7 +8,7 @@ import pytest
 from kaseq import amalgamation as ka
 from kaseq import traineval as tv
 from kaseq.data import Dataset, TaskPartition, generate_dataset
-from kaseq.detector import DetectorConfig, DetectorParams
+from kaseq.detector import DetectorConfig, DetectorParams, forward_batch
 from kaseq.errors import ContractError, DataFormatError, NumericError
 from kaseq.tensor import Tensor
 
@@ -232,15 +232,57 @@ class TestTrainingLoops:
         assert ckpt.metadata["mode"].startswith(mode)
         assert len(open(csv_path).read().strip().splitlines()) == 2
 
-    def test_live_teacher_path_matches_cache_path(self, tiny_train, tiny_teachers):
-        cfg = tiny_cfg(num_parts=2)
-        cached = tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa", epochs=1,
-                               seed=3, batch_size=8, use_cache=True)
-        live = tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa", epochs=1,
-                             seed=3, batch_size=8, use_cache=False)
-        for name in cached.tensors:
-            np.testing.assert_allclose(cached.tensors[name], live.tensors[name],
-                                       atol=1e-4)
+    def test_cache_rows_match_fresh_forward(self, tiny_train, tiny_teachers):
+        part = TaskPartition.equal_split(8, 2)
+        params, cfg = tv.detector_from_checkpoint(tiny_teachers[1])
+        cache = tv.TeacherCache(params, cfg, tiny_train, part, 1, batch_size=8)
+        ids = np.array([3, 17, 0])
+        fresh = forward_batch([tiny_train.image(i) for i in ids], params, cfg)
+        close = dict(rtol=1e-6, atol=1e-6)  # the cache stores float32
+        for layer, seq in enumerate(fresh.layer_seqs):
+            np.testing.assert_allclose(cache.layer_rows(layer, ids), seq.data, **close)
+        np.testing.assert_allclose(cache.dists[ids].reshape(-1, 9),
+                                   ka.pad_predictions(fresh.dists.data, part, 1), **close)
+        np.testing.assert_allclose(cache.boxes[ids].reshape(-1, 4), fresh.boxes.data, **close)
+
+    def _sa_student(self, teachers, dataset, memo=None):
+        return tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=2), "sa", epochs=1,
+                             seed=3, batch_size=8, teachers_by_id=memo)
+
+    def assert_same_student(self, a, b):
+        for name in a.tensors:
+            np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+    def test_teacher_memo_hits_for_the_same_teachers_and_dataset(self, tiny_train,
+                                                                 tiny_teachers):
+        memo = {}
+        first = self._sa_student(tiny_teachers, tiny_train, memo)
+        caches = list(memo.values())
+        again = self._sa_student(tiny_teachers, tiny_train, memo)
+        assert len(caches) == 2 and list(memo.values()) == caches
+        self.assert_same_student(first, again)
+
+    def test_teacher_memo_separates_equal_length_datasets(self, tiny_train, tiny_teachers):
+        other = generate_dataset(count=len(tiny_train), num_categories=8, image_size=32,
+                                 seed=7)
+        memo = {}
+        self._sa_student(tiny_teachers, tiny_train, memo)
+        self.assert_same_student(self._sa_student(tiny_teachers, other, memo),
+                                 self._sa_student(tiny_teachers, other))
+        assert len(memo) == 4
+
+    def test_teacher_memo_separates_teachers_with_equal_subsets(self, tiny_train,
+                                                                tiny_teachers):
+        part = TaskPartition.equal_split(8, 2)
+        retrained = tv.train_teacher(tiny_train, part, 0, tiny_cfg(), epochs=1, seed=11,
+                                     batch_size=8)[0]
+        assert retrained.metadata["task_subset"] == tiny_teachers[0].metadata["task_subset"]
+        swapped = [retrained, tiny_teachers[1]]
+        memo = {}
+        self._sa_student(tiny_teachers, tiny_train, memo)
+        self.assert_same_student(self._sa_student(swapped, tiny_train, memo),
+                                 self._sa_student(swapped, tiny_train))
+        assert len(memo) == 3
 
     def test_label_free_never_reads_annotations(self, tiny_teachers):
         fresh = generate_dataset(count=16, num_categories=8, image_size=32, seed=44)

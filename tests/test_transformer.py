@@ -90,40 +90,36 @@ class TestMHA:
 
 
 class TestMaskedSelfAttention:
+    """Self-attention over equal-length parts stacked along rows, decoupled
+    by a block-diagonal mask."""
+
     def test_single_part_equals_unmasked(self):
         p = tf.MHAParams.init(4, 2, RNG)
-        x = RNG.standard_normal((5, 4))
-        masked = tf.masked_self_attention([Tensor(x)], p)[0]
-        plain = tf.mha(Tensor(x), Tensor(x), Tensor(x), p)
+        x = Tensor(RNG.standard_normal((5, 4)))
+        masked = tf.mha(x, x, x, p, tf.AttentionMask(1, 5, 5))
+        plain = tf.mha(x, x, x, p)
         np.testing.assert_allclose(masked.data, plain.data, atol=1e-12)
 
     def test_two_parts_decouple(self):
         p = tf.MHAParams.init(6, 2, RNG)
         a = RNG.standard_normal((4, 6))
         b = RNG.standard_normal((4, 6))
-        outs = tf.masked_self_attention([Tensor(a), Tensor(b)], p)
-        for part, out in ((a, outs[0]), (b, outs[1])):
+        x = Tensor(np.vstack([a, b]))
+        out = tf.mha(x, x, x, p, tf.AttentionMask(2, 4, 4)).data
+        for part, rows in ((a, out[:4]), (b, out[4:])):
             solo = tf.mha(Tensor(part), Tensor(part), Tensor(part), p)
-            assert np.max(np.abs(out.data - solo.data)) < 1e-10
+            assert np.max(np.abs(rows - solo.data)) < 1e-10
 
     def test_identical_parts_give_identical_halves(self):
         p = tf.MHAParams.init(4, 2, RNG)
         x = RNG.standard_normal((3, 4))
-        outs = tf.masked_self_attention([Tensor(x), Tensor(x)], p)
-        np.testing.assert_allclose(outs[0].data, outs[1].data, atol=1e-12)
-
-    def test_ragged_parts_supported(self):
-        p = tf.MHAParams.init(4, 2, RNG)
-        a = RNG.standard_normal((2, 4))
-        b = RNG.standard_normal((5, 4))
-        outs = tf.masked_self_attention([Tensor(a), Tensor(b)], p)
-        solo_b = tf.mha(Tensor(b), Tensor(b), Tensor(b), p)
-        assert np.max(np.abs(outs[1].data - solo_b.data)) < 1e-10
+        both = Tensor(np.vstack([x, x]))
+        out = tf.mha(both, both, both, p, tf.AttentionMask(2, 3, 3)).data
+        np.testing.assert_allclose(out[:3], out[3:], atol=1e-12)
 
     def test_empty_part_list_rejected(self):
-        p = tf.MHAParams.init(4, 2, RNG)
         with pytest.raises(ContractError):
-            tf.masked_self_attention([], p)
+            tf.AttentionMask(0, 4, 4)
 
 
 class TestEncoder:
@@ -150,7 +146,7 @@ class TestEncoder:
         a = RNG.standard_normal((4, 6))
         b = RNG.standard_normal((4, 6))
         pos = RNG.uniform(-1, 1, size=(4, 6))
-        mask = tf.AttentionMask.for_parts([4, 4])
+        mask = tf.AttentionMask(2, 4, 4)
         joint = tf.encoder_forward(Tensor(np.vstack([a, b])), layers,
                                    mask=mask, pos=np.vstack([pos, pos]))
         solo_a = tf.encoder_forward(Tensor(a), layers, pos=pos)
