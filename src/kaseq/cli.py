@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import data as D
@@ -26,20 +27,50 @@ from .amalgamation import KAWeights
 from .detector import DetectorConfig
 from .errors import (ConfigError, ContractError, DataFormatError, NumericError,
                      ShapeError, UsageError)
+from .settings import Settings
 
 TABLE4_MODES = ("raw", "sag", "sa", "ta", "ta_lf", "sa+ta", "sa+ta_lf")
 COMPRESSION_SUITE = ("redundancy", "isometric", "random")
 
 
+@dataclass
+class TrainSettings(Settings):
+    epochs: int = 40
+    teacher_epochs: int = 60
+    batch_size: int = 16
+    eval_batch_size: int = 32
+
+    def __post_init__(self):
+        for key in ("epochs", "teacher_epochs"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"TrainSettings.{key} must be non-negative")
+        for key in ("batch_size", "eval_batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"TrainSettings.{key} must be at least 1")
+
+
+# The settings class that validates each configuration section.
+SECTIONS = {"detector": DetectorConfig, "weights": KAWeights,
+            "optim": tv.OptimSettings, "train": TrainSettings}
+
+
 def default_config() -> dict:
-    return {
-        "detector": DetectorConfig().to_dict(),
-        "weights": KAWeights().to_dict(),
-        "optim": tv.OptimSettings().to_dict(),
-        "train": {"epochs": 40, "teacher_epochs": 60, "batch_size": 16,
-                  "eval_batch_size": 32},
-        "seed": 0,
-    }
+    cfg = {name: cls().to_dict() for name, cls in SECTIONS.items()}
+    cfg["seed"] = 0
+    return cfg
+
+
+def validate_config(cfg: dict) -> None:
+    """Raise ConfigError naming the first unknown top-level key, bad section
+    entry, or non-integer seed."""
+    for key in cfg:
+        if key not in SECTIONS and key != "seed":
+            raise ConfigError(f"unknown top-level config key {key!r}")
+    for name, cls in SECTIONS.items():
+        cls.from_dict(cfg[name])
+    seed = cfg["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be int, got {seed!r}")
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -94,6 +125,7 @@ def build_config(args, flag_overrides: Optional[dict] = None) -> dict:
         cfg = deep_merge(cfg, flag_overrides)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    validate_config(cfg)
     return cfg
 
 

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of numpy values: the matching decision is
 not differentiated through (the losses rebuild their terms on the tape from
-the chosen pairs).
+the chosen pairs). The assignment solver works on the rectangular m x K cost
+matrix as given, in O(m^2 K), and never pads it to square.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
 def hungarian(cost) -> list[int]:
     """Minimum-cost injective assignment of every row to a distinct column.
 
-    Rectangular m x K inputs (K >= m) are padded to square with a constant
-    larger than any real cost; padding rows add the same total to every
-    candidate solution, so the restriction to real rows stays optimal.
+    Solves the m x K problem (K >= m) as it stands, without padding it to
+    square: one shortest augmenting path with potentials per row, O(m^2 K).
     Deterministic: scanning order breaks ties toward lower column indices.
     """
     cost = np.asarray(cost, dtype=np.float64)
@@ -74,49 +74,51 @@ def hungarian(cost) -> list[int]:
     m, k = cost.shape
     if k < m:
         raise InfeasibleError(f"{m} rows cannot be injectively assigned to {k} columns")
-    if k > m:
-        pad = float(cost.max()) + 1.0
-        sq = np.vstack([cost, np.full((k - m, k), pad)])
-    else:
-        sq = cost
-    n = k
 
-    # Shortest augmenting paths with potentials (O(n^3)); 1-based with a
-    # virtual column 0. p[j] is the row currently assigned to column j.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.intp)
-    way = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
-        p[0] = i
+    # 1-based rows and columns with a virtual column 0 that holds the row
+    # being added; owner[j] is the row assigned to column j (0 when free).
+    # Plain lists: at these sizes Python scalars beat numpy's per-call cost.
+    rows = [None] + cost.tolist()
+    u = [0.0] * (m + 1)
+    v = [0.0] * (k + 1)
+    owner = [0] * (k + 1)
+    way = [0] * (k + 1)
+    inf = float("inf")
+    for i in range(1, m + 1):
+        owner[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (k + 1)
+        tree = [0]                       # columns on the search tree
+        free = list(range(1, k + 1))     # the others, in ascending order
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = sq[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            candidates = np.where(free, minv[1:], np.inf)
-            j0 = int(np.argmin(candidates)) + 1
-            delta = candidates[j0 - 1]
-            used_cols = np.nonzero(used)[0]
-            u[p[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[1:][free] -= delta
-            if p[j0] == 0:
+            i0 = owner[j0]
+            row = rows[i0]
+            ui0 = u[i0]
+            delta, j1 = inf, 0
+            for j in free:
+                cur = row[j - 1] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in tree:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            j0 = j1
+            if owner[j0] == 0:
                 break
+            free.remove(j0)
+            tree.append(j0)
         while j0:
             j1 = way[j0]
-            p[j0] = p[j1]
+            owner[j0] = owner[j1]
             j0 = j1
 
     assignment = [-1] * m
-    for j in range(1, n + 1):
-        row = p[j] - 1
-        if row < m:
-            assignment[row] = j - 1
+    for j in range(1, k + 1):
+        if owner[j]:
+            assignment[owner[j] - 1] = j - 1
     return assignment

@@ -30,7 +30,8 @@ from . import matching
 from . import tensor as T
 from .data import Annotation, Dataset, TaskPartition
 from .detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch)
-from .errors import ConfigError, ContractError, DataFormatError, NumericError
+from .errors import (ConfigError, ContractError, DataFormatError, InfeasibleError,
+                     NumericError)
 from .settings import Settings
 from .tensor import Tensor
 
@@ -139,6 +140,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise DataFormatError(f"{path}: truncated before the header length")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
@@ -149,14 +152,25 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataFormatError(f"{path}: corrupt header at byte {12 + e.pos}") from None
     if not isinstance(header, dict) or not {"config", "tensors"} <= header.keys():
         raise DataFormatError(f"{path}: header lacks its config or tensor list")
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataFormatError(f"{path}: header metadata is not an object")
     try:
         config = DetectorConfig.from_dict(header["config"])
     except ConfigError as e:
         raise DataFormatError(f"{path}: bad config in header: {e}") from None
     offset = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
+    if not isinstance(header["tensors"], list):
+        raise DataFormatError(f"{path}: header tensor list is not a list")
     for entry in header["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                        for s in entry["shape"])):
+            raise DataFormatError(f"{path}: header tensor entry {entry!r} lacks a name "
+                                  f"or a shape of non-negative integers")
+        shape = tuple(entry["shape"])
         nbytes = 8 * int(np.prod(shape)) if shape else 8
         if offset + nbytes > len(raw):
             raise DataFormatError(
@@ -166,7 +180,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return Checkpoint(config=config, tensors=tensors, metadata=header.get("metadata", {}))
+    return Checkpoint(config=config, tensors=tensors, metadata=metadata)
 
 
 def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, DetectorConfig]:
@@ -217,6 +231,9 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
         g = gt_boxes.shape[0]
         if g == 0:
             continue
+        if g > m:
+            raise InfeasibleError(f"an image (batch position {b}) has {g} objects, more than "
+                                  f"detector.queries={m}; set detector.queries to at least {g}")
         rows = slice(b * m, (b + 1) * m)
         prob = dists_np[rows]
         cost_class = -prob[:, gt_labels].T  # (g, m)

@@ -152,6 +152,62 @@ def assignment_cost(cost, assignment) -> float:
     return float(sum(cost[i, j] for i, j in enumerate(assignment)))
 
 
+def padded_hungarian(cost) -> list[int]:
+    """The square-padded assignment solver the library used before it solved
+    rectangular problems directly; kept as an oracle for identical answers.
+
+    An m x K input (K >= m) is padded to K x K with a constant larger than
+    any real cost and solved by K shortest augmenting paths on numpy arrays
+    (O(K^3)). Ties go to the lower column index. Inputs are not checked.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    m, k = cost.shape
+    if k > m:
+        pad = float(cost.max()) + 1.0
+        sq = np.vstack([cost, np.full((k - m, k), pad)])
+    else:
+        sq = cost
+    n = k
+
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.intp)
+    way = np.zeros(n + 1, dtype=np.intp)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            cur = sq[i0 - 1, :] - u[i0] - v[1:]
+            free = ~used[1:]
+            better = free & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            candidates = np.where(free, minv[1:], np.inf)
+            j0 = int(np.argmin(candidates)) + 1
+            delta = candidates[j0 - 1]
+            used_cols = np.nonzero(used)[0]
+            u[p[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[1:][free] -= delta
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+
+    assignment = [-1] * m
+    for j in range(1, n + 1):
+        row = p[j] - 1
+        if row < m:
+            assignment[row] = j - 1
+    return assignment
+
+
 def token_redundancy(index: int, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if not 0 <= index < x.shape[0]:

@@ -8,9 +8,12 @@ import csv
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import kaseq
 from kaseq import cli
 
 TINY = {
@@ -141,6 +144,65 @@ def test_wrongly_typed_config_value_exits_1(ws, capsys):
     assert "OptimSettings.lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, key", [("train.batch_size=x", "batch_size"),
+                                          ("train.eval_batch_size=0", "eval_batch_size"),
+                                          ("train.use_cache=true", "'use_cache'"),
+                                          ("use_cache=true", "'use_cache'"),
+                                          ("seed=x", "seed")])
+def test_bad_train_or_top_level_key_exits_1(ws, capsys, setting, key):
+    assert run("train-baseline", "--data", ws["train"], "--out", ws["root"] / "keys.ckpt",
+               "--config", ws["config"], "--set", setting) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:") and key in err
+    assert not (ws["root"] / "keys.ckpt").exists()
+
+
+def test_more_objects_than_queries_exits_1(ws, capsys):
+    out = ws["root"] / "few_queries.ckpt"
+    assert run("train-baseline", "--data", ws["train"], "--out", out,
+               "--config", ws["config"], "--set", "detector.queries=2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:")
+    assert "objects" in err and "detector.queries=2" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Importing scipy.optimize adds over 40 MB of resident memory.
+    src = os.path.dirname(os.path.dirname(kaseq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, kaseq.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def _rewrite_header(raw, edit):
+    (length,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + length])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length:]
+
+
+@pytest.mark.parametrize("field", ["name", "shape"])
+def test_checkpoint_tensor_entry_without_name_or_shape_exits_2(ws, capsys, field):
+    bad = ws["root"] / f"no_{field}.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(),
+                                    lambda header: header["tensors"][0].pop(field)))
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "tensor entry" in err
+
+
+def test_checkpoint_metadata_that_is_not_an_object_exits_2(ws, capsys):
+    bad = ws["root"] / "bad_metadata.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(),
+                                    lambda header: header.update(metadata=5)))
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    assert "metadata" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_exits_2(ws, capsys):
     bad = ws["root"] / "corrupt.ckpt"
     bad.write_bytes(b"KASQ" + b"\0" * 32)
@@ -148,14 +210,17 @@ def test_corrupt_checkpoint_exits_2(ws, capsys):
     assert capsys.readouterr().err.startswith("data error:")
 
 
+def test_checkpoint_cut_inside_its_preamble_exits_2(ws, capsys):
+    bad = ws["root"] / "cut.ckpt"
+    bad.write_bytes(ws["t1"].read_bytes()[:6])
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def test_checkpoint_header_with_unknown_config_key_exits_2(ws, capsys):
-    raw = ws["t1"].read_bytes()
-    (length,) = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12:12 + length])
-    header["config"]["bogus"] = 1
-    encoded = json.dumps(header).encode()
     bad = ws["root"] / "bogus_header.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + length:])
+    bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(),
+                                    lambda header: header["config"].update(bogus=1)))
     assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
     assert "'bogus'" in capsys.readouterr().err
 

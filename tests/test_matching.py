@@ -11,7 +11,7 @@ from kaseq import matching as M
 from kaseq.errors import ContractError, InfeasibleError
 
 from helpers import (assignment_cost, box_cost, box_giou, box_l1, confidence,
-                     kl_divergence, match_cost)
+                     kl_divergence, match_cost, padded_hungarian)
 
 RNG = np.random.default_rng(11)
 
@@ -209,3 +209,37 @@ class TestHungarian:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             M.hungarian(np.array([[np.inf, 1.0]]))
+
+
+class TestHungarianAgainstPaddedSolver:
+    """The rectangular solver gives the square-padded solver's assignments,
+    ties included."""
+
+    def test_workload_shaped_float_matrices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            cost = rng.standard_normal((16, 32))  # task-level: m x (teachers * m)
+            assert M.hungarian(cost) == padded_hungarian(cost)
+            g = int(rng.integers(1, 17))
+            cost = rng.uniform(-1.0, 8.0, size=(g, 16))  # ground truth: g x m
+            assert M.hungarian(cost) == padded_hungarian(cost)
+
+    def test_few_rows_many_columns(self):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            cost = rng.standard_normal((5, 100))
+            assert M.hungarian(cost) == padded_hungarian(cost)
+
+    def test_tie_heavy_integer_matrices(self):
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            m = int(rng.integers(1, 9))
+            k = int(rng.integers(m, 13))
+            cost = rng.integers(0, 3, size=(m, k)).astype(np.float64)
+            assert M.hungarian(cost) == padded_hungarian(cost)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 9), (16, 32), (5, 100)])
+    def test_all_zero_matrix_takes_leading_columns(self, shape):
+        cost = np.zeros(shape)
+        assert M.hungarian(cost) == list(range(shape[0]))
+        assert padded_hungarian(cost) == list(range(shape[0]))
