@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,6 +57,8 @@ class TaskPartition:
 
     @classmethod
     def equal_split(cls, num_categories: int, num_parts: int) -> "TaskPartition":
+        if num_parts < 1:
+            raise ConfigError(f"the categories need at least 1 task, not {num_parts}")
         if num_categories % num_parts:
             raise ConfigError(f"{num_categories} categories do not split into {num_parts} equal tasks")
         size = num_categories // num_parts
@@ -258,6 +261,21 @@ def persist_dataset(dataset: Dataset, root: str) -> None:
                   json.dumps(doc, indent=1).encode())
 
 
+_IMAGE_FIELDS = {"id": int, "file_name": str, "width": int, "height": int}
+_ANNOTATION_FIELDS = {"image_id": int, "category_id": int, "bbox": list}
+
+
+def _check_entry(entry, fields: dict, where: str) -> None:
+    """Raise DataFormatError unless ``entry`` is an object holding each field
+    with a value of its type (a boolean is not an integer)."""
+    if not isinstance(entry, dict):
+        raise DataFormatError(f"{where} is not an object")
+    for key, kind in fields.items():
+        value = entry.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DataFormatError(f"{where} lacks an entry '{key}' of type {kind.__name__}")
+
+
 def load_dataset(root: str) -> Dataset:
     ann_path = os.path.join(root, "annotations.json")
     if not os.path.exists(ann_path):
@@ -268,15 +286,21 @@ def load_dataset(root: str) -> Dataset:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{ann_path}: invalid JSON at byte {e.pos}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{ann_path}: the document is not an object")
     for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise DataFormatError(f"{ann_path}: missing '{key}' section")
+        if not isinstance(doc.get(key), list):
+            raise DataFormatError(f"{ann_path}: missing '{key}' section (a list)")
     num_categories = len(doc["categories"])
+    for n, rec in enumerate(doc["images"]):
+        _check_entry(rec, _IMAGE_FIELDS, f"{ann_path}: image entry {n}")
     records = sorted(doc["images"], key=lambda r: r["id"])
     images, annotations = [], []
     id_to_slot = {}
     size = None
     for rec in records:
+        if rec["id"] in id_to_slot:
+            raise DataFormatError(f"{ann_path}: image id {rec['id']} appears twice")
         path = os.path.join(root, rec["file_name"])
         if not os.path.exists(path):
             raise DataFormatError(f"missing image file {path}")
@@ -288,10 +312,20 @@ def load_dataset(root: str) -> Dataset:
         id_to_slot[rec["id"]] = len(images)
         images.append(img)
         annotations.append([])
-    for ann in doc["annotations"]:
+    for n, ann in enumerate(doc["annotations"]):
+        where = f"{ann_path}: annotation entry {n}"
+        _check_entry(ann, _ANNOTATION_FIELDS, where)
         slot = id_to_slot.get(ann["image_id"])
         if slot is None:
-            raise DataFormatError(f"{ann_path}: annotation {ann['id']} references unknown image")
-        annotations[slot].append(Annotation(box=tuple(float(x) for x in ann["bbox"]),
-                                            category=int(ann["category_id"])))
+            raise DataFormatError(f"{where} references unknown image {ann['image_id']}")
+        if not 1 <= ann["category_id"] <= num_categories:
+            raise DataFormatError(f"{where} has category_id {ann['category_id']} outside "
+                                  f"1..{num_categories}")
+        box = ann["bbox"]
+        # The bound also rejects NaN and integers too large for a float.
+        if len(box) != 4 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max for x in box):
+            raise DataFormatError(f"{where} has bbox {box!r}, not 4 finite numbers")
+        annotations[slot].append(Annotation(box=tuple(float(x) for x in box),
+                                            category=ann["category_id"]))
     return Dataset(images, annotations, num_categories, size or 0)

@@ -1,14 +1,17 @@
-"""Optimization, training loops, evaluation, and checkpoint persistence.
+"""Optimization, the training loop, evaluation, and checkpoint persistence.
 
-Teachers train with the standard set-prediction ground-truth loss on their
-task-filtered annotations. Amalgamation trains the student against frozen
-teachers with any combination of sequence-level, task-level, aggregation
-baseline, and ground-truth supervision. Teachers never change during
-amalgamation, so each teacher's per-image outputs on the training set are
-computed once into a :class:`TeacherCache` (float32), the only source of
-teacher outputs, and reused across epochs. A caller-owned memo reuses
-caches across runs; its key is a digest of the teacher's configuration and
-tensors, the training-set object itself, and the task partition.
+One epoch/step loop, :func:`_fit`, trains every model: it shuffles, sets the
+learning-rate scale, stops on a non-finite output or loss after dumping the
+last good checkpoint, steps AdamW, and checkpoints, evaluates and logs each
+epoch. Callers supply only the parameters and the loss: teachers and the raw
+baselines the set-prediction ground-truth loss, amalgamation any mix of
+sequence-level, task-level, aggregation baseline and ground-truth terms
+against frozen teachers. Teachers never change during amalgamation, so each
+teacher's per-image outputs on the training set are computed once into a
+:class:`TeacherCache` (float32), the only source of teacher outputs, and
+reused across epochs. A caller-owned memo reuses caches across runs; its key
+is a digest of the teacher's configuration and tensors, the training-set
+object itself, and the task partition.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import amalgamation as ka
 from . import matching
 from . import tensor as T
-from .data import Annotation, Dataset, TaskPartition
+from .data import Dataset, TaskPartition
 from .detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch)
 from .errors import (ConfigError, ContractError, DataFormatError, InfeasibleError,
                      NumericError)
@@ -201,17 +204,17 @@ def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, Detector
 # ground-truth detection loss
 
 
-def _local_targets(annotations: Sequence[Annotation],
-                   category_to_local: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    boxes, labels = [], []
-    for ann in annotations:
-        local = category_to_local.get(ann.category)
-        if local is not None:
-            boxes.append(ann.box)
-            labels.append(local)
-    if not boxes:
-        return np.zeros((0, 4)), np.zeros((0,), dtype=int)
-    return np.asarray(boxes, dtype=np.float64), np.asarray(labels, dtype=int)
+def _batch_targets(dataset: Dataset, idx: np.ndarray,
+                   category_ids: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ground-truth boxes and labels of images ``idx``; a label is the
+    category's position in ``category_ids``, and other categories are dropped."""
+    to_local = {c: i for i, c in enumerate(category_ids)}
+    targets = []
+    for i in idx:
+        kept = [ann for ann in dataset.annotations_for(i) if ann.category in to_local]
+        targets.append((np.asarray([a.box for a in kept], dtype=np.float64).reshape(-1, 4),
+                        np.asarray([to_local[a.category] for a in kept], dtype=int)))
+    return targets
 
 
 def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -437,7 +440,7 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset,
 
 
 # ---------------------------------------------------------------------------
-# metrics logging
+# metrics logging and the training loop
 
 
 class MetricsLogger:
@@ -465,21 +468,63 @@ class MetricsLogger:
             csv.writer(fh).writerow(row)
 
 
-def _check_finite(value: float, last_good: Checkpoint,
-                  dump_path: Optional[str]) -> None:
-    if np.isfinite(value):
-        return
-    if dump_path:
-        save_checkpoint(last_good, dump_path)
-    raise NumericError(f"non-finite loss {value};"
-                       + (f" last good checkpoint at {dump_path}" if dump_path else ""))
+def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConfig,
+         dataset: Dataset, epochs: int, batch_size: int, rng: np.random.Generator,
+         opt_settings: Optional[OptimSettings], metadata: dict,
+         objective: Callable[[BatchOutput, np.ndarray], tuple[Tensor, dict[str, Tensor]]],
+         kept_tokens: Optional[Callable[[np.ndarray], list[np.ndarray]]] = None,
+         eval_ds: Optional[Dataset] = None, partition: Optional[TaskPartition] = None,
+         csv_path: Optional[str] = None,
+         crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
+    """The one epoch/step loop behind every training run.
 
+    ``objective(out, idx)`` returns the step's loss and its named terms
+    (``seq``/``task``/``direct``); ``kept_tokens(idx)``, when given, supplies
+    the per-image kept indices of a compressed student. Returns the final
+    checkpoint and each epoch's mean terms.
+    """
+    optimizer = AdamW(trainable, opt_settings or OptimSettings())
+    logger = MetricsLogger(csv_path, metadata["mode"], metadata["seed"])
+    start_time = time.time()
+    last_good = make_checkpoint(params, cfg, metadata)
+    epoch_terms: list[dict[str, float]] = []
 
-def _guard_outputs(out: BatchOutput, last_good: Checkpoint,
-                   dump_path: Optional[str]) -> None:
-    """Abort before matching when the forward pass has already exploded."""
-    if not (np.isfinite(out.dists.data).all() and np.isfinite(out.boxes.data).all()):
-        _check_finite(float("nan"), last_good, dump_path)
+    for epoch in range(epochs):
+        order = rng.permutation(len(dataset))
+        scale = lr_scale_for_epoch(epoch, epochs)
+        sums = dict.fromkeys(("seq", "task", "direct"), 0.0)
+        steps = 0
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
+            images = [dataset.image(i) for i in idx]
+            p_slims = kept_tokens(idx) if kept_tokens is not None else None
+            out = forward_batch(images, params, cfg, p_slims=p_slims, rng=rng)
+            value = float("nan")
+            # Abort before matching when the forward pass has already exploded.
+            if np.isfinite(out.dists.data).all() and np.isfinite(out.boxes.data).all():
+                loss, terms = objective(out, idx)
+                value = loss.item()
+            if not np.isfinite(value):
+                if crash_dump:
+                    save_checkpoint(last_good, crash_dump)
+                raise NumericError(f"non-finite loss {value};" + (
+                    f" last good checkpoint at {crash_dump}" if crash_dump else ""))
+            loss.backward()
+            optimizer.step(lr_scale=scale)
+            optimizer.zero_grad()
+            for name in terms:  # no loop variable keeps this step's graph alive
+                sums[name] += terms[name].item()
+            steps += 1
+        epoch_terms.append({k: v / max(steps, 1) for k, v in sums.items()})
+        last_good = make_checkpoint(params, cfg, metadata)
+        report = None
+        if eval_ds is not None:
+            report = evaluate(last_good, eval_ds, category_ids=metadata["category_ids"],
+                              partition=partition)
+        logger.log(epoch, epoch_terms[-1], report, time.time() - start_time)
+
+    last_good.metadata["final_epoch"] = epochs - 1
+    return last_good, epoch_terms
 
 
 # ---------------------------------------------------------------------------
@@ -498,51 +543,24 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                       crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[float]]:
     """Train a detector on ground truth only; backbone of teachers and the
     raw/raw_ext baselines. Returns the checkpoint and per-epoch mean losses."""
-    opt_settings = opt_settings or OptimSettings()
     weights = weights or ka.KAWeights()
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
-    optimizer = AdamW(params.named_parameters(), opt_settings)
-    cat_to_local = {c: i for i, c in enumerate(category_ids)}
-    logger = MetricsLogger(csv_path, mode_label, seed)
-    start_time = time.time()
-    epoch_losses: list[float] = []
     metadata = {"mode": mode_label, "seed": seed, "epochs": epochs,
                 "category_ids": list(category_ids)}
     if partition is not None:
         metadata["partition"] = partition.to_jsonable()
-    last_good = make_checkpoint(params, cfg, metadata)
 
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_ds))
-        scale = lr_scale_for_epoch(epoch, epochs)
-        total, steps = 0.0, 0
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            images = [train_ds.image(i) for i in idx]
-            targets = [_local_targets(train_ds.annotations_for(i), cat_to_local)
-                       for i in idx]
-            out = forward_batch(images, params, cfg, rng=rng)
-            _guard_outputs(out, last_good, crash_dump)
-            loss = detection_loss(out, targets, cfg.num_categories, weights)
-            value = loss.item()
-            _check_finite(value, last_good, crash_dump)
-            loss.backward()
-            optimizer.step(lr_scale=scale)
-            optimizer.zero_grad()
-            total += value
-            steps += 1
-        epoch_losses.append(total / max(steps, 1))
-        last_good = make_checkpoint(params, cfg, metadata)
-        report = None
-        if eval_ds is not None:
-            report = evaluate(make_checkpoint(params, cfg, metadata), eval_ds,
-                              category_ids=category_ids, partition=partition)
-        logger.log(epoch, {"direct": epoch_losses[-1]}, report,
-                   time.time() - start_time)
+    def objective(out: BatchOutput, idx: np.ndarray):
+        loss = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
+                              cfg.num_categories, weights)
+        return loss, {"direct": loss}
 
-    metadata["final_epoch"] = epochs - 1
-    return make_checkpoint(params, cfg, metadata), epoch_losses
+    ckpt, epoch_terms = _fit(params, params.named_parameters(), cfg, train_ds, epochs,
+                             batch_size, rng, opt_settings, metadata,
+                             objective, eval_ds=eval_ds, partition=partition,
+                             csv_path=csv_path, crash_dump=crash_dump)
+    return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
 def train_teacher(train_ds: Dataset, partition: TaskPartition, task_index: int,
@@ -606,7 +624,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     weights = replace(weights or ka.KAWeights())
     if label_free:
         weights.lambda_direct = 0.0
-    opt_settings = opt_settings or OptimSettings()
 
     subsets = []
     teacher_models = []
@@ -644,113 +661,72 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     trainable = params.named_parameters()
 
     n_layers = (1 if cfg.supervise_projection else 0) + cfg.enc_layers
-    w_a: list[list[Tensor]] = []
     if mode == "sag":
         for t in range(n_teachers):
-            w_a.append([Tensor(rng.normal(0.0, (1.0 / cfg.d_model) ** 0.5,
-                                          size=(cfg.d_model, cfg.d_model)),
-                               requires_grad=True) for _ in range(n_layers)])
-            for l, w in enumerate(w_a[-1]):
-                trainable[f"wa.t{t}.l{l}"] = w
+            for l in range(n_layers):
+                trainable[f"wa.t{t}.l{l}"] = Tensor(
+                    rng.normal(0.0, (1.0 / cfg.d_model) ** 0.5, size=(cfg.d_model, cfg.d_model)),
+                    requires_grad=True)
 
-    optimizer = AdamW(trainable, opt_settings)
-    use_sa = mode in ("sa", "sa+ta")
-    use_ta = mode in ("ta", "sa+ta")
-    use_sag = mode == "sag"
-    cat_to_local = {c: c - 1 for c in range(1, cfg.num_categories + 1)}
-    mode_label = mode + ("_lf" if label_free else "")
-    logger = MetricsLogger(csv_path, mode_label, seed)
-    metadata = {"mode": mode_label, "seed": seed, "epochs": epochs,
+    category_ids = list(range(1, cfg.num_categories + 1))
+    metadata = {"mode": mode + ("_lf" if label_free else ""), "seed": seed, "epochs": epochs,
                 "label_free": label_free, "partition": partition.to_jsonable(),
-                "compression": cfg.compression,
-                "category_ids": list(range(1, cfg.num_categories + 1))}
-    start_time = time.time()
+                "compression": cfg.compression, "category_ids": category_ids}
     n = cfg.tokens
     m = cfg.queries
-    last_good = make_checkpoint(params, cfg, metadata)
 
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_ds))
-        scale = lr_scale_for_epoch(epoch, epochs)
-        sums = {"seq": 0.0, "task": 0.0, "direct": 0.0}
-        steps = 0
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            batch = len(idx)
-            images = [train_ds.image(i) for i in idx]
+    def kept_tokens(idx: np.ndarray) -> list[np.ndarray]:
+        # Training-time rule: compression is guided by the teachers'
+        # concatenated projection sequences.
+        xt = _teacher_extended_rows(teachers, 0, idx, n)
+        rows = n_teachers * n
+        return [ka.select_tokens(cfg.compression, xt[b * rows:(b + 1) * rows],
+                                 n_teachers, n, rng) for b in range(len(idx))]
 
-            p_slims = None
-            if cfg.compression != "none" and cfg.num_parts > 1:
-                # Training-time rule: compression is guided by the teachers'
-                # concatenated projection sequences.
-                xt = _teacher_extended_rows(teachers, 0, idx, n)
-                rows = n_teachers * n
-                p_slims = [ka.select_tokens(cfg.compression, xt[b * rows:(b + 1) * rows],
-                                            n_teachers, n, rng) for b in range(batch)]
+    def objective(out: BatchOutput, idx: np.ndarray):
+        batch = len(idx)
+        terms: dict[str, Tensor] = {}
+        if mode in ("sa", "sa+ta"):
+            student_norm = [T.channel_norm(seq) for seq in out.layer_seqs]
+            keep = slice(None)  # every row when the student is not compressed
+            if out.p_slims is not None:
+                keep = np.concatenate([b * n_teachers * n + p
+                                       for b, p in enumerate(out.p_slims)])
+            teacher_norm = [T.channel_norm(Tensor(_teacher_extended_rows(teachers, j, idx, n)[keep]))
+                            for j in range(n_layers)]
+            terms["seq"] = T.scale(ka.sa_loss(student_norm, teacher_norm, n_teachers),
+                                   1.0 / batch)
+        elif mode == "sag":
+            per_layer = [ka.sag_loss(T.channel_norm(seq),
+                                     [T.channel_norm(Tensor(t.layer_rows(j, idx)))
+                                      for t in teachers],
+                                     [trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)])
+                         for j, seq in enumerate(out.layer_seqs)]
+            terms["seq"] = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
 
-            out = forward_batch(images, params, cfg, p_slims=p_slims, rng=rng)
-            _guard_outputs(out, last_good, crash_dump)
+        if mode in ("ta", "sa+ta"):
+            pool_dists = np.concatenate([t.dists[idx] for t in teachers], axis=1)
+            pool_boxes = np.concatenate([t.boxes[idx] for t in teachers], axis=1)
+            per_image = [ka.ta_loss(T.slice_rows(out.dists, b * m, (b + 1) * m),
+                                    T.slice_rows(out.boxes, b * m, (b + 1) * m),
+                                    pool_dists[b].astype(np.float64),
+                                    pool_boxes[b].astype(np.float64), weights)
+                         for b in range(batch)]
+            terms["task"] = T.scale(functools.reduce(T.add, per_image), 1.0 / batch)
 
-            l_seq = None
-            if use_sa:
-                student_norm = [T.channel_norm(seq) for seq in out.layer_seqs]
-                teacher_norm = []
-                for j in range(n_layers):
-                    target = _teacher_extended_rows(teachers, j, idx, n)
-                    if p_slims is not None:
-                        gather = np.concatenate(
-                            [b * n_teachers * n + p for b, p in enumerate(p_slims)])
-                        target = target[gather]
-                    teacher_norm.append(T.channel_norm(Tensor(target)))
-                l_seq = T.scale(ka.sa_loss(student_norm, teacher_norm, n_teachers),
-                                1.0 / batch)
-            elif use_sag:
-                per_layer = [ka.sag_loss(T.channel_norm(seq),
-                                         [T.channel_norm(Tensor(t.layer_rows(j, idx)))
-                                          for t in teachers],
-                                         [w_a[t][j] for t in range(n_teachers)])
-                             for j, seq in enumerate(out.layer_seqs)]
-                l_seq = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
+        if weights.lambda_direct > 0.0:
+            terms["direct"] = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
+                                             cfg.num_categories, weights)
 
-            l_task = None
-            if use_ta:
-                pool_dists = np.concatenate([t.dists[idx] for t in teachers], axis=1)
-                pool_boxes = np.concatenate([t.boxes[idx] for t in teachers], axis=1)
-                per_image = [ka.ta_loss(T.slice_rows(out.dists, b * m, (b + 1) * m),
-                                        T.slice_rows(out.boxes, b * m, (b + 1) * m),
-                                        pool_dists[b].astype(np.float64),
-                                        pool_boxes[b].astype(np.float64), weights)
-                             for b in range(batch)]
-                l_task = T.scale(functools.reduce(T.add, per_image), 1.0 / batch)
+        return ka.final_loss(terms.get("seq"), terms.get("task"), terms.get("direct"),
+                             weights), terms
 
-            l_direct = None
-            if weights.lambda_direct > 0.0:
-                targets = [_local_targets(train_ds.annotations_for(i), cat_to_local)
-                           for i in idx]
-                l_direct = detection_loss(out, targets, cfg.num_categories, weights)
-
-            loss = ka.final_loss(l_seq, l_task, l_direct, weights)
-            value = loss.item()
-            _check_finite(value, last_good, crash_dump)
-            loss.backward()
-            optimizer.step(lr_scale=scale)
-            optimizer.zero_grad()
-
-            sums["seq"] += l_seq.item() if l_seq is not None else 0.0
-            sums["task"] += l_task.item() if l_task is not None else 0.0
-            sums["direct"] += l_direct.item() if l_direct is not None else 0.0
-            steps += 1
-
-        last_good = make_checkpoint(params, cfg, metadata)
-        report = None
-        if eval_ds is not None:
-            report = evaluate(make_checkpoint(params, cfg, metadata), eval_ds,
-                              partition=partition)
-        logger.log(epoch, {k: v / max(steps, 1) for k, v in sums.items()},
-                   report, time.time() - start_time)
-
-    metadata["final_epoch"] = epochs - 1
-    return make_checkpoint(params, cfg, metadata)
+    compressed = cfg.compression != "none" and cfg.num_parts > 1
+    ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
+                   opt_settings, metadata, objective,
+                   kept_tokens=kept_tokens if compressed else None, eval_ds=eval_ds,
+                   partition=partition, csv_path=csv_path, crash_dump=crash_dump)
+    return ckpt
 
 
 # ---------------------------------------------------------------------------

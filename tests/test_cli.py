@@ -7,6 +7,7 @@ teachers; every test writes its own outputs beside them.
 import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -234,6 +235,70 @@ def test_exploding_learning_rate_exits_3_with_crash_dump(ws, capsys):
     assert capsys.readouterr().err.startswith("numeric failure:")
     assert not out.exists()
     assert (ws["root"] / "boom.ckpt.crash.ckpt").exists()
+
+
+def _first_entry(section, change):
+    """An edit passing the document's first ``section`` entry through ``change``."""
+    def edit(doc):
+        change(doc[section][0])
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda doc: [doc], "not an object", id="root-list"),
+    pytest.param(lambda doc: {**doc, "images": {}}, "'images' section", id="images-object"),
+    pytest.param(_first_entry("images", lambda rec: rec.pop("height")),
+                 "image entry 0 lacks an entry 'height'", id="image-no-height"),
+    pytest.param(_first_entry("images", lambda rec: rec.update(id="0")),
+                 "image entry 0 lacks an entry 'id'", id="image-string-id"),
+    pytest.param(lambda doc: {**doc, "images": doc["images"] + doc["images"][:1]},
+                 "image id 0 appears twice", id="image-repeated"),
+    pytest.param(_first_entry("annotations", lambda rec: rec.pop("bbox")),
+                 "annotation entry 0 lacks an entry 'bbox'", id="ann-no-bbox"),
+    pytest.param(_first_entry("annotations", lambda rec: rec["bbox"].pop()),
+                 "annotation entry 0 has bbox", id="ann-bbox-3-numbers"),
+    pytest.param(_first_entry("annotations", lambda rec: rec["bbox"].__setitem__(0, "x")),
+                 "has bbox", id="ann-bbox-string"),
+    pytest.param(_first_entry("annotations", lambda rec: rec["bbox"].__setitem__(0, 10 ** 400)),
+                 "has bbox", id="ann-bbox-huge-int"),
+    pytest.param(_first_entry("annotations",
+                              lambda rec: rec["bbox"].__setitem__(0, float("nan"))),
+                 "has bbox", id="ann-bbox-nan"),
+    pytest.param(_first_entry("annotations", lambda rec: rec.update(category_id=99)),
+                 "category_id 99", id="ann-category-99"),
+    pytest.param(_first_entry("annotations", lambda rec: rec.update(image_id=99)),
+                 "unknown image 99", id="ann-unknown-image"),
+])
+def test_malformed_annotation_document_exits_2(ws, capsys, edit, named):
+    bad = ws["root"] / "bad_doc"
+    shutil.rmtree(bad, ignore_errors=True)
+    shutil.copytree(ws["eval"], bad)
+    doc = json.loads((bad / "annotations.json").read_text())
+    (bad / "annotations.json").write_text(json.dumps(edit(doc)))
+    assert run("evaluate", "--model", ws["t1"], "--data", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and named in err
+
+
+def test_teacher_count_below_one_exits_1(ws, capsys):
+    assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+               "--eval-data", ws["eval"], "--out", ws["root"] / "no_teachers", "--seeds", 1,
+               "--teacher-count", 0, "--config", ws["config"]) == 1
+    assert "at least 1 task" in capsys.readouterr().err
+
+
+def test_parallel_ablation_matches_the_serial_table(ws, monkeypatch):
+    monkeypatch.delenv("KASEQ_THREADS", raising=False)
+    tables = []
+    for workers in (1, 2):
+        out = ws["root"] / f"ablate_workers{workers}"
+        assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+                   "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+                   "--teachers", ws["t1"], ws["t2"], "--config", ws["config"],
+                   "--workers", workers) == 0
+        tables.append((out / "compression.csv").read_text())
+    assert tables[0] == tables[1]
 
 
 def test_non_integer_process_count_exits_1(ws, capsys, monkeypatch):

@@ -118,7 +118,8 @@ class TestCheckpoint:
             ckpt = tv.make_checkpoint(DetectorParams.init(cfg, rng), cfg)
             path = str(tmp_path / f"m{trial}.ckpt")
             tv.save_checkpoint(ckpt, path)
-            raw = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                raw = fh.read()
             assert raw[:4] == b"KASQ"
             (version,) = _struct.unpack_from("<I", raw, 4)
             (hlen,) = _struct.unpack_from("<I", raw, 8)
@@ -208,7 +209,8 @@ class TestTrainingLoops:
         assert len(losses) == 2 and all(np.isfinite(losses))
         assert ckpt.metadata["task_subset"] == [1, 2, 3, 4]
         assert ckpt.config.num_categories == 4
-        rows = open(csv_path).read().strip().splitlines()
+        with open(csv_path) as fh:
+            rows = fh.read().strip().splitlines()
         assert rows[0].split(",") == tv.METRICS_COLUMNS
         assert len(rows) == 3
 
@@ -230,7 +232,8 @@ class TestTrainingLoops:
         ckpt = tv.amalgamate(tiny_teachers, tiny_train, cfg, mode, epochs=1,
                              seed=3, batch_size=8, csv_path=csv_path)
         assert ckpt.metadata["mode"].startswith(mode)
-        assert len(open(csv_path).read().strip().splitlines()) == 2
+        with open(csv_path) as fh:
+            assert len(fh.read().strip().splitlines()) == 2
 
     def test_cache_rows_match_fresh_forward(self, tiny_train, tiny_teachers):
         part = TaskPartition.equal_split(8, 2)
@@ -319,6 +322,17 @@ class TestTrainingLoops:
                                  batch_size=8, crash_dump=dump)
         assert os.path.exists(dump)
         tv.load_checkpoint(dump)
+
+    def test_nan_guard_on_the_amalgamation_path(self, tiny_train, tiny_teachers, tmp_path):
+        # Without the guard on the forward outputs, the TA matcher would fail
+        # first, with a ContractError on a non-finite cost.
+        dump = str(tmp_path / "crash.ckpt")
+        with pytest.raises(NumericError):
+            tv.amalgamate(tiny_teachers, tiny_train,
+                          tiny_cfg(num_parts=2, compression="redundancy"), "sa+ta",
+                          epochs=1, seed=0, batch_size=8,
+                          opt_settings=tv.OptimSettings(lr=1e300), crash_dump=dump)
+        assert tv.load_checkpoint(dump).metadata["mode"] == "sa+ta"
 
 
 class TestRedundancyAnalysis:
