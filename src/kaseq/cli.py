@@ -87,11 +87,7 @@ def load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise UsageError(f"config file {path} does not exist")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: invalid JSON at byte {e.pos}") from None
+        doc = D.read_json(fh.read(), path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: config root must be an object")
     return doc
@@ -404,8 +400,8 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
     ckpt_path = os.path.join(run_dir, f"{label}.ckpt")
     report_path = os.path.join(run_dir, f"{label}.report.json")
     if os.path.exists(report_path):
-        with open(report_path) as fh:
-            return json.load(fh)
+        with open(report_path, "rb") as fh:
+            return D.read_json(fh.read(), report_path)
 
     epochs = cfg["train"]["epochs"]
     if os.path.exists(ckpt_path):

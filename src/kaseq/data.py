@@ -210,6 +210,20 @@ def _write_atomic(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def read_json(raw: bytes, origin: str, offset: int = 0):
+    """Parse UTF-8 JSON bytes; a DataFormatError names ``origin`` and the
+    file byte at fault, ``raw`` starting at byte ``offset`` of the file."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{origin}: invalid UTF-8 at byte {offset + e.start}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        at = offset + len(text[:e.pos].encode())
+        raise DataFormatError(f"{origin}: invalid JSON at byte {at}") from None
+
+
 def _encode_ppm(image: np.ndarray) -> bytes:
     h, w = image.shape[:2]
     pixels = np.clip(np.round(np.asarray(image, dtype=np.float64) * 255.0), 0, 255)
@@ -226,6 +240,8 @@ def _decode_ppm(raw: bytes, origin: str) -> np.ndarray:
         w, h = (int(tok) for tok in raw[3:header_end].split())
     except ValueError:
         raise DataFormatError(f"{origin}: bad dimensions at byte 3") from None
+    if w < 1 or h < 1:
+        raise DataFormatError(f"{origin}: dimensions {w}x{h} at byte 3 are not positive")
     maxval_end = raw.find(b"\n", header_end + 1)
     if raw[header_end + 1:maxval_end] != b"255":
         raise DataFormatError(f"{origin}: unsupported maxval at byte {header_end + 1}")
@@ -281,11 +297,7 @@ def load_dataset(root: str) -> Dataset:
     if not os.path.exists(ann_path):
         raise DataFormatError(f"missing annotation document {ann_path}")
     with open(ann_path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{ann_path}: invalid JSON at byte {e.pos}") from None
+        doc = read_json(fh.read(), ann_path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{ann_path}: the document is not an object")
     for key in ("images", "annotations", "categories"):
@@ -308,7 +320,13 @@ def load_dataset(root: str) -> Dataset:
             img = _decode_ppm(fh.read(), rec["file_name"])
         if img.shape[0] != rec["height"] or img.shape[1] != rec["width"]:
             raise DataFormatError(f"{rec['file_name']}: dimensions disagree with document")
-        size = img.shape[0]
+        h, w = img.shape[:2]
+        if h != w:
+            raise DataFormatError(f"{rec['file_name']}: image is {w}x{h} px, not square")
+        if size is not None and h != size:
+            raise DataFormatError(f"{rec['file_name']}: image is {w}x{h} px, but the images "
+                                  f"before it are {size}x{size} px")
+        size = h
         id_to_slot[rec["id"]] = len(images)
         images.append(img)
         annotations.append([])

@@ -41,6 +41,13 @@ class DetectorConfig(Settings):
     supervise_projection: bool = True
 
     def __post_init__(self):
+        for key in ("image_size", "patch_size", "d_model", "heads", "queries",
+                    "num_categories", "num_parts", "ffn_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        for key in ("enc_layers", "dec_layers"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative")
         if self.image_size % self.patch_size:
             raise ConfigError("image size must be divisible by the patch size")
         if self.d_model % self.heads:
@@ -49,8 +56,6 @@ class DetectorConfig(Settings):
             raise ConfigError("d_model must be divisible by 4 for positional encodings")
         if self.compression not in COMPRESSION_MODES:
             raise ConfigError(f"unknown compression strategy {self.compression!r}")
-        if self.num_parts < 1 or self.queries < 1 or self.num_categories < 1:
-            raise ConfigError("counts must be positive")
 
     @property
     def grid(self) -> int:
@@ -108,10 +113,9 @@ class DetectorParams:
             base = f"enc{l}"
             named[f"{base}.ln1.g"] = enc.ln1_g
             named[f"{base}.ln1.b"] = enc.ln1_b
-            for h in range(enc.attn.heads):
-                named[f"{base}.attn.wq{h}"] = enc.attn.wq[h]
-                named[f"{base}.attn.wk{h}"] = enc.attn.wk[h]
-                named[f"{base}.attn.wvo{h}"] = enc.attn.wvo[h]
+            named[f"{base}.attn.wq"] = enc.attn.wq
+            named[f"{base}.attn.wk"] = enc.attn.wk
+            named[f"{base}.attn.wvo"] = enc.attn.wvo
             named[f"{base}.ln2.g"] = enc.ln2_g
             named[f"{base}.ln2.b"] = enc.ln2_b
             named[f"{base}.mlp.w1"] = enc.mlp_w1
@@ -122,16 +126,14 @@ class DetectorParams:
             base = f"dec{l}"
             named[f"{base}.ln1.g"] = dec.ln1_g
             named[f"{base}.ln1.b"] = dec.ln1_b
-            for h in range(dec.self_attn.heads):
-                named[f"{base}.self.wq{h}"] = dec.self_attn.wq[h]
-                named[f"{base}.self.wk{h}"] = dec.self_attn.wk[h]
-                named[f"{base}.self.wvo{h}"] = dec.self_attn.wvo[h]
+            named[f"{base}.self.wq"] = dec.self_attn.wq
+            named[f"{base}.self.wk"] = dec.self_attn.wk
+            named[f"{base}.self.wvo"] = dec.self_attn.wvo
             named[f"{base}.ln2.g"] = dec.ln2_g
             named[f"{base}.ln2.b"] = dec.ln2_b
-            for h in range(dec.cross_attn.heads):
-                named[f"{base}.cross.wq{h}"] = dec.cross_attn.wq[h]
-                named[f"{base}.cross.wk{h}"] = dec.cross_attn.wk[h]
-                named[f"{base}.cross.wvo{h}"] = dec.cross_attn.wvo[h]
+            named[f"{base}.cross.wq"] = dec.cross_attn.wq
+            named[f"{base}.cross.wk"] = dec.cross_attn.wk
+            named[f"{base}.cross.wvo"] = dec.cross_attn.wvo
             named[f"{base}.ln3.g"] = dec.ln3_g
             named[f"{base}.ln3.b"] = dec.ln3_b
             named[f"{base}.mlp.w1"] = dec.mlp_w1

@@ -17,10 +17,6 @@ class ContractError(KaseqError):
     """A documented precondition was violated by the caller."""
 
 
-class DegenerateRowError(KaseqError):
-    """A softmax/attention row has no unmasked entry."""
-
-
 class ConfigError(KaseqError):
     """Invalid model or run configuration."""
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateRowError, ShapeError
+from .errors import ContractError, ShapeError
 
 LOG_FLOOR = 1e-12  # clamp floor applied before every log (KL, cross-entropy)
 
@@ -43,10 +43,6 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self._vjp is None
 
-    def detach(self) -> "Tensor":
-        """Return a view of the same values severed from the tape."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -61,22 +57,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # Light operator sugar; module-level functions are the canonical API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
@@ -200,11 +180,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _from_op(a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _from_op(a.data + c, (a,), lambda g: (g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul requires matrices, got {a.shape} and {b.shape}")
@@ -214,12 +189,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data @ b.data, (a, b),
                     lambda g: (g @ b.data.T if na else None,
                                a.data.T @ g if nb else None))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a matrix, got {a.shape}")
-    return _from_op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +202,6 @@ def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=True)
     return _from_op(out, (a,),
                     lambda g: (np.broadcast_to(g, a.shape).copy(),))
-
-
-def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is None:
-        n = a.data.size
-        return _from_op(np.asarray(a.data.mean()), (a,),
-                        lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
-    n = a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=True)
-    return _from_op(out, (a,),
-                    lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
 def frobenius_sq(a: Tensor) -> Tensor:
@@ -272,11 +230,6 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise ContractError("log of non-positive entry; clamp_min first")
     return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _from_op(out, (a,), lambda g: (g * out,))
 
 
 def tabs(a: Tensor) -> Tensor:
@@ -338,22 +291,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _from_op(a.data[start:stop].copy(), (a,), vjp)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols of an empty list")
-    height = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != height:
-            raise ShapeError("concat_cols: all parts must be matrices of equal height")
-    sizes = [p.shape[1] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
-
-    return _from_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), vjp)
-
-
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("slice_cols requires a matrix")
@@ -400,38 +337,28 @@ def permute_rows(a: Tensor, perm) -> Tensor:
 # softmax and normalizations
 
 
-def softmax_rows(a: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction.
-
-    ``mask`` marks disallowed entries (True = masked); masked entries map to
-    exactly zero. Literal -inf entries in the input are treated as masked,
-    so the sentinel never reaches downstream arithmetic.
-    """
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax, stabilized by row-max subtraction."""
     if a.data.ndim != 2:
         raise ShapeError("softmax_rows requires a matrix")
-    blocked = np.isneginf(a.data)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != input {a.shape}")
-        blocked = blocked | mask
-    if not blocked.any():
-        m = a.data.max(axis=1, keepdims=True)
-        e = np.exp(a.data - m)
-    else:
-        if np.any(blocked.all(axis=1)):
-            raise DegenerateRowError("softmax row with every entry masked")
-        x = np.where(blocked, -np.inf, a.data)
-        m = np.max(x, axis=1, keepdims=True)
-        e = np.exp(np.where(blocked, 0.0, x - m))
-        e[blocked] = 0.0
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax_last(a.data.copy())
 
     def vjp(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - inner),)
+        return (_softmax_vjp(s, g),)
 
     return _from_op(s, (a,), vjp)
+
+
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed in place in ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -490,58 +417,63 @@ def channel_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched block attention kernels
+# block attention
 
 
-def _block_counts(rows_q: int, rows_k: int, q_block: int, k_block: int, op: str) -> int:
-    if q_block <= 0 or k_block <= 0:
-        raise ShapeError(f"{op}: block sizes must be positive")
-    if rows_q % q_block or rows_k % k_block:
-        raise ShapeError(f"{op}: rows not divisible by block size")
-    bq, bk = rows_q // q_block, rows_k // k_block
-    if bq != bk:
-        raise ShapeError(f"{op}: query blocks ({bq}) != key blocks ({bk})")
-    return bq
+def block_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                    q_block: int, k_block: int) -> Tensor:
+    """Attention of ``heads`` packed heads over aligned equal-size blocks.
 
-
-def block_scores(q: Tensor, k: Tensor, q_block: int, k_block: int) -> Tensor:
-    """Per-block Q . K^T over aligned equal-size blocks stacked along rows.
-
-    Rows [i*q_block:(i+1)*q_block) of the output hold attention scores of
-    query block i against key block i only, which is how the block-diagonal
-    attention mask keeps cost linear in the number of blocks.
+    ``q`` and ``k`` hold the heads' projections side by side, head i in
+    columns [i d_k, (i + 1) d_k). Query rows [j q_block, (j + 1) q_block)
+    attend only to key rows [j k_block, (j + 1) k_block), the block-diagonal
+    mask that keeps the cost linear in the number of blocks. Head i's output
+    softmax(Q_i K_i^T / sqrt(d_k)) V fills columns [i d_v, (i + 1) d_v) of
+    the result. The op loops over heads, so its temporaries stay one head
+    wide.
     """
-    nb = _block_counts(q.shape[0], k.shape[0], q_block, k_block, "block_scores")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError("block_scores: query/key widths differ")
-    q3 = q.data.reshape(nb, q_block, q.shape[1])
-    k3 = k.data.reshape(nb, k_block, k.shape[1])
-    out = np.matmul(q3, k3.swapaxes(1, 2)).reshape(nb * q_block, k_block)
-    nq, nk = q.requires_grad, k.requires_grad
+    if q_block <= 0 or k_block <= 0:
+        raise ShapeError("block_attention: block sizes must be positive")
+    if q.shape[0] % q_block or k.shape[0] % k_block:
+        raise ShapeError("block_attention: rows not divisible by block size")
+    nb = q.shape[0] // q_block
+    if k.shape[0] // k_block != nb:
+        raise ShapeError(f"block_attention: query blocks ({nb}) != "
+                         f"key blocks ({k.shape[0] // k_block})")
+    if v.shape[0] != k.shape[0]:
+        raise ShapeError("block_attention: keys and values must have equal length")
+    if q.shape[1] != k.shape[1] or heads < 1 or q.shape[1] % heads:
+        raise ShapeError(f"block_attention: widths {q.shape[1]} and {k.shape[1]} "
+                         f"do not split into {heads} heads")
+    d_k, d_v = q.shape[1] // heads, v.shape[1]
+    scale = 1.0 / np.sqrt(d_k)
+    q4 = q.data.reshape(nb, q_block, heads, d_k)
+    k4 = k.data.reshape(nb, k_block, heads, d_k)
+    v3 = v.data.reshape(nb, k_block, d_v)
+    nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+    weights = []  # per head, kept only for the backward pass
+    out = np.empty((nb, q_block, heads, d_v))
+    for i in range(heads):
+        w = np.matmul(q4[:, :, i], k4[:, :, i].swapaxes(1, 2))
+        w *= scale
+        np.matmul(_softmax_last(w), v3, out=out[:, :, i])
+        if nq or nk or nv:
+            weights.append(w)
 
     def vjp(g):
-        g3 = g.reshape(nb, q_block, k_block)
-        gq = np.matmul(g3, k3).reshape(q.shape) if nq else None
-        gk = np.matmul(g3.swapaxes(1, 2), q3).reshape(k.shape) if nk else None
-        return (gq, gk)
+        g4 = g.reshape(nb, q_block, heads, d_v)
+        gq = np.empty(q4.shape) if nq else None
+        gk = np.empty(k4.shape) if nk else None
+        gv = np.zeros(v3.shape) if nv else None
+        for i, w in enumerate(weights):
+            if nv:
+                gv += np.matmul(w.swapaxes(1, 2), g4[:, :, i])
+            gs = _softmax_vjp(w, np.matmul(g4[:, :, i], v3.swapaxes(1, 2))) * scale
+            if nq:
+                gq[:, :, i] = np.matmul(gs, k4[:, :, i])
+            if nk:
+                gk[:, :, i] = np.matmul(gs.swapaxes(1, 2), q4[:, :, i])
+        return tuple(None if x is None else x.reshape(t.shape)
+                     for x, t in ((gq, q), (gk, k), (gv, v)))
 
-    return _from_op(out, (q, k), vjp)
-
-
-def block_mix(attn: Tensor, v: Tensor, q_block: int, k_block: int) -> Tensor:
-    """Per-block attn . V companion of :func:`block_scores`."""
-    nb = _block_counts(attn.shape[0], v.shape[0], q_block, k_block, "block_mix")
-    if attn.shape[1] != k_block:
-        raise ShapeError("block_mix: attention width must equal the key block size")
-    a3 = attn.data.reshape(nb, q_block, k_block)
-    v3 = v.data.reshape(nb, k_block, v.shape[1])
-    out = np.matmul(a3, v3).reshape(nb * q_block, v.shape[1])
-    na, nv = attn.requires_grad, v.requires_grad
-
-    def vjp(g):
-        g3 = g.reshape(nb, q_block, v.shape[1])
-        ga = np.matmul(g3, v3.swapaxes(1, 2)).reshape(attn.shape) if na else None
-        gv = np.matmul(a3.swapaxes(1, 2), g3).reshape(v.shape) if nv else None
-        return (ga, gv)
-
-    return _from_op(out, (attn, v), vjp)
+    return _from_op(out.reshape(nb * q_block, heads * d_v), (q, k, v), vjp)

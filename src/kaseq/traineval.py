@@ -20,6 +20,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -31,7 +32,7 @@ import numpy as np
 from . import amalgamation as ka
 from . import matching
 from . import tensor as T
-from .data import Dataset, TaskPartition
+from .data import Dataset, TaskPartition, read_json
 from .detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch)
 from .errors import (ConfigError, ContractError, DataFormatError, InfeasibleError,
                      NumericError)
@@ -39,7 +40,7 @@ from .settings import Settings
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"KASQ"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 IOU_THRESHOLDS = np.linspace(0.50, 0.95, 10)
 METRICS_COLUMNS = ["epoch", "mode", "seed", "L_seq", "L_task", "L_d",
                    "AP", "AP50", "AP75", "wall_seconds"]
@@ -149,10 +150,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
     (header_len,) = struct.unpack_from("<I", raw, 8)
-    try:
-        header = json.loads(raw[12:12 + header_len])
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: corrupt header at byte {12 + e.pos}") from None
+    header = read_json(raw[12:12 + header_len], f"{path}: header", offset=12)
     if not isinstance(header, dict) or not {"config", "tensors"} <= header.keys():
         raise DataFormatError(f"{path}: header lacks its config or tensor list")
     metadata = header.get("metadata", {})
@@ -174,7 +172,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise DataFormatError(f"{path}: header tensor entry {entry!r} lacks a name "
                                   f"or a shape of non-negative integers")
         shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
+        nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(raw):
             raise DataFormatError(
                 f"{path}: truncated payload for tensor {entry['name']!r} at byte {offset}")
@@ -198,6 +196,15 @@ def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, Detector
             raise DataFormatError(f"tensor {name} has shape {stored.shape}, expected {p.data.shape}")
         p.data[:] = stored
     return params, ckpt.config
+
+
+def _check_image_size(cfg: DetectorConfig, *datasets: Optional[Dataset]) -> None:
+    """Raise ConfigError unless every given non-empty dataset holds images of
+    the model's size; run once where a dataset meets a model."""
+    for dataset in datasets:
+        if dataset is not None and len(dataset) and dataset.image_size != cfg.image_size:
+            raise ConfigError(f"the dataset's images are {dataset.image_size} px, but the "
+                              f"model's detector.image_size is {cfg.image_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +284,7 @@ class TeacherCache:
     def __init__(self, params: DetectorParams, cfg: DetectorConfig,
                  dataset: Dataset, partition: TaskPartition, task_index: int,
                  batch_size: int = 32):
+        _check_image_size(cfg, dataset)
         self.cfg = cfg
         n_layers = (1 if cfg.supervise_projection else 0) + cfg.enc_layers
         count = len(dataset)
@@ -399,6 +407,7 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset,
              batch_size: int = 32) -> EvalReport:
     """COCO-style AP over IoU 0.50:0.05:0.95 with 101-point interpolation."""
     params, cfg = detector_from_checkpoint(ckpt)
+    _check_image_size(cfg, dataset)
     params.set_requires_grad(False)
     if category_ids is None:
         category_ids = list(range(1, cfg.num_categories + 1))
@@ -483,6 +492,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     the per-image kept indices of a compressed student. Returns the final
     checkpoint and each epoch's mean terms.
     """
+    _check_image_size(cfg, dataset, eval_ds)
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
     logger = MetricsLogger(csv_path, metadata["mode"], metadata["seed"])
     start_time = time.time()
@@ -755,6 +765,7 @@ def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
     from .detector import normalized_patches
 
     params, cfg = detector_from_checkpoint(ckpt)
+    _check_image_size(cfg, dataset)
     params.set_requires_grad(False)
     if cfg.num_parts < 2:
         raise ContractError("redundancy analysis requires an extended (N >= 2) student")

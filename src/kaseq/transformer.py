@@ -1,8 +1,13 @@
 """Matrix-form multi-head attention, encoder/decoder layers, and block masks.
 
-Multi-head attention is computed as sum_i softmax(A_i / sqrt(d_k)) . V . W_i_vo
-with A_i = Q W_i_q (W_i_k)^T K^T, so every projection shape is independent of
-sequence length and concatenated sequences extend it natively.
+Multi-head attention is computed as
+[softmax(A_1 / sqrt(d_k)) V, ..., softmax(A_H / sqrt(d_k)) V] . W_vo
+with A_i = Q W_i_q (W_i_k)^T K^T. The H heads' query (and key) projections
+sit side by side in one d x (H d_k) matrix, each head mixes the full-width
+values, the H mixed values are laid side by side, and one (H d) x d matrix
+W_vo, the per-head value-output projections stacked, maps them back to d.
+Every projection shape is independent of sequence length, so concatenated
+sequences extend it natively.
 
 The attention mask is a count of equal-size aligned blocks (never a dense
 matrix): query block j may attend only to key block j. Every block of a
@@ -42,33 +47,43 @@ class AttentionMask:
 
 @dataclass
 class MHAParams:
-    """Per-head query/key projections and combined value-output projections."""
+    """Packed projections of H heads: ``wq`` and ``wk`` are d x (H d_k) with
+    head i in columns [i d_k, (i + 1) d_k); ``wvo`` is (H d) x d with head i
+    in rows [i d, (i + 1) d)."""
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wvo: list[Tensor]
+    wq: Tensor
+    wk: Tensor
+    wvo: Tensor
 
     @property
     def heads(self) -> int:
-        return len(self.wq)
+        return self.wvo.shape[0] // self.d_model
 
     @property
     def d_model(self) -> int:
-        return self.wq[0].shape[0]
+        return self.wq.shape[0]
 
     @property
     def d_k(self) -> int:
-        return self.wq[0].shape[1]
+        return self.wq.shape[1] // self.heads
 
     @classmethod
     def init(cls, d_model: int, heads: int, rng: np.random.Generator) -> "MHAParams":
         if d_model % heads:
             raise ConfigError(f"head count {heads} must divide d_model {d_model}")
         d_k = d_model // heads
+
+        def per_head(fan_out: int, gain: float = 1.0) -> np.ndarray:
+            # H Xavier draws of d x fan_out, one after another.
+            bound = gain * np.sqrt(6.0 / (d_model + fan_out))
+            return rng.uniform(-bound, bound, size=(heads, d_model, fan_out))
+
+        wq, wk = per_head(d_k), per_head(d_k)
+        wvo = per_head(d_model, gain=1.0 / heads)
         return cls(
-            wq=[_xavier(d_model, d_k, rng) for _ in range(heads)],
-            wk=[_xavier(d_model, d_k, rng) for _ in range(heads)],
-            wvo=[_xavier(d_model, d_model, rng, gain=1.0 / heads) for _ in range(heads)],
+            wq=Tensor(wq.transpose(1, 0, 2).reshape(d_model, heads * d_k), requires_grad=True),
+            wk=Tensor(wk.transpose(1, 0, 2).reshape(d_model, heads * d_k), requires_grad=True),
+            wvo=Tensor(wvo.reshape(heads * d_model, d_model), requires_grad=True),
         )
 
 
@@ -164,23 +179,13 @@ def mha(q: Tensor, k: Tensor, v: Tensor,
     """Multi-head attention in matrix form over optional aligned blocks."""
     if q.shape[1] != p.d_model or k.shape[1] != p.d_model or v.shape[1] != p.d_model:
         raise ShapeError("mha inputs must have width d_model")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError("keys and values must have equal length")
     if mask is None:
         mask = AttentionMask(1, q.shape[0], k.shape[0])
     if mask.blocks * mask.q_block != q.shape[0] or mask.blocks * mask.k_block != k.shape[0]:
         raise ShapeError("attention mask blocks do not tile the sequences")
-    inv_sqrt_dk = 1.0 / np.sqrt(p.d_k)
-    qb, kb = mask.q_block, mask.k_block
-    out = None
-    for i in range(p.heads):
-        qi = T.matmul(q, p.wq[i])
-        ki = T.matmul(k, p.wk[i])
-        scores = T.scale(T.block_scores(qi, ki, qb, kb), inv_sqrt_dk)
-        attn = T.softmax_rows(scores)
-        mixed = T.matmul(T.block_mix(attn, v, qb, kb), p.wvo[i])
-        out = mixed if out is None else T.add(out, mixed)
-    return out
+    mixed = T.block_attention(T.matmul(q, p.wq), T.matmul(k, p.wk), v,
+                              p.heads, mask.q_block, mask.k_block)
+    return T.matmul(mixed, p.wvo)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,16 @@ def test_checkpoint_tensor_entry_without_name_or_shape_exits_2(ws, capsys, field
     assert err.startswith("data error:") and "tensor entry" in err
 
 
+def test_checkpoint_tensor_shape_past_int64_exits_2(ws, capsys):
+    # 2**32 * 2**32 wraps to 0 in int64 arithmetic.
+    bad = ws["root"] / "huge_shape.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(), lambda header:
+                                    header["tensors"][0].update(shape=[2 ** 32, 2 ** 32])))
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "truncated payload" in err
+
+
 def test_checkpoint_metadata_that_is_not_an_object_exits_2(ws, capsys):
     bad = ws["root"] / "bad_metadata.ckpt"
     bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(),
@@ -307,3 +317,78 @@ def test_non_integer_process_count_exits_1(ws, capsys, monkeypatch):
                "--eval-data", ws["eval"], "--out", ws["root"] / "threads", "--seeds", 1,
                "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
     assert "KASEQ_THREADS" in capsys.readouterr().err
+
+
+def test_version_1_checkpoint_exits_2_naming_the_version(ws, capsys):
+    # Version 1 stored each attention head as its own tensor.
+    bad = ws["root"] / "v1.ckpt"
+    raw = ws["t1"].read_bytes()
+    bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "unsupported version 1" in err
+
+
+def test_non_utf8_checkpoint_header_exits_2(ws, capsys):
+    bad = ws["root"] / "latin1.ckpt"
+    raw = bytearray(ws["t1"].read_bytes())
+    raw[13] = 0xFF  # the header opens at byte 12 with '{"config"'
+    bad.write_bytes(bytes(raw))
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "invalid UTF-8 at byte 13" in err
+
+
+def test_non_utf8_annotation_document_exits_2(ws, capsys):
+    bad = ws["root"] / "latin1_doc"
+    shutil.rmtree(bad, ignore_errors=True)
+    shutil.copytree(ws["eval"], bad)
+    raw = (bad / "annotations.json").read_bytes()
+    at = raw.index(b'"images"') + 1
+    (bad / "annotations.json").write_bytes(raw[:at] + b"\xe9" + raw[at + 1:])
+    assert run("evaluate", "--model", ws["t1"], "--data", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "annotations.json" in err
+    assert f"invalid UTF-8 at byte {at}" in err
+
+
+def test_non_utf8_config_file_exits_2(ws, capsys):
+    config = ws["root"] / "latin1.json"
+    config.write_bytes(b'{"seed": 1, "x": "\xe9"}')
+    assert run("evaluate", "--model", ws["t1"], "--data", ws["eval"], "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "invalid UTF-8 at byte 18" in err
+
+
+def _ppm(width, height):
+    return b"P6\n%d %d\n255\n" % (width, height) + bytes(width * height * 3)
+
+
+@pytest.mark.parametrize("slot, width, height, named", [
+    pytest.param(1, 40, 40, "but the images before it are 32x32 px", id="second-40px"),
+    pytest.param(0, 32, 40, "not square", id="first-not-square"),
+])
+def test_image_of_another_size_exits_2(ws, capsys, slot, width, height, named):
+    bad = ws["root"] / "sizes"
+    shutil.rmtree(bad, ignore_errors=True)
+    shutil.copytree(ws["train"], bad)
+    doc = json.loads((bad / "annotations.json").read_text())
+    rec = doc["images"][slot]
+    rec.update(width=width, height=height)
+    (bad / "annotations.json").write_text(json.dumps(doc))
+    (bad / rec["file_name"]).write_bytes(_ppm(width, height))
+    out = ws["root"] / "sizes.ckpt"
+    assert run("train-baseline", "--data", bad, "--out", out, "--config", ws["config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and rec["file_name"] in err and named in err
+    assert not out.exists()
+
+
+def test_dataset_and_model_image_sizes_that_differ_exit_1(ws, capsys):
+    out = ws["root"] / "small_images.ckpt"
+    assert run("train-baseline", "--data", ws["train"], "--out", out,
+               "--config", ws["config"], "--set", "detector.image_size=16") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:")
+    assert "32 px" in err and "detector.image_size is 16" in err
+    assert not out.exists()

@@ -162,6 +162,11 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="payload"):
             D.load_dataset(root)
 
+    def test_negative_ppm_dimensions_rejected(self):
+        # -2 x -3 x 3 still multiplies out to the 18 payload bytes.
+        with pytest.raises(DataFormatError, match="not positive"):
+            D._decode_ppm(b"P6\n-2 -3\n255\n" + bytes(18), "negative.ppm")
+
     def test_document_schema(self, small_dataset, tmp_path):
         rng = np.random.default_rng(0)
         for trial in range(10):

@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(image_size=30)
 
+    @pytest.mark.parametrize("key, value", [("heads", 0), ("patch_size", 0), ("heads", -2),
+                                            ("ffn_dim", 0), ("enc_layers", -1)])
+    def test_non_positive_size_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_cfg(**{key: value})
+
     def test_grid_arithmetic(self):
         cfg = tiny_cfg()
         assert cfg.grid == 4 and cfg.tokens == 16 and cfg.patch_dim == 192
@@ -180,6 +186,14 @@ class TestParameterAccounting:
         assert len(named) == len(set(named))
         total = sum(p.data.size for p in named.values())
         assert total == params.parameter_count()
+
+    def test_default_model_has_one_tensor_per_attention_projection(self):
+        cfg = det.DetectorConfig()
+        named = det.DetectorParams.init(cfg, np.random.default_rng(0)).named_parameters()
+        assert len(named) == 78
+        heads, d = cfg.heads, cfg.d_model
+        assert named["enc0.attn.wq"].shape == (d, d)
+        assert named["dec1.cross.wvo"].shape == (heads * d, d)
 
     def test_split_parts_round_trip(self):
         cfg = tiny_cfg(num_parts=2)

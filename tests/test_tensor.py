@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kaseq import tensor as T
-from kaseq.errors import ContractError, DegenerateRowError, ShapeError
+from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
 from helpers import check_grad
@@ -55,12 +55,6 @@ class TestForwardSemantics:
         shifted = T.softmax_rows(Tensor(x + RNG.standard_normal((6, 1)))).data
         np.testing.assert_allclose(s, shifted, atol=1e-12)
 
-    def test_softmax_degenerate_row(self):
-        with pytest.raises(DegenerateRowError):
-            T.softmax_rows(Tensor([[-np.inf, -np.inf]]))
-        with pytest.raises(DegenerateRowError):
-            T.softmax_rows(Tensor([[1.0, 2.0]]), mask=np.array([[True, True]]))
-
     def test_frobenius_zero_and_ones(self):
         assert T.frobenius_sq(Tensor(np.zeros((3, 3)))).item() == 0.0
         assert T.frobenius_sq(Tensor(np.ones((2, 3)))).item() == 6.0
@@ -110,14 +104,6 @@ class TestTape:
     def test_disconnected_loss_rejected(self):
         with pytest.raises(ContractError):
             T.tsum(Tensor(rand(2, 2))).backward()
-
-    def test_detached_tensor_never_receives_gradient(self):
-        w = Tensor(rand(3, 3), requires_grad=True)
-        d = w.detach()
-        loss = T.tsum(T.mul(T.matmul(w, d), d))
-        loss.backward()
-        assert w.grad is not None
-        assert d.grad is None and not d.requires_grad
 
     def test_repeated_backward_accumulates(self):
         w = Tensor(rand(2, 2), requires_grad=True)
@@ -173,22 +159,15 @@ GRAD_CASES = [
      lambda x, a=Tensor(rand(3, 4)), c=_c(3, 4): T.tsum(T.mul(T.div(a, x), c))),
     ("scale", rand(3, 3),
      lambda x, c=_c(3, 3): T.tsum(T.mul(T.scale(x, -1.7), c))),
-    ("add_scalar", rand(2, 5),
-     lambda x, c=_c(2, 5): T.tsum(T.mul(T.add_scalar(x, 0.3), c))),
     ("matmul_lhs", rand(4, 5),
      lambda x, b=Tensor(rand(5, 3)), c=_c(4, 3): T.tsum(T.mul(T.matmul(x, b), c))),
     ("matmul_rhs", rand(5, 3),
      lambda x, a=Tensor(rand(4, 5)), c=_c(4, 3): T.tsum(T.mul(T.matmul(a, x), c))),
-    ("transpose", rand(3, 5),
-     lambda x, c=_c(5, 3): T.tsum(T.mul(T.transpose(x), c))),
     ("tsum_all", rand(4, 4), lambda x: T.scale(T.tsum(x), 2.0)),
     ("tsum_axis0", rand(4, 3),
      lambda x, c=_c(1, 3): T.tsum(T.mul(T.tsum(x, axis=0), c))),
     ("tsum_axis1", rand(4, 3),
      lambda x, c=_c(4, 1): T.tsum(T.mul(T.tsum(x, axis=1), c))),
-    ("tmean_all", rand(4, 4), lambda x: T.scale(T.tmean(x), 3.0)),
-    ("tmean_axis0", rand(5, 2),
-     lambda x, c=_c(1, 2): T.tsum(T.mul(T.tmean(x, axis=0), c))),
     ("frobenius_sq", rand(4, 3), lambda x: T.frobenius_sq(x)),
     ("relu", rand(4, 4, away_from=0.0),
      lambda x, c=_c(4, 4): T.tsum(T.mul(T.relu(x), c))),
@@ -196,8 +175,6 @@ GRAD_CASES = [
      lambda x, c=_c(4, 4): T.tsum(T.mul(T.sigmoid(x), c))),
     ("log", np.abs(rand(3, 3)) + 0.5,
      lambda x, c=_c(3, 3): T.tsum(T.mul(T.log(x), c))),
-    ("exp", rand(3, 3),
-     lambda x, c=_c(3, 3): T.tsum(T.mul(T.exp(x), c))),
     ("abs", rand(4, 3, away_from=0.0),
      lambda x, c=_c(4, 3): T.tsum(T.mul(T.tabs(x), c))),
     ("clamp_min", rand(4, 4, away_from=0.2),
@@ -212,8 +189,6 @@ GRAD_CASES = [
      lambda x, b=Tensor(rand(2, 4)), c=_c(5, 4): T.tsum(T.mul(T.concat_rows([x, b]), c))),
     ("slice_rows", rand(6, 3),
      lambda x, c=_c(3, 3): T.tsum(T.mul(T.slice_rows(x, 1, 4), c))),
-    ("concat_cols", rand(3, 2),
-     lambda x, b=Tensor(rand(3, 3)), c=_c(3, 5): T.tsum(T.mul(T.concat_cols([x, b]), c))),
     ("slice_cols", rand(3, 6),
      lambda x, c=_c(3, 3): T.tsum(T.mul(T.slice_cols(x, 2, 5), c))),
     ("gather_rows_with_repeats", rand(5, 3),
@@ -222,9 +197,6 @@ GRAD_CASES = [
      lambda x, c=_c(6, 2): T.tsum(T.mul(T.permute_rows(x, [3, 0, 5, 1, 4, 2]), c))),
     ("softmax_rows", rand(4, 5),
      lambda x, c=_c(4, 5): T.tsum(T.mul(T.softmax_rows(x), c))),
-    ("softmax_rows_masked", rand(3, 4),
-     lambda x, c=_c(3, 4): T.tsum(T.mul(
-         T.softmax_rows(x, mask=np.array([[False, True, False, False]] * 3)), c))),
     ("layer_norm_x", rand(5, 4),
      lambda x, g=Tensor(rand(1, 4)), b=Tensor(rand(1, 4)), c=_c(5, 4):
          T.tsum(T.mul(T.layer_norm_rows(x, g, b), c))),
@@ -236,14 +208,16 @@ GRAD_CASES = [
          T.tsum(T.mul(T.layer_norm_rows(a, g, x), c))),
     ("channel_norm", rand(6, 3),
      lambda x, c=_c(6, 3): T.tsum(T.mul(T.channel_norm(x), c))),
-    ("block_scores_q", rand(6, 4),
-     lambda x, k=Tensor(rand(8, 4)), c=_c(6, 4): T.tsum(T.mul(T.block_scores(x, k, 3, 4), c))),
-    ("block_scores_k", rand(8, 4),
-     lambda x, q=Tensor(rand(6, 4)), c=_c(6, 4): T.tsum(T.mul(T.block_scores(q, x, 3, 4), c))),
-    ("block_mix_attn", rand(6, 4),
-     lambda x, v=Tensor(rand(8, 5)), c=_c(6, 5): T.tsum(T.mul(T.block_mix(x, v, 3, 4), c))),
-    ("block_mix_v", rand(8, 5),
-     lambda x, a=Tensor(rand(6, 4)), c=_c(6, 5): T.tsum(T.mul(T.block_mix(a, x, 3, 4), c))),
+    # Two heads (d_k 2) over two blocks of 3 queries and 4 keys.
+    ("block_attention_q", rand(6, 4),
+     lambda x, k=Tensor(rand(8, 4)), v=Tensor(rand(8, 5)), c=_c(6, 10):
+         T.tsum(T.mul(T.block_attention(x, k, v, 2, 3, 4), c))),
+    ("block_attention_k", rand(8, 4),
+     lambda x, q=Tensor(rand(6, 4)), v=Tensor(rand(8, 5)), c=_c(6, 10):
+         T.tsum(T.mul(T.block_attention(q, x, v, 2, 3, 4), c))),
+    ("block_attention_v", rand(8, 5),
+     lambda x, q=Tensor(rand(6, 4)), k=Tensor(rand(8, 4)), c=_c(6, 10):
+         T.tsum(T.mul(T.block_attention(q, k, x, 2, 3, 4), c))),
 ]
 
 
@@ -254,7 +228,7 @@ def test_primitive_gradient_matches_finite_differences(name, values, builder):
 
 def test_mean_relu_gradient_matches_finite_differences():
     x = rand(5, 6, away_from=0.0)
-    check_grad(lambda t: T.tmean(T.relu(t)), x, h=1e-5, tol=1e-6)
+    check_grad(lambda t: T.scale(T.tsum(T.relu(t)), 1.0 / x.size), x, h=1e-5, tol=1e-6)
 
 
 def test_random_matmul_gradient_tight_tolerance():

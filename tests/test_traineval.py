@@ -123,7 +123,7 @@ class TestCheckpoint:
             assert raw[:4] == b"KASQ"
             (version,) = _struct.unpack_from("<I", raw, 4)
             (hlen,) = _struct.unpack_from("<I", raw, 8)
-            assert version == 1
+            assert version == 2
             header = _json.loads(raw[12:12 + hlen])
             payload = sum(8 * int(np.prod(e["shape"])) for e in header["tensors"])
             assert len(raw) == 12 + hlen + payload

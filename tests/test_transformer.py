@@ -15,11 +15,12 @@ def naive_mha(q, k, v, params):
     """Per-head, per-token dot-product loop; the matrix form's oracle."""
     heads = params.heads
     d_k = params.d_k
-    out = np.zeros((q.shape[0], v.shape[1]))
+    d = v.shape[1]
+    out = np.zeros((q.shape[0], d))
     for i in range(heads):
-        wq = params.wq[i].data
-        wk = params.wk[i].data
-        wvo = params.wvo[i].data
+        wq = params.wq.data[:, i * d_k:(i + 1) * d_k]
+        wk = params.wk.data[:, i * d_k:(i + 1) * d_k]
+        wvo = params.wvo.data[i * d:(i + 1) * d]
         for t in range(q.shape[0]):
             scores = np.array([
                 float((q[t] @ wq) @ (k[s] @ wk)) / np.sqrt(d_k)
@@ -45,13 +46,13 @@ class TestMHA:
         p = tf.MHAParams.init(d, 2, RNG)
         v = RNG.standard_normal((1, d))
         out = tf.mha(Tensor(v), Tensor(v), Tensor(v), p)
-        expected = v @ sum(w.data for w in p.wvo)
+        expected = v @ p.wvo.data.reshape(2, d, d).sum(axis=0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_identical_tokens_single_head_identity_weights(self):
         d = 4
         eye = Tensor(np.eye(d), requires_grad=True)
-        p = tf.MHAParams(wq=[eye], wk=[eye], wvo=[eye])
+        p = tf.MHAParams(wq=eye, wk=eye, wvo=eye)
         tok = RNG.standard_normal((1, d))
         x = np.vstack([tok, tok])
         values = RNG.standard_normal((2, d))
@@ -65,6 +66,28 @@ class TestMHA:
         v = RNG.standard_normal((5, 4))
         out = tf.mha(Tensor(q), Tensor(k), Tensor(v), p)
         assert np.max(np.abs(out.data - naive_mha(q, k, v, p))) < 1e-10
+
+    def test_packed_init_lays_per_head_draws_side_by_side(self):
+        # Same random stream as H separate Xavier draws per projection:
+        # every wq head, then every wk head, then every wvo head.
+        d, heads = 8, 4
+        p = tf.MHAParams.init(d, heads, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        wq = [tf._xavier(d, d // heads, rng).data for _ in range(heads)]
+        wk = [tf._xavier(d, d // heads, rng).data for _ in range(heads)]
+        wvo = [tf._xavier(d, d, rng, gain=1.0 / heads).data for _ in range(heads)]
+        np.testing.assert_array_equal(p.wq.data, np.hstack(wq))
+        np.testing.assert_array_equal(p.wk.data, np.hstack(wk))
+        np.testing.assert_array_equal(p.wvo.data, np.vstack(wvo))
+        assert (p.heads, p.d_model, p.d_k) == (heads, d, d // heads)
+
+    def test_one_call_adds_four_operation_nodes_over_three_leaves(self):
+        p = tf.MHAParams.init(8, 4, RNG)
+        x = Tensor(RNG.standard_normal((6, 8)))
+        nodes = T._topo_order(tf.mha(x, x, x, p, tf.AttentionMask(2, 3, 3)))
+        assert sum(not n.is_leaf for n in nodes) == 4
+        assert {id(n) for n in nodes if n.is_leaf and n.requires_grad} == \
+            {id(p.wq), id(p.wk), id(p.wvo)}
 
     def test_query_and_keyvalue_equivariance(self):
         # Lemma: mha(Pq Q, P K, P V) == Pq mha(Q, K, V).
