@@ -8,7 +8,8 @@ averages them into a fixed-size hint. Compression keeps exactly one token
 per original grid position, choosing sources by token redundancy (mean
 cosine similarity within the sequence). Task-level amalgamation matches
 student slots to pooled, confidence-filtered teacher soft targets and
-weighs each matched pair by teacher confidence.
+weighs each matched pair by teacher confidence; it runs once per batch, with
+one assignment problem per image and one loss over all the batch's slots.
 """
 
 from __future__ import annotations
@@ -178,28 +179,41 @@ def filter_pool(pool_dists: np.ndarray, threshold: float, m: int) -> np.ndarray:
 
 
 def box_giou_rows(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Differentiable row-wise GIoU of predicted boxes against fixed targets."""
-    if pred.shape[1] != 4:
+    """Row-wise GIoU of predicted (cx, cy, w, h) boxes against fixed targets,
+    as an (n, 1) column and one tape op.
+
+    The forward is :func:`matching.giou_terms` on row pairs. The backward
+    routes ties the way elementwise ``maximum``/``minimum`` with the
+    prediction as first operand would (to the prediction), and passes
+    intersection gradient only where the unclamped extent is positive.
+    """
+    if pred.data.ndim != 2 or pred.shape[1] != 4:
         raise ShapeError("boxes must have four columns")
-    tc = matching.box_cxcywh_to_corners(np.asarray(target, dtype=np.float64))
-    cx, cy = T.slice_cols(pred, 0, 1), T.slice_cols(pred, 1, 2)
-    w, h = T.slice_cols(pred, 2, 3), T.slice_cols(pred, 3, 4)
-    x0 = T.sub(cx, T.scale(w, 0.5))
-    x1 = T.add(cx, T.scale(w, 0.5))
-    y0 = T.sub(cy, T.scale(h, 0.5))
-    y1 = T.add(cy, T.scale(h, 0.5))
-    tx0, ty0 = Tensor(tc[:, 0:1]), Tensor(tc[:, 1:2])
-    tx1, ty1 = Tensor(tc[:, 2:3]), Tensor(tc[:, 3:4])
-    iw = T.clamp_min(T.sub(T.minimum(x1, tx1), T.maximum(x0, tx0)), 0.0)
-    ih = T.clamp_min(T.sub(T.minimum(y1, ty1), T.maximum(y0, ty0)), 0.0)
-    inter = T.mul(iw, ih)
-    area_p = T.mul(w, h)
-    area_t = Tensor(((tc[:, 2] - tc[:, 0]) * (tc[:, 3] - tc[:, 1]))[:, None])
-    union = T.sub(T.add(area_p, area_t), inter)
-    ew = T.sub(T.maximum(x1, tx1), T.minimum(x0, tx0))
-    eh = T.sub(T.maximum(y1, ty1), T.minimum(y0, ty0))
-    enclosure = T.mul(ew, eh)
-    return T.sub(T.div(inter, union), T.div(T.sub(enclosure, union), enclosure))
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ShapeError(f"targets {target.shape} do not match predictions {pred.shape}")
+    pc = matching.box_cxcywh_to_corners(pred.data)
+    tc = matching.box_cxcywh_to_corners(target)
+    t = matching.giou_terms(pc, tc)
+
+    def vjp(g):
+        g = g[:, 0]
+        inv_enc = 1.0 / t.enclosure
+        ratio = t.inter / (t.union * t.union)
+        d_inter = (g * (1.0 / t.union - inv_enc + ratio))[:, None]
+        d_area = (g * (inv_enc - ratio))[:, None]
+        d_enc = (-g * t.union * inv_enc * inv_enc)[:, None]
+        lo_p, hi_p, lo_t, hi_t = pc[:, :2], pc[:, 2:], tc[:, :2], tc[:, 2:]
+        # columns x, y; d(extent x * extent y)/d(extent x) is extent y
+        overlap = np.column_stack([t.iw, t.ih])
+        g_overlap = d_inter * overlap[:, ::-1] * (overlap > 0)
+        g_span = d_enc * np.column_stack([t.eh, t.ew])
+        g_size = d_area * (hi_p - lo_p)[:, ::-1]
+        g_hi = g_overlap * (hi_p <= hi_t) + g_span * (hi_p >= hi_t) + g_size
+        g_lo = -g_overlap * (lo_p >= lo_t) - g_span * (lo_p <= lo_t) - g_size
+        return (np.concatenate([g_lo + g_hi, 0.5 * (g_hi - g_lo)], axis=1),)
+
+    return T._from_op(t.giou[:, None], (pred,), vjp)
 
 
 def box_loss_rows(pred: Tensor, target: np.ndarray,
@@ -211,30 +225,60 @@ def box_loss_rows(pred: Tensor, target: np.ndarray,
     return T.add(T.scale(l1, l1_weight), T.scale(T.sub(one, giou), giou_weight))
 
 
-def ta_loss(student_dists: Tensor, student_boxes: Tensor,
-            pool_dists: np.ndarray, pool_boxes: np.ndarray,
-            weights: KAWeights) -> Tensor:
-    """Hungarian distillation loss against the pooled padded teacher targets.
+def ta_assignment(student_dists: np.ndarray, student_boxes: np.ndarray,
+                  pool_dists: np.ndarray, pool_boxes: np.ndarray,
+                  weights: KAWeights) -> np.ndarray:
+    """Pool entry matched to each student slot, as an index into the
+    flattened (B K) pool rows.
 
-    Pool entries are confidence-filtered (threshold with top-m fallback),
-    the match minimizes the KL + box - confidence cost, and each matched
-    pair's KL and box terms are weighted by the teacher's confidence.
+    Students are B m rows, image-major; the pools are (B, K, C+1) and
+    (B, K, 4). The B cost matrices are built in one call over all K entries;
+    each image then keeps its confidence-filtered columns (threshold with
+    top-m fallback, so the kept count varies by image) and is solved by its
+    own Hungarian call on the KL + box - confidence cost.
     """
-    pool_dists = np.asarray(pool_dists, dtype=np.float64)
-    pool_boxes = np.asarray(pool_boxes, dtype=np.float64)
-    if pool_dists.shape[0] == 0:
-        raise ContractError("empty teacher pool")
-    m = student_dists.shape[0]
-    keep = filter_pool(pool_dists, weights.confidence_threshold, m)
-    sub_dists, sub_boxes = pool_dists[keep], pool_boxes[keep]
+    batch, k = pool_dists.shape[:2]
+    m = student_dists.shape[0] // batch
     cost = matching.build_cost_matrix(
-        student_dists.data, student_boxes.data, sub_dists, sub_boxes,
+        student_dists.reshape(batch, m, -1), student_boxes.reshape(batch, m, 4),
+        pool_dists, pool_boxes,
         alpha_kl=weights.alpha_kl, alpha_box=weights.alpha_box,
         alpha_conf=weights.alpha_conf,
         l1_weight=weights.l1_weight, giou_weight=weights.giou_weight)
-    sigma = matching.hungarian(cost)
-    t_dists = sub_dists[sigma]
-    t_boxes = sub_boxes[sigma]
+    chosen = np.empty((batch, m), dtype=np.intp)
+    for b in range(batch):
+        keep = filter_pool(pool_dists[b], weights.confidence_threshold, m)
+        chosen[b] = keep[matching.hungarian(cost[b][:, keep])]
+    return (chosen + k * np.arange(batch)[:, None]).reshape(-1)
+
+
+def ta_loss(student_dists: Tensor, student_boxes: Tensor,
+            pool_dists: np.ndarray, pool_boxes: np.ndarray,
+            weights: KAWeights) -> Tensor:
+    """Hungarian distillation loss of a batch against its pooled padded
+    teacher targets, summed over images.
+
+    ``student_dists`` and ``student_boxes`` hold the B m student slots,
+    image-major; ``pool_dists`` (B, K, C+1) and ``pool_boxes`` (B, K, 4) hold
+    each image's teacher pool. Slots are matched per image
+    (:func:`ta_assignment`); then one KL and one box term over all B m rows,
+    each matched pair weighted by the teacher's confidence, make the loss.
+    """
+    pool_dists = np.asarray(pool_dists, dtype=np.float64)
+    pool_boxes = np.asarray(pool_boxes, dtype=np.float64)
+    if pool_dists.ndim != 3 or pool_boxes.shape != pool_dists.shape[:2] + (4,):
+        raise ShapeError(f"pools must be (B, K, C+1) and (B, K, 4), got "
+                         f"{pool_dists.shape} and {pool_boxes.shape}")
+    batch, k = pool_dists.shape[:2]
+    if k == 0:
+        raise ContractError("empty teacher pool")
+    rows = student_dists.shape[0]
+    if batch == 0 or rows % batch or student_boxes.shape[0] != rows:
+        raise ShapeError(f"{rows} student rows do not split over {batch} images")
+    flat = ta_assignment(student_dists.data, student_boxes.data,
+                         pool_dists, pool_boxes, weights)
+    t_dists = pool_dists.reshape(batch * k, -1)[flat]
+    t_boxes = pool_boxes.reshape(batch * k, 4)[flat]
     conf = t_dists[:, :-1].max(axis=1)
 
     plogp = np.where(t_dists > 0, t_dists * np.log(np.maximum(t_dists, _UNIT_FLOOR)), 0.0)

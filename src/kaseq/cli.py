@@ -241,14 +241,33 @@ def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
     return ckpt
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value)
+
+
 def _evaluate_checkpoint(cfg: dict, ckpt: tv.Checkpoint, dataset: D.Dataset) -> tv.EvalReport:
-    """Evaluate over the category ids and task partition the checkpoint records."""
+    """Evaluate over the category ids and task partition the checkpoint
+    records; either entry that does not fit the model and the dataset is a
+    DataFormatError naming its metadata key."""
     num = ckpt.config.num_categories
     partition = None
     if "partition" in ckpt.metadata:
-        partition = D.TaskPartition.from_jsonable(ckpt.metadata["partition"], num)
-    return tv.evaluate(ckpt, dataset,
-                       category_ids=ckpt.metadata.get("category_ids", list(range(1, num + 1))),
+        subsets = ckpt.metadata["partition"]
+        if not (isinstance(subsets, list) and all(_is_int_list(s) for s in subsets)):
+            raise DataFormatError(f"checkpoint metadata 'partition' {subsets!r} is not a "
+                                  f"list of integer lists")
+        try:
+            partition = D.TaskPartition.from_jsonable(subsets, num)
+        except ContractError as e:
+            raise DataFormatError(f"checkpoint metadata 'partition' {subsets!r} is not a "
+                                  f"partition of categories 1..{num}: {e}") from None
+    category_ids = ckpt.metadata.get("category_ids", list(range(1, num + 1)))
+    if not (_is_int_list(category_ids) and len(set(category_ids)) == len(category_ids) == num
+            and all(1 <= c <= dataset.num_categories for c in category_ids)):
+        raise DataFormatError(f"checkpoint metadata 'category_ids' {category_ids!r} is not "
+                              f"{num} distinct integers in 1..{dataset.num_categories}")
+    return tv.evaluate(ckpt, dataset, category_ids=category_ids,
                        partition=partition, batch_size=cfg["train"]["eval_batch_size"])
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,13 +190,6 @@ def generate_dataset(count: int, num_categories: int = 8, image_size: int = 64,
         images.append(img)
         annotations.append(anns)
     return Dataset(images, annotations, num_categories, image_size)
-
-
-def apply_task(annotations: Iterable[Annotation], partition: TaskPartition,
-               t: int) -> list[Annotation]:
-    """Keep annotations whose category belongs to task t's subset."""
-    wanted = set(partition.subset(t))
-    return [a for a in annotations if a.category in wanted]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ matrix as given, in O(m^2 K), and never pads it to square.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ContractError, InfeasibleError
@@ -21,12 +23,26 @@ def box_cxcywh_to_corners(b) -> np.ndarray:
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
-def pairwise_iou_giou(corners_a: np.ndarray,
-                      corners_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """IoU and generalized IoU (IoU minus the enclosure penalty) for every
-    (a, b) pair of (x0, y0, x1, y1) boxes; rows index a, columns index b."""
-    ca = np.asarray(corners_a, dtype=np.float64)[:, None, :]
-    cb = np.asarray(corners_b, dtype=np.float64)[None, :, :]
+class GIoUTerms(NamedTuple):
+    """IoU and generalized IoU of two sets of boxes, with the pieces they are
+    made of (the gradient of the row-wise GIoU loss reads them)."""
+
+    iw: np.ndarray         # intersection width and height, clamped at 0
+    ih: np.ndarray
+    ew: np.ndarray         # enclosure width and height
+    eh: np.ndarray
+    inter: np.ndarray
+    union: np.ndarray
+    enclosure: np.ndarray
+    iou: np.ndarray
+    giou: np.ndarray       # IoU minus the enclosure penalty
+
+
+def giou_terms(corners_a: np.ndarray, corners_b: np.ndarray) -> GIoUTerms:
+    """IoU and GIoU of (x0, y0, x1, y1) boxes ``corners_a`` and ``corners_b``,
+    broadcast against each other over their leading axes."""
+    ca = np.asarray(corners_a, dtype=np.float64)
+    cb = np.asarray(corners_b, dtype=np.float64)
     iw = np.maximum(0.0, np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0]))
     ih = np.maximum(0.0, np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1]))
     inter = iw * ih
@@ -37,7 +53,26 @@ def pairwise_iou_giou(corners_a: np.ndarray,
     eh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
     enclosure = ew * eh
     iou = inter / union
-    return iou, iou - (enclosure - union) / enclosure
+    return GIoUTerms(iw, ih, ew, eh, inter, union, enclosure, iou,
+                     iou - (enclosure - union) / enclosure)
+
+
+def pairwise_iou_giou(corners_a: np.ndarray,
+                      corners_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and generalized IoU for every (a, b) pair of (x0, y0, x1, y1)
+    boxes; rows index a, columns index b."""
+    terms = giou_terms(np.asarray(corners_a)[:, None, :], np.asarray(corners_b)[None, :, :])
+    return terms.iou, terms.giou
+
+
+def box_cost(boxes_a, boxes_b, l1_weight: float = 5.0, giou_weight: float = 2.0) -> np.ndarray:
+    """(..., m, K) match cost l1 + (1 - GIoU) between (cx, cy, w, h) boxes
+    ``boxes_a`` (..., m, 4) and ``boxes_b`` (..., K, 4)."""
+    a = np.asarray(boxes_a, dtype=np.float64)[..., :, None, :]
+    b = np.asarray(boxes_b, dtype=np.float64)[..., None, :, :]
+    l1 = np.abs(a - b).sum(axis=-1)
+    giou = giou_terms(box_cxcywh_to_corners(a), box_cxcywh_to_corners(b)).giou
+    return l1_weight * l1 + giou_weight * (1.0 - giou)
 
 
 def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
@@ -45,18 +80,17 @@ def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
                       alpha_kl: float = 1.0, alpha_box: float = 1.0,
                       alpha_conf: float = 1.0,
                       l1_weight: float = 5.0, giou_weight: float = 2.0) -> np.ndarray:
-    """Vectorized (m students) x (K pool) matrix of match costs."""
+    """Vectorized (m students) x (K pool) matrix of match costs, one per
+    image when the inputs carry a leading batch axis ((B, m, .) against
+    (B, K, .) gives (B, m, K))."""
     p = np.asarray(pool_dists, dtype=np.float64)
     q = np.maximum(np.asarray(student_dists, dtype=np.float64), _KL_FLOOR)
-    plogp = np.where(p > 0, p * np.log(np.maximum(p, _KL_FLOOR)), 0.0).sum(axis=1)
-    kl = plogp[None, :] - np.log(q) @ p.T  # (m, K)
-    l1 = np.abs(student_boxes[:, None, :] - pool_boxes[None, :, :]).sum(axis=-1)
-    _, giou = pairwise_iou_giou(box_cxcywh_to_corners(student_boxes),
-                                box_cxcywh_to_corners(pool_boxes))
-    conf = np.asarray(pool_dists)[:, :-1].max(axis=1)
+    plogp = np.where(p > 0, p * np.log(np.maximum(p, _KL_FLOOR)), 0.0).sum(axis=-1)
+    kl = plogp[..., None, :] - np.log(q) @ np.swapaxes(p, -1, -2)  # (..., m, K)
+    conf = p[..., :-1].max(axis=-1)
     return (alpha_kl * kl
-            + alpha_box * (l1_weight * l1 + giou_weight * (1.0 - giou))
-            - alpha_conf * conf[None, :])
+            + alpha_box * box_cost(student_boxes, pool_boxes, l1_weight, giou_weight)
+            - alpha_conf * conf[..., None, :])
 
 
 def hungarian(cost) -> list[int]:

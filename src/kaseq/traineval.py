@@ -6,12 +6,16 @@ last good checkpoint, steps AdamW, and checkpoints, evaluates and logs each
 epoch. Callers supply only the parameters and the loss: teachers and the raw
 baselines the set-prediction ground-truth loss, amalgamation any mix of
 sequence-level, task-level, aggregation baseline and ground-truth terms
-against frozen teachers. Teachers never change during amalgamation, so each
-teacher's per-image outputs on the training set are computed once into a
-:class:`TeacherCache` (float32), the only source of teacher outputs, and
-reused across epochs. A caller-owned memo reuses caches across runs; its key
-is a digest of the teacher's configuration and tensors, the training-set
-object itself, and the task partition.
+against frozen teachers. Each loss term is one graph over the whole batch:
+the task-level term is a single ``ta_loss`` call over the B m student slots
+and the (B, K) teacher pools, and the ground-truth term gathers every
+matched slot into one box term; only the assignments are solved per image.
+Teachers never change during amalgamation, so each teacher's per-image
+outputs on the training set are computed once into a :class:`TeacherCache`
+(float32), the only source of teacher outputs, and reused across epochs. A
+caller-owned memo reuses caches across runs; its key is a digest of the
+teacher's configuration and tensors, the training-set object itself, and the
+task partition.
 """
 
 from __future__ import annotations
@@ -236,7 +240,6 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
     matched_boxes: list[np.ndarray] = []
     dists_np = out.dists.data
     boxes_np = out.boxes.data
-    corners_np = matching.box_cxcywh_to_corners(boxes_np)
     for b, (gt_boxes, gt_labels) in enumerate(targets):
         g = gt_boxes.shape[0]
         if g == 0:
@@ -245,12 +248,9 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
             raise InfeasibleError(f"an image (batch position {b}) has {g} objects, more than "
                                   f"detector.queries={m}; set detector.queries to at least {g}")
         rows = slice(b * m, (b + 1) * m)
-        prob = dists_np[rows]
-        cost_class = -prob[:, gt_labels].T  # (g, m)
-        l1 = np.abs(gt_boxes[:, None, :] - boxes_np[rows][None, :, :]).sum(-1)
-        _, giou = matching.pairwise_iou_giou(matching.box_cxcywh_to_corners(gt_boxes),
-                                             corners_np[rows])
-        cost = cost_class + weights.l1_weight * l1 + weights.giou_weight * (1.0 - giou)
+        cost_class = -dists_np[rows][:, gt_labels].T  # (g, m)
+        cost = cost_class + matching.box_cost(gt_boxes, boxes_np[rows],
+                                              weights.l1_weight, weights.giou_weight)
         assign = matching.hungarian(cost)
         for gi, slot in enumerate(assign):
             slot_class[b * m + slot] = gt_labels[gi]
@@ -683,7 +683,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                 "label_free": label_free, "partition": partition.to_jsonable(),
                 "compression": cfg.compression, "category_ids": category_ids}
     n = cfg.tokens
-    m = cfg.queries
 
     def kept_tokens(idx: np.ndarray) -> list[np.ndarray]:
         # Training-time rule: compression is guided by the teachers'
@@ -717,12 +716,10 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         if mode in ("ta", "sa+ta"):
             pool_dists = np.concatenate([t.dists[idx] for t in teachers], axis=1)
             pool_boxes = np.concatenate([t.boxes[idx] for t in teachers], axis=1)
-            per_image = [ka.ta_loss(T.slice_rows(out.dists, b * m, (b + 1) * m),
-                                    T.slice_rows(out.boxes, b * m, (b + 1) * m),
-                                    pool_dists[b].astype(np.float64),
-                                    pool_boxes[b].astype(np.float64), weights)
-                         for b in range(batch)]
-            terms["task"] = T.scale(functools.reduce(T.add, per_image), 1.0 / batch)
+            terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes,
+                                               pool_dists.astype(np.float64),
+                                               pool_boxes.astype(np.float64), weights),
+                                    1.0 / batch)
 
         if weights.lambda_direct > 0.0:
             terms["direct"] = detection_loss(out, _batch_targets(train_ds, idx, category_ids),

@@ -10,8 +10,9 @@ from typing import Optional
 
 import numpy as np
 
+from kaseq import matching
 from kaseq import tensor as T
-from kaseq.amalgamation import redundancy_all
+from kaseq.amalgamation import filter_pool, redundancy_all
 from kaseq.data import TaskPartition
 from kaseq.detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch,
                             normalized_patches)
@@ -206,6 +207,70 @@ def padded_hungarian(cost) -> list[int]:
         if row < m:
             assignment[row] = j - 1
     return assignment
+
+
+# ---------------------------------------------------------------------------
+# per-image and composed forms of batched library code
+
+
+def apply_task(annotations, partition: TaskPartition, t: int) -> list:
+    """Keep annotations whose category belongs to task t's subset."""
+    wanted = set(partition.subset(t))
+    return [a for a in annotations if a.category in wanted]
+
+
+def box_giou_rows(pred: Tensor, target) -> Tensor:
+    """Row-wise GIoU composed of elementwise tape ops, each with its own
+    gradient rule (ties of ``maximum``/``minimum`` go to the first operand,
+    ``clamp_min`` passes gradient only above its floor)."""
+    tc = box_cxcywh_to_corners(np.asarray(target, dtype=np.float64))
+    cx, cy = T.slice_cols(pred, 0, 1), T.slice_cols(pred, 1, 2)
+    w, h = T.slice_cols(pred, 2, 3), T.slice_cols(pred, 3, 4)
+    x0 = T.sub(cx, T.scale(w, 0.5))
+    x1 = T.add(cx, T.scale(w, 0.5))
+    y0 = T.sub(cy, T.scale(h, 0.5))
+    y1 = T.add(cy, T.scale(h, 0.5))
+    tx0, ty0 = Tensor(tc[:, 0:1]), Tensor(tc[:, 1:2])
+    tx1, ty1 = Tensor(tc[:, 2:3]), Tensor(tc[:, 3:4])
+    iw = T.clamp_min(T.sub(T.minimum(x1, tx1), T.maximum(x0, tx0)), 0.0)
+    ih = T.clamp_min(T.sub(T.minimum(y1, ty1), T.maximum(y0, ty0)), 0.0)
+    inter = T.mul(iw, ih)
+    area_p = T.mul(w, h)
+    area_t = Tensor(((tc[:, 2] - tc[:, 0]) * (tc[:, 3] - tc[:, 1]))[:, None])
+    union = T.sub(T.add(area_p, area_t), inter)
+    ew = T.sub(T.maximum(x1, tx1), T.minimum(x0, tx0))
+    eh = T.sub(T.maximum(y1, ty1), T.minimum(y0, ty0))
+    enclosure = T.mul(ew, eh)
+    return T.sub(T.div(inter, union), T.div(T.sub(enclosure, union), enclosure))
+
+
+def ta_loss_per_image(student_dists: Tensor, student_boxes: Tensor,
+                      pool_dists, pool_boxes, weights):
+    """Task-level loss of one image's m slots against its (K, .) pool, and the
+    pool row matched to each slot: filter, build the m x K' cost, solve, then
+    weigh each matched pair's KL and l1 + (1 - GIoU) terms by the teacher's
+    confidence. The GIoU is the composed :func:`box_giou_rows`."""
+    pool_dists = np.asarray(pool_dists, dtype=np.float64)
+    pool_boxes = np.asarray(pool_boxes, dtype=np.float64)
+    keep = filter_pool(pool_dists, weights.confidence_threshold, student_dists.shape[0])
+    cost = matching.build_cost_matrix(
+        student_dists.data, student_boxes.data, pool_dists[keep], pool_boxes[keep],
+        alpha_kl=weights.alpha_kl, alpha_box=weights.alpha_box,
+        alpha_conf=weights.alpha_conf,
+        l1_weight=weights.l1_weight, giou_weight=weights.giou_weight)
+    chosen = keep[matching.hungarian(cost)]
+    t_dists, t_boxes = pool_dists[chosen], pool_boxes[chosen]
+    conf = t_dists[:, :-1].max(axis=1)
+    plogp = np.where(t_dists > 0, t_dists * np.log(np.maximum(t_dists, _KL_FLOOR)), 0.0)
+    cross = T.tsum(T.mul(T.log(T.clamp_min(student_dists)), Tensor(t_dists)), axis=1)
+    kl = T.sub(Tensor(plogp.sum(axis=1, keepdims=True)), cross)
+    l1 = T.tsum(T.tabs(T.sub(student_boxes, Tensor(t_boxes))), axis=1)
+    one_minus_giou = T.sub(Tensor(np.ones((len(chosen), 1))),
+                           box_giou_rows(student_boxes, t_boxes))
+    box = T.add(T.scale(l1, weights.l1_weight), T.scale(one_minus_giou, weights.giou_weight))
+    per_slot = T.mul(Tensor(conf[:, None]),
+                     T.add(T.scale(kl, weights.beta_kl), T.scale(box, weights.beta_box)))
+    return T.tsum(per_slot), chosen
 
 
 def token_redundancy(index: int, x: np.ndarray) -> float:

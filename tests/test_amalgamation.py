@@ -13,7 +13,9 @@ from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
 from helpers import (apply_compression, box_cost, box_giou, check_grad, confidence,
-                     kl_divergence, match_cost, pad_prediction, token_redundancy)
+                     kl_divergence, match_cost, pad_prediction, ta_loss_per_image,
+                     token_redundancy)
+from helpers import box_giou_rows as composed_giou_rows
 
 RNG = np.random.default_rng(31)
 
@@ -307,7 +309,69 @@ class TestBoxLossRows:
         check_grad(lambda b: T.tsum(A.box_loss_rows(b, target, 5.0, 2.0)), pred, tol=1e-4)
 
 
+# Pairs of exactly representable (cx, cy, w, h) boxes on which min/max ties
+# and zero-width overlaps occur; the one-op GIoU must route their gradients
+# as the composed elementwise ops do.
+TIE_CASES = {
+    "disjoint": ([0.25, 0.25, 0.25, 0.25], [0.75, 0.625, 0.25, 0.5]),
+    "nested": ([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.25, 0.125]),
+    "identical": ([0.5, 0.5, 0.25, 0.5], [0.5, 0.5, 0.25, 0.5]),
+    "edge_sharing": ([0.25, 0.5, 0.25, 0.25], [0.5, 0.5, 0.25, 0.25]),
+    "corner_sharing": ([0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.25, 0.25]),
+    "same_left_edge": ([0.375, 0.5, 0.25, 0.5], [0.5, 0.5, 0.5, 0.25]),
+}
+
+
+class TestGIoUOp:
+    """``box_giou_rows`` is one tape op; the composed form in the helpers is
+    its oracle."""
+
+    @staticmethod
+    def _value_and_grad(fn, pred, target, coef):
+        leaf = Tensor(pred.copy(), requires_grad=True)
+        out = fn(leaf, target)
+        T.tsum(T.mul(out, Tensor(coef))).backward()
+        return out.data, leaf.grad
+
+    def _assert_agrees(self, pred, target):
+        coef = RNG.uniform(0.5, 2.0, size=(pred.shape[0], 1))
+        value, grad = self._value_and_grad(A.box_giou_rows, pred, target, coef)
+        want_value, want_grad = self._value_and_grad(composed_giou_rows, pred, target, coef)
+        np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_grad).max())
+
+    def test_gradient_matches_finite_differences(self):
+        pred = np.stack([random_box(RNG) for _ in range(6)])
+        target = np.stack([random_box(RNG) for _ in range(6)])
+        coef = RNG.uniform(0.5, 2.0, size=(6, 1))
+        check_grad(lambda b: T.tsum(T.mul(A.box_giou_rows(b, target), Tensor(coef))),
+                   pred, tol=1e-7)
+
+    def test_matches_composed_oracle_on_random_boxes(self):
+        pred = np.stack([random_box(RNG) for _ in range(64)])
+        target = np.stack([random_box(RNG) for _ in range(64)])
+        self._assert_agrees(pred, target)
+
+    @pytest.mark.parametrize("case", sorted(TIE_CASES))
+    def test_matches_composed_oracle_where_ties_occur(self, case):
+        a, b = (np.asarray(x, dtype=np.float64) for x in TIE_CASES[case])
+        # both operand orders: ties route to the prediction either way
+        self._assert_agrees(np.stack([a, b]), np.stack([b, a]))
+
+    def test_one_tape_node_over_the_prediction(self):
+        pred = Tensor(np.stack([random_box(RNG) for _ in range(3)]), requires_grad=True)
+        out = A.box_giou_rows(pred, np.stack([random_box(RNG) for _ in range(3)]))
+        assert out.shape == (3, 1) and out._parents == (pred,)
+
+    def test_mismatched_targets_rejected(self):
+        with pytest.raises(ShapeError):
+            A.box_giou_rows(Tensor(np.zeros((2, 4))), np.zeros((3, 4)))
+
+
 class TestTALoss:
+    """Single-image cases of the batched loss: pools carry a batch axis of 1."""
+
     def _weights(self, **kw):
         return A.KAWeights(**kw)
 
@@ -317,7 +381,8 @@ class TestTALoss:
         dists[:, -1] = 0.0
         dists /= dists.sum(axis=1, keepdims=True)
         boxes = np.stack([random_box(RNG) for _ in range(m)])
-        loss = A.ta_loss(Tensor(dists), Tensor(boxes), dists, boxes, self._weights())
+        loss = A.ta_loss(Tensor(dists), Tensor(boxes), dists[None], boxes[None],
+                         self._weights())
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_confidence_target_contributes_nothing(self):
@@ -328,7 +393,8 @@ class TestTALoss:
         pool_boxes = np.stack([random_box(RNG), random_box(RNG)])
         s_dists = Tensor(np.stack([strong, random_dist(RNG, c + 1)]))
         s_boxes = Tensor(np.stack([pool_boxes[0], random_box(RNG)]))
-        loss = A.ta_loss(s_dists, s_boxes, pool_dists, pool_boxes, self._weights())
+        loss = A.ta_loss(s_dists, s_boxes, pool_dists[None], pool_boxes[None],
+                         self._weights())
         # Slot 0 matches its identical target (zero term); slot 1 is forced
         # onto the pure-background target whose confidence weight is zero.
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
@@ -354,7 +420,7 @@ class TestTALoss:
                 + w.beta_box * box_cost(pool_boxes[j], s_boxes[i]))
             for i, j in enumerate(best))
 
-        got = A.ta_loss(Tensor(s_dists), Tensor(s_boxes), pool_dists, pool_boxes, w)
+        got = A.ta_loss(Tensor(s_dists), Tensor(s_boxes), pool_dists[None], pool_boxes[None], w)
         assert got.item() == pytest.approx(expected, abs=1e-9)
 
     def test_invariant_to_pool_ordering(self):
@@ -364,17 +430,18 @@ class TestTALoss:
         s_boxes = np.stack([random_box(RNG) for _ in range(m)])
         pool_dists = np.stack([random_dist(RNG, c + 1) for _ in range(k)])
         pool_boxes = np.stack([random_box(RNG) for _ in range(k)])
-        base = A.ta_loss(Tensor(s_dists), Tensor(s_boxes), pool_dists, pool_boxes, w).item()
+        base = A.ta_loss(Tensor(s_dists), Tensor(s_boxes),
+                         pool_dists[None], pool_boxes[None], w).item()
         for _ in range(10):
             perm = RNG.permutation(k)
             shuffled = A.ta_loss(Tensor(s_dists), Tensor(s_boxes),
-                                 pool_dists[perm], pool_boxes[perm], w).item()
+                                 pool_dists[perm][None], pool_boxes[perm][None], w).item()
             assert shuffled == pytest.approx(base, abs=1e-9)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ContractError):
             A.ta_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
-                      np.zeros((0, 3)), np.zeros((0, 4)), self._weights())
+                      np.zeros((1, 0, 3)), np.zeros((1, 0, 4)), self._weights())
 
     def test_gradient_flows_to_student(self):
         m, c = 2, 4
@@ -386,9 +453,75 @@ class TestTALoss:
         def loss(lg):
             dists = T.softmax_rows(lg)
             boxes = T.sigmoid(Tensor(raw))
-            return A.ta_loss(dists, boxes, pool_dists, pool_boxes, self._weights())
+            return A.ta_loss(dists, boxes, pool_dists[None], pool_boxes[None], self._weights())
 
         check_grad(loss, logits, tol=1e-4)
+
+
+def random_pools(rng, batch, k, c):
+    dists = rng.dirichlet(np.full(c + 1, 0.5), size=(batch, k))
+    boxes = np.stack([[random_box(rng) for _ in range(k)] for _ in range(batch)])
+    return dists, boxes
+
+
+class TestBatchedTALoss:
+    """One ``ta_loss`` call over B images equals the per-image oracle summed."""
+
+    def test_value_and_gradients_equal_per_image_oracle_sum(self):
+        batch, m, k, c = 3, 4, 9, 5
+        w = A.KAWeights(beta_kl=1.3, beta_box=0.7)
+        pool_dists, pool_boxes = random_pools(RNG, batch, k, c)
+        # image 0: two confident entries, fewer than m, so the top-m
+        # fallback keeps m of them; image 1 keeps only its confident ones
+        pool_dists[0] = np.append(np.full(c, 0.02), 1.0 - 0.02 * c)
+        pool_dists[0, :2] = random_dist(RNG, c + 1) * 0.5 + np.eye(c + 1)[0] * 0.5
+        kept = [A.filter_pool(pool_dists[b], w.confidence_threshold, m) for b in range(batch)]
+        confident = [(pool_dists[b, :, :-1].max(axis=1) >= w.confidence_threshold).sum()
+                     for b in range(batch)]
+        assert confident[0] < m == len(kept[0])
+        assert confident[1] >= m and len(kept[1]) != len(kept[0])
+
+        s_dists = np.stack([random_dist(RNG, c + 1) for _ in range(batch * m)])
+        s_boxes = np.stack([random_box(RNG) for _ in range(batch * m)])
+        d_leaf = Tensor(s_dists, requires_grad=True)
+        b_leaf = Tensor(s_boxes, requires_grad=True)
+        got = A.ta_loss(d_leaf, b_leaf, pool_dists, pool_boxes, w)
+        got.backward()
+
+        want, want_d, want_b = 0.0, np.zeros_like(s_dists), np.zeros_like(s_boxes)
+        for b in range(batch):
+            rows = slice(b * m, (b + 1) * m)
+            d_b = Tensor(s_dists[rows], requires_grad=True)
+            b_b = Tensor(s_boxes[rows], requires_grad=True)
+            loss, _ = ta_loss_per_image(d_b, b_b, pool_dists[b], pool_boxes[b], w)
+            loss.backward()
+            want += loss.item()
+            want_d[rows], want_b[rows] = d_b.grad, b_b.grad
+        assert got.item() == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(d_leaf.grad, want_d, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_d).max())
+        np.testing.assert_allclose(b_leaf.grad, want_b, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_b).max())
+
+    def test_assignments_equal_oracle_on_workload_shaped_pools(self):
+        batch, m, k, c = 16, 16, 32, 8
+        rng = np.random.default_rng(7)
+        w = A.KAWeights()
+        pool_dists, pool_boxes = random_pools(rng, batch, k, c)
+        s_dists = rng.dirichlet(np.ones(c + 1), size=batch * m)
+        s_boxes = np.stack([random_box(rng) for _ in range(batch * m)])
+        got = A.ta_assignment(s_dists, s_boxes, pool_dists, pool_boxes, w)
+        for b in range(batch):
+            rows = slice(b * m, (b + 1) * m)
+            _, chosen = ta_loss_per_image(Tensor(s_dists[rows]), Tensor(s_boxes[rows]),
+                                          pool_dists[b], pool_boxes[b], w)
+            np.testing.assert_array_equal(got[rows], chosen + b * k)
+
+    def test_student_rows_must_split_over_the_images(self):
+        pool_dists, pool_boxes = random_pools(RNG, 2, 4, 3)
+        with pytest.raises(ShapeError):
+            A.ta_loss(Tensor(np.full((3, 4), 0.25)), Tensor(np.full((3, 4), 0.5)),
+                      pool_dists, pool_boxes, A.KAWeights())
 
 
 class TestFinalLoss:

@@ -12,10 +12,13 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kaseq
 from kaseq import cli
+from kaseq import traineval as tv
+from kaseq.detector import DetectorConfig, DetectorParams
 
 TINY = {
     "detector": {"image_size": 32, "patch_size": 8, "d_model": 16, "heads": 2,
@@ -392,3 +395,24 @@ def test_dataset_and_model_image_sizes_that_differ_exit_1(ws, capsys):
     assert err.startswith("invalid request:")
     assert "32 px" in err and "detector.image_size is 16" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("metadata, key", [
+    ({"partition": 5}, "partition"),
+    ({"partition": [[1, 2], [3, "4"]]}, "partition"),
+    ({"partition": [[1, 2], [3]]}, "partition"),
+    ({"category_ids": [1, 2, 3, 99]}, "category_ids"),
+    ({"category_ids": [1, 2, 2, 3]}, "category_ids"),
+    ({"category_ids": [1, 2, 3]}, "category_ids"),
+    ({"category_ids": "1234"}, "category_ids"),
+], ids=["partition_not_a_list", "partition_string_entry", "partition_missing_category",
+        "category_id_out_of_range", "category_id_repeated", "category_ids_too_few",
+        "category_ids_not_a_list"])
+def test_checkpoint_metadata_that_does_not_fit_exits_2(ws, capsys, metadata, key):
+    cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4})
+    path = ws["root"] / "bad_metadata_entry.ckpt"
+    tv.save_checkpoint(tv.make_checkpoint(
+        DetectorParams.init(cfg, np.random.default_rng(0)), cfg, metadata), str(path))
+    assert run("evaluate", "--model", path, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"'{key}'" in err

@@ -9,6 +9,8 @@ import pytest
 from kaseq import data as D
 from kaseq.errors import ContractError, DataFormatError
 
+from helpers import apply_task
+
 
 @pytest.fixture(scope="module")
 def small_dataset():
@@ -79,14 +81,14 @@ class TestTaskPartition:
     def test_apply_task_full_partition_is_identity(self, small_dataset):
         part = D.TaskPartition(((1, 2, 3, 4, 5, 6, 7, 8),), 8)
         anns = small_dataset._annotations[0]
-        assert D.apply_task(anns, part, 0) == anns
+        assert apply_task(anns, part, 0) == anns
 
     def test_disjoint_halves_split_counts(self, small_dataset):
         part = D.TaskPartition.equal_split(8, 2)
         for i in range(len(small_dataset)):
             anns = small_dataset._annotations[i]
-            a = D.apply_task(anns, part, 0)
-            b = D.apply_task(anns, part, 1)
+            a = apply_task(anns, part, 0)
+            b = apply_task(anns, part, 1)
             assert len(a) + len(b) == len(anns)
 
     def test_apply_task_matches_set_comprehension_oracle(self, small_dataset):
@@ -99,15 +101,15 @@ class TestTaskPartition:
             t = int(rng.integers(0, 2))
             anns = small_dataset._annotations[int(rng.integers(0, len(small_dataset)))]
             expected = [a for a in anns if a.category in set(part.subset(t))]
-            assert D.apply_task(anns, part, t) == expected
+            assert apply_task(anns, part, t) == expected
 
     def test_apply_task_idempotent_and_monotone(self, small_dataset):
         part = D.TaskPartition.equal_split(8, 2)
         anns = small_dataset._annotations[1]
-        once = D.apply_task(anns, part, 0)
-        assert D.apply_task(once, part, 0) == once
+        once = apply_task(anns, part, 0)
+        assert apply_task(once, part, 0) == once
         finer = D.TaskPartition.equal_split(8, 4)
-        sub = D.apply_task(anns, finer, 0)
+        sub = apply_task(anns, finer, 0)
         assert set(sub) <= set(once)
 
     def test_annotation_access_counter(self, small_dataset):

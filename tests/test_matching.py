@@ -165,6 +165,21 @@ class TestMatchCost:
                     match_cost(pd[j], pb[j], sd[i], sb[i]), abs=1e-9)
 
 
+    def test_batched_cost_matrices_equal_per_image_calls(self):
+        batch, m, k = 3, 4, 6
+        sd = np.stack([[random_dist(RNG, 5) for _ in range(m)] for _ in range(batch)])
+        sb = np.stack([[random_box(RNG) for _ in range(m)] for _ in range(batch)])
+        pd = np.stack([[random_dist(RNG, 5) for _ in range(k)] for _ in range(batch)])
+        pb = np.stack([[random_box(RNG) for _ in range(k)] for _ in range(batch)])
+        mats = M.build_cost_matrix(sd, sb, pd, pb, alpha_kl=2.0, alpha_conf=0.5)
+        assert mats.shape == (batch, m, k)
+        for b in range(batch):
+            np.testing.assert_allclose(
+                mats[b], M.build_cost_matrix(sd[b], sb[b], pd[b], pb[b],
+                                             alpha_kl=2.0, alpha_conf=0.5),
+                rtol=1e-14, atol=1e-14)
+
+
 class TestHungarian:
     def test_diagonal_zero_identity(self):
         cost = np.ones((3, 3)) - np.eye(3)

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from kaseq import amalgamation as ka
+from kaseq import tensor as T
 from kaseq import traineval as tv
 from kaseq.data import Dataset, TaskPartition, generate_dataset
 from kaseq.detector import DetectorConfig, DetectorParams, forward_batch
 from kaseq.errors import ContractError, DataFormatError, NumericError
 from kaseq.tensor import Tensor
+
+from helpers import apply_task
 
 RNG = np.random.default_rng(23)
 
@@ -333,6 +336,44 @@ class TestTrainingLoops:
                           epochs=1, seed=0, batch_size=8,
                           opt_settings=tv.OptimSettings(lr=1e300), crash_dump=dump)
         assert tv.load_checkpoint(dump).metadata["mode"] == "sa+ta"
+
+
+class TestBatchLosses:
+    def test_batch_targets_equal_the_per_task_filter(self, tiny_train):
+        part = TaskPartition.equal_split(8, 2)
+        idx = np.arange(len(tiny_train))
+        kept_total = 0
+        for t in range(part.num_tasks):
+            subset = sorted(part.subset(t))
+            for i, (boxes, labels) in zip(idx, tv._batch_targets(tiny_train, idx, subset)):
+                kept = apply_task(tiny_train.annotations_for(i), part, t)
+                np.testing.assert_array_equal(boxes, np.reshape([a.box for a in kept], (-1, 4)))
+                np.testing.assert_array_equal(labels, [subset.index(a.category) for a in kept])
+                kept_total += len(kept)
+        assert kept_total == sum(len(tiny_train.annotations_for(i)) for i in idx) > 0
+
+    def test_task_and_ground_truth_terms_add_a_fixed_number_of_tape_nodes(self, tiny_train):
+        # One graph per batch, not per image: the node count of the TA and
+        # ground-truth terms does not grow with the batch.
+        cfg = tiny_cfg()
+        params = DetectorParams.init(cfg, np.random.default_rng(0))
+        weights = ka.KAWeights()
+        rng = np.random.default_rng(1)
+
+        def added_nodes(batch):
+            idx = np.arange(batch)
+            out = forward_batch([tiny_train.image(i) for i in idx], params, cfg)
+            forward = {id(node) for root in (out.dists, out.boxes)
+                       for node in T._topo_order(root)}
+            pool_dists = rng.dirichlet(np.ones(9), size=(batch, 2 * cfg.queries))
+            pool_boxes = rng.uniform(0.2, 0.4, size=(batch, 2 * cfg.queries, 4))
+            task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
+            direct = tv.detection_loss(out, tv._batch_targets(tiny_train, idx, range(1, 9)),
+                                       cfg.num_categories, weights)
+            loss = ka.final_loss(None, task, direct, weights)
+            return len(T._topo_order(loss)) - len(forward)
+
+        assert added_nodes(2) == added_nodes(8)
 
 
 class TestRedundancyAnalysis:
