@@ -118,9 +118,9 @@ def compress_redundancy(x_concat: np.ndarray, n_teachers: int, n_tokens: int) ->
     return np.sort(t_keep * n_tokens + np.arange(n_tokens))
 
 
-def compress_isometric(n_teachers: int, n_tokens: int, parity: int = 0) -> np.ndarray:
+def compress_isometric(n_teachers: int, n_tokens: int) -> np.ndarray:
     """Alternate the source teacher cyclically by position: 1, 2, ..., N, 1, ..."""
-    t_keep = (np.arange(n_tokens) + parity) % n_teachers
+    t_keep = np.arange(n_tokens) % n_teachers
     return np.sort(t_keep * n_tokens + np.arange(n_tokens))
 
 

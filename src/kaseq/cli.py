@@ -458,6 +458,8 @@ def _prepare_teachers(args, cfg, train, eval_ds, out_dir) -> list:
 
 
 def cmd_ablate(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     cfg = build_config(args)
     if args.epochs:
         cfg = deep_merge(cfg, {"train": {"epochs": args.epochs}})
@@ -469,12 +471,8 @@ def cmd_ablate(args) -> int:
 
     seeds = list(range(args.seeds))
     jobs = [(setting, seed) for setting in settings for seed in seeds]
-    try:
-        workers = int(os.environ.get("KASEQ_THREADS", args.workers))
-    except ValueError:
-        raise UsageError("KASEQ_THREADS must be an integer process count") from None
     rows = []
-    if workers > 1:
+    if args.workers > 1:
         import multiprocessing as mp
         ctx = mp.get_context("spawn")
         payload = [(setting, seed, cfg, args.train_data, args.eval_data,
@@ -482,7 +480,7 @@ def cmd_ablate(args) -> int:
                      if not args.teachers else args.teachers[t]
                      for t in range(len(teacher_ckpts))], args.out)
                    for setting, seed in jobs]
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=args.workers) as pool:
             rows = pool.map(_ablation_worker, payload)
     else:
         shared_teachers: dict = {}
@@ -604,9 +602,8 @@ def build_parser() -> _Parser:
                    help="pretrained teacher checkpoints (default: train them)")
     p.add_argument("--teacher-count", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes running ablation cells in parallel; the "
-                        "KASEQ_THREADS environment variable, when set, overrides "
-                        "this process count")
+                   help="worker processes running ablation cells in parallel "
+                        "(1, the default, runs them in this process)")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

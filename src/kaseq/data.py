@@ -30,9 +30,6 @@ class Annotation:
     box: tuple[float, float, float, float]
     category: int
 
-    def box_array(self) -> np.ndarray:
-        return np.asarray(self.box, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class TaskPartition:
@@ -113,13 +110,6 @@ class Dataset:
     def annotations_for(self, i: int) -> list[Annotation]:
         self.annotation_reads += 1
         return self._annotations[i]
-
-    def category_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_categories, dtype=np.int64)
-        for anns in self._annotations:
-            for a in anns:
-                counts[a.category - 1] += 1
-        return counts
 
 
 def _shape_mask(shape: str, size: int, cx: float, cy: float, s: float) -> np.ndarray:

@@ -153,9 +153,6 @@ class DetectorParams:
         for p in self.named_parameters().values():
             p.requires_grad = flag
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.named_parameters().values())
-
 
 def image_to_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
     """Flatten non-overlapping patches in row-major grid order."""

@@ -4,7 +4,7 @@ The graph is define-by-run: every operation returns a new Tensor that
 records its parents and a vector-Jacobian-product closure. Calling
 ``backward`` on a scalar walks the recorded graph once in reverse
 topological order and accumulates gradients additively on every
-requires-grad leaf, so repeated backward calls without ``zero_grad``
+requires-grad leaf, so repeated backward calls without clearing ``grad``
 sum their contributions.
 
 Tensors are immutable values apart from gradient accumulation. A graph
@@ -42,9 +42,6 @@ class Tensor:
     @property
     def is_leaf(self) -> bool:
         return self._vjp is None
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:

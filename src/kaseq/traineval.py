@@ -29,6 +29,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -188,8 +189,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(config=config, tensors=tensors, metadata=metadata)
 
 
+# Stands in for the generator of ``DetectorParams.init`` when every tensor it
+# would draw is overwritten next: it hands out uninitialized arrays instead.
+_UNFILLED = SimpleNamespace(uniform=lambda low, high, size: np.empty(size),
+                            normal=lambda loc, scale, size: np.empty(size))
+
+
 def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, DetectorConfig]:
-    params = DetectorParams.init(ckpt.config, np.random.default_rng(0))
+    params = DetectorParams.init(ckpt.config, _UNFILLED)
     named = params.named_parameters()
     if set(named) != set(ckpt.tensors):
         missing = set(named) ^ set(ckpt.tensors)
@@ -347,65 +354,71 @@ def _ap_101(hits: np.ndarray, total_gt: int) -> float:
     return sum(envelope[first].tolist()) / 101.0
 
 
-def category_ap(predictions, gt_boxes_by_image, threshold: float) -> Optional[float]:
-    """AP for one category at one IoU threshold; None when the category has
-    no ground truth. Greedy matching by descending score, best unmatched IoU.
+def category_ap(predictions: np.ndarray, gt: np.ndarray,
+                thresholds: Sequence[float]) -> Optional[np.ndarray]:
+    """AP of one category at each IoU threshold; None without ground truth.
 
-    ``predictions`` holds (score, image, slot, corner box) tuples and
-    ``gt_boxes_by_image`` maps an image to its corner boxes."""
-    total_gt = sum(len(v) for v in gt_boxes_by_image.values())
+    ``predictions`` holds rows (score, image, slot, x0, y0, x1, y1) and
+    ``gt`` rows (image, x0, y0, x1, y1). One sort (score descending, then
+    image, slot) and one IoU matrix serve every threshold; each threshold
+    then matches greedily in that order: a prediction takes the unmatched
+    box of its image with the best IoU (the first on ties), a hit when that
+    IoU reaches the threshold. Predictions with no box of their image at
+    the lowest threshold can never hit and are skipped; NaN IoUs fail every
+    comparison."""
+    total_gt = len(gt)
     if total_gt == 0:
         return None
-    preds = sorted(predictions, key=lambda p: (-p[0], p[1], p[2]))
-    hits = np.zeros(len(preds), dtype=bool)
-    if preds:
-        spans, gt_rows, start = {}, [], 0
-        for img, boxes in gt_boxes_by_image.items():
-            spans[img] = range(start, start + len(boxes))
-            gt_rows.extend(boxes)
-            start += len(boxes)
-        iou, _ = matching.pairwise_iou_giou(np.asarray([p[3] for p in preds]),
-                                            np.asarray(gt_rows))
+    preds = predictions[np.lexsort((predictions[:, 2], predictions[:, 1], -predictions[:, 0]))]
+    iou, _ = matching.pairwise_iou_giou(preds[:, 3:], gt[:, 1:])
+    reach = (preds[:, 1, None] == gt[None, :, 0]) & (iou >= min(thresholds))
+    candidates = [(rank, np.flatnonzero(reach[rank]).tolist(), iou[rank, reach[rank]].tolist())
+                  for rank in np.flatnonzero(reach.any(axis=1)).tolist()]
+    aps = []
+    for threshold in thresholds:
+        hits = np.zeros(len(preds), dtype=bool)
         taken = [False] * total_gt
-        for rank, ((_, img, _, _), row) in enumerate(zip(preds, iou.tolist())):
+        for rank, cols, ious in candidates:
             best_iou, best_j = 0.0, -1
-            for j in spans.get(img, ()):
-                if not taken[j] and row[j] > best_iou:
-                    best_iou, best_j = row[j], j
+            for j, value in zip(cols, ious):
+                if not taken[j] and value > best_iou:
+                    best_iou, best_j = value, j
             if best_j >= 0 and best_iou >= threshold:
                 taken[best_j] = True
                 hits[rank] = True
-    return _ap_101(hits, total_gt)
+        aps.append(_ap_101(hits, total_gt))
+    return np.asarray(aps)
 
 
 def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Dataset,
                         category_ids: Sequence[int], batch_size: int = 32,
-                        rng: Optional[np.random.Generator] = None):
-    """One prediction per decoder slot whose argmax is a real category."""
-    preds: dict[int, list] = {c: [] for c in category_ids}
+                        rng: Optional[np.random.Generator] = None) -> dict[int, np.ndarray]:
+    """One prediction per decoder slot whose argmax is a real category, as a
+    (P, 7) array of rows (score, image, slot, x0, y0, x1, y1) per category."""
     m = cfg.queries
+    rows, labels = [], []
     for start in range(0, len(dataset), batch_size):
         idx = list(range(start, min(start + batch_size, len(dataset))))
         out = forward_batch([dataset.image(i) for i in idx], params, cfg,
                             rng=rng or np.random.default_rng(0))
         dists = out.dists.data
-        corners = matching.box_cxcywh_to_corners(out.boxes.data)
-        for row in range(dists.shape[0]):
-            img = idx[row // m]
-            slot = row % m
-            best = int(np.argmax(dists[row]))
-            if best == dists.shape[1] - 1:
-                continue  # no-object slot
-            preds[category_ids[best]].append(
-                (float(dists[row, best]), img, slot, corners[row]))
-    return preds
+        best = np.argmax(dists, axis=1)
+        kept = np.flatnonzero(best != dists.shape[1] - 1)  # drop no-object slots
+        corners = matching.box_cxcywh_to_corners(out.boxes.data[kept])
+        rows.append(np.column_stack([dists[kept, best[kept]], start + kept // m, kept % m,
+                                     corners]))
+        labels.append(best[kept])
+    rows = np.concatenate(rows or [np.empty((0, 7))])
+    labels = np.concatenate(labels or [np.empty(0, dtype=int)])
+    return {c: rows[labels == k] for k, c in enumerate(category_ids)}
 
 
 def evaluate(ckpt: Checkpoint, dataset: Dataset,
              category_ids: Optional[Sequence[int]] = None,
              partition: Optional[TaskPartition] = None,
              batch_size: int = 32) -> EvalReport:
-    """COCO-style AP over IoU 0.50:0.05:0.95 with 101-point interpolation."""
+    """COCO-style AP over IoU 0.50:0.05:0.95 with 101-point interpolation;
+    one :func:`category_ap` call scores a category at all ten thresholds."""
     params, cfg = detector_from_checkpoint(ckpt)
     _check_image_size(cfg, dataset)
     params.set_requires_grad(False)
@@ -418,17 +431,16 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset,
     wanted = set(category_ids)
     owners = [(ann, i) for i in range(len(dataset)) for ann in dataset.annotations_for(i)
               if ann.category in wanted]
-    corners = matching.box_cxcywh_to_corners(np.reshape([ann.box for ann, _ in owners], (-1, 4)))
-    gt: dict[int, dict[int, list]] = {c: {} for c in category_ids}
-    for (ann, i), corner in zip(owners, corners):
-        gt[ann.category].setdefault(i, []).append(corner)
+    labels = np.asarray([ann.category for ann, _ in owners], dtype=int)
+    gt = np.column_stack([
+        np.asarray([i for _, i in owners], dtype=np.float64),
+        matching.box_cxcywh_to_corners(np.reshape([ann.box for ann, _ in owners], (-1, 4)))])
 
     ap_table: dict[int, np.ndarray] = {}
     for c in category_ids:
-        row = [category_ap(preds[c], gt[c], thr) for thr in IOU_THRESHOLDS]
-        if row[0] is None:
-            continue
-        ap_table[c] = np.asarray(row, dtype=np.float64)
+        row = category_ap(preds[c], gt[labels == c], IOU_THRESHOLDS)
+        if row is not None:
+            ap_table[c] = row
 
     if not ap_table:
         return EvalReport(0.0, 0.0, 0.0, {}, {})

@@ -19,6 +19,7 @@ from kaseq.detector import (BatchOutput, DetectorConfig, DetectorParams, forward
 from kaseq.errors import ContractError, ShapeError
 from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
+from kaseq.traineval import _ap_101
 
 
 def finite_difference_grad(make_loss, values, h=1e-5):
@@ -310,6 +311,76 @@ def pad_prediction(p: np.ndarray, partition: TaskPartition, t: int) -> np.ndarra
         out[cat - 1] = p[local]
     out[-1] = p[-1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-threshold and per-row forms of the evaluation code
+
+
+def category_ap_per_threshold(predictions, gt_boxes_by_image, threshold: float):
+    """AP for one category at one IoU threshold, as evaluation computed it
+    before it scored every threshold in one pass; None when the category has
+    no ground truth. Each call sorts the predictions and builds the IoU
+    matrix anew, then matches greedily by descending score: each prediction
+    takes the unmatched box of its image with the best IoU.
+
+    ``predictions`` holds (score, image, slot, corner box) tuples and
+    ``gt_boxes_by_image`` maps an image to its corner boxes."""
+    total_gt = sum(len(v) for v in gt_boxes_by_image.values())
+    if total_gt == 0:
+        return None
+    preds = sorted(predictions, key=lambda p: (-p[0], p[1], p[2]))
+    hits = np.zeros(len(preds), dtype=bool)
+    if preds:
+        spans, gt_rows, start = {}, [], 0
+        for img, boxes in gt_boxes_by_image.items():
+            spans[img] = range(start, start + len(boxes))
+            gt_rows.extend(boxes)
+            start += len(boxes)
+        iou, _ = matching.pairwise_iou_giou(np.asarray([p[3] for p in preds]),
+                                            np.asarray(gt_rows))
+        taken = [False] * total_gt
+        for rank, ((_, img, _, _), row) in enumerate(zip(preds, iou.tolist())):
+            best_iou, best_j = 0.0, -1
+            for j in spans.get(img, ()):
+                if not taken[j] and row[j] > best_iou:
+                    best_iou, best_j = row[j], j
+            if best_j >= 0 and best_iou >= threshold:
+                taken[best_j] = True
+                hits[rank] = True
+    return _ap_101(hits, total_gt)
+
+
+def ap_arrays(predictions, gt_boxes_by_image) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, 7) prediction rows (score, image, slot, corner box) and (G, 5)
+    ground-truth rows (image, corner box) that ``traineval.category_ap``
+    takes, from the tuple list and image-to-boxes map of
+    :func:`category_ap_per_threshold`."""
+    preds = [(score, img, slot, *box) for score, img, slot, box in predictions]
+    gt = [(img, *box) for img, boxes in gt_boxes_by_image.items() for box in boxes]
+    return (np.asarray(preds, dtype=np.float64).reshape(-1, 7),
+            np.asarray(gt, dtype=np.float64).reshape(-1, 5))
+
+
+def collect_predictions_per_row(params: DetectorParams, cfg: DetectorConfig, dataset,
+                                category_ids, batch_size: int = 32) -> dict[int, list]:
+    """(score, image, slot, corner box) of every decoder slot whose argmax
+    is a real category, per category, read one slot at a time."""
+    preds: dict[int, list] = {c: [] for c in category_ids}
+    m = cfg.queries
+    for start in range(0, len(dataset), batch_size):
+        idx = list(range(start, min(start + batch_size, len(dataset))))
+        out = forward_batch([dataset.image(i) for i in idx], params, cfg,
+                            rng=np.random.default_rng(0))
+        dists = out.dists.data
+        corners = box_cxcywh_to_corners(out.boxes.data)
+        for row in range(dists.shape[0]):
+            best = int(np.argmax(dists[row]))
+            if best == dists.shape[1] - 1:
+                continue  # no-object slot
+            preds[category_ids[best]].append(
+                (float(dists[row, best]), idx[row // m], row % m, corners[row]))
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,7 @@ def test_teacher_count_below_one_exits_1(ws, capsys):
     assert "at least 1 task" in capsys.readouterr().err
 
 
-def test_parallel_ablation_matches_the_serial_table(ws, monkeypatch):
-    monkeypatch.delenv("KASEQ_THREADS", raising=False)
+def test_parallel_ablation_matches_the_serial_table(ws):
     tables = []
     for workers in (1, 2):
         out = ws["root"] / f"ablate_workers{workers}"
@@ -314,12 +313,13 @@ def test_parallel_ablation_matches_the_serial_table(ws, monkeypatch):
     assert tables[0] == tables[1]
 
 
-def test_non_integer_process_count_exits_1(ws, capsys, monkeypatch):
-    monkeypatch.setenv("KASEQ_THREADS", "many")
-    assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
-               "--eval-data", ws["eval"], "--out", ws["root"] / "threads", "--seeds", 1,
-               "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
-    assert "KASEQ_THREADS" in capsys.readouterr().err
+def test_non_integer_process_count_exits_1(ws, capsys):
+    for workers in ("many", 0):
+        assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+                   "--eval-data", ws["eval"], "--out", ws["root"] / "workers", "--seeds", 1,
+                   "--teachers", ws["t1"], ws["t2"], "--config", ws["config"],
+                   "--workers", workers) == 1
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_version_1_checkpoint_exits_2_naming_the_version(ws, capsys):

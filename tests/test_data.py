@@ -26,7 +26,8 @@ class TestGeneration:
 
     def test_every_category_appears_at_least_one_percent(self):
         ds = D.generate_dataset(count=2000, num_categories=8, image_size=64, seed=7)
-        counts = ds.category_counts()
+        counts = np.bincount([a.category - 1 for anns in ds._annotations for a in anns],
+                             minlength=8)
         assert counts.sum() > 0
         assert (counts / counts.sum() >= 0.01).all()
 

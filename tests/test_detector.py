@@ -1,5 +1,7 @@
 """Detector forward: patch embedding, extension, compression, heads."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,20 +174,34 @@ class TestTeacherForward:
             teacher_forward(rand_image(), params, cfg)
 
 
+def parameter_count(params) -> int:
+    return sum(p.data.size for p in params.named_parameters().values())
+
+
+def held_tensors(obj) -> list:
+    """Every Tensor reachable through the dataclass fields and lists of ``obj``."""
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, list):
+        return [t for item in obj for t in held_tensors(item)]
+    if dataclasses.is_dataclass(obj):
+        return [t for f in dataclasses.fields(obj) for t in held_tensors(getattr(obj, f.name))]
+    return []
+
+
 class TestParameterAccounting:
     def test_extension_adds_only_projections(self):
         raw = det.DetectorParams.init(tiny_cfg(num_parts=1), np.random.default_rng(0))
         ext = det.DetectorParams.init(tiny_cfg(num_parts=3), np.random.default_rng(0))
         cfg = tiny_cfg()
         per_proj = cfg.patch_dim * cfg.d_model + cfg.d_model
-        assert ext.parameter_count() - raw.parameter_count() == 2 * per_proj
+        assert parameter_count(ext) - parameter_count(raw) == 2 * per_proj
 
     def test_named_parameters_unique_and_complete(self):
         params = det.DetectorParams.init(tiny_cfg(num_parts=2), RNG)
         named = params.named_parameters()
-        assert len(named) == len(set(named))
-        total = sum(p.data.size for p in named.values())
-        assert total == params.parameter_count()
+        assert len({id(t) for t in named.values()}) == len(named)
+        assert {id(t) for t in named.values()} == {id(t) for t in held_tensors(params)}
 
     def test_default_model_has_one_tensor_per_attention_projection(self):
         cfg = det.DetectorConfig()

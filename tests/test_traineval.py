@@ -11,9 +11,11 @@ from kaseq import traineval as tv
 from kaseq.data import Dataset, TaskPartition, generate_dataset
 from kaseq.detector import DetectorConfig, DetectorParams, forward_batch
 from kaseq.errors import ContractError, DataFormatError, NumericError
+from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
 
-from helpers import apply_task
+from helpers import (ap_arrays, apply_task, category_ap_per_threshold,
+                     collect_predictions_per_row)
 
 RNG = np.random.default_rng(23)
 
@@ -132,19 +134,71 @@ class TestCheckpoint:
             assert len(raw) == 12 + hlen + payload
 
 
+def random_ap_case(rng):
+    """One category's predictions and ground truth: predictions jittered
+    around the boxes compete for them, with tied scores, images without
+    ground truth, predictions on such images, NaN boxes, and now and then
+    no prediction or no ground truth at all. A third of the cases put the
+    ground truth and its jittered predictions on a 1/16 grid, where IoUs are
+    exact: two boxes can tie for a prediction, and an IoU can equal a
+    threshold (1/2, 3/4)."""
+    n_images = int(rng.integers(1, 6))
+    on_grid = rng.random() < 1 / 3
+
+    def jitter(box):
+        if on_grid:
+            return box + rng.integers(-1, 2, 4) / 16
+        return box + rng.normal(0.0, rng.choice([0.005, 0.02, 0.05]), 4)
+
+    gts = {}
+    for img in range(n_images):
+        k = int(rng.integers(0, 4))  # 0: the image has no box of this category
+        if k and rng.random() > 0.05:
+            if on_grid:
+                corners = rng.integers(0, 8, (k, 2)) / 16
+                boxes = np.hstack([corners, corners + rng.integers(1, 8, (k, 2)) / 16])
+            else:
+                centers = rng.uniform(0.2, 0.8, (k, 2))
+                sizes = rng.uniform(0.05, 0.4, (k, 2))
+                boxes = box_cxcywh_to_corners(np.hstack([centers, sizes]))
+            gts[img] = list(boxes)
+    scores = rng.choice([0.3, 0.5, 0.7, 0.9], size=64)  # few values: many ties
+    preds, slots = [], [0] * (n_images + 1)
+
+    def add(img, box):
+        preds.append((float(scores[len(preds)]), img, slots[img], box))
+        slots[img] += 1
+
+    for img, boxes in gts.items():
+        for box in boxes:
+            for _ in range(int(rng.integers(0, 4))):
+                add(img, jitter(box))
+    for _ in range(int(rng.integers(0, 4))):
+        # n_images itself names an image with no ground truth at all
+        img = int(rng.integers(0, n_images + 1))
+        add(img, box_cxcywh_to_corners(np.r_[rng.uniform(0.2, 0.8, 2),
+                                             rng.uniform(0.05, 0.4, 2)]))
+    if rng.random() < 0.05:
+        add(0, np.full(4, np.nan))
+    if rng.random() < 0.05:
+        preds = []
+    rng.shuffle(preds)
+    return preds, gts
+
+
 class TestAPMachinery:
     def test_perfect_predictions_give_unit_ap(self):
         gts = {0: [np.array([0.1, 0.1, 0.5, 0.5])], 1: [np.array([0.2, 0.2, 0.8, 0.8])]}
         preds = [(1.0, img, 0, boxes[0]) for img, boxes in gts.items()]
-        for thr in tv.IOU_THRESHOLDS:
-            assert tv.category_ap(preds, gts, thr) == pytest.approx(1.0)
+        row = tv.category_ap(*ap_arrays(preds, gts), tv.IOU_THRESHOLDS)
+        assert row.tolist() == pytest.approx([1.0] * len(tv.IOU_THRESHOLDS))
 
     def test_no_predictions_give_zero_ap(self):
         gts = {0: [np.array([0.1, 0.1, 0.5, 0.5])]}
-        assert tv.category_ap([], gts, 0.5) == 0.0
+        assert tv.category_ap(*ap_arrays([], gts), [0.5]).tolist() == [0.0]
 
     def test_no_ground_truth_skips_category(self):
-        assert tv.category_ap([(0.9, 0, 0, np.zeros(4))], {}, 0.5) is None
+        assert tv.category_ap(*ap_arrays([(0.9, 0, 0, np.zeros(4))], {}), [0.5]) is None
 
     def test_hand_built_false_positive_scenario(self):
         # Three images, one GT each; predictions: two exact hits (scores .9,
@@ -159,14 +213,57 @@ class TestAPMachinery:
         # 101-point AP: recall in [0, 1/3] -> max precision 1 (34 points);
         # (1/3, 2/3] -> 2/3 (33 points); beyond 2/3 -> 0.
         expected = (34 * 1.0 + 33 * (2.0 / 3.0)) / 101.0
-        assert tv.category_ap(preds, gts, 0.5) == pytest.approx(expected, abs=1e-12)
+        (ap,) = tv.category_ap(*ap_arrays(preds, gts), [0.5])
+        assert ap == pytest.approx(expected, abs=1e-12)
 
     def test_removing_false_positive_never_decreases_ap(self):
         g = np.array([0.1, 0.1, 0.5, 0.5])
         gts = {0: [g]}
         with_fp = [(0.9, 0, 0, g), (0.95, 0, 1, np.array([0.6, 0.6, 0.9, 0.9]))]
         without = [(0.9, 0, 0, g)]
-        assert tv.category_ap(without, gts, 0.5) >= tv.category_ap(with_fp, gts, 0.5)
+        assert (tv.category_ap(*ap_arrays(without, gts), [0.5])
+                >= tv.category_ap(*ap_arrays(with_fp, gts), [0.5])).all()
+
+    def test_equal_ious_go_to_the_first_box(self):
+        # The first prediction overlaps both boxes at IoU 0.6. Taking the
+        # first box leaves the second for the exact second prediction;
+        # taking the second would leave it only the first, at IoU 1/3.
+        g1, g2 = np.array([0, 0, 4, 4]) / 16, np.array([2, 0, 6, 4]) / 16
+        gts = {0: [g1, g2]}
+        preds = [(0.9, 0, 0, np.array([1, 0, 5, 4]) / 16), (0.8, 0, 1, g2)]
+        row = tv.category_ap(*ap_arrays(preds, gts), tv.IOU_THRESHOLDS)
+        assert row.tolist() == [category_ap_per_threshold(preds, gts, thr)
+                                for thr in tv.IOU_THRESHOLDS]
+        assert row[0] == 1.0
+
+    def test_every_threshold_equals_the_per_threshold_oracle(self):
+        rng = np.random.default_rng(2024)
+        kinds = {"none": 0, "hits": 0, "misses": 0}
+        for _ in range(2500):
+            preds, gts = random_ap_case(rng)
+            with np.errstate(invalid="ignore"):  # inverted jittered boxes give NaN IoUs
+                expected = [category_ap_per_threshold(preds, gts, thr)
+                            for thr in tv.IOU_THRESHOLDS]
+                row = tv.category_ap(*ap_arrays(preds, gts), tv.IOU_THRESHOLDS)
+            if expected[0] is None:
+                assert row is None
+                kinds["none"] += 1
+                continue
+            assert row.tolist() == expected  # bit-equal, threshold by threshold
+            kinds["hits" if expected[0] > 0 else "misses"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_collect_predictions_equals_the_per_row_oracle(self, tiny_eval):
+        cfg = tiny_cfg()
+        params = DetectorParams.init(cfg, np.random.default_rng(8))
+        ids = list(range(11, 19))  # ids unlike their class positions
+        got = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=3)
+        expected = collect_predictions_per_row(params, cfg, tiny_eval, ids, batch_size=3)
+        assert list(got) == ids
+        for c in ids:
+            np.testing.assert_array_equal(got[c], ap_arrays(expected[c], {})[0])
+        kept = sum(len(rows) for rows in got.values())
+        assert 0 < kept < len(tiny_eval) * cfg.queries  # some slots are no-object
 
 
 class TestEvaluate:
