@@ -144,11 +144,6 @@ def select_tokens(strategy: str, x_concat: np.ndarray, n_parts: int, n_tokens: i
     raise ContractError(f"no token selection for compression strategy {strategy!r}")
 
 
-def kept_positions(p_slim, n_tokens: int) -> np.ndarray:
-    """Original grid position of each kept index (for positional encodings)."""
-    return np.asarray(p_slim, dtype=np.intp) % n_tokens
-
-
 # ---------------------------------------------------------------------------
 # task-level amalgamation
 

@@ -161,6 +161,11 @@ def parse_task_spec(spec: str) -> list[int]:
     return sorted(cats)
 
 
+def _epochs_flag(args, key: str = "epochs") -> Optional[dict]:
+    """The --epochs flag, when given, as an override of ``train.<key>``."""
+    return None if args.epochs is None else {"train": {key: args.epochs}}
+
+
 def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
     marker = os.path.join(path, "annotations.json") if is_dir else path
     if os.path.exists(marker) and not force:
@@ -303,14 +308,19 @@ def _load_train_eval(args):
 
 def _load_teachers(paths: Sequence[str]) -> list:
     ckpts = []
-    for path in paths:
+    for t, path in enumerate(paths):
         _require_file(path, "teacher checkpoint")
-        ckpts.append(tv.load_checkpoint(path))
+        ckpt = tv.load_checkpoint(path)
+        subset, num = ckpt.metadata.get("task_subset"), ckpt.config.num_categories
+        if not (_is_int_list(subset) and len(set(subset)) == len(subset) == num):
+            raise DataFormatError(f"teacher {t + 1} ({path}): metadata 'task_subset' "
+                                  f"{subset!r} is not {num} distinct integers")
+        ckpts.append(ckpt)
     return ckpts
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = build_config(args)
+    cfg = build_config(args, _epochs_flag(args, "teacher_epochs"))
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
     subset = parse_task_spec(args.task)
@@ -318,25 +328,25 @@ def cmd_train_teacher(args) -> int:
         raise UsageError(f"task categories exceed the dataset universe 1..{train.num_categories}")
     partition = _full_partition_for_subset(subset, train.num_categories)
     run_teacher(cfg, train, eval_ds, partition, 0, cfg["seed"],
-                args.epochs or cfg["train"]["teacher_epochs"], args.out)
+                cfg["train"]["teacher_epochs"], args.out)
     dump_effective_config(cfg, "train-teacher", args.out)
     print(f"teacher checkpoint written to {args.out}")
     return 0
 
 
 def cmd_train_baseline(args) -> int:
-    cfg = build_config(args)
+    cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
     run_baseline(cfg, train, eval_ds, args.variant, 1 if args.variant == "raw" else args.parts,
-                 cfg["seed"], args.epochs or cfg["train"]["epochs"], args.out)
+                 cfg["seed"], cfg["train"]["epochs"], args.out)
     dump_effective_config(cfg, "train-baseline", args.out)
     print(f"{args.variant} checkpoint written to {args.out}")
     return 0
 
 
 def cmd_amalgamate(args) -> int:
-    cfg = build_config(args)
+    cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
     if len(args.teachers) < 2 and args.mode != "sag":
         raise UsageError("amalgamation expects at least two teacher checkpoints")
@@ -348,7 +358,7 @@ def cmd_amalgamate(args) -> int:
     train, eval_ds = _load_train_eval(args)
     run_amalgamation(cfg, train, eval_ds, _load_teachers(args.teachers), args.mode,
                      args.compress, args.label_free, cfg["seed"],
-                     args.epochs or cfg["train"]["epochs"], args.out)
+                     cfg["train"]["epochs"], args.out)
     dump_effective_config(cfg, "amalgamate", args.out)
     print(f"student checkpoint written to {args.out}")
     return 0
@@ -460,9 +470,9 @@ def _prepare_teachers(args, cfg, train, eval_ds, out_dir) -> list:
 def cmd_ablate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    cfg = build_config(args)
-    if args.epochs:
-        cfg = deep_merge(cfg, {"train": {"epochs": args.epochs}})
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
+    cfg = build_config(args, _epochs_flag(args))
     settings = _suite_settings(args.suite)
     os.makedirs(args.out, exist_ok=True)
     train = D.load_dataset(args.train_data)

@@ -69,6 +69,11 @@ class DetectorConfig(Settings):
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * 3
 
+    @property
+    def supervised_layers(self) -> int:
+        """Sequences amalgamation supervises: the projection, if set, and each encoder layer."""
+        return int(self.supervise_projection) + self.enc_layers
+
 
 @dataclass
 class DetectorParams:
@@ -180,7 +185,7 @@ class BatchOutput:
     dists: Tensor          # (B * m, C + 1)
     boxes: Tensor          # (B * m, 4)
     layer_seqs: list[Tensor]  # supervision sequences, each (B * L, d)
-    p_slims: Optional[list[np.ndarray]]  # kept indices per image, when compressed
+    kept: Optional[np.ndarray]  # kept rows of the image-major extended sequence, when compressed
     batch: int
     memory_len: int        # memory rows per image seen by the decoder
 
@@ -192,47 +197,51 @@ def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
     return src.transpose(1, 0, 2).reshape(-1)
 
 
+def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
+                        cfg: DetectorConfig) -> Tensor:
+    """The extended sequence of a batch, (B N n, d) and image-major: each
+    image's N part projections of its patches, one after another."""
+    patches = Tensor(np.concatenate([normalized_patches(img, cfg.patch_size)
+                                     for img in images], axis=0))
+    part_seqs = [T.add(T.matmul(patches, params.proj_w[t]), params.proj_b[t])
+                 for t in range(cfg.num_parts)]
+    if cfg.num_parts == 1:
+        return part_seqs[0]
+    return T.permute_rows(T.concat_rows(part_seqs),
+                          _interleave_perm(len(images), cfg.num_parts, cfg.tokens))
+
+
 def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
-                  cfg: DetectorConfig, p_slims: Optional[Sequence[np.ndarray]] = None,
+                  cfg: DetectorConfig, guide: Optional[np.ndarray] = None,
                   rng: Optional[np.random.Generator] = None) -> BatchOutput:
     """Run the detector over a batch; all per-image math shares BLAS calls.
 
-    With compression active, ``p_slims`` carries the per-image kept indices
-    (training computes them from the concatenated teacher sequences); when
-    omitted they are derived from the student's own extended projection, the
-    evaluation-time rule.
+    With compression active, each image keeps the n tokens that
+    ``cfg.compression`` selects from its N n rows of ``guide``, an
+    image-major (B N n, d) array (training passes the concatenated teacher
+    projections); when ``guide`` is omitted, the student's own extended
+    projection guides, the evaluation-time rule.
     """
     batch = len(images)
     if batch == 0:
         raise ContractError("empty batch")
-    n, parts, d, m = cfg.tokens, cfg.num_parts, cfg.d_model, cfg.queries
-    patches = Tensor(np.concatenate([normalized_patches(img, cfg.patch_size)
-                                     for img in images], axis=0))
-    part_seqs = [T.add(T.matmul(patches, params.proj_w[t]), params.proj_b[t])
-                 for t in range(parts)]
-    if parts == 1:
-        extended = part_seqs[0]
-    else:
-        extended = T.permute_rows(T.concat_rows(part_seqs),
-                                  _interleave_perm(batch, parts, n))
+    n, parts, m = cfg.tokens, cfg.num_parts, cfg.queries
+    extended = extended_projection(images, params, cfg)
 
-    compressed = cfg.compression != "none" and parts > 1
-    if compressed:
-        if p_slims is None:
-            p_slims = [ka.select_tokens(cfg.compression,
-                                        extended.data[b * parts * n:(b + 1) * parts * n],
+    if cfg.compression != "none" and parts > 1:
+        rows = parts * n
+        source = extended.data if guide is None else guide
+        if source.shape[0] != batch * rows:
+            raise ContractError(f"the guide holds {source.shape[0]} rows, not {batch * rows}")
+        kept = np.concatenate([
+            b * rows + ka.select_tokens(cfg.compression, source[b * rows:(b + 1) * rows],
                                         parts, n, rng or np.random.default_rng(0))
-                       for b in range(batch)]
-        p_slims = [np.asarray(p, dtype=np.intp) for p in p_slims]
-        for p in p_slims:
-            if p.shape != (n,):
-                raise ContractError("each kept-index set must hold exactly n indices")
-        gather = np.concatenate([b * parts * n + p for b, p in enumerate(p_slims)])
-        x = T.gather_rows(extended, gather)
-        pos = np.concatenate([params.pos[ka.kept_positions(p, n)] for p in p_slims])
+            for b in range(batch)])
+        x = T.gather_rows(extended, kept)
+        pos = params.pos[kept % n]
         blocks = batch
     else:
-        p_slims = None
+        kept = None
         x = extended
         pos = np.tile(params.pos, (batch * parts, 1))
         blocks = batch * parts
@@ -259,6 +268,5 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     hidden = T.relu(T.add(T.matmul(hidden, params.box_w2), params.box_b2))
     boxes = T.sigmoid(T.add(T.matmul(hidden, params.box_w3), params.box_b3))
 
-    return BatchOutput(dists=dists, boxes=boxes, layer_seqs=layer_seqs,
-                       p_slims=list(p_slims) if p_slims is not None else None,
+    return BatchOutput(dists=dists, boxes=boxes, layer_seqs=layer_seqs, kept=kept,
                        batch=batch, memory_len=memory_len)

@@ -10,12 +10,12 @@ against frozen teachers. Each loss term is one graph over the whole batch:
 the task-level term is a single ``ta_loss`` call over the B m student slots
 and the (B, K) teacher pools, and the ground-truth term gathers every
 matched slot into one box term; only the assignments are solved per image.
-Teachers never change during amalgamation, so each teacher's per-image
-outputs on the training set are computed once into a :class:`TeacherCache`
-(float32), the only source of teacher outputs, and reused across epochs. A
-caller-owned memo reuses caches across runs; its key is a digest of the
-teacher's configuration and tensors, the training-set object itself, and the
-task partition.
+Teachers never change during amalgamation, so the teacher set's outputs on
+the training set are computed once into one :class:`TeacherCache` (float32),
+the only source of teacher outputs, stored as the losses read them. A
+caller-owned memo reuses caches across runs; its key is the teachers'
+digests of configuration and tensors, the training-set object itself, and
+the task partition.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from . import amalgamation as ka
 from . import matching
 from . import tensor as T
 from .data import Dataset, TaskPartition, read_json
-from .detector import (BatchOutput, DetectorConfig, DetectorParams, forward_batch)
+from .detector import (BatchOutput, DetectorConfig, DetectorParams, extended_projection,
+                       forward_batch)
 from .errors import (ConfigError, ContractError, DataFormatError, InfeasibleError,
                      NumericError)
 from .settings import Settings
@@ -285,37 +286,37 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
 
 
 class TeacherCache:
-    """Frozen-teacher outputs per image: supervision layers (float32),
-    padded soft targets, and predicted boxes."""
+    """Outputs of N frozen teachers, (params, cfg) pairs of one geometry and
+    supervision depth, on every image. ``layers[l]`` (count, N n, d) holds an
+    image's concatenated layer-l teacher sequences, the sequence-level hint;
+    ``dists`` (count, N m, C+1) and ``boxes`` (count, N m, 4) its task-level
+    pool, every teacher's padded predictions in teacher order."""
 
-    def __init__(self, params: DetectorParams, cfg: DetectorConfig,
-                 dataset: Dataset, partition: TaskPartition, task_index: int,
-                 batch_size: int = 32):
-        _check_image_size(cfg, dataset)
-        self.cfg = cfg
-        n_layers = (1 if cfg.supervise_projection else 0) + cfg.enc_layers
-        count = len(dataset)
-        self.layers = [np.empty((count * cfg.tokens, cfg.d_model), dtype=np.float32)
-                       for _ in range(n_layers)]
-        self.dists = np.empty((count, cfg.queries, partition.num_categories + 1),
-                              dtype=np.float32)
-        self.boxes = np.empty((count, cfg.queries, 4), dtype=np.float32)
-        n = cfg.tokens
+    def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
+                 dataset: Dataset, partition: TaskPartition, batch_size: int = 32):
+        for _, cfg in teachers:
+            _check_image_size(cfg, dataset)
+        cfg = teachers[0][1]
+        n, m, count, k = cfg.tokens, cfg.queries, len(dataset), len(teachers)
+        self.layers = [np.empty((count, k * n, cfg.d_model), dtype=np.float32)
+                       for _ in range(cfg.supervised_layers)]
+        self.dists = np.empty((count, k * m, partition.num_categories + 1), dtype=np.float32)
+        self.boxes = np.empty((count, k * m, 4), dtype=np.float32)
         for start in range(0, count, batch_size):
-            idx = list(range(start, min(start + batch_size, count)))
-            out = forward_batch([dataset.image(i) for i in idx], params, cfg)
-            for j, seq in enumerate(out.layer_seqs):
-                self.layers[j][start * n:(start + len(idx)) * n] = seq.data
-            padded = ka.pad_predictions(
-                out.dists.data, partition, task_index).reshape(len(idx), cfg.queries, -1)
-            self.dists[start:start + len(idx)] = padded
-            self.boxes[start:start + len(idx)] = out.boxes.data.reshape(len(idx),
-                                                                        cfg.queries, 4)
+            stop = min(start + batch_size, count)
+            images = [dataset.image(i) for i in range(start, stop)]
+            for t, (params_t, cfg_t) in enumerate(teachers):
+                out = forward_batch(images, params_t, cfg_t)
+                for layer, seq in zip(self.layers, out.layer_seqs):
+                    layer[start:stop, t * n:(t + 1) * n] = seq.data.reshape(stop - start, n, -1)
+                self.dists[start:stop, t * m:(t + 1) * m] = ka.pad_predictions(
+                    out.dists.data, partition, t).reshape(stop - start, m, -1)
+                self.boxes[start:stop, t * m:(t + 1) * m] = out.boxes.data.reshape(-1, m, 4)
 
     def layer_rows(self, layer: int, image_ids: np.ndarray) -> np.ndarray:
-        n = self.cfg.tokens
-        gather = (image_ids[:, None] * n + np.arange(n)[None, :]).reshape(-1)
-        return self.layers[layer][gather].astype(np.float64)
+        """Layer ``layer`` of images ``image_ids`` as (B N n, d) float64 rows."""
+        rows = self.layers[layer][image_ids]
+        return rows.reshape(-1, rows.shape[-1]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +494,17 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          dataset: Dataset, epochs: int, batch_size: int, rng: np.random.Generator,
          opt_settings: Optional[OptimSettings], metadata: dict,
          objective: Callable[[BatchOutput, np.ndarray], tuple[Tensor, dict[str, Tensor]]],
-         kept_tokens: Optional[Callable[[np.ndarray], list[np.ndarray]]] = None,
+         guide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
          eval_ds: Optional[Dataset] = None, partition: Optional[TaskPartition] = None,
          csv_path: Optional[str] = None,
          crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
     """The one epoch/step loop behind every training run.
 
     ``objective(out, idx)`` returns the step's loss and its named terms
-    (``seq``/``task``/``direct``); ``kept_tokens(idx)``, when given, supplies
-    the per-image kept indices of a compressed student. Returns the final
-    checkpoint and each epoch's mean terms.
+    (``seq``/``task``/``direct``); ``guide(idx)``, when given, supplies the
+    rows a compressed student selects its tokens from (see
+    :func:`forward_batch`). Returns the final checkpoint and each epoch's
+    mean terms.
     """
     _check_image_size(cfg, dataset, eval_ds)
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
@@ -519,8 +521,8 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
         for start in range(0, len(order), batch_size):
             idx = order[start:start + batch_size]
             images = [dataset.image(i) for i in idx]
-            p_slims = kept_tokens(idx) if kept_tokens is not None else None
-            out = forward_batch(images, params, cfg, p_slims=p_slims, rng=rng)
+            out = forward_batch(images, params, cfg,
+                                guide=guide(idx) if guide is not None else None, rng=rng)
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.
             if np.isfinite(out.dists.data).all() and np.isfinite(out.boxes.data).all():
@@ -613,16 +615,6 @@ def _teacher_digest(ckpt: Checkpoint) -> str:
     return digest.hexdigest()
 
 
-def _teacher_extended_rows(teachers, layer: int, image_ids: np.ndarray,
-                           tokens: int) -> np.ndarray:
-    """Image-major concatenation of every teacher's layer-l rows."""
-    batch = len(image_ids)
-    parts = [t.layer_rows(layer, image_ids).reshape(batch, tokens, -1)
-             for t in teachers]
-    stacked = np.stack(parts, axis=1)  # (B, N, n, d)
-    return stacked.reshape(batch * len(teachers) * tokens, -1)
-
-
 def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                cfg: DetectorConfig, mode: str, epochs: int, seed: int,
                eval_ds: Optional[Dataset] = None,
@@ -638,8 +630,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     ``mode`` is one of sa | ta | sa+ta | sag; ``label_free`` removes the
     ground-truth term entirely (its lambda is forced to zero and annotations
     are never read during updates). ``teachers_by_id`` is an optional memo
-    reusing built teacher caches across runs; a cache is reused only for the
-    same teacher weights, the same dataset object, and the same partition.
+    reusing built teacher-set caches across runs; a cache is reused only for
+    the same teachers' weights in the same order, the same dataset object,
+    and the same partition.
     """
     if mode not in AMALGAMATION_MODES:
         raise ConfigError(f"unknown amalgamation mode {mode!r}")
@@ -659,30 +652,39 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     partition = TaskPartition(tuple(subsets), cfg.num_categories)
     n_teachers = len(teacher_models)
 
-    for _, cfg_t in teacher_models:
+    first = teacher_models[0][1]
+    for t, (_, cfg_t) in enumerate(teacher_models):
         if (cfg_t.d_model, cfg_t.tokens, cfg_t.queries) != (cfg.d_model, cfg.tokens, cfg.queries):
             raise ConfigError("teacher and student geometry must agree")
+        if (cfg_t.supervise_projection, cfg_t.enc_layers) != (first.supervise_projection,
+                                                              first.enc_layers):
+            raise ConfigError(
+                f"teachers 1 and {t + 1} supervise {first.supervised_layers} and "
+                f"{cfg_t.supervised_layers} layers (supervise_projection and enc_layers "
+                f"{first.supervise_projection, first.enc_layers} and "
+                f"{cfg_t.supervise_projection, cfg_t.enc_layers}); they must be equal")
+    if mode != "ta" and cfg.supervised_layers != first.supervised_layers:
+        raise ConfigError(f"the student supervises {cfg.supervised_layers} layers and its "
+                          f"teachers {first.supervised_layers}; mode {mode!r} needs them equal")
     if mode == "sag":
         if cfg.num_parts != 1 or cfg.compression != "none":
             raise ConfigError("the aggregation baseline runs on the unextended student")
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
 
-    teachers = []
-    for t, (params_t, cfg_t) in enumerate(teacher_models):
-        if teachers_by_id is None:
-            teachers.append(TeacherCache(params_t, cfg_t, train_ds, partition, t))
-            continue
-        key = (_teacher_digest(teacher_ckpts[t]), train_ds, partition, t)
+    if teachers_by_id is None:
+        cache = TeacherCache(teacher_models, train_ds, partition)
+    else:
+        key = (tuple(_teacher_digest(c) for c in teacher_ckpts), train_ds, partition)
         if key not in teachers_by_id:
-            teachers_by_id[key] = TeacherCache(params_t, cfg_t, train_ds, partition, t)
-        teachers.append(teachers_by_id[key])
+            teachers_by_id[key] = TeacherCache(teacher_models, train_ds, partition)
+        cache = teachers_by_id[key]
 
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
     trainable = params.named_parameters()
 
-    n_layers = (1 if cfg.supervise_projection else 0) + cfg.enc_layers
+    n_layers = cfg.supervised_layers
     if mode == "sag":
         for t in range(n_teachers):
             for l in range(n_layers):
@@ -696,42 +698,30 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                 "compression": cfg.compression, "category_ids": category_ids}
     n = cfg.tokens
 
-    def kept_tokens(idx: np.ndarray) -> list[np.ndarray]:
-        # Training-time rule: compression is guided by the teachers'
-        # concatenated projection sequences.
-        xt = _teacher_extended_rows(teachers, 0, idx, n)
-        rows = n_teachers * n
-        return [ka.select_tokens(cfg.compression, xt[b * rows:(b + 1) * rows],
-                                 n_teachers, n, rng) for b in range(len(idx))]
-
     def objective(out: BatchOutput, idx: np.ndarray):
         batch = len(idx)
         terms: dict[str, Tensor] = {}
         if mode in ("sa", "sa+ta"):
             student_norm = [T.channel_norm(seq) for seq in out.layer_seqs]
-            keep = slice(None)  # every row when the student is not compressed
-            if out.p_slims is not None:
-                keep = np.concatenate([b * n_teachers * n + p
-                                       for b, p in enumerate(out.p_slims)])
-            teacher_norm = [T.channel_norm(Tensor(_teacher_extended_rows(teachers, j, idx, n)[keep]))
+            keep = slice(None) if out.kept is None else out.kept
+            teacher_norm = [T.channel_norm(Tensor(cache.layer_rows(j, idx)[keep]))
                             for j in range(n_layers)]
             terms["seq"] = T.scale(ka.sa_loss(student_norm, teacher_norm, n_teachers),
                                    1.0 / batch)
         elif mode == "sag":
-            per_layer = [ka.sag_loss(T.channel_norm(seq),
-                                     [T.channel_norm(Tensor(t.layer_rows(j, idx)))
-                                      for t in teachers],
-                                     [trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)])
-                         for j, seq in enumerate(out.layer_seqs)]
+            per_layer = []
+            for j, seq in enumerate(out.layer_seqs):
+                blocks = cache.layer_rows(j, idx).reshape(batch, n_teachers, n, -1)
+                per_layer.append(ka.sag_loss(
+                    T.channel_norm(seq),
+                    [T.channel_norm(Tensor(blocks[:, t].reshape(batch * n, -1)))
+                     for t in range(n_teachers)],
+                    [trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)]))
             terms["seq"] = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
 
         if mode in ("ta", "sa+ta"):
-            pool_dists = np.concatenate([t.dists[idx] for t in teachers], axis=1)
-            pool_boxes = np.concatenate([t.boxes[idx] for t in teachers], axis=1)
-            terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes,
-                                               pool_dists.astype(np.float64),
-                                               pool_boxes.astype(np.float64), weights),
-                                    1.0 / batch)
+            terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes, cache.dists[idx],
+                                               cache.boxes[idx], weights), 1.0 / batch)
 
         if weights.lambda_direct > 0.0:
             terms["direct"] = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
@@ -740,11 +730,13 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         return ka.final_loss(terms.get("seq"), terms.get("task"), terms.get("direct"),
                              weights), terms
 
+    # Training-time rule: the teachers' concatenated projections guide compression.
     compressed = cfg.compression != "none" and cfg.num_parts > 1
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective,
-                   kept_tokens=kept_tokens if compressed else None, eval_ds=eval_ds,
-                   partition=partition, csv_path=csv_path, crash_dump=crash_dump)
+                   guide=functools.partial(cache.layer_rows, 0) if compressed else None,
+                   eval_ds=eval_ds, partition=partition, csv_path=csv_path,
+                   crash_dump=crash_dump)
     return ckpt
 
 
@@ -771,25 +763,17 @@ def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
                        batch_size: int = 64) -> RedundancyReport:
     """Histogram of extended projection-output token redundancies (Fig.-5a
     style, 0.05-wide bins spanning [-1, 1])."""
-    from .detector import normalized_patches
-
     params, cfg = detector_from_checkpoint(ckpt)
     _check_image_size(cfg, dataset)
     params.set_requires_grad(False)
     if cfg.num_parts < 2:
         raise ContractError("redundancy analysis requires an extended (N >= 2) student")
-    n = cfg.tokens
     counts = np.zeros(REDUNDANCY_BINS, dtype=np.int64)
     above, total = 0, 0
     # Projection outputs only: the analysis never needs the full forward pass.
     for start in range(0, len(dataset), batch_size):
-        idx = list(range(start, min(start + batch_size, len(dataset))))
-        patches = np.concatenate([normalized_patches(dataset.image(i), cfg.patch_size)
-                                  for i in idx], axis=0)
-        parts = [patches @ params.proj_w[t].data + params.proj_b[t].data
-                 for t in range(cfg.num_parts)]
-        for b in range(len(idx)):
-            block = np.concatenate([p[b * n:(b + 1) * n] for p in parts], axis=0)
+        images = [dataset.image(i) for i in range(start, min(start + batch_size, len(dataset)))]
+        for block in np.split(extended_projection(images, params, cfg).data, len(images)):
             r = ka.redundancy_all(block)
             bins = np.clip(((r + 1.0) / REDUNDANCY_BIN_WIDTH).astype(int), 0,
                            REDUNDANCY_BINS - 1)

@@ -426,11 +426,9 @@ def backbone_project(image: np.ndarray, params: DetectorParams, cfg: DetectorCon
 
 
 def student_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
-                    p_slim: Optional[np.ndarray] = None,
                     rng: Optional[np.random.Generator] = None):
     """Single-image forward: (DetectionSet, per-layer supervision sequences)."""
-    out = forward_batch([image], params, cfg,
-                        p_slims=[p_slim] if p_slim is not None else None, rng=rng)
+    out = forward_batch([image], params, cfg, rng=rng)
     return image_detections(out, 0), out.layer_seqs
 
 

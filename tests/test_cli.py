@@ -416,3 +416,43 @@ def test_checkpoint_metadata_that_does_not_fit_exits_2(ws, capsys, metadata, key
     assert run("evaluate", "--model", path, "--data", ws["eval"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("subset", [5, [1, 2, 3]], ids=["not_a_list", "one_entry_too_many"])
+def test_teacher_task_subset_that_does_not_fit_exits_2(ws, capsys, subset):
+    bad = ws["root"] / "bad_subset.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t2"].read_bytes(), lambda header:
+                                    header["metadata"].update(task_subset=subset)))
+    out = ws["root"] / "bad_subset_student.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], bad, "--data", ws["train"],
+               "--mode", "sa+ta", "--out", out, "--config", ws["config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'task_subset'" in err and "teacher 2" in err
+    assert not out.exists()
+
+
+def test_negative_epochs_exit_1(ws, capsys):
+    out = ws["root"] / "negative_epochs.ckpt"
+    assert run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", out,
+               "--config", ws["config"], "--epochs", -2) == 1
+    assert "teacher_epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_epochs_flag_is_the_recorded_and_trained_count(ws):
+    out = ws["root"] / "epochs_flag.ckpt"
+    assert run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", out,
+               "--config", ws["config"], "--set", "train.teacher_epochs=3",
+               "--epochs", 1) == 0
+    dump = json.loads((ws["root"] / "epochs_flag.ckpt.config.json").read_text())
+    assert dump["config"]["train"]["teacher_epochs"] == 1
+    assert len(metrics_rows(str(out) + ".metrics.csv")) == 1
+
+
+def test_ablation_seed_count_below_one_exits_1(ws, capsys):
+    out = ws["root"] / "no_seeds"
+    assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+               "--eval-data", ws["eval"], "--out", out, "--seeds", 0,
+               "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not (out / "compression.csv").exists()

@@ -7,6 +7,7 @@ import pytest
 
 from kaseq import detector as det
 from kaseq import tensor as T
+from kaseq.amalgamation import compress_redundancy
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
@@ -102,7 +103,7 @@ class TestStudentForward:
         cfg2c = tiny_cfg(num_parts=2, compression="redundancy")
         out_c = det.forward_batch([img], params, cfg2c)
         assert out_c.memory_len == cfg2c.tokens  # reduced from N*n to n
-        assert out_c.p_slims is not None and out_c.p_slims[0].shape == (cfg2c.tokens,)
+        assert out_c.kept is not None and out_c.kept.shape == (cfg2c.tokens,)
 
     def test_outputs_are_valid_detections(self):
         cfg = tiny_cfg(num_parts=2, compression="isometric")
@@ -149,13 +150,15 @@ class TestStudentForward:
                 batched.layer_seqs[-1].data[b * rows:(b + 1) * rows],
                 solo_layers[-1].data, atol=1e-10)
 
-    def test_external_pslim_is_honored(self):
+    def test_external_guide_selects_the_kept_tokens(self):
         cfg = tiny_cfg(num_parts=2, compression="redundancy")
         params = det.DetectorParams.init(cfg, RNG)
-        n = cfg.tokens
-        p_slim = np.arange(n)  # keep part 0 wholesale
-        out = det.forward_batch([rand_image()], params, cfg, p_slims=[p_slim])
-        np.testing.assert_array_equal(out.p_slims[0], p_slim)
+        n, rows = cfg.tokens, 2 * cfg.tokens
+        guide = RNG.standard_normal((3 * rows, cfg.d_model))
+        out = det.forward_batch([rand_image() for _ in range(3)], params, cfg, guide=guide)
+        want = [b * rows + compress_redundancy(guide[b * rows:(b + 1) * rows], 2, n)
+                for b in range(3)]
+        np.testing.assert_array_equal(out.kept, np.concatenate(want))
 
 
 class TestTeacherForward:

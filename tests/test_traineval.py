@@ -10,7 +10,7 @@ from kaseq import tensor as T
 from kaseq import traineval as tv
 from kaseq.data import Dataset, TaskPartition, generate_dataset
 from kaseq.detector import DetectorConfig, DetectorParams, forward_batch
-from kaseq.errors import ContractError, DataFormatError, NumericError
+from kaseq.errors import ConfigError, ContractError, DataFormatError, NumericError
 from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
 
@@ -337,16 +337,26 @@ class TestTrainingLoops:
 
     def test_cache_rows_match_fresh_forward(self, tiny_train, tiny_teachers):
         part = TaskPartition.equal_split(8, 2)
-        params, cfg = tv.detector_from_checkpoint(tiny_teachers[1])
-        cache = tv.TeacherCache(params, cfg, tiny_train, part, 1, batch_size=8)
+        models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        cache = tv.TeacherCache(models, tiny_train, part, batch_size=8)
         ids = np.array([3, 17, 0])
-        fresh = forward_batch([tiny_train.image(i) for i in ids], params, cfg)
+        fresh = [forward_batch([tiny_train.image(i) for i in ids], params, cfg)
+                 for params, cfg in models]
+        n, m, d = models[0][1].tokens, models[0][1].queries, models[0][1].d_model
         close = dict(rtol=1e-6, atol=1e-6)  # the cache stores float32
-        for layer, seq in enumerate(fresh.layer_seqs):
-            np.testing.assert_allclose(cache.layer_rows(layer, ids), seq.data, **close)
-        np.testing.assert_allclose(cache.dists[ids].reshape(-1, 9),
-                                   ka.pad_predictions(fresh.dists.data, part, 1), **close)
-        np.testing.assert_allclose(cache.boxes[ids].reshape(-1, 4), fresh.boxes.data, **close)
+
+        def per_image(rows, width):  # (B K, w) rows of each teacher -> (B, N K, w)
+            return np.concatenate([r.reshape(len(ids), width, -1) for r in rows], axis=1)
+
+        for layer in range(len(fresh[0].layer_seqs)):
+            want = per_image([out.layer_seqs[layer].data for out in fresh], n)
+            np.testing.assert_allclose(cache.layer_rows(layer, ids), want.reshape(-1, d),
+                                       **close)
+        np.testing.assert_allclose(cache.dists[ids], per_image(
+            [ka.pad_predictions(out.dists.data, part, t) for t, out in enumerate(fresh)], m),
+            **close)
+        np.testing.assert_allclose(cache.boxes[ids],
+                                   per_image([out.boxes.data for out in fresh], m), **close)
 
     def _sa_student(self, teachers, dataset, memo=None):
         return tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=2), "sa", epochs=1,
@@ -362,7 +372,7 @@ class TestTrainingLoops:
         first = self._sa_student(tiny_teachers, tiny_train, memo)
         caches = list(memo.values())
         again = self._sa_student(tiny_teachers, tiny_train, memo)
-        assert len(caches) == 2 and list(memo.values()) == caches
+        assert len(caches) == 1 and list(memo.values()) == caches
         self.assert_same_student(first, again)
 
     def test_teacher_memo_separates_equal_length_datasets(self, tiny_train, tiny_teachers):
@@ -372,7 +382,7 @@ class TestTrainingLoops:
         self._sa_student(tiny_teachers, tiny_train, memo)
         self.assert_same_student(self._sa_student(tiny_teachers, other, memo),
                                  self._sa_student(tiny_teachers, other))
-        assert len(memo) == 4
+        assert len(memo) == 2
 
     def test_teacher_memo_separates_teachers_with_equal_subsets(self, tiny_train,
                                                                 tiny_teachers):
@@ -385,7 +395,7 @@ class TestTrainingLoops:
         self._sa_student(tiny_teachers, tiny_train, memo)
         self.assert_same_student(self._sa_student(swapped, tiny_train, memo),
                                  self._sa_student(swapped, tiny_train))
-        assert len(memo) == 3
+        assert len(memo) == 2
 
     def test_label_free_never_reads_annotations(self, tiny_teachers):
         fresh = generate_dataset(count=16, num_categories=8, image_size=32, seed=44)
@@ -412,6 +422,32 @@ class TestTrainingLoops:
             tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=2),
                           "sag", epochs=1, seed=0)
 
+    @pytest.mark.parametrize("second, student, mode, counts", [
+        ({"enc_layers": 1}, {}, "sa", ("3 and 2",)),
+        ({"supervise_projection": False}, {}, "sa+ta", ("3 and 2",)),
+        ({}, {"enc_layers": 3}, "sag", ("supervises 4 layers", "teachers 3")),
+    ], ids=["teachers_differ_in_depth", "one_teacher_supervises_its_projection",
+            "student_deeper_than_its_teachers"])
+    def test_supervision_depths_that_differ_are_rejected(self, tiny_train, second, student,
+                                                         mode, counts):
+        teachers = []
+        for t, overrides in enumerate(({}, second)):
+            cfg = tiny_cfg(num_categories=4, **overrides)
+            teachers.append(tv.make_checkpoint(
+                DetectorParams.init(cfg, np.random.default_rng(t)), cfg,
+                {"task_subset": [1, 2, 3, 4] if t == 0 else [5, 6, 7, 8]}))
+        parts = 1 if mode == "sag" else 2
+        with pytest.raises(ConfigError) as caught:
+            tv.amalgamate(teachers, tiny_train, tiny_cfg(num_parts=parts, **student), mode,
+                          epochs=1, seed=0, batch_size=8)
+        assert all(text in str(caught.value) for text in counts)
+
+    def test_a_task_student_of_any_depth_is_accepted(self, tiny_train, tiny_teachers):
+        ckpt = tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=2, enc_layers=1),
+                             "ta", epochs=1, seed=0, batch_size=8)
+        assert ckpt.config.enc_layers == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_nan_guard_dumps_and_raises(self, tiny_train, tmp_path):
         cfg = tiny_cfg()
         dump = str(tmp_path / "crash.ckpt")
@@ -423,6 +459,7 @@ class TestTrainingLoops:
         assert os.path.exists(dump)
         tv.load_checkpoint(dump)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_nan_guard_on_the_amalgamation_path(self, tiny_train, tiny_teachers, tmp_path):
         # Without the guard on the forward outputs, the TA matcher would fail
         # first, with a ContractError on a non-finite cost.
