@@ -182,8 +182,8 @@ def normalized_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
 class BatchOutput:
     """Stacked forward results for a batch of B images."""
 
-    dists: Tensor          # (B * m, C + 1)
-    boxes: Tensor          # (B * m, 4)
+    dists: Optional[Tensor]  # (B * m, C + 1); None when not predicted
+    boxes: Optional[Tensor]  # (B * m, 4); None when not predicted
     layer_seqs: list[Tensor]  # supervision sequences, each (B * L, d)
     kept: Optional[np.ndarray]  # kept rows of the image-major extended sequence, when compressed
     batch: int
@@ -213,7 +213,8 @@ def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
 
 def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
                   cfg: DetectorConfig, guide: Optional[np.ndarray] = None,
-                  rng: Optional[np.random.Generator] = None) -> BatchOutput:
+                  rng: Optional[np.random.Generator] = None,
+                  predict: bool = True) -> BatchOutput:
     """Run the detector over a batch; all per-image math shares BLAS calls.
 
     With compression active, each image keeps the n tokens that
@@ -221,6 +222,11 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     image-major (B N n, d) array (training passes the concatenated teacher
     projections); when ``guide`` is omitted, the student's own extended
     projection guides, the evaluation-time rule.
+
+    With ``predict`` false the pass stops after the encoder: the decoder and
+    the heads do not run, ``dists`` and ``boxes`` are None, and the
+    supervision sequences, ``kept`` and ``memory_len`` are those of the full
+    pass. Training uses it on steps whose loss reads no prediction.
     """
     batch = len(images)
     if batch == 0:
@@ -257,6 +263,9 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
 
     memory = enc_outs[-1] if enc_outs else enc_in
     memory_len = memory.shape[0] // batch
+    if not predict:
+        return BatchOutput(dists=None, boxes=None, layer_seqs=layer_seqs, kept=kept,
+                           batch=batch, memory_len=memory_len)
     queries = T.gather_rows(params.query_embed, np.tile(np.arange(m), batch))
     decoded = tf.decoder_forward(
         memory, queries, params.transformer,

@@ -1,12 +1,14 @@
 """Optimization, the training loop, evaluation, and checkpoint persistence.
 
 One epoch/step loop, :func:`_fit`, trains every model: it shuffles, sets the
-learning-rate scale, stops on a non-finite output or loss after dumping the
-last good checkpoint, steps AdamW, and checkpoints, evaluates and logs each
-epoch. Callers supply only the parameters and the loss: teachers and the raw
-baselines the set-prediction ground-truth loss, amalgamation any mix of
-sequence-level, task-level, aggregation baseline and ground-truth terms
-against frozen teachers. Each loss term is one graph over the whole batch:
+learning-rate scale, runs the forward pass only as far as the loss reads (a
+step whose loss reads no prediction skips the decoder and the heads), stops
+on a non-finite output or loss after dumping the last good checkpoint, steps
+AdamW, and checkpoints, evaluates and logs each epoch. Callers supply only
+the parameters and the loss: teachers and the raw baselines the
+set-prediction ground-truth loss, amalgamation any mix of sequence-level,
+task-level, aggregation baseline and ground-truth terms against frozen
+teachers. Each loss term is one graph over the whole batch:
 the task-level term is a single ``ta_loss`` call over the B m student slots
 and the (B, K) teacher pools, and the ground-truth term gathers every
 matched slot into one box term; only the assignments are solved per image.
@@ -397,11 +399,11 @@ def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Da
     """One prediction per decoder slot whose argmax is a real category, as a
     (P, 7) array of rows (score, image, slot, x0, y0, x1, y1) per category."""
     m = cfg.queries
+    rng = rng or np.random.default_rng(0)  # one stream, drawn in image order
     rows, labels = [], []
     for start in range(0, len(dataset), batch_size):
         idx = list(range(start, min(start + batch_size, len(dataset))))
-        out = forward_batch([dataset.image(i) for i in idx], params, cfg,
-                            rng=rng or np.random.default_rng(0))
+        out = forward_batch([dataset.image(i) for i in idx], params, cfg, rng=rng)
         dists = out.dists.data
         best = np.argmax(dists, axis=1)
         kept = np.flatnonzero(best != dists.shape[1] - 1)  # drop no-object slots
@@ -495,6 +497,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          opt_settings: Optional[OptimSettings], metadata: dict,
          objective: Callable[[BatchOutput, np.ndarray], tuple[Tensor, dict[str, Tensor]]],
          guide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+         predict: bool = True,
          eval_ds: Optional[Dataset] = None, partition: Optional[TaskPartition] = None,
          csv_path: Optional[str] = None,
          crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
@@ -503,8 +506,10 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     ``objective(out, idx)`` returns the step's loss and its named terms
     (``seq``/``task``/``direct``); ``guide(idx)``, when given, supplies the
     rows a compressed student selects its tokens from (see
-    :func:`forward_batch`). Returns the final checkpoint and each epoch's
-    mean terms.
+    :func:`forward_batch`). With ``predict`` false the objective reads no
+    prediction: the forward pass stops after the encoder, and the sequences
+    are checked for finiteness in place of the predictions. Returns the final
+    checkpoint and each epoch's mean terms.
     """
     _check_image_size(cfg, dataset, eval_ds)
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
@@ -522,10 +527,12 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
             idx = order[start:start + batch_size]
             images = [dataset.image(i) for i in idx]
             out = forward_batch(images, params, cfg,
-                                guide=guide(idx) if guide is not None else None, rng=rng)
+                                guide=guide(idx) if guide is not None else None, rng=rng,
+                                predict=predict)
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.
-            if np.isfinite(out.dists.data).all() and np.isfinite(out.boxes.data).all():
+            read = (out.dists, out.boxes) if predict else out.layer_seqs
+            if all(np.isfinite(t.data).all() for t in read):
                 loss, terms = objective(out, idx)
                 value = loss.item()
             if not np.isfinite(value):
@@ -671,6 +678,13 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
             raise ConfigError("the aggregation baseline runs on the unextended student")
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
+    # Training-time rule: the teachers' concatenated projections guide compression.
+    compressed = cfg.compression != "none" and cfg.num_parts > 1
+    if compressed and not first.supervise_projection:
+        raise ConfigError(
+            f"detector.compression={cfg.compression!r} is guided by the teachers' projections, "
+            f"but the teachers have supervise_projection=false and store none; train the "
+            f"teachers with supervise_projection=true or set detector.compression='none'")
 
     if teachers_by_id is None:
         cache = TeacherCache(teacher_models, train_ds, partition)
@@ -730,12 +744,12 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         return ka.final_loss(terms.get("seq"), terms.get("task"), terms.get("direct"),
                              weights), terms
 
-    # Training-time rule: the teachers' concatenated projections guide compression.
-    compressed = cfg.compression != "none" and cfg.num_parts > 1
+    # Only the task-level and ground-truth terms read the student's predictions.
+    predict = mode in ("ta", "sa+ta") or weights.lambda_direct > 0.0
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective,
                    guide=functools.partial(cache.layer_rows, 0) if compressed else None,
-                   eval_ds=eval_ds, partition=partition, csv_path=csv_path,
+                   predict=predict, eval_ds=eval_ds, partition=partition, csv_path=csv_path,
                    crash_dump=crash_dump)
     return ckpt
 

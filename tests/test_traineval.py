@@ -265,6 +265,17 @@ class TestAPMachinery:
         kept = sum(len(rows) for rows in got.values())
         assert 0 < kept < len(tiny_eval) * cfg.queries  # some slots are no-object
 
+    def test_random_compression_does_not_depend_on_the_batch_size(self, tiny_eval):
+        # One generator per call draws each image's token sources in image
+        # order, whatever batch the image falls in.
+        cfg = tiny_cfg(num_parts=2, compression="random")
+        params = DetectorParams.init(cfg, np.random.default_rng(8))
+        ids = list(range(1, 9))
+        whole = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=8)
+        halves = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=4)
+        for c in ids:
+            np.testing.assert_array_equal(whole[c], halves[c])
+
 
 class TestEvaluate:
     def test_untrained_model_report_is_valid(self, tiny_eval):
@@ -442,6 +453,23 @@ class TestTrainingLoops:
                           epochs=1, seed=0, batch_size=8)
         assert all(text in str(caught.value) for text in counts)
 
+    @pytest.mark.parametrize("mode", ["sa", "ta"])
+    def test_compression_needs_teachers_that_supervise_their_projection(self, tiny_train,
+                                                                       mode):
+        # Compression is guided by the teachers' projections; without them
+        # the cache's first layer is an encoder output.
+        teachers = []
+        for t, subset in enumerate(([1, 2, 3, 4], [5, 6, 7, 8])):
+            cfg = tiny_cfg(num_categories=4, supervise_projection=False)
+            teachers.append(tv.make_checkpoint(
+                DetectorParams.init(cfg, np.random.default_rng(t)), cfg,
+                {"task_subset": subset}))
+        student = tiny_cfg(num_parts=2, compression="redundancy", supervise_projection=False)
+        with pytest.raises(ConfigError) as caught:
+            tv.amalgamate(teachers, tiny_train, student, mode, epochs=1, seed=0, batch_size=8)
+        assert "supervise_projection" in str(caught.value)
+        assert "detector.compression" in str(caught.value)
+
     def test_a_task_student_of_any_depth_is_accepted(self, tiny_train, tiny_teachers):
         ckpt = tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=2, enc_layers=1),
                              "ta", epochs=1, seed=0, batch_size=8)
@@ -470,6 +498,76 @@ class TestTrainingLoops:
                           epochs=1, seed=0, batch_size=8,
                           opt_settings=tv.OptimSettings(lr=1e300), crash_dump=dump)
         assert tv.load_checkpoint(dump).metadata["mode"] == "sa+ta"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_nan_guard_on_the_label_free_sequence_path(self, tiny_train, tiny_teachers,
+                                                       tmp_path, monkeypatch):
+        # No prediction is made, so the guard reads the sequences: the
+        # sequence loss only ever sees finite ones.
+        finite = []
+        sa_loss = ka.sa_loss
+
+        def recording_sa_loss(student, teacher, n_teachers):
+            finite.append(all(np.isfinite(seq.data).all() for seq in student))
+            return sa_loss(student, teacher, n_teachers)
+
+        monkeypatch.setattr(ka, "sa_loss", recording_sa_loss)
+        dump = str(tmp_path / "crash.ckpt")
+        with pytest.raises(NumericError):
+            tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=2), "sa", epochs=1,
+                          seed=0, batch_size=8, label_free=True,
+                          opt_settings=tv.OptimSettings(lr=1e300), crash_dump=dump)
+        assert finite and all(finite)
+        assert tv.load_checkpoint(dump).metadata["mode"] == "sa_lf"
+
+    @pytest.mark.parametrize("mode, parts, compression, label_free, predicts", [
+        ("sa", 2, "random", True, False),
+        ("sag", 1, "none", True, False),
+        ("sa", 2, "none", False, True),
+        ("ta", 2, "none", True, True),
+        ("sa+ta", 2, "redundancy", True, True),
+    ], ids=["sa_label_free", "sag_label_free", "sa_with_ground_truth", "ta_label_free",
+            "sata_label_free"])
+    def test_predictions_are_made_only_where_the_loss_reads_them(
+            self, tiny_train, tiny_teachers, tmp_path, monkeypatch,
+            mode, parts, compression, label_free, predicts):
+        # The full forward pass on every step is the oracle: skipping the
+        # decoder and heads must leave the student and its losses bit-equal.
+        cfg = tiny_cfg(num_parts=parts, compression=compression)
+        shipped_forward, shipped_fit = tv.forward_batch, tv._fit
+
+        def train(force_predict):
+            predicted, epoch_terms = [], []
+
+            def forward(*args, **kwargs):
+                if force_predict:
+                    kwargs["predict"] = True
+                out = shipped_forward(*args, **kwargs)
+                if args[2] is cfg:  # a student step, not a teacher-cache batch
+                    predicted.append(out.dists is not None and out.boxes is not None)
+                return out
+
+            def fit(*args, **kwargs):
+                ckpt, terms = shipped_fit(*args, **kwargs)
+                epoch_terms.append(terms)
+                return ckpt, terms
+
+            with monkeypatch.context() as patch:
+                patch.setattr(tv, "forward_batch", forward)
+                patch.setattr(tv, "_fit", fit)
+                ckpt = tv.amalgamate(tiny_teachers, tiny_train, cfg, mode, epochs=2, seed=4,
+                                     batch_size=8, label_free=label_free,
+                                     opt_settings=tv.OptimSettings(lr=1e-3))
+            path = tmp_path / f"{mode}_{force_predict}.ckpt"
+            tv.save_checkpoint(ckpt, str(path))
+            return path.read_bytes(), epoch_terms, predicted
+
+        shipped, shipped_terms, shipped_predicted = train(force_predict=False)
+        full, full_terms, full_predicted = train(force_predict=True)
+        assert shipped_predicted == [predicts] * 6  # 2 epochs of 3 steps
+        assert full_predicted == [True] * 6
+        assert shipped == full
+        assert shipped_terms == full_terms
 
 
 class TestBatchLosses:
