@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import data as D
+from . import detector
 from . import traineval as tv
 from .amalgamation import KAWeights
 from .detector import DetectorConfig
@@ -200,6 +201,7 @@ def _run_settings(cfg: dict, out: str) -> dict:
     settings = {"opt_settings": tv.OptimSettings.from_dict(cfg["optim"]),
                 "weights": KAWeights.from_dict(cfg["weights"]),
                 "batch_size": cfg["train"]["batch_size"],
+                "eval_batch_size": cfg["train"]["eval_batch_size"],
                 "csv_path": out + ".metrics.csv", "crash_dump": out + ".crash.ckpt"}
     if os.path.exists(settings["csv_path"]):
         os.remove(settings["csv_path"])
@@ -490,7 +492,8 @@ def cmd_ablate(args) -> int:
                      if not args.teachers else args.teachers[t]
                      for t in range(len(teacher_ckpts))], args.out)
                    for setting, seed in jobs]
-        with ctx.Pool(processes=args.workers) as pool:
+        with ctx.Pool(processes=args.workers, initializer=_init_ablation_worker,
+                      initargs=(args.workers,)) as pool:
             rows = pool.map(_ablation_worker, payload)
     else:
         shared_teachers: dict = {}
@@ -511,6 +514,12 @@ def cmd_ablate(args) -> int:
     dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     print(f"wrote {table} with {len(rows)} rows")
     return 0
+
+
+def _init_ablation_worker(workers: int) -> None:
+    # The workers share the cores: each splits its no-tape forwards into an
+    # equal part of them.
+    detector.limit_shares(max(1, detector.core_count() // workers))
 
 
 def _ablation_worker(payload) -> dict:

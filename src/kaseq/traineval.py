@@ -18,6 +18,10 @@ the only source of teacher outputs, stored as the losses read them. A
 caller-owned memo reuses caches across runs; its key is the teachers'
 digests of configuration and tensors, the training-set object itself, and
 the task partition.
+
+Evaluation and teacher-cache builds are forward passes that record no
+tape, so :func:`forward_batch` splits their batches across every core the
+process may use; training steps record a tape and run on one core.
 """
 
 from __future__ import annotations
@@ -499,6 +503,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          guide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
          predict: bool = True,
          eval_ds: Optional[Dataset] = None, partition: Optional[TaskPartition] = None,
+         eval_batch_size: int = 32,
          csv_path: Optional[str] = None,
          crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
     """The one epoch/step loop behind every training run.
@@ -551,7 +556,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
         report = None
         if eval_ds is not None:
             report = evaluate(last_good, eval_ds, category_ids=metadata["category_ids"],
-                              partition=partition)
+                              partition=partition, batch_size=eval_batch_size)
         logger.log(epoch, epoch_terms[-1], report, time.time() - start_time)
 
     last_good.metadata["final_epoch"] = epochs - 1
@@ -568,6 +573,7 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                       opt_settings: Optional[OptimSettings] = None,
                       weights: Optional[ka.KAWeights] = None,
                       batch_size: int = 16,
+                      eval_batch_size: int = 32,
                       csv_path: Optional[str] = None,
                       mode_label: str = "raw",
                       partition: Optional[TaskPartition] = None,
@@ -590,7 +596,8 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
     ckpt, epoch_terms = _fit(params, params.named_parameters(), cfg, train_ds, epochs,
                              batch_size, rng, opt_settings, metadata,
                              objective, eval_ds=eval_ds, partition=partition,
-                             csv_path=csv_path, crash_dump=crash_dump)
+                             eval_batch_size=eval_batch_size, csv_path=csv_path,
+                             crash_dump=crash_dump)
     return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
@@ -629,6 +636,7 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                weights: Optional[ka.KAWeights] = None,
                opt_settings: Optional[OptimSettings] = None,
                batch_size: int = 16,
+               eval_batch_size: int = 32,
                csv_path: Optional[str] = None,
                crash_dump: Optional[str] = None,
                teachers_by_id: Optional[dict] = None) -> Checkpoint:
@@ -749,8 +757,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective,
                    guide=functools.partial(cache.layer_rows, 0) if compressed else None,
-                   predict=predict, eval_ds=eval_ds, partition=partition, csv_path=csv_path,
-                   crash_dump=crash_dump)
+                   predict=predict, eval_ds=eval_ds, partition=partition,
+                   eval_batch_size=eval_batch_size, csv_path=csv_path, crash_dump=crash_dump)
     return ckpt
 
 

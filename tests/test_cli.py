@@ -17,6 +17,7 @@ import pytest
 
 import kaseq
 from kaseq import cli
+from kaseq import detector
 from kaseq import traineval as tv
 from kaseq.detector import DetectorConfig, DetectorParams
 
@@ -456,3 +457,29 @@ def test_ablation_seed_count_below_one_exits_1(ws, capsys):
                "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
     assert "--seeds" in capsys.readouterr().err
     assert not (out / "compression.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-baseline", "amalgamate"])
+def test_per_epoch_evaluation_uses_the_eval_batch_size(ws, monkeypatch, command):
+    received, shipped = [], tv.collect_predictions
+
+    def collect(params, cfg, dataset, category_ids, batch_size=32, rng=None):
+        received.append(batch_size)
+        return shipped(params, cfg, dataset, category_ids, batch_size, rng)
+
+    monkeypatch.setattr(tv, "collect_predictions", collect)
+    inputs = {"train-teacher": ["--task", "1-2"], "train-baseline": [],
+              "amalgamate": ["--teachers", ws["t1"], ws["t2"]]}[command]
+    assert run(command, *inputs, "--data", ws["train"], "--eval-data", ws["eval"],
+               "--out", ws["root"] / f"eval_batch_{command}.ckpt", "--config", ws["config"],
+               "--set", "train.batch_size=4") == 0
+    assert received == [TINY["train"]["eval_batch_size"]]  # one epoch, one evaluation
+
+
+@pytest.mark.parametrize("cores, workers, shares", [(8, 1, 8), (8, 3, 2), (2, 2, 1),
+                                                    (2, 4, 1)])
+def test_ablation_workers_split_the_cores_between_them(monkeypatch, cores, workers, shares):
+    monkeypatch.setattr(detector, "core_count", lambda: cores)
+    monkeypatch.setattr(detector, "_max_shares", None)
+    cli._init_ablation_worker(workers)
+    assert detector.share_count() == shares

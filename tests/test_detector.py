@@ -1,6 +1,7 @@
 """Detector forward: patch embedding, extension, compression, heads."""
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,6 +160,55 @@ class TestStudentForward:
         want = [b * rows + compress_redundancy(guide[b * rows:(b + 1) * rows], 2, n)
                 for b in range(3)]
         np.testing.assert_array_equal(out.kept, np.concatenate(want))
+
+
+class CountingPool:
+    """A real two-thread pool that counts the shares handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return self.pool.submit(*args)
+
+
+class TestSplitForward:
+    @pytest.mark.parametrize("batch", [1, 4, 5])
+    @pytest.mark.parametrize("compression", det.COMPRESSION_MODES)
+    @pytest.mark.parametrize("predict", [True, False])
+    @pytest.mark.parametrize("supervise_projection", [True, False])
+    def test_the_split_changes_no_output(self, monkeypatch, batch, compression, predict,
+                                         supervise_projection):
+        cfg = tiny_cfg(num_parts=2, compression=compression,
+                       supervise_projection=supervise_projection)
+        params = det.DetectorParams.init(cfg, np.random.default_rng(2))
+        params.set_requires_grad(False)
+        images = [rand_image() for _ in range(batch)]
+        outs = []
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            pool = CountingPool(executor)
+            monkeypatch.setattr(det, "_share_pool", lambda: pool)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(det, "core_count", lambda: cores)
+                before = pool.submitted
+                outs.append(det.forward_batch(images, params, cfg, predict=predict,
+                                              rng=np.random.default_rng(4)))
+                assert pool.submitted - before == min(batch, cores) - 1
+        whole = outs[0]
+        for split in outs[1:]:
+            assert split.memory_len == whole.memory_len and split.batch == batch
+            if whole.kept is None:
+                assert split.kept is None
+            else:
+                assert split.kept.tobytes() == whole.kept.tobytes()
+            pairs = list(zip(split.layer_seqs, whole.layer_seqs, strict=True))
+            if predict:
+                pairs += [(split.dists, whole.dists), (split.boxes, whole.boxes)]
+            else:
+                assert split.dists is None and split.boxes is None
+            for got, want in pairs:
+                assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
 
 
 class TestTeacherForward:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kaseq import amalgamation as ka
+from kaseq import detector as det
 from kaseq import tensor as T
 from kaseq import traineval as tv
 from kaseq.data import Dataset, TaskPartition, generate_dataset
@@ -568,6 +569,54 @@ class TestTrainingLoops:
         assert full_predicted == [True] * 6
         assert shipped == full
         assert shipped_terms == full_terms
+
+
+class RaisingPool:
+    def submit(self, *args):
+        raise RuntimeError("submit: a share left the calling thread")
+
+
+class TestSplitForwards:
+    def test_taped_forwards_never_split_and_no_tape_ones_do(self, tiny_train, tiny_teachers,
+                                                             monkeypatch):
+        cfg = tiny_cfg(num_parts=2, compression="redundancy")
+        memo = {}
+        tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=0, seed=3,
+                      teachers_by_id=memo)  # the cache build is a no-tape forward
+        monkeypatch.setattr(det, "core_count", lambda: 2)
+        monkeypatch.setattr(det, "_max_shares", None)
+        monkeypatch.setattr(det, "_share_pool", RaisingPool)
+        ckpt = tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=1, seed=3,
+                             batch_size=8, teachers_by_id=memo)
+        assert ckpt.metadata["final_epoch"] == 0
+        params, _ = tv.detector_from_checkpoint(ckpt)
+        params.set_requires_grad(False)
+        with pytest.raises(RuntimeError, match="submit"):
+            forward_batch([tiny_train.image(i) for i in range(2)], params, cfg)
+
+    def test_teacher_cache_is_the_same_at_one_and_two_cores(self, tiny_train, tiny_teachers,
+                                                             monkeypatch):
+        part = TaskPartition.equal_split(8, 2)
+        models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        for params, _ in models:
+            params.set_requires_grad(False)
+        monkeypatch.setattr(det, "_max_shares", None)
+        pools, shipped_pool = [], det._share_pool
+
+        def share_pool():
+            pools.append(shipped_pool())
+            return pools[-1]
+
+        monkeypatch.setattr(det, "_share_pool", share_pool)
+        caches = []
+        for cores in (1, 2):
+            monkeypatch.setattr(det, "core_count", lambda: cores)
+            caches.append(tv.TeacherCache(models, tiny_train, part, batch_size=5))
+            assert len(pools) == (0 if cores == 1 else 2 * 5)  # 2 teachers, 5 batches
+        one, two = caches
+        for a, b in zip(one.layers + [one.dists, one.boxes],
+                        two.layers + [two.dists, two.boxes], strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBatchLosses:
