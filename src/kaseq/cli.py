@@ -517,8 +517,8 @@ def cmd_ablate(args) -> int:
 
 
 def _init_ablation_worker(workers: int) -> None:
-    # The workers share the cores: each splits its no-tape forwards into an
-    # equal part of them.
+    # The workers share the cores: each splits its forwards and backward
+    # passes, training steps included, into an equal part of them.
     detector.limit_shares(max(1, detector.core_count() // workers))
 
 

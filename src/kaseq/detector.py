@@ -7,17 +7,19 @@ encoder runs under a block-diagonal mask that decouples the parts; the
 decoder cross-attends whatever memory the encoder produced, compressed or
 not.
 
-A forward that records no tape (no parameter requires a gradient: every
-evaluation and every teacher-cache build) splits its batch into contiguous
-image shares, one per usable core, after token selection; the calling
-thread runs the first share and a module-level thread pool the others, and
-the results are joined in image order. Every image's rows are computed by
-the same operations either way, so the outputs are byte-equal to an
-unsplit pass. Taped forwards, every training step, run as one share.
+A forward splits its batch into contiguous image shares, one per usable
+core, after token selection; the calling thread runs the first share and a
+module-level thread pool the others, and the results are joined in image
+order. Every image's rows are computed by the same operations either way,
+so the outputs are byte-equal to an unsplit pass. A taped forward (a
+training step) builds each share's graph over leaf views of the
+parameters, and its joined outputs are leaves; :meth:`BatchOutput.backward`
+carries a loss's gradient through the shares, again one per thread.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -190,6 +192,20 @@ def normalized_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 @dataclass
+class _Tape:
+    """The share graphs of a taped forward, kept for its backward pass."""
+
+    params: DetectorParams
+    x: Tensor                      # the selected tokens, on the caller's graph
+    x_leaf: Optional[Tensor]       # the supervised leaf over all of x, if any
+    bounds: list[tuple[int, int]]  # each share's images, [lo, hi)
+    inputs: list[Tensor]           # each share's leaf over its rows of x
+    views: list[DetectorParams]    # each share's leaf views of the parameters
+    outputs: list[list[Tensor]]    # each share's encoder outputs, dists, boxes
+    joins: list[Tensor]            # those outputs joined over the shares, leaves
+
+
+@dataclass
 class BatchOutput:
     """Stacked forward results for a batch of B images."""
 
@@ -199,6 +215,39 @@ class BatchOutput:
     kept: Optional[np.ndarray]  # kept rows of the image-major extended sequence, when compressed
     batch: int
     memory_len: int        # memory rows per image seen by the decoder
+    _tape: Optional[_Tape] = field(default=None, repr=False)
+
+    def backward(self, loss: Tensor) -> None:
+        """Accumulate d(loss)/d(parameter) on the ``.grad`` of the forward's
+        parameters, for a scalar ``loss`` computed from this output. The
+        share graphs are released, so it runs once per forward.
+
+        ``loss.backward()`` stops at the outputs, which are leaves. Each
+        share then walks its own graph, seeded with its rows of the outputs'
+        gradients, on its own thread; the caller walks the first. The
+        shares' input gradients, joined, seed the selected tokens, whose
+        walk reaches the projections. Last, each share's view gradients are
+        added to the parameters' in share order, so that no sum depends on
+        the thread schedule.
+        """
+        T.backward(loss)
+        tape, self._tape = self._tape, None
+        if tape is None:
+            return
+        per_image = [join.shape[0] // self.batch for join in tape.joins]
+        seeds = [[None if join.grad is None else join.grad[lo * rows:hi * rows]
+                  for join, rows in zip(tape.joins, per_image)] for lo, hi in tape.bounds]
+        _run_shares(T.backward_seeded, list(zip(tape.outputs, seeds)))
+        x_seeds = [] if tape.x_leaf is None else [tape.x_leaf.grad]
+        if any(leaf.grad is not None for leaf in tape.inputs):
+            x_seeds.append(np.concatenate([np.zeros(leaf.shape) if leaf.grad is None
+                                           else leaf.grad for leaf in tape.inputs]))
+        T.backward_seeded([tape.x] * len(x_seeds), x_seeds)
+        params = tape.params.named_parameters().values()
+        for view in tape.views:
+            for p, v in zip(params, view.named_parameters().values(), strict=True):
+                if v.grad is not None:
+                    p.grad = v.grad if p.grad is None else p.grad + v.grad
 
 
 def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
@@ -223,7 +272,7 @@ def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
 
 
 # ---------------------------------------------------------------------------
-# splitting no-tape forwards across cores
+# splitting forwards across cores
 
 _max_shares: Optional[int] = None  # per-process cap, see limit_shares
 _pool: Optional[ThreadPoolExecutor] = None
@@ -238,15 +287,17 @@ def core_count() -> int:
 
 
 def limit_shares(limit: int) -> None:
-    """Split a no-tape forward into at most ``limit`` (>= 1) shares in this
-    process. Processes that share the cores with siblings, such as the
-    workers of a parallel ablation, set it once at start-up."""
+    """Split a forward, and its backward, into at most ``limit`` (>= 1)
+    shares in this process. Processes that share the cores with siblings,
+    such as the workers of a parallel ablation, set it once at start-up."""
     global _max_shares
+    if limit < 1:
+        raise ContractError(f"a share limit of {limit}; it must be at least 1")
     _max_shares = limit
 
 
 def share_count() -> int:
-    """Image shares of a no-tape forward: one per usable core, at most the
+    """Image shares of a forward: one per usable core, at most the
     :func:`limit_shares` cap."""
     cores = core_count()
     return cores if _max_shares is None else min(cores, _max_shares)
@@ -271,11 +322,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _run_shares(fn, shares: Sequence[tuple]) -> list:
+    """``[fn(*share) for share in shares]``, the first on the calling thread
+    and the others on the share pool."""
+    futures = [_share_pool().submit(fn, *share) for share in shares[1:]]
+    try:
+        results = [fn(*shares[0])]
+    finally:
+        wait(futures)
+    return results + [future.result() for future in futures]
+
+
+def _leaf_views(obj):
+    """``obj`` with each Tensor replaced by a fresh leaf over the same array."""
+    if isinstance(obj, Tensor):
+        return Tensor(obj.data, requires_grad=obj.requires_grad)
+    if isinstance(obj, list):
+        return [_leaf_views(item) for item in obj]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: _leaf_views(getattr(obj, f.name))
+                                           for f in dataclasses.fields(obj)})
+    return obj
+
+
 def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: int,
                         params: DetectorParams, cfg: DetectorConfig, predict: bool):
     """Encoder, decoder and heads over the selected tokens ``x`` of ``images``
     images, each ``image_blocks`` attention blocks long; returns the encoder
-    outputs, ``dists`` and ``boxes`` (both None unless ``predict``)."""
+    outputs, followed by ``dists`` and ``boxes`` if ``predict``."""
     m = cfg.queries
     blocks = images * image_blocks
     mask = tf.AttentionMask(blocks, x.shape[0] // blocks, x.shape[0] // blocks)
@@ -286,7 +360,7 @@ def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: i
     enc_in = T.add(x, Tensor(pos))
     enc_outs = tf.encoder_forward(enc_in, params.transformer.encoder, mask=mask, pos=pos)
     if not predict:
-        return enc_outs, None, None
+        return enc_outs
 
     memory = enc_outs[-1] if enc_outs else enc_in
     queries = T.gather_rows(params.query_embed, np.tile(np.arange(m), images))
@@ -299,11 +373,13 @@ def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: i
     hidden = T.relu(T.add(T.matmul(decoded, params.box_w1), params.box_b1))
     hidden = T.relu(T.add(T.matmul(hidden, params.box_w2), params.box_b2))
     boxes = T.sigmoid(T.add(T.matmul(hidden, params.box_w3), params.box_b3))
-    return enc_outs, dists, boxes
+    return enc_outs + [dists, boxes]
 
 
 def _join(pieces: Sequence[Tensor]) -> Tensor:
-    return pieces[0] if len(pieces) == 1 else T.concat_rows(pieces)
+    # A leaf: the loss's walk stops here (see BatchOutput.backward).
+    data = pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
+    return Tensor(data, requires_grad=pieces[0].requires_grad)
 
 
 def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
@@ -323,19 +399,21 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     supervision sequences, ``kept`` and ``memory_len`` are those of the full
     pass. Training uses it on steps whose loss reads no prediction.
 
-    When no parameter requires a gradient, the pass records no tape, and a
-    batch of at least 2 images is split after token selection (so ``rng``
-    is drawn in image order on the calling thread) into
-    ``min(B, share_count())`` contiguous image shares. Each share runs the
-    encoder, decoder and heads; the results are concatenated in image
-    order and are byte-equal to a pass in one share. The calling thread
-    runs the first share and a pool of cores - 1 threads the others. The
-    caller works rather than waits because every thread that allocates
-    gets its own glibc malloc arena, which keeps freed memory: on 2 vCPUs,
-    the benchmark's ``evaluate_student`` peaked at 80.2 MB with a pool that
-    ran both shares while the caller waited, against 74.1 MB this way (and
-    74.0 MB unsplit). A taped forward, every training step, is one share,
-    the whole batch, uncopied.
+    A batch of at least 2 images is split after token selection (so
+    ``rng`` is drawn in image order on the calling thread) into
+    ``min(B, share_count())`` contiguous image shares, whether or not the
+    pass records a tape. Each share runs the encoder, decoder and heads over
+    a leaf holding its rows of the selected tokens and over fresh leaf views
+    of the parameters, which share their arrays; the results are
+    concatenated in image order into new leaves, byte-equal to a pass in
+    one share. The calling thread runs the first share and a pool of
+    cores - 1 threads the others. The caller works rather than waits because
+    every thread that allocates gets its own glibc malloc arena, which keeps
+    freed memory: on 2 vCPUs, the benchmark's ``evaluate_student`` peaked
+    at 80.2 MB with a pool that ran both shares while the caller waited,
+    against 74.1 MB this way (and 74.0 MB unsplit). Since the outputs are
+    leaves, the gradient of a loss computed from them reaches the
+    parameters through :meth:`BatchOutput.backward`, not ``loss.backward()``.
     """
     batch = len(images)
     if batch == 0:
@@ -361,25 +439,24 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
         pos = np.tile(params.pos, (batch * parts, 1))
         image_blocks = parts
 
-    taped = any(p.requires_grad for p in params.named_parameters().values())
-    count = 1 if taped else min(batch, share_count())
+    count = min(batch, share_count())
     memory_len = x.shape[0] // batch
     starts = [batch * s // count for s in range(count + 1)]
-    shares = [(x if count == 1 else Tensor(x.data[lo * memory_len:hi * memory_len]),
-               pos[lo * memory_len:hi * memory_len], hi - lo)
-              for lo, hi in zip(starts, starts[1:])]
-    futures = [_share_pool().submit(_encode_and_predict, *share, image_blocks, params, cfg,
-                                    predict)
-               for share in shares[1:]]
-    try:
-        results = [_encode_and_predict(*shares[0], image_blocks, params, cfg, predict)]
-    finally:
-        wait(futures)
-    results += [future.result() for future in futures]
+    bounds = list(zip(starts, starts[1:]))
+    inputs = [Tensor(x.data[lo * memory_len:hi * memory_len], requires_grad=x.requires_grad)
+              for lo, hi in bounds]
+    views = [_leaf_views(params) for _ in bounds]
+    outputs = _run_shares(_encode_and_predict, [
+        (leaf, pos[lo * memory_len:hi * memory_len], hi - lo, image_blocks, view, cfg, predict)
+        for leaf, view, (lo, hi) in zip(inputs, views, bounds)])
+    joins = [_join(pieces) for pieces in zip(*outputs)]
 
-    enc_outs = [_join(layer) for layer in zip(*(enc for enc, _, _ in results))]
+    enc_layers = cfg.enc_layers
+    x_leaf = Tensor(x.data, requires_grad=x.requires_grad) if cfg.supervise_projection else None
+    taped = any(p.requires_grad for p in params.named_parameters().values())
     return BatchOutput(
-        dists=_join([d for _, d, _ in results]) if predict else None,
-        boxes=_join([b for _, _, b in results]) if predict else None,
-        layer_seqs=([x] if cfg.supervise_projection else []) + enc_outs,
-        kept=kept, batch=batch, memory_len=memory_len)
+        dists=joins[enc_layers] if predict else None,
+        boxes=joins[enc_layers + 1] if predict else None,
+        layer_seqs=([x_leaf] if x_leaf is not None else []) + joins[:enc_layers],
+        kept=kept, batch=batch, memory_len=memory_len,
+        _tape=_Tape(params, x, x_leaf, bounds, inputs, views, outputs, joins) if taped else None)

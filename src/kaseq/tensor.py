@@ -5,11 +5,13 @@ records its parents and a vector-Jacobian-product closure. Calling
 ``backward`` on a scalar walks the recorded graph once in reverse
 topological order and accumulates gradients additively on every
 requires-grad leaf, so repeated backward calls without clearing ``grad``
-sum their contributions.
+sum their contributions. :func:`backward_seeded` walks from several roots
+at once, each seeded with a given gradient; it resumes a walk that stopped
+at leaves standing in for those roots.
 
-Tensors are immutable values apart from gradient accumulation. A graph
-is confined to the thread that built it; independent graphs may run in
-parallel.
+Tensors are immutable values apart from gradient accumulation. A graph is
+used by one thread at a time; disjoint graphs may be built and walked in
+parallel, and a graph built on one thread may be walked on another.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     return out
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(*roots: Tensor) -> list[Tensor]:
     # Iterative DFS: batched training graphs can exceed the recursion limit.
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False) for root in reversed(roots)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -91,9 +93,32 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ContractError("backward on a tensor that is not connected to the tape")
-    order = _topo_order(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    backward_seeded([loss], [np.ones_like(loss.data)])
+
+
+def backward_seeded(roots: Sequence[Tensor], seeds: Sequence[Optional[np.ndarray]]) -> None:
+    """Accumulate on every requires-grad leaf below ``roots`` the gradient of
+    sum_i <seeds[i], roots[i]>, in one walk: a root that lies below another
+    receives its seed plus what flows down to it. A None seed adds nothing;
+    a root may appear more than once, and its seeds then add up."""
+    if len(roots) != len(seeds):
+        raise ContractError(f"{len(roots)} roots but {len(seeds)} seeds")
+    flowing: dict[int, np.ndarray] = {}
+    seeded: list[Tensor] = []
+    for root, seed in zip(roots, seeds):
+        if seed is None:
+            continue
+        if seed.shape != root.shape:
+            raise ShapeError(f"a seed of shape {seed.shape} for a root of shape {root.shape}")
+        if not root.requires_grad:
+            raise ContractError("a seeded root is not connected to the tape")
+        key = id(root)
+        if key in flowing:
+            flowing[key] = flowing[key] + seed
+        else:
+            flowing[key] = seed
+            seeded.append(root)
+    for node in reversed(_topo_order(*seeded)):
         g = flowing.pop(id(node), None)
         if g is None:
             continue

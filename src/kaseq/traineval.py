@@ -19,9 +19,10 @@ caller-owned memo reuses caches across runs; its key is the teachers'
 digests of configuration and tensors, the training-set object itself, and
 the task partition.
 
-Evaluation and teacher-cache builds are forward passes that record no
-tape, so :func:`forward_batch` splits their batches across every core the
-process may use; training steps record a tape and run on one core.
+:func:`forward_batch` splits every batch across the cores the process may
+use: evaluation and teacher-cache builds, which record no tape, and
+training steps, whose backward pass :meth:`BatchOutput.backward` splits
+the same way.
 """
 
 from __future__ import annotations
@@ -292,16 +293,18 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
 
 
 class TeacherCache:
-    """Outputs of N frozen teachers, (params, cfg) pairs of one geometry and
+    """Outputs of N teachers, (params, cfg) pairs of one geometry and
     supervision depth, on every image. ``layers[l]`` (count, N n, d) holds an
     image's concatenated layer-l teacher sequences, the sequence-level hint;
     ``dists`` (count, N m, C+1) and ``boxes`` (count, N m, 4) its task-level
-    pool, every teacher's padded predictions in teacher order."""
+    pool, every teacher's padded predictions in teacher order. The cache
+    freezes the teachers' parameters, so that its forwards record no tape."""
 
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
                  dataset: Dataset, partition: TaskPartition, batch_size: int = 32):
-        for _, cfg in teachers:
+        for params, cfg in teachers:
             _check_image_size(cfg, dataset)
+            params.set_requires_grad(False)
         cfg = teachers[0][1]
         n, m, count, k = cfg.tokens, cfg.queries, len(dataset), len(teachers)
         self.layers = [np.empty((count, k * n, cfg.d_model), dtype=np.float32)
@@ -545,7 +548,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
                     save_checkpoint(last_good, crash_dump)
                 raise NumericError(f"non-finite loss {value};" + (
                     f" last good checkpoint at {crash_dump}" if crash_dump else ""))
-            loss.backward()
+            out.backward(loss)
             optimizer.step(lr_scale=scale)
             optimizer.zero_grad()
             for name in terms:  # no loop variable keeps this step's graph alive
@@ -659,7 +662,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     teacher_models = []
     for ckpt in teacher_ckpts:
         params_t, cfg_t = detector_from_checkpoint(ckpt)
-        params_t.set_requires_grad(False)
         if "task_subset" not in ckpt.metadata:
             raise ContractError("teacher checkpoint lacks its task subset")
         subsets.append(tuple(sorted(ckpt.metadata["task_subset"])))

@@ -1,18 +1,22 @@
 """Detector forward: patch embedding, extension, compression, heads."""
 
 import dataclasses
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from kaseq import amalgamation as ka
 from kaseq import detector as det
 from kaseq import tensor as T
 from kaseq.amalgamation import compress_redundancy
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
-from helpers import (backbone_project, image_detections, split_parts, student_forward,
+from helpers import (backbone_project, finite_difference_grad, image_detections, rel_err,
+                     split_parts, student_forward,
                      teacher_forward)
 
 RNG = np.random.default_rng(17)
@@ -209,6 +213,187 @@ class TestSplitForward:
                 assert split.dists is None and split.boxes is None
             for got, want in pairs:
                 assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+
+
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_a_share_limit_below_one_is_rejected(self, monkeypatch, limit):
+        monkeypatch.setattr(det, "_max_shares", None)
+        with pytest.raises(ContractError, match="at least 1"):
+            det.limit_shares(limit)
+        assert det.share_count() == det.core_count()
+        cfg = tiny_cfg()
+        params = det.DetectorParams.init(cfg, np.random.default_rng(2))
+        params.set_requires_grad(False)
+        assert det.forward_batch([rand_image(), rand_image()], params, cfg).batch == 2
+
+
+@pytest.fixture
+def share_pool(monkeypatch):
+    """A counting two-thread share pool, with no cap on the share count."""
+    monkeypatch.setattr(det, "_max_shares", None)
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        pool = CountingPool(executor)
+        monkeypatch.setattr(det, "_share_pool", lambda: pool)
+        yield pool
+
+
+def over_split_cases(test):
+    for mark in (pytest.mark.parametrize("compression", det.COMPRESSION_MODES),
+                 pytest.mark.parametrize("predict", [True, False]),
+                 pytest.mark.parametrize("supervise_projection", [True, False])):
+        test = mark(test)
+    return test
+
+
+def coefficients(shape):
+    return np.sin(np.arange(np.prod(shape), dtype=np.float64)).reshape(shape)
+
+
+def every_output_loss(out):
+    """A loss that reads every output, the sequences through channel_norm's
+    statistics over the whole batch."""
+    terms = [T.tsum(T.mul(T.channel_norm(seq), Tensor(coefficients(seq.shape))))
+             for seq in out.layer_seqs]
+    if out.dists is not None:
+        terms += [T.tsum(T.mul(T.log(T.clamp_min(out.dists)),
+                               Tensor(coefficients(out.dists.shape)))),
+                  T.tsum(T.mul(out.boxes, Tensor(coefficients(out.boxes.shape))))]
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return total
+
+
+def step_gradients(monkeypatch, cores, params, cfg, images, predict):
+    """Each parameter's gradient after one step at ``cores`` cores, by name."""
+    monkeypatch.setattr(det, "core_count", lambda: cores)
+    named = params.named_parameters()
+    for p in named.values():
+        p.grad = None
+    out = det.forward_batch(images, params, cfg, predict=predict, rng=np.random.default_rng(4))
+    out.backward(every_output_loss(out))
+    return {name: p.grad for name, p in named.items()}
+
+
+class TestSplitBackward:
+    def split_case(self, compression, supervise_projection):
+        cfg = tiny_cfg(num_parts=2, compression=compression,
+                       supervise_projection=supervise_projection)
+        return det.DetectorParams.init(cfg, np.random.default_rng(2)), cfg
+
+    @over_split_cases
+    def test_a_taped_forward_reaches_the_share_pool(self, monkeypatch, share_pool, compression,
+                                                    predict, supervise_projection):
+        params, cfg = self.split_case(compression, supervise_projection)
+        monkeypatch.setattr(det, "core_count", lambda: 2)
+        out = det.forward_batch([rand_image() for _ in range(2)], params, cfg, predict=predict)
+        assert share_pool.submitted == 1  # the forward's second share
+        out.backward(every_output_loss(out))
+        assert share_pool.submitted == 2  # and its backward
+
+    @over_split_cases
+    def test_split_gradients_equal_the_unsplit_step(self, monkeypatch, share_pool, compression,
+                                                     predict, supervise_projection):
+        params, cfg = self.split_case(compression, supervise_projection)
+        images = [rand_image() for _ in range(5)]
+        whole = step_gradients(monkeypatch, 1, params, cfg, images, predict)
+        assert share_pool.submitted == 0
+        assert whole["proj1.w"] is not None and whole["enc1.mlp.w2"] is not None
+        assert (whole["class.w"] is not None) == predict
+        for cores in (2, 3):
+            split = step_gradients(monkeypatch, cores, params, cfg, images, predict)
+            for name, want in whole.items():
+                got = split[name]
+                if want is None:
+                    assert got is None, name
+                    continue
+                bound = 1e-9 * np.abs(want).max() + 1e-12
+                assert np.abs(got - want).max() <= bound, name
+        assert share_pool.submitted == 2 * (1 + 2)  # forward and backward, at 2 and 3 cores
+
+    @over_split_cases
+    def test_repeated_split_steps_give_byte_equal_gradients(self, monkeypatch, share_pool,
+                                                            compression, predict,
+                                                            supervise_projection):
+        params, cfg = self.split_case(compression, supervise_projection)
+        images = [rand_image() for _ in range(5)]
+        first, second = (step_gradients(monkeypatch, 3, params, cfg, images, predict)
+                         for _ in range(2))
+        for name, want in first.items():
+            got = second[name]
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+
+    def test_more_shares_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # Six shares on five pool threads, switching threads every
+        # microsecond: a gradient lost or summed out of share order would
+        # break the equality of two steps, or their closeness to one share.
+        params, cfg = self.split_case("redundancy", True)
+        images = [rand_image() for _ in range(6)]
+        whole = step_gradients(monkeypatch, 1, params, cfg, images, True)
+        steps = []
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(max_workers=5) as executor:
+            monkeypatch.setattr(det, "_share_pool", lambda: executor)
+            monkeypatch.setattr(det, "_max_shares", None)
+            sys.setswitchinterval(1e-6)
+            try:
+                runner = threading.Thread(target=lambda: steps.extend(
+                    step_gradients(monkeypatch, 6, params, cfg, images, True)
+                    for _ in range(2)))
+                runner.start()
+                runner.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not runner.is_alive() and len(steps) == 2
+        for name, want in whole.items():
+            assert steps[0][name].tobytes() == steps[1][name].tobytes(), name
+            bound = 1e-9 * np.abs(want).max() + 1e-12
+            assert np.abs(steps[0][name] - want).max() <= bound, name
+
+    @pytest.mark.parametrize("compression", ["none", "redundancy"])
+    def test_split_sa_ta_gradient_matches_finite_differences(self, monkeypatch, share_pool,
+                                                             compression):
+        # The independent oracle: central differences of the loss, each
+        # evaluated by a forward split across two cores.
+        params, cfg = self.split_case(compression, True)
+        monkeypatch.setattr(det, "core_count", lambda: 2)
+        rng = np.random.default_rng(8)
+        batch, n, m = 2, cfg.tokens, cfg.queries
+        images = [rand_image() for _ in range(batch)]
+        guide = rng.standard_normal((batch * 2 * n, cfg.d_model))
+        teacher_layers = [rng.standard_normal((batch * 2 * n, cfg.d_model))
+                          for _ in range(cfg.supervised_layers)]
+        pool_dists = rng.dirichlet(np.ones(cfg.num_categories + 1), size=(batch, 2 * m))
+        pool_boxes = rng.uniform(0.2, 0.6, size=(batch, 2 * m, 4))
+        weights = ka.KAWeights()
+
+        def step():
+            out = det.forward_batch(images, params, cfg, guide=guide)
+            keep = slice(None) if out.kept is None else out.kept
+            seq = ka.sa_loss([T.channel_norm(s) for s in out.layer_seqs],
+                             [T.channel_norm(Tensor(t[keep])) for t in teacher_layers], 2)
+            task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
+            return out, ka.final_loss(seq, task, None, weights)
+
+        out, loss = step()
+        out.backward(loss)
+        named = params.named_parameters()
+        for name in ("proj0.w", "proj1.b", "enc0.attn.wq", "enc1.mlp.b2", "dec0.cross.wvo",
+                     "queries", "class.w", "box.w3"):
+            p = named[name]
+            entries = np.unravel_index(np.arange(0, p.data.size, 1 + p.data.size // 3),
+                                       p.shape)
+            chosen = p.data[entries].copy()
+
+            def loss_at(values):
+                p.data[entries] = values
+                try:
+                    return step()[1].item()
+                finally:
+                    p.data[entries] = chosen
+
+            numeric = finite_difference_grad(loss_at, chosen.copy(), h=1e-6)
+            assert rel_err(p.grad[entries], numeric) < 1e-6, name
 
 
 class TestTeacherForward:

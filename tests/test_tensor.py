@@ -133,6 +133,76 @@ class TestTape:
         assert err < 1e-4
 
 
+class TestSeededBackward:
+    """``backward_seeded(roots, seeds)`` against single-root walks of the
+    scalar sum_i <seeds[i], roots[i]>, one root at a time."""
+
+    def graph(self):
+        """The same graph on each call: leaves (w, v) and roots (low, high,
+        side), where ``high`` lies above ``low`` and ``side`` above neither."""
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        v = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        low = T.matmul(w, v)
+        high = T.sigmoid(T.matmul(T.relu(low), Tensor(rng.standard_normal((2, 2)))))
+        side = T.tsum(T.mul(w, w), axis=0)
+        return (w, v), (low, high, side)
+
+    def single_root_sum(self, pick, seeds):
+        total = None
+        for i, seed in enumerate(seeds):
+            if seed is None:
+                continue
+            leaves, roots = self.graph()
+            T.backward(T.tsum(T.mul(roots[pick[i]], Tensor(seed))))
+            grads = [np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
+                     for leaf in leaves]
+            total = grads if total is None else [a + b for a, b in zip(total, grads)]
+        return total
+
+    @pytest.mark.parametrize("pick", [(0,), (1, 2), (0, 1), (1, 0, 2), (0, 0)],
+                             ids=["one", "disjoint", "below", "all", "repeated"])
+    def test_equals_the_sum_of_single_root_walks(self, pick):
+        seeds = [rand(*self.graph()[1][i].shape) for i in pick]
+        leaves, roots = self.graph()
+        T.backward_seeded([roots[i] for i in pick], seeds)
+        for got, want in zip(leaves, self.single_root_sum(pick, seeds)):
+            np.testing.assert_allclose(got.grad, want, rtol=1e-12, atol=1e-12)
+
+    def test_a_root_seeded_none_adds_nothing(self):
+        seeds = [None, rand(3, 2), rand(1, 4)]
+        leaves, roots = self.graph()
+        T.backward_seeded(roots, seeds)
+        for got, want in zip(leaves, self.single_root_sum((0, 1, 2), seeds)):
+            np.testing.assert_allclose(got.grad, want, rtol=1e-12, atol=1e-12)
+        leaves, roots = self.graph()
+        T.backward_seeded(roots, [None, None, None])
+        assert all(leaf.grad is None for leaf in leaves)
+
+    def test_a_scalar_root_seeded_one_is_backward(self):
+        leaves, (low, _, _) = self.graph()
+        T.backward_seeded([T.tsum(low)], [np.ones(())])
+        seeded = [leaf.grad.copy() for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        T.backward(T.tsum(low))
+        for leaf, want in zip(leaves, seeded):
+            np.testing.assert_array_equal(leaf.grad, want)
+
+    def test_contracts(self):
+        _, (low, high, _) = self.graph()
+        with pytest.raises(ShapeError):
+            T.backward_seeded([low], [np.ones((2, 3))])
+        with pytest.raises(ContractError):
+            T.backward_seeded([low, high], [np.ones(low.shape)])
+        with pytest.raises(ContractError):
+            T.backward_seeded([Tensor(rand(2, 2))], [np.ones((2, 2))])
+        with pytest.raises(ContractError, match="scalar"):
+            T.backward(low)
+        with pytest.raises(ContractError, match="tape"):
+            T.backward(T.tsum(Tensor(rand(2, 2))))
+
+
 def _c(*shape):
     """A fixed random weighting so test losses have generic gradients."""
     return Tensor(RNG.standard_normal(shape))

@@ -571,35 +571,62 @@ class TestTrainingLoops:
         assert shipped_terms == full_terms
 
 
-class RaisingPool:
-    def submit(self, *args):
-        raise RuntimeError("submit: a share left the calling thread")
-
-
 class TestSplitForwards:
-    def test_taped_forwards_never_split_and_no_tape_ones_do(self, tiny_train, tiny_teachers,
-                                                             monkeypatch):
+    def test_training_steps_split_and_match_one_core(self, tiny_train, tiny_teachers,
+                                                      monkeypatch):
         cfg = tiny_cfg(num_parts=2, compression="redundancy")
         memo = {}
-        tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=0, seed=3,
-                      teachers_by_id=memo)  # the cache build is a no-tape forward
-        monkeypatch.setattr(det, "core_count", lambda: 2)
         monkeypatch.setattr(det, "_max_shares", None)
-        monkeypatch.setattr(det, "_share_pool", RaisingPool)
-        ckpt = tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=1, seed=3,
-                             batch_size=8, teachers_by_id=memo)
-        assert ckpt.metadata["final_epoch"] == 0
-        params, _ = tv.detector_from_checkpoint(ckpt)
-        params.set_requires_grad(False)
-        with pytest.raises(RuntimeError, match="submit"):
-            forward_batch([tiny_train.image(i) for i in range(2)], params, cfg)
+        submitted, shipped_pool = [], det._share_pool
+
+        def share_pool():
+            submitted.append(1)
+            return shipped_pool()
+
+        monkeypatch.setattr(det, "_share_pool", share_pool)
+        students = []
+        for cores in (1, 2):
+            monkeypatch.setattr(det, "core_count", lambda: cores)
+            del submitted[:]
+            students.append(tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=2,
+                                          seed=3, batch_size=8, teachers_by_id=memo,
+                                          opt_settings=tv.OptimSettings(lr=1e-3)))
+            # 2 epochs of 3 steps, each a forward and a backward in two shares
+            assert len(submitted) == (0 if cores == 1 else 6 * 2)
+        one, two = students
+        for name, want in one.tensors.items():
+            # Summing by share changes the rounding of each gradient, and
+            # Adam's per-coordinate step scales the difference up.
+            np.testing.assert_allclose(two.tensors[name], want, rtol=0,
+                                       atol=1e-9 * np.abs(want).max(), err_msg=name)
+
+    def test_the_cache_freezes_its_teachers(self, tiny_train, tiny_teachers, monkeypatch):
+        part = TaskPartition.equal_split(8, 2)
+        frozen = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        for params, _ in frozen:
+            params.set_requires_grad(False)
+        given = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        shipped_forward, taped = tv.forward_batch, []
+
+        def forward(*args, **kwargs):
+            out = shipped_forward(*args, **kwargs)
+            taped.append(any(t.requires_grad for t in out.layer_seqs + [out.dists, out.boxes]))
+            return out
+
+        monkeypatch.setattr(tv, "forward_batch", forward)
+        built, reference = (tv.TeacherCache(models, tiny_train, part, batch_size=10)
+                            for models in (given, frozen))
+        assert taped == [False] * (2 * 2 * 3)  # 2 caches, 2 teachers, 3 batches
+        assert not any(p.requires_grad for params, _ in given
+                       for p in params.named_parameters().values())
+        for a, b in zip(built.layers + [built.dists, built.boxes],
+                        reference.layers + [reference.dists, reference.boxes], strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_teacher_cache_is_the_same_at_one_and_two_cores(self, tiny_train, tiny_teachers,
                                                              monkeypatch):
         part = TaskPartition.equal_split(8, 2)
         models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
-        for params, _ in models:
-            params.set_requires_grad(False)
         monkeypatch.setattr(det, "_max_shares", None)
         pools, shipped_pool = [], det._share_pool
 
