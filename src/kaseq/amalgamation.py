@@ -25,7 +25,7 @@ from .errors import ContractError, ShapeError
 from .settings import Settings
 from .tensor import Tensor
 
-_UNIT_FLOOR = 1e-12
+_NORM_FLOOR = 1e-12  # least row norm divided by, so a zero row stays zero
 
 
 @dataclass
@@ -94,7 +94,7 @@ def sag_loss(student_seq: Tensor, teacher_seqs: Sequence[Tensor],
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.maximum(norms, _UNIT_FLOOR)
+    return x / np.maximum(norms, _NORM_FLOOR)
 
 
 def redundancy_all(x: np.ndarray) -> np.ndarray:
@@ -276,10 +276,8 @@ def ta_loss(student_dists: Tensor, student_boxes: Tensor,
     t_boxes = pool_boxes.reshape(batch * k, 4)[flat]
     conf = t_dists[:, :-1].max(axis=1)
 
-    plogp = np.where(t_dists > 0, t_dists * np.log(np.maximum(t_dists, _UNIT_FLOOR)), 0.0)
-    kl_const = plogp.sum(axis=1, keepdims=True)
     cross = T.tsum(T.mul(T.log(T.clamp_min(student_dists)), Tensor(t_dists)), axis=1)
-    kl = T.sub(Tensor(kl_const), cross)
+    kl = T.sub(Tensor(matching.neg_entropy(t_dists)[:, None]), cross)
     box = box_loss_rows(student_boxes, t_boxes, weights.l1_weight, weights.giou_weight)
     per_slot = T.mul(Tensor(conf[:, None]),
                      T.add(T.scale(kl, weights.beta_kl), T.scale(box, weights.beta_box)))

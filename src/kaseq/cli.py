@@ -352,9 +352,6 @@ def cmd_amalgamate(args) -> int:
     _guard_output(args.out, args.force)
     if len(args.teachers) < 2 and args.mode != "sag":
         raise UsageError("amalgamation expects at least two teacher checkpoints")
-    if args.mode == "sag" and args.compress != "none":
-        raise UsageError("the aggregation baseline operates on unextended sequences; "
-                         "--compress must be none")
     if args.label_free:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)

@@ -40,6 +40,10 @@ COMPRESSION_MODES = ("none", "isometric", "random", "redundancy")
 
 @dataclass
 class DetectorConfig(Settings):
+    """Geometry of a detector, its part count N and its compression rule.
+    Amalgamation supervises its projection output and every encoder
+    layer's output, :attr:`supervised_layers` sequences in all."""
+
     image_size: int = 64
     patch_size: int = 8
     d_model: int = 64
@@ -51,7 +55,6 @@ class DetectorConfig(Settings):
     num_parts: int = 1
     compression: str = "none"
     ffn_dim: int = 128
-    supervise_projection: bool = True
 
     def __post_init__(self):
         for key in ("image_size", "patch_size", "d_model", "heads", "queries",
@@ -84,8 +87,9 @@ class DetectorConfig(Settings):
 
     @property
     def supervised_layers(self) -> int:
-        """Sequences amalgamation supervises: the projection, if set, and each encoder layer."""
-        return int(self.supervise_projection) + self.enc_layers
+        """Sequences amalgamation supervises: the projection output, then
+        each encoder layer's."""
+        return 1 + self.enc_layers
 
 
 @dataclass
@@ -102,7 +106,7 @@ class DetectorParams:
     box_b2: Tensor
     box_w3: Tensor
     box_b3: Tensor
-    pos: np.ndarray = field(repr=False, default=None)
+    pos: np.ndarray = field(repr=False)
 
     @classmethod
     def init(cls, cfg: DetectorConfig, rng: np.random.Generator) -> "DetectorParams":
@@ -197,7 +201,7 @@ class _Tape:
 
     params: DetectorParams
     x: Tensor                      # the selected tokens, on the caller's graph
-    x_leaf: Optional[Tensor]       # the supervised leaf over all of x, if any
+    x_leaf: Tensor                 # the supervised leaf over all of x
     bounds: list[tuple[int, int]]  # each share's images, [lo, hi)
     inputs: list[Tensor]           # each share's leaf over its rows of x
     views: list[DetectorParams]    # each share's leaf views of the parameters
@@ -211,7 +215,7 @@ class BatchOutput:
 
     dists: Optional[Tensor]  # (B * m, C + 1); None when not predicted
     boxes: Optional[Tensor]  # (B * m, 4); None when not predicted
-    layer_seqs: list[Tensor]  # supervision sequences, each (B * L, d)
+    layer_seqs: list[Tensor]  # the selected tokens, then each encoder output, each (B * L, d)
     kept: Optional[np.ndarray]  # kept rows of the image-major extended sequence, when compressed
     batch: int
     memory_len: int        # memory rows per image seen by the decoder
@@ -225,10 +229,11 @@ class BatchOutput:
         ``loss.backward()`` stops at the outputs, which are leaves. Each
         share then walks its own graph, seeded with its rows of the outputs'
         gradients, on its own thread; the caller walks the first. The
-        shares' input gradients, joined, seed the selected tokens, whose
-        walk reaches the projections. Last, each share's view gradients are
-        added to the parameters' in share order, so that no sum depends on
-        the thread schedule.
+        supervised projection leaf's gradient and the shares' input
+        gradients, joined, seed the selected tokens, whose walk reaches the
+        projections. Last, each share's view gradients are added to the
+        parameters' in share order, so that no sum depends on the thread
+        schedule.
         """
         T.backward(loss)
         tape, self._tape = self._tape, None
@@ -238,11 +243,11 @@ class BatchOutput:
         seeds = [[None if join.grad is None else join.grad[lo * rows:hi * rows]
                   for join, rows in zip(tape.joins, per_image)] for lo, hi in tape.bounds]
         _run_shares(T.backward_seeded, list(zip(tape.outputs, seeds)))
-        x_seeds = [] if tape.x_leaf is None else [tape.x_leaf.grad]
+        joined = None
         if any(leaf.grad is not None for leaf in tape.inputs):
-            x_seeds.append(np.concatenate([np.zeros(leaf.shape) if leaf.grad is None
-                                           else leaf.grad for leaf in tape.inputs]))
-        T.backward_seeded([tape.x] * len(x_seeds), x_seeds)
+            joined = np.concatenate([np.zeros(leaf.shape) if leaf.grad is None
+                                     else leaf.grad for leaf in tape.inputs])
+        T.backward_seeded([tape.x, tape.x], [tape.x_leaf.grad, joined])
         params = tape.params.named_parameters().values()
         for view in tape.views:
             for p, v in zip(params, view.named_parameters().values(), strict=True):
@@ -426,9 +431,11 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
         source = extended.data if guide is None else guide
         if source.shape[0] != batch * rows:
             raise ContractError(f"the guide holds {source.shape[0]} rows, not {batch * rows}")
+        if rng is None:
+            rng = np.random.default_rng(0)
         kept = np.concatenate([
             b * rows + ka.select_tokens(cfg.compression, source[b * rows:(b + 1) * rows],
-                                        parts, n, rng or np.random.default_rng(0))
+                                        parts, n, rng)
             for b in range(batch)])
         x = T.gather_rows(extended, kept)
         pos = params.pos[kept % n]
@@ -452,11 +459,11 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     joins = [_join(pieces) for pieces in zip(*outputs)]
 
     enc_layers = cfg.enc_layers
-    x_leaf = Tensor(x.data, requires_grad=x.requires_grad) if cfg.supervise_projection else None
+    x_leaf = Tensor(x.data, requires_grad=x.requires_grad)
     taped = any(p.requires_grad for p in params.named_parameters().values())
     return BatchOutput(
         dists=joins[enc_layers] if predict else None,
         boxes=joins[enc_layers + 1] if predict else None,
-        layer_seqs=([x_leaf] if x_leaf is not None else []) + joins[:enc_layers],
+        layer_seqs=[x_leaf] + joins[:enc_layers],
         kept=kept, batch=batch, memory_len=memory_len,
         _tape=_Tape(params, x, x_leaf, bounds, inputs, views, outputs, joins) if taped else None)

@@ -13,8 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, InfeasibleError
-
-_KL_FLOOR = 1e-12
+from .tensor import LOG_FLOOR
 
 
 def box_cxcywh_to_corners(b) -> np.ndarray:
@@ -75,6 +74,13 @@ def box_cost(boxes_a, boxes_b, l1_weight: float = 5.0, giou_weight: float = 2.0)
     return l1_weight * l1 + giou_weight * (1.0 - giou)
 
 
+def neg_entropy(p) -> np.ndarray:
+    """sum p log p over the last axis, with 0 log 0 = 0: the term of
+    KL(p || q) that a fixed target distribution p contributes alone."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.where(p > 0, p * np.log(np.maximum(p, LOG_FLOOR)), 0.0).sum(axis=-1)
+
+
 def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
                       pool_dists: np.ndarray, pool_boxes: np.ndarray,
                       alpha_kl: float = 1.0, alpha_box: float = 1.0,
@@ -84,9 +90,8 @@ def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
     image when the inputs carry a leading batch axis ((B, m, .) against
     (B, K, .) gives (B, m, K))."""
     p = np.asarray(pool_dists, dtype=np.float64)
-    q = np.maximum(np.asarray(student_dists, dtype=np.float64), _KL_FLOOR)
-    plogp = np.where(p > 0, p * np.log(np.maximum(p, _KL_FLOOR)), 0.0).sum(axis=-1)
-    kl = plogp[..., None, :] - np.log(q) @ np.swapaxes(p, -1, -2)  # (..., m, K)
+    q = np.maximum(np.asarray(student_dists, dtype=np.float64), LOG_FLOOR)
+    kl = neg_entropy(p)[..., None, :] - np.log(q) @ np.swapaxes(p, -1, -2)  # (..., m, K)
     conf = p[..., :-1].max(axis=-1)
     return (alpha_kl * kl
             + alpha_box * box_cost(student_boxes, pool_boxes, l1_weight, giou_weight)

@@ -41,10 +41,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -136,11 +132,6 @@ def backward_seeded(roots: Sequence[Tensor], seeds: Sequence[Optional[np.ndarray
                 flowing[key] = pg
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     # Equal shapes, or a (1, d) row broadcast against (n, d) on either side.
     if a.shape == b.shape:
@@ -187,14 +178,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data * b.data, (a, b),
                     lambda g: (_reduce_to(g * b.data, a.shape) if na else None,
                                _reduce_to(g * a.data, b.shape) if nb else None))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "div")
-    na, nb = a.requires_grad, b.requires_grad
-    return _from_op(a.data / b.data, (a, b),
-                    lambda g: (g / b.data if na else None,
-                               -g * a.data / (b.data * b.data) if nb else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -264,20 +247,6 @@ def clamp_min(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
     return _from_op(np.where(mask, a.data, floor), (a,), lambda g: (g * mask,))
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "maximum")
-    take_a = a.data >= b.data  # ties route to the first operand
-    return _from_op(np.where(take_a, a.data, b.data), (a, b),
-                    lambda g: (g * take_a, g * ~take_a))
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "minimum")
-    take_a = a.data <= b.data
-    return _from_op(np.where(take_a, a.data, b.data), (a, b),
-                    lambda g: (g * take_a, g * ~take_a))
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -297,34 +266,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=0))
 
     return _from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_rows requires a matrix")
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ContractError(f"slice_rows [{start}:{stop}] outside 0..{a.shape[0]}")
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _from_op(a.data[start:stop].copy(), (a,), vjp)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_cols requires a matrix")
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ContractError(f"slice_cols [{start}:{stop}] outside 0..{a.shape[1]}")
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _from_op(a.data[:, start:stop].copy(), (a,), vjp)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

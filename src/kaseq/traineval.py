@@ -169,8 +169,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataFormatError(f"{path}: header metadata is not an object")
+    config = header["config"]
+    if isinstance(config, dict) and "supervise_projection" in config:
+        # Older checkpoints record whether the projection output was
+        # supervised; it now always is, so only true describes a model.
+        config = dict(config)
+        value = config.pop("supervise_projection")
+        if value is not True:
+            raise DataFormatError(f"{path}: header config sets 'supervise_projection' to "
+                                  f"{value!r}; the projection output is always supervised")
     try:
-        config = DetectorConfig.from_dict(header["config"])
+        config = DetectorConfig.from_dict(config)
     except ConfigError as e:
         raise DataFormatError(f"{path}: bad config in header: {e}") from None
     offset = 12 + header_len
@@ -294,11 +303,13 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
 
 class TeacherCache:
     """Outputs of N teachers, (params, cfg) pairs of one geometry and
-    supervision depth, on every image. ``layers[l]`` (count, N n, d) holds an
-    image's concatenated layer-l teacher sequences, the sequence-level hint;
-    ``dists`` (count, N m, C+1) and ``boxes`` (count, N m, 4) its task-level
-    pool, every teacher's padded predictions in teacher order. The cache
-    freezes the teachers' parameters, so that its forwards record no tape."""
+    encoder depth, on every image. ``layers[l]`` (count, N n, d) holds an
+    image's concatenated layer-l teacher sequences, the sequence-level hint:
+    layer 0 is the projection output, which also guides compression, and
+    layer l > 0 encoder layer l's output. ``dists`` (count, N m, C+1) and
+    ``boxes`` (count, N m, 4) hold its task-level pool, every teacher's
+    padded predictions in teacher order. The cache freezes the teachers'
+    parameters, so that its forwards record no tape."""
 
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
                  dataset: Dataset, partition: TaskPartition, batch_size: int = 32):
@@ -673,28 +684,24 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     for t, (_, cfg_t) in enumerate(teacher_models):
         if (cfg_t.d_model, cfg_t.tokens, cfg_t.queries) != (cfg.d_model, cfg.tokens, cfg.queries):
             raise ConfigError("teacher and student geometry must agree")
-        if (cfg_t.supervise_projection, cfg_t.enc_layers) != (first.supervise_projection,
-                                                              first.enc_layers):
+        if cfg_t.enc_layers != first.enc_layers:
             raise ConfigError(
                 f"teachers 1 and {t + 1} supervise {first.supervised_layers} and "
-                f"{cfg_t.supervised_layers} layers (supervise_projection and enc_layers "
-                f"{first.supervise_projection, first.enc_layers} and "
-                f"{cfg_t.supervise_projection, cfg_t.enc_layers}); they must be equal")
+                f"{cfg_t.supervised_layers} layers (enc_layers {first.enc_layers} and "
+                f"{cfg_t.enc_layers}); they must be equal")
     if mode != "ta" and cfg.supervised_layers != first.supervised_layers:
         raise ConfigError(f"the student supervises {cfg.supervised_layers} layers and its "
                           f"teachers {first.supervised_layers}; mode {mode!r} needs them equal")
     if mode == "sag":
         if cfg.num_parts != 1 or cfg.compression != "none":
-            raise ConfigError("the aggregation baseline runs on the unextended student")
+            raise ConfigError(
+                f"mode 'sag' runs on the unextended student, with detector.num_parts=1 and "
+                f"detector.compression='none', not {cfg.num_parts} and {cfg.compression!r}")
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
-    # Training-time rule: the teachers' concatenated projections guide compression.
+    # Training-time rule: the teachers' concatenated projections, layer 0 of
+    # the cache, guide compression.
     compressed = cfg.compression != "none" and cfg.num_parts > 1
-    if compressed and not first.supervise_projection:
-        raise ConfigError(
-            f"detector.compression={cfg.compression!r} is guided by the teachers' projections, "
-            f"but the teachers have supervise_projection=false and store none; train the "
-            f"teachers with supervise_projection=true or set detector.compression='none'")
 
     if teachers_by_id is None:
         cache = TeacherCache(teacher_models, train_ds, partition)

@@ -18,7 +18,7 @@ number of blocks and makes masked entries contribute exactly zero weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,10 +140,10 @@ class DecoderLayerParams:
 
 @dataclass
 class TransformerParams:
-    encoder: list[EncoderLayerParams] = field(default_factory=list)
-    decoder: list[DecoderLayerParams] = field(default_factory=list)
-    final_ln_g: Optional[Tensor] = None
-    final_ln_b: Optional[Tensor] = None
+    encoder: list[EncoderLayerParams]
+    decoder: list[DecoderLayerParams]
+    final_ln_g: Tensor
+    final_ln_b: Tensor
 
     @classmethod
     def init(cls, d_model, heads, enc_layers, dec_layers, ffn_dim, rng):
@@ -232,9 +232,7 @@ def decoder_forward(memory: Tensor, queries: Tensor, params: TransformerParams,
         x = T.add(x, mha(u, memory, memory, layer.cross_attn, cross_mask))
         u = T.layer_norm_rows(x, layer.ln3_g, layer.ln3_b)
         x = T.add(x, _mlp(u, layer.mlp_w1, layer.mlp_b1, layer.mlp_w2, layer.mlp_b2))
-    if params.final_ln_g is not None:
-        x = T.layer_norm_rows(x, params.final_ln_g, params.final_ln_b)
-    return x
+    return T.layer_norm_rows(x, params.final_ln_g, params.final_ln_b)
 
 
 def positional_encoding(grid_h: int, grid_w: int, d_model: int) -> np.ndarray:

@@ -74,6 +74,70 @@ def check_grad(build_loss, values, h=1e-5, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# tape ops that only the oracles build on (the library has fused forms)
+
+
+def is_leaf(t: Tensor) -> bool:
+    """Whether ``t`` was made by no tape op (an input or a parameter)."""
+    return t._vjp is None
+
+
+def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "div")
+    na, nb = a.requires_grad, b.requires_grad
+    return T._from_op(a.data / b.data, (a, b),
+                      lambda g: (g / b.data if na else None,
+                                 -g * a.data / (b.data * b.data) if nb else None))
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "maximum")
+    take_a = a.data >= b.data  # ties route to the first operand
+    return T._from_op(np.where(take_a, a.data, b.data), (a, b),
+                      lambda g: (g * take_a, g * ~take_a))
+
+
+def minimum(a: Tensor, b: Tensor) -> Tensor:
+    _check_same_shape(a, b, "minimum")
+    take_a = a.data <= b.data
+    return T._from_op(np.where(take_a, a.data, b.data), (a, b),
+                      lambda g: (g * take_a, g * ~take_a))
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError("slice_rows requires a matrix")
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise ContractError(f"slice_rows [{start}:{stop}] outside 0..{a.shape[0]}")
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
+
+    return T._from_op(a.data[start:stop].copy(), (a,), vjp)
+
+
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError("slice_cols requires a matrix")
+    if not (0 <= start <= stop <= a.shape[1]):
+        raise ContractError(f"slice_cols [{start}:{stop}] outside 0..{a.shape[1]}")
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[:, start:stop] = g
+        return (full,)
+
+    return T._from_op(a.data[:, start:stop].copy(), (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
 # scalar reference formulas (the library computes these batched)
 
 _NORM_ATOL = 1e-6
@@ -225,24 +289,24 @@ def box_giou_rows(pred: Tensor, target) -> Tensor:
     gradient rule (ties of ``maximum``/``minimum`` go to the first operand,
     ``clamp_min`` passes gradient only above its floor)."""
     tc = box_cxcywh_to_corners(np.asarray(target, dtype=np.float64))
-    cx, cy = T.slice_cols(pred, 0, 1), T.slice_cols(pred, 1, 2)
-    w, h = T.slice_cols(pred, 2, 3), T.slice_cols(pred, 3, 4)
+    cx, cy = slice_cols(pred, 0, 1), slice_cols(pred, 1, 2)
+    w, h = slice_cols(pred, 2, 3), slice_cols(pred, 3, 4)
     x0 = T.sub(cx, T.scale(w, 0.5))
     x1 = T.add(cx, T.scale(w, 0.5))
     y0 = T.sub(cy, T.scale(h, 0.5))
     y1 = T.add(cy, T.scale(h, 0.5))
     tx0, ty0 = Tensor(tc[:, 0:1]), Tensor(tc[:, 1:2])
     tx1, ty1 = Tensor(tc[:, 2:3]), Tensor(tc[:, 3:4])
-    iw = T.clamp_min(T.sub(T.minimum(x1, tx1), T.maximum(x0, tx0)), 0.0)
-    ih = T.clamp_min(T.sub(T.minimum(y1, ty1), T.maximum(y0, ty0)), 0.0)
+    iw = T.clamp_min(T.sub(minimum(x1, tx1), maximum(x0, tx0)), 0.0)
+    ih = T.clamp_min(T.sub(minimum(y1, ty1), maximum(y0, ty0)), 0.0)
     inter = T.mul(iw, ih)
     area_p = T.mul(w, h)
     area_t = Tensor(((tc[:, 2] - tc[:, 0]) * (tc[:, 3] - tc[:, 1]))[:, None])
     union = T.sub(T.add(area_p, area_t), inter)
-    ew = T.sub(T.maximum(x1, tx1), T.minimum(x0, tx0))
-    eh = T.sub(T.maximum(y1, ty1), T.minimum(y0, ty0))
+    ew = T.sub(maximum(x1, tx1), minimum(x0, tx0))
+    eh = T.sub(maximum(y1, ty1), minimum(y0, ty0))
     enclosure = T.mul(ew, eh)
-    return T.sub(T.div(inter, union), T.div(T.sub(enclosure, union), enclosure))
+    return T.sub(div(inter, union), div(T.sub(enclosure, union), enclosure))
 
 
 def ta_loss_per_image(student_dists: Tensor, student_boxes: Tensor,
@@ -445,4 +509,4 @@ def split_parts(seq: Tensor, parts: int) -> list[Tensor]:
     if rows % parts:
         raise ShapeError("sequence length is not divisible by the part count")
     n = rows // parts
-    return [T.slice_rows(seq, t * n, (t + 1) * n) for t in range(parts)]
+    return [slice_rows(seq, t * n, (t + 1) * n) for t in range(parts)]

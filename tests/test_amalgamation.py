@@ -13,7 +13,7 @@ from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
 from helpers import (apply_compression, box_cost, box_giou, check_grad, confidence,
-                     kl_divergence, match_cost, pad_prediction, ta_loss_per_image,
+                     is_leaf, kl_divergence, match_cost, pad_prediction, ta_loss_per_image,
                      token_redundancy)
 from helpers import box_giou_rows as composed_giou_rows
 
@@ -54,7 +54,7 @@ class TestChannelNormalize:
         normed = T.channel_norm(Tensor(stacked))
         np.testing.assert_array_equal(normed.data, expected)
         # a constant input (the teacher side) adds no node to the tape
-        assert normed.is_leaf and not normed.requires_grad
+        assert is_leaf(normed) and not normed.requires_grad
 
 
 class TestSALoss:

@@ -133,13 +133,14 @@ def test_bad_task_spec_exits_1(ws, capsys, task):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("key", ["detector.bogus", "weights.bogus", "optim.bogus"])
+@pytest.mark.parametrize("key", ["detector.bogus", "weights.bogus", "optim.bogus",
+                                 "detector.supervise_projection"])
 def test_unknown_config_key_exits_1(ws, capsys, key):
     assert run("train-teacher", "--data", ws["train"], "--task", "1-2",
                "--out", ws["root"] / "unknown.ckpt", "--config", ws["config"],
                "--set", f"{key}=1") == 1
     err = capsys.readouterr().err
-    assert "'bogus'" in err and "Traceback" not in err
+    assert f"'{key.split('.')[1]}'" in err and "Traceback" not in err
 
 
 def test_wrongly_typed_config_value_exits_1(ws, capsys):
@@ -238,6 +239,40 @@ def test_checkpoint_header_with_unknown_config_key_exits_2(ws, capsys):
                                     lambda header: header["config"].update(bogus=1)))
     assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
     assert "'bogus'" in capsys.readouterr().err
+
+
+def test_checkpoint_that_records_a_supervised_projection_evaluates_alike(ws):
+    # Checkpoints written before the projection output was always supervised
+    # carry detector.supervise_projection in their header.
+    old = ws["root"] / "projection_true.ckpt"
+    old.write_bytes(_rewrite_header(ws["t1"].read_bytes(), lambda header:
+                                    header["config"].update(supervise_projection=True)))
+    reports = []
+    for model in (ws["t1"], old):
+        report = ws["root"] / f"{model.name}.report.json"
+        assert run("evaluate", "--model", model, "--data", ws["eval"], "--report", report,
+                   "--config", ws["config"]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_checkpoint_with_an_unsupervised_projection_exits_2(ws, capsys):
+    bad = ws["root"] / "projection_false.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t1"].read_bytes(), lambda header:
+                                    header["config"].update(supervise_projection=False)))
+    assert run("evaluate", "--model", bad, "--data", ws["eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'supervise_projection'" in err
+
+
+def test_sag_with_compression_exits_1(ws, capsys):
+    out = ws["root"] / "sag_compressed.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+               "--mode", "sag", "--compress", "redundancy", "--out", out,
+               "--config", ws["config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:") and "detector.compression" in err
+    assert not out.exists()
 
 
 def test_exploding_learning_rate_exits_3_with_crash_dump(ws, capsys):

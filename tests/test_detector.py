@@ -96,7 +96,7 @@ class TestStudentForward:
         last = dets.detection(cfg.queries - 1)
         np.testing.assert_array_equal(last.box, dets.boxes[-1])
         np.testing.assert_array_equal(last.dist, dets.dists[-1])
-        assert len(layers) == cfg.enc_layers + 1  # projection supervised by default
+        assert len(layers) == cfg.enc_layers + 1  # the projection output comes first
         assert layers[0].shape == (cfg.tokens, cfg.d_model)
 
     def test_memory_lengths_with_and_without_compression(self):
@@ -155,6 +155,19 @@ class TestStudentForward:
                 batched.layer_seqs[-1].data[b * rows:(b + 1) * rows],
                 solo_layers[-1].data, atol=1e-10)
 
+    def test_random_compression_without_a_generator_draws_one_stream(self):
+        # rng=None stands for one default_rng(0) stream, drawn in image
+        # order, not for a fresh stream per image.
+        cfg = tiny_cfg(num_parts=2, compression="random")
+        params = det.DetectorParams.init(cfg, RNG)
+        n, rows = cfg.tokens, 2 * cfg.tokens
+        out = det.forward_batch([rand_image() for _ in range(4)], params, cfg)
+        stream = np.random.default_rng(0)
+        want = [b * rows + ka.compress_random(2, n, stream) for b in range(4)]
+        np.testing.assert_array_equal(out.kept, np.concatenate(want))
+        per_image = out.kept.reshape(4, n) % rows
+        assert len({image.tobytes() for image in per_image}) > 1
+
     def test_external_guide_selects_the_kept_tokens(self):
         cfg = tiny_cfg(num_parts=2, compression="redundancy")
         params = det.DetectorParams.init(cfg, RNG)
@@ -181,11 +194,10 @@ class TestSplitForward:
     @pytest.mark.parametrize("batch", [1, 4, 5])
     @pytest.mark.parametrize("compression", det.COMPRESSION_MODES)
     @pytest.mark.parametrize("predict", [True, False])
-    @pytest.mark.parametrize("supervise_projection", [True, False])
+    @pytest.mark.parametrize("enc_layers", [1, 2])
     def test_the_split_changes_no_output(self, monkeypatch, batch, compression, predict,
-                                         supervise_projection):
-        cfg = tiny_cfg(num_parts=2, compression=compression,
-                       supervise_projection=supervise_projection)
+                                         enc_layers):
+        cfg = tiny_cfg(num_parts=2, compression=compression, enc_layers=enc_layers)
         params = det.DetectorParams.init(cfg, np.random.default_rng(2))
         params.set_requires_grad(False)
         images = [rand_image() for _ in range(batch)]
@@ -240,7 +252,7 @@ def share_pool(monkeypatch):
 def over_split_cases(test):
     for mark in (pytest.mark.parametrize("compression", det.COMPRESSION_MODES),
                  pytest.mark.parametrize("predict", [True, False]),
-                 pytest.mark.parametrize("supervise_projection", [True, False])):
+                 pytest.mark.parametrize("enc_layers", [1, 2])):
         test = mark(test)
     return test
 
@@ -276,15 +288,14 @@ def step_gradients(monkeypatch, cores, params, cfg, images, predict):
 
 
 class TestSplitBackward:
-    def split_case(self, compression, supervise_projection):
-        cfg = tiny_cfg(num_parts=2, compression=compression,
-                       supervise_projection=supervise_projection)
+    def split_case(self, compression, enc_layers=2):
+        cfg = tiny_cfg(num_parts=2, compression=compression, enc_layers=enc_layers)
         return det.DetectorParams.init(cfg, np.random.default_rng(2)), cfg
 
     @over_split_cases
     def test_a_taped_forward_reaches_the_share_pool(self, monkeypatch, share_pool, compression,
-                                                    predict, supervise_projection):
-        params, cfg = self.split_case(compression, supervise_projection)
+                                                    predict, enc_layers):
+        params, cfg = self.split_case(compression, enc_layers)
         monkeypatch.setattr(det, "core_count", lambda: 2)
         out = det.forward_batch([rand_image() for _ in range(2)], params, cfg, predict=predict)
         assert share_pool.submitted == 1  # the forward's second share
@@ -293,12 +304,13 @@ class TestSplitBackward:
 
     @over_split_cases
     def test_split_gradients_equal_the_unsplit_step(self, monkeypatch, share_pool, compression,
-                                                     predict, supervise_projection):
-        params, cfg = self.split_case(compression, supervise_projection)
+                                                     predict, enc_layers):
+        params, cfg = self.split_case(compression, enc_layers)
         images = [rand_image() for _ in range(5)]
         whole = step_gradients(monkeypatch, 1, params, cfg, images, predict)
         assert share_pool.submitted == 0
-        assert whole["proj1.w"] is not None and whole["enc1.mlp.w2"] is not None
+        last = f"enc{cfg.enc_layers - 1}.mlp.w2"
+        assert whole["proj1.w"] is not None and whole[last] is not None
         assert (whole["class.w"] is not None) == predict
         for cores in (2, 3):
             split = step_gradients(monkeypatch, cores, params, cfg, images, predict)
@@ -313,9 +325,8 @@ class TestSplitBackward:
 
     @over_split_cases
     def test_repeated_split_steps_give_byte_equal_gradients(self, monkeypatch, share_pool,
-                                                            compression, predict,
-                                                            supervise_projection):
-        params, cfg = self.split_case(compression, supervise_projection)
+                                                            compression, predict, enc_layers):
+        params, cfg = self.split_case(compression, enc_layers)
         images = [rand_image() for _ in range(5)]
         first, second = (step_gradients(monkeypatch, 3, params, cfg, images, predict)
                          for _ in range(2))
@@ -327,7 +338,7 @@ class TestSplitBackward:
         # Six shares on five pool threads, switching threads every
         # microsecond: a gradient lost or summed out of share order would
         # break the equality of two steps, or their closeness to one share.
-        params, cfg = self.split_case("redundancy", True)
+        params, cfg = self.split_case("redundancy")
         images = [rand_image() for _ in range(6)]
         whole = step_gradients(monkeypatch, 1, params, cfg, images, True)
         steps = []
@@ -355,7 +366,7 @@ class TestSplitBackward:
                                                              compression):
         # The independent oracle: central differences of the loss, each
         # evaluated by a forward split across two cores.
-        params, cfg = self.split_case(compression, True)
+        params, cfg = self.split_case(compression)
         monkeypatch.setattr(det, "core_count", lambda: 2)
         rng = np.random.default_rng(8)
         batch, n, m = 2, cfg.tokens, cfg.queries

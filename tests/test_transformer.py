@@ -8,6 +8,8 @@ from kaseq import transformer as tf
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
+from helpers import is_leaf
+
 RNG = np.random.default_rng(7)
 
 
@@ -85,8 +87,8 @@ class TestMHA:
         p = tf.MHAParams.init(8, 4, RNG)
         x = Tensor(RNG.standard_normal((6, 8)))
         nodes = T._topo_order(tf.mha(x, x, x, p, tf.AttentionMask(2, 3, 3)))
-        assert sum(not n.is_leaf for n in nodes) == 4
-        assert {id(n) for n in nodes if n.is_leaf and n.requires_grad} == \
+        assert sum(not is_leaf(n) for n in nodes) == 4
+        assert {id(n) for n in nodes if is_leaf(n) and n.requires_grad} == \
             {id(p.wq), id(p.wk), id(p.wvo)}
 
     def test_query_and_keyvalue_equivariance(self):
