@@ -13,6 +13,7 @@ requested output).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -194,27 +195,38 @@ def _full_partition_for_subset(subset: list[int], num_categories: int) -> D.Task
 # training runs, one per kind, shared by the commands and the ablation suites
 
 
-def _run_settings(cfg: dict, out: str) -> dict:
+@contextlib.contextmanager
+def _run_settings(cfg: dict, out: str):
     """Arguments every training run takes from the configuration and from
-    the checkpoint path ``out``. A run starts its metrics log afresh, so rows
-    of an earlier or interrupted run at the same path never precede its own."""
+    the checkpoint path ``out``, for the run in the block. A run starts its
+    metrics log afresh, so rows of an earlier or interrupted run at the same
+    path never precede its own; a run rejected before it began a log puts
+    the earlier one back."""
     settings = {"opt_settings": tv.OptimSettings.from_dict(cfg["optim"]),
                 "weights": KAWeights.from_dict(cfg["weights"]),
                 "batch_size": cfg["train"]["batch_size"],
                 "eval_batch_size": cfg["train"]["eval_batch_size"],
                 "csv_path": out + ".metrics.csv", "crash_dump": out + ".crash.ckpt"}
-    if os.path.exists(settings["csv_path"]):
-        os.remove(settings["csv_path"])
-    return settings
+    log, earlier = settings["csv_path"], settings["csv_path"] + ".earlier"
+    if os.path.exists(log):
+        os.replace(log, earlier)
+    try:
+        yield settings
+    finally:
+        if os.path.exists(earlier):
+            if os.path.exists(log):
+                os.remove(earlier)
+            else:
+                os.replace(earlier, log)
 
 
 def run_teacher(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
                 partition: D.TaskPartition, task_index: int, seed: int, epochs: int,
                 out: str) -> tv.Checkpoint:
     """Train teacher ``task_index`` of ``partition`` and save it at ``out``."""
-    ckpt, _ = tv.train_teacher(train, partition, task_index, _detector_config(cfg),
-                               epochs=epochs, seed=seed, eval_ds=eval_ds,
-                               **_run_settings(cfg, out))
+    with _run_settings(cfg, out) as settings:
+        ckpt, _ = tv.train_teacher(train, partition, task_index, _detector_config(cfg),
+                                   epochs=epochs, seed=seed, eval_ds=eval_ds, **settings)
     tv.save_checkpoint(ckpt, out)
     return ckpt
 
@@ -225,10 +237,11 @@ def run_baseline(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
     """Train a ground-truth-only detector over all categories and save it at ``out``."""
     det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
                                compression="none")
-    ckpt, _ = tv.train_detector_gt(
-        train, det_cfg, epochs=epochs, seed=seed,
-        category_ids=list(range(1, train.num_categories + 1)), eval_ds=eval_ds,
-        mode_label=variant, **_run_settings(cfg, out))
+    with _run_settings(cfg, out) as settings:
+        ckpt, _ = tv.train_detector_gt(
+            train, det_cfg, epochs=epochs, seed=seed,
+            category_ids=list(range(1, train.num_categories + 1)), eval_ds=eval_ds,
+            mode_label=variant, **settings)
     tv.save_checkpoint(ckpt, out)
     return ckpt
 
@@ -241,9 +254,10 @@ def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
     parts = 1 if mode == "sag" else len(teacher_ckpts)
     det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
                                compression=compress)
-    ckpt = tv.amalgamate(teacher_ckpts, train, det_cfg, mode, epochs=epochs, seed=seed,
-                         eval_ds=eval_ds, label_free=label_free,
-                         teachers_by_id=teachers_by_id, **_run_settings(cfg, out))
+    with _run_settings(cfg, out) as settings:
+        ckpt = tv.amalgamate(teacher_ckpts, train, det_cfg, mode, epochs=epochs, seed=seed,
+                             eval_ds=eval_ds, label_free=label_free,
+                             teachers_by_id=teachers_by_id, **settings)
     tv.save_checkpoint(ckpt, out)
     return ckpt
 

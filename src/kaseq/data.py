@@ -10,10 +10,10 @@ embarrassingly parallel per image.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +21,13 @@ from .errors import ConfigError, ContractError, DataFormatError
 
 SHAPES = ("square", "circle", "triangle", "cross", "diamond", "ring", "hbar", "vbar")
 COLORS = (("red", (0.85, 0.16, 0.12)), ("green", (0.18, 0.80, 0.22)))
+SHAPE_SCALE = (0.16, 0.42)  # a shape's size s, as a share of the image size
+
+# Every shape covers a pixel centre wherever it lands if it holds a closed
+# unit square. The bars and cross arms, s/3 wide, do when s >= 3. The ring,
+# radii s/4 to s/2, holds [s/4, s/4 + 1] x [-1/2, 1/2] about its centre when
+# (s/4 + 1)^2 + 1/4 <= (s/2)^2, i.e. s >= (4 + 2 sqrt(19)) / 3 ~ 4.24.
+MIN_IMAGE_SIZE = math.ceil((4 + 2 * math.sqrt(19)) / 3 / SHAPE_SCALE[0])
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,7 @@ def render_image(index: int, seed: int, num_categories: int,
     for _ in range(int(rng.integers(1, 6))):
         category = int(rng.integers(1, num_categories + 1))
         shape_idx, color_idx = divmod(category - 1, len(COLORS))
-        s = float(rng.uniform(image_size * 0.16, image_size * 0.42))
+        s = float(rng.uniform(image_size * SHAPE_SCALE[0], image_size * SHAPE_SCALE[1]))
         cx = float(rng.uniform(s / 2, image_size - s / 2))
         cy = float(rng.uniform(s / 2, image_size - s / 2))
         mask = _shape_mask(SHAPES[shape_idx], image_size, cx, cy, s)
@@ -174,6 +181,9 @@ def generate_dataset(count: int, num_categories: int = 8, image_size: int = 64,
         raise ContractError("dataset needs at least one image")
     if num_categories % 2 or not 2 <= num_categories <= len(SHAPES) * len(COLORS):
         raise ConfigError(f"category count must be even and at most {len(SHAPES) * len(COLORS)}")
+    if image_size < MIN_IMAGE_SIZE:
+        raise ConfigError(f"image size {image_size} is below {MIN_IMAGE_SIZE}, the smallest "
+                          f"at which every shape covers a pixel centre")
     images, annotations = [], []
     for i in range(count):
         img, anns = render_image(i, seed, num_categories, image_size)

@@ -13,8 +13,9 @@ module-level thread pool the others, and the results are joined in image
 order. Every image's rows are computed by the same operations either way,
 so the outputs are byte-equal to an unsplit pass. A taped forward (a
 training step) builds each share's graph over leaf views of the
-parameters, and its joined outputs are leaves; :meth:`BatchOutput.backward`
-carries a loss's gradient through the shares, again one per thread.
+parameters, and its joined outputs are tape nodes whose backward walks the
+shares, again one per thread, so ``loss.backward()`` reaches every
+parameter.
 """
 
 from __future__ import annotations
@@ -196,63 +197,16 @@ def normalized_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 @dataclass
-class _Tape:
-    """The share graphs of a taped forward, kept for its backward pass."""
-
-    params: DetectorParams
-    x: Tensor                      # the selected tokens, on the caller's graph
-    x_leaf: Tensor                 # the supervised leaf over all of x
-    bounds: list[tuple[int, int]]  # each share's images, [lo, hi)
-    inputs: list[Tensor]           # each share's leaf over its rows of x
-    views: list[DetectorParams]    # each share's leaf views of the parameters
-    outputs: list[list[Tensor]]    # each share's encoder outputs, dists, boxes
-    joins: list[Tensor]            # those outputs joined over the shares, leaves
-
-
-@dataclass
 class BatchOutput:
-    """Stacked forward results for a batch of B images."""
+    """Stacked forward results for a batch of B images. On a taped forward
+    they are tape nodes, so one ``loss.backward()`` of a loss computed from
+    them reaches every parameter; a second one is a ContractError."""
 
     dists: Optional[Tensor]  # (B * m, C + 1); None when not predicted
     boxes: Optional[Tensor]  # (B * m, 4); None when not predicted
     layer_seqs: list[Tensor]  # the selected tokens, then each encoder output, each (B * L, d)
     kept: Optional[np.ndarray]  # kept rows of the image-major extended sequence, when compressed
     batch: int
-    memory_len: int        # memory rows per image seen by the decoder
-    _tape: Optional[_Tape] = field(default=None, repr=False)
-
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(parameter) on the ``.grad`` of the forward's
-        parameters, for a scalar ``loss`` computed from this output. The
-        share graphs are released, so it runs once per forward.
-
-        ``loss.backward()`` stops at the outputs, which are leaves. Each
-        share then walks its own graph, seeded with its rows of the outputs'
-        gradients, on its own thread; the caller walks the first. The
-        supervised projection leaf's gradient and the shares' input
-        gradients, joined, seed the selected tokens, whose walk reaches the
-        projections. Last, each share's view gradients are added to the
-        parameters' in share order, so that no sum depends on the thread
-        schedule.
-        """
-        T.backward(loss)
-        tape, self._tape = self._tape, None
-        if tape is None:
-            return
-        per_image = [join.shape[0] // self.batch for join in tape.joins]
-        seeds = [[None if join.grad is None else join.grad[lo * rows:hi * rows]
-                  for join, rows in zip(tape.joins, per_image)] for lo, hi in tape.bounds]
-        _run_shares(T.backward_seeded, list(zip(tape.outputs, seeds)))
-        joined = None
-        if any(leaf.grad is not None for leaf in tape.inputs):
-            joined = np.concatenate([np.zeros(leaf.shape) if leaf.grad is None
-                                     else leaf.grad for leaf in tape.inputs])
-        T.backward_seeded([tape.x, tape.x], [tape.x_leaf.grad, joined])
-        params = tape.params.named_parameters().values()
-        for view in tape.views:
-            for p, v in zip(params, view.named_parameters().values(), strict=True):
-                if v.grad is not None:
-                    p.grad = v.grad if p.grad is None else p.grad + v.grad
 
 
 def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
@@ -356,23 +310,19 @@ def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: i
     images, each ``image_blocks`` attention blocks long; returns the encoder
     outputs, followed by ``dists`` and ``boxes`` if ``predict``."""
     m = cfg.queries
-    blocks = images * image_blocks
-    mask = tf.AttentionMask(blocks, x.shape[0] // blocks, x.shape[0] // blocks)
     # The supervision/compression/redundancy point is the raw projection
     # output; the encoder consumes it with positional content mixed in, since
     # a linear patch embedding of near-uniform backgrounds carries no spatial
     # signal of its own and the decoder reads position from memory values.
     enc_in = T.add(x, Tensor(pos))
-    enc_outs = tf.encoder_forward(enc_in, params.transformer.encoder, mask=mask, pos=pos)
+    enc_outs = tf.encoder_forward(enc_in, params.transformer.encoder,
+                                  blocks=images * image_blocks, pos=pos)
     if not predict:
         return enc_outs
 
     memory = enc_outs[-1] if enc_outs else enc_in
     queries = T.gather_rows(params.query_embed, np.tile(np.arange(m), images))
-    decoded = tf.decoder_forward(
-        memory, queries, params.transformer,
-        self_mask=tf.AttentionMask(images, m, m),
-        cross_mask=tf.AttentionMask(images, m, memory.shape[0] // images))
+    decoded = tf.decoder_forward(memory, queries, params.transformer, blocks=images)
 
     dists = T.softmax_rows(T.add(T.matmul(decoded, params.class_w), params.class_b))
     hidden = T.relu(T.add(T.matmul(decoded, params.box_w1), params.box_b1))
@@ -381,10 +331,53 @@ def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: i
     return enc_outs + [dists, boxes]
 
 
-def _join(pieces: Sequence[Tensor]) -> Tensor:
-    # A leaf: the loss's walk stops here (see BatchOutput.backward).
-    data = pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
-    return Tensor(data, requires_grad=pieces[0].requires_grad)
+def _merge_shares(x: Tensor, params: DetectorParams, bounds: list[tuple[int, int]],
+                  inputs: list[Tensor], views: list[DetectorParams],
+                  outputs: list[list[Tensor]]) -> list[Tensor]:
+    """The shares' outputs, each joined in image order. A taped forward's
+    joins are tape nodes over one parent node, whose parents are ``x`` and
+    the parameters, so a walk reaches it after every join the loss reads.
+    Its backward walks each share's graph on its own thread, seeded with the
+    share's rows of the joins' gradients, and returns the shares' input
+    gradients joined, for ``x``, and each parameter's view gradients added
+    in share order, so that no sum depends on the thread schedule. It then
+    drops the share graphs; a second backward is a ContractError."""
+    datas = [pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
+             for pieces in zip(*outputs)]
+    per_image = [data.shape[0] // bounds[-1][1] for data in datas]
+    grads: list[Optional[np.ndarray]] = [None] * len(datas)  # filled by the joins' backward
+    named = list(params.named_parameters().values())
+
+    def share_backward(_):
+        nonlocal inputs, views, outputs
+        if outputs is None:
+            raise ContractError("a second backward through one split forward; "
+                                "its share graphs were released by the first")
+        seeds = [[None if g is None else g[lo * rows:hi * rows]
+                  for g, rows in zip(grads, per_image)] for lo, hi in bounds]
+        _run_shares(T.backward_seeded, list(zip(outputs, seeds)))
+        gx = None
+        if any(leaf.grad is not None for leaf in inputs):
+            gx = np.concatenate([np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
+                                 for leaf in inputs])
+        gparams: list[Optional[np.ndarray]] = [None] * len(named)
+        for view in views:
+            for i, v in enumerate(view.named_parameters().values()):
+                if v.grad is not None:
+                    gparams[i] = v.grad if gparams[i] is None else gparams[i] + v.grad
+        inputs = views = outputs = None
+        grads[:] = [None] * len(grads)
+        return (gx, *gparams)
+
+    parent = T._from_op(np.zeros(()), (x, *named), share_backward)
+
+    def join(i: int, data: np.ndarray) -> Tensor:
+        def vjp(g):
+            grads[i] = g
+            return (np.zeros(()),)
+        return T._from_op(data, (parent,), vjp)
+
+    return [join(i, data) for i, data in enumerate(datas)]
 
 
 def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
@@ -401,8 +394,8 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
 
     With ``predict`` false the pass stops after the encoder: the decoder and
     the heads do not run, ``dists`` and ``boxes`` are None, and the
-    supervision sequences, ``kept`` and ``memory_len`` are those of the full
-    pass. Training uses it on steps whose loss reads no prediction.
+    supervision sequences and ``kept`` are those of the full pass. Training
+    uses it on steps whose loss reads no prediction.
 
     A batch of at least 2 images is split after token selection (so
     ``rng`` is drawn in image order on the calling thread) into
@@ -410,15 +403,14 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     pass records a tape. Each share runs the encoder, decoder and heads over
     a leaf holding its rows of the selected tokens and over fresh leaf views
     of the parameters, which share their arrays; the results are
-    concatenated in image order into new leaves, byte-equal to a pass in
-    one share. The calling thread runs the first share and a pool of
+    concatenated in image order, byte-equal to a pass in one share (see
+    :func:`_merge_shares` for how a taped pass's gradient reaches the
+    shares). The calling thread runs the first share and a pool of
     cores - 1 threads the others. The caller works rather than waits because
     every thread that allocates gets its own glibc malloc arena, which keeps
     freed memory: on 2 vCPUs, the benchmark's ``evaluate_student`` peaked
     at 80.2 MB with a pool that ran both shares while the caller waited,
-    against 74.1 MB this way (and 74.0 MB unsplit). Since the outputs are
-    leaves, the gradient of a loss computed from them reaches the
-    parameters through :meth:`BatchOutput.backward`, not ``loss.backward()``.
+    against 74.1 MB this way (and 74.0 MB unsplit).
     """
     batch = len(images)
     if batch == 0:
@@ -447,23 +439,16 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
         image_blocks = parts
 
     count = min(batch, share_count())
-    memory_len = x.shape[0] // batch
+    seq_len = x.shape[0] // batch
     starts = [batch * s // count for s in range(count + 1)]
     bounds = list(zip(starts, starts[1:]))
-    inputs = [Tensor(x.data[lo * memory_len:hi * memory_len], requires_grad=x.requires_grad)
+    inputs = [Tensor(x.data[lo * seq_len:hi * seq_len], requires_grad=x.requires_grad)
               for lo, hi in bounds]
     views = [_leaf_views(params) for _ in bounds]
     outputs = _run_shares(_encode_and_predict, [
-        (leaf, pos[lo * memory_len:hi * memory_len], hi - lo, image_blocks, view, cfg, predict)
+        (leaf, pos[lo * seq_len:hi * seq_len], hi - lo, image_blocks, view, cfg, predict)
         for leaf, view, (lo, hi) in zip(inputs, views, bounds)])
-    joins = [_join(pieces) for pieces in zip(*outputs)]
-
-    enc_layers = cfg.enc_layers
-    x_leaf = Tensor(x.data, requires_grad=x.requires_grad)
-    taped = any(p.requires_grad for p in params.named_parameters().values())
-    return BatchOutput(
-        dists=joins[enc_layers] if predict else None,
-        boxes=joins[enc_layers + 1] if predict else None,
-        layer_seqs=[x_leaf] + joins[:enc_layers],
-        kept=kept, batch=batch, memory_len=memory_len,
-        _tape=_Tape(params, x, x_leaf, bounds, inputs, views, outputs, joins) if taped else None)
+    joins = _merge_shares(x, params, bounds, inputs, views, outputs)
+    enc = cfg.enc_layers
+    dists, boxes = joins[enc:] if predict else (None, None)
+    return BatchOutput(dists, boxes, layer_seqs=[x] + joins[:enc], kept=kept, batch=batch)

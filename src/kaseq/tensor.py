@@ -5,9 +5,10 @@ records its parents and a vector-Jacobian-product closure. Calling
 ``backward`` on a scalar walks the recorded graph once in reverse
 topological order and accumulates gradients additively on every
 requires-grad leaf, so repeated backward calls without clearing ``grad``
-sum their contributions. :func:`backward_seeded` walks from several roots
-at once, each seeded with a given gradient; it resumes a walk that stopped
-at leaves standing in for those roots.
+sum their contributions (a graph through a split forward's outputs is
+walked once). :func:`backward_seeded` walks from several roots at once,
+each seeded with a given gradient; a node's backward may use it to walk a
+graph of its own, as those outputs do to walk the forward's shares.
 
 Tensors are immutable values apart from gradient accumulation. A graph is
 used by one thread at a time; disjoint graphs may be built and walked in

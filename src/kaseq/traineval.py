@@ -21,8 +21,8 @@ the task partition.
 
 :func:`forward_batch` splits every batch across the cores the process may
 use: evaluation and teacher-cache builds, which record no tape, and
-training steps, whose backward pass :meth:`BatchOutput.backward` splits
-the same way.
+training steps, whose ``loss.backward()`` walks the shares' graphs the same
+way.
 """
 
 from __future__ import annotations
@@ -527,8 +527,9 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     rows a compressed student selects its tokens from (see
     :func:`forward_batch`). With ``predict`` false the objective reads no
     prediction: the forward pass stops after the encoder, and the sequences
-    are checked for finiteness in place of the predictions. Returns the final
-    checkpoint and each epoch's mean terms.
+    are checked for finiteness in place of the predictions. The step's
+    ``loss.backward()`` walks the forward's shares too, so it reaches every
+    parameter. Returns the final checkpoint and each epoch's mean terms.
     """
     _check_image_size(cfg, dataset, eval_ds)
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
@@ -559,7 +560,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
                     save_checkpoint(last_good, crash_dump)
                 raise NumericError(f"non-finite loss {value};" + (
                     f" last good checkpoint at {crash_dump}" if crash_dump else ""))
-            out.backward(loss)
+            loss.backward()
             optimizer.step(lr_scale=scale)
             optimizer.zero_grad()
             for name in terms:  # no loop variable keeps this step's graph alive

@@ -9,11 +9,13 @@ W_vo, the per-head value-output projections stacked, maps them back to d.
 Every projection shape is independent of sequence length, so concatenated
 sequences extend it natively.
 
-The attention mask is a count of equal-size aligned blocks (never a dense
-matrix): query block j may attend only to key block j. Every block of a
-mask has the same query length and the same key length, so attention runs
-as one batched product over all blocks, which keeps the cost linear in the
-number of blocks and makes masked entries contribute exactly zero weight.
+The attention mask is a block count (never a dense matrix): the queries and
+the keys each split into that many equal aligned blocks, and query block j
+may attend only to key block j. The block lengths follow from the row
+counts, so attention runs as one batched product over all blocks, which
+keeps the cost linear in the number of blocks and makes masked entries
+contribute exactly zero weight. The encoder uses one block per part or
+image, the decoder one per image.
 """
 
 from __future__ import annotations
@@ -24,25 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class AttentionMask:
-    """Block-diagonal mask over ``blocks`` aligned pairs: query rows
-    [j * q_block, (j + 1) * q_block) attend only to key rows
-    [j * k_block, (j + 1) * k_block)."""
-
-    blocks: int
-    q_block: int
-    k_block: int
-
-    def __post_init__(self):
-        if self.blocks < 1:
-            raise ContractError("attention mask with no blocks")
-        if self.q_block < 1 or self.k_block < 1:
-            raise ContractError("attention mask blocks must be non-empty")
 
 
 @dataclass
@@ -174,17 +159,17 @@ def _ones_row(d: int) -> Tensor:
 # attention
 
 
-def mha(q: Tensor, k: Tensor, v: Tensor,
-        p: MHAParams, mask: Optional[AttentionMask] = None) -> Tensor:
-    """Multi-head attention in matrix form over optional aligned blocks."""
+def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1) -> Tensor:
+    """Multi-head attention in matrix form: the queries and the keys each
+    split into ``blocks`` equal aligned blocks, and query block j attends
+    only to key block j."""
     if q.shape[1] != p.d_model or k.shape[1] != p.d_model or v.shape[1] != p.d_model:
         raise ShapeError("mha inputs must have width d_model")
-    if mask is None:
-        mask = AttentionMask(1, q.shape[0], k.shape[0])
-    if mask.blocks * mask.q_block != q.shape[0] or mask.blocks * mask.k_block != k.shape[0]:
-        raise ShapeError("attention mask blocks do not tile the sequences")
+    if blocks < 1 or q.shape[0] % blocks or k.shape[0] % blocks:
+        raise ShapeError(f"{blocks} attention blocks do not tile {q.shape[0]} query "
+                         f"and {k.shape[0]} key rows")
     mixed = T.block_attention(T.matmul(q, p.wq), T.matmul(k, p.wk), v,
-                              p.heads, mask.q_block, mask.k_block)
+                              p.heads, q.shape[0] // blocks, k.shape[0] // blocks)
     return T.matmul(mixed, p.wvo)
 
 
@@ -196,8 +181,7 @@ def _mlp(x: Tensor, w1, b1, w2, b2) -> Tensor:
     return T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
 
 
-def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams],
-                    mask: Optional[AttentionMask] = None,
+def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int = 1,
                     pos: Optional[np.ndarray] = None) -> list[Tensor]:
     """Pre-norm encoder; returns every layer output (the supervision points).
 
@@ -212,7 +196,7 @@ def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams],
     for layer in layers:
         u = T.layer_norm_rows(x, layer.ln1_g, layer.ln1_b)
         qk = T.add(u, pos_t) if pos_t is not None else u
-        x = T.add(x, mha(qk, qk, u, layer.attn, mask))
+        x = T.add(x, mha(qk, qk, u, layer.attn, blocks))
         u2 = T.layer_norm_rows(x, layer.ln2_g, layer.ln2_b)
         x = T.add(x, _mlp(u2, layer.mlp_w1, layer.mlp_b1, layer.mlp_w2, layer.mlp_b2))
         outputs.append(x)
@@ -220,16 +204,17 @@ def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams],
 
 
 def decoder_forward(memory: Tensor, queries: Tensor, params: TransformerParams,
-                    self_mask: Optional[AttentionMask] = None,
-                    cross_mask: Optional[AttentionMask] = None) -> Tensor:
+                    blocks: int = 1) -> Tensor:
     """Pre-norm decoder over learned query tokens; cross-attention is
-    mha(targets, memory, memory), so the memory length is unconstrained."""
+    mha(targets, memory, memory), so the memory length is unconstrained.
+    Self- and cross-attention both run over ``blocks`` blocks, one per image
+    of a batch."""
     x = queries
     for layer in params.decoder:
         u = T.layer_norm_rows(x, layer.ln1_g, layer.ln1_b)
-        x = T.add(x, mha(u, u, u, layer.self_attn, self_mask))
+        x = T.add(x, mha(u, u, u, layer.self_attn, blocks))
         u = T.layer_norm_rows(x, layer.ln2_g, layer.ln2_b)
-        x = T.add(x, mha(u, memory, memory, layer.cross_attn, cross_mask))
+        x = T.add(x, mha(u, memory, memory, layer.cross_attn, blocks))
         u = T.layer_norm_rows(x, layer.ln3_g, layer.ln3_b)
         x = T.add(x, _mlp(u, layer.mlp_w1, layer.mlp_b1, layer.mlp_w2, layer.mlp_b2))
     return T.layer_norm_rows(x, params.final_ln_g, params.final_ln_b)

@@ -120,6 +120,41 @@ def test_forced_retraining_starts_a_fresh_metrics_log(ws):
     assert [r["epoch"] for r in rows] == ["0", "1"]
 
 
+def test_a_forced_run_rejected_before_training_keeps_the_metrics_log(ws, capsys):
+    out = ws["root"] / "kept.ckpt"
+    argv = ["amalgamate", "--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+            "--mode", "sag", "--out", out, "--config", ws["config"]]
+    assert run(*argv) == 0
+    log = str(out) + ".metrics.csv"
+    with open(log, "rb") as fh:
+        earlier = fh.read()
+    assert run(*argv, "--compress", "redundancy", "--force") == 1
+    assert capsys.readouterr().err.startswith("invalid request:")
+    with open(log, "rb") as fh:
+        assert fh.read() == earlier
+    assert not os.path.exists(log + ".earlier")
+
+
+def test_a_forced_run_that_exits_3_starts_a_fresh_metrics_log(ws):
+    out = ws["root"] / "restarted.ckpt"
+    argv = ["train-baseline", "--data", ws["train"], "--out", out, "--config", ws["config"]]
+    assert run(*argv) == 0
+    assert len(metrics_rows(str(out) + ".metrics.csv")) == 1
+    with pytest.warns(RuntimeWarning):
+        assert run(*argv, "--force", "--set", "optim.lr=1e300") == 3
+    assert metrics_rows(str(out) + ".metrics.csv") == []
+    assert not os.path.exists(str(out) + ".metrics.csv.earlier")
+
+
+@pytest.mark.parametrize("size", [-1, 0, 8, 19])
+def test_gen_data_below_the_smallest_image_size_exits_1(tmp_path, capsys, size):
+    assert run("gen-data", "--out", tmp_path / "small", "--images", 300,
+               "--size", size) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:") and f"image size {size}" in err
+    assert "Traceback" not in err
+
+
 def test_existing_output_needs_force(ws, capsys):
     assert run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", ws["t1"],
                "--config", ws["config"]) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kaseq import data as D
-from kaseq.errors import ContractError, DataFormatError
+from kaseq.errors import ConfigError, ContractError, DataFormatError
 
 from helpers import apply_task
 
@@ -55,6 +55,23 @@ class TestGeneration:
     def test_object_count_in_range(self, small_dataset):
         for i in range(len(small_dataset)):
             assert 1 <= len(small_dataset._annotations[i]) <= 5
+
+    def test_every_shape_covers_a_pixel_centre_at_the_smallest_image_size(self):
+        # Sizes over the whole drawn range, at sub-pixel placements of the
+        # centre on a 16 x 16 grid of offsets.
+        size = D.MIN_IMAGE_SIZE
+        offsets = np.arange(16) / 16
+        for shape in D.SHAPES:
+            for s in np.linspace(*D.SHAPE_SCALE, 8) * size:
+                for fx in offsets:
+                    for fy in offsets:
+                        mask = D._shape_mask(shape, size, size / 2 + fx, size / 2 + fy, s)
+                        assert mask.any(), (shape, s, fx, fy)
+
+    def test_an_image_size_below_the_smallest_is_rejected(self):
+        assert len(D.generate_dataset(count=1, image_size=D.MIN_IMAGE_SIZE)) == 1
+        with pytest.raises(ConfigError, match=f"image size {D.MIN_IMAGE_SIZE - 1} is below"):
+            D.generate_dataset(count=1, image_size=D.MIN_IMAGE_SIZE - 1)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ContractError):

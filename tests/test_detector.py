@@ -104,10 +104,10 @@ class TestStudentForward:
         cfg2 = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg2, RNG)
         out = det.forward_batch([img], params, cfg2)
-        assert out.memory_len == 2 * cfg2.tokens
+        assert out.layer_seqs[0].shape[0] == 2 * cfg2.tokens
         cfg2c = tiny_cfg(num_parts=2, compression="redundancy")
         out_c = det.forward_batch([img], params, cfg2c)
-        assert out_c.memory_len == cfg2c.tokens  # reduced from N*n to n
+        assert out_c.layer_seqs[0].shape[0] == cfg2c.tokens  # reduced from N*n to n
         assert out_c.kept is not None and out_c.kept.shape == (cfg2c.tokens,)
 
     def test_outputs_are_valid_detections(self):
@@ -213,7 +213,7 @@ class TestSplitForward:
                 assert pool.submitted - before == min(batch, cores) - 1
         whole = outs[0]
         for split in outs[1:]:
-            assert split.memory_len == whole.memory_len and split.batch == batch
+            assert split.batch == batch
             if whole.kept is None:
                 assert split.kept is None
             else:
@@ -283,7 +283,7 @@ def step_gradients(monkeypatch, cores, params, cfg, images, predict):
     for p in named.values():
         p.grad = None
     out = det.forward_batch(images, params, cfg, predict=predict, rng=np.random.default_rng(4))
-    out.backward(every_output_loss(out))
+    every_output_loss(out).backward()
     return {name: p.grad for name, p in named.items()}
 
 
@@ -299,8 +299,19 @@ class TestSplitBackward:
         monkeypatch.setattr(det, "core_count", lambda: 2)
         out = det.forward_batch([rand_image() for _ in range(2)], params, cfg, predict=predict)
         assert share_pool.submitted == 1  # the forward's second share
-        out.backward(every_output_loss(out))
+        every_output_loss(out).backward()
         assert share_pool.submitted == 2  # and its backward
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_second_backward_through_a_split_forward_is_rejected(self, monkeypatch,
+                                                                   share_pool, cores):
+        params, cfg = self.split_case("redundancy")
+        monkeypatch.setattr(det, "core_count", lambda: cores)
+        out = det.forward_batch([rand_image() for _ in range(2)], params, cfg)
+        loss = every_output_loss(out)
+        loss.backward()
+        with pytest.raises(ContractError, match="second backward"):
+            loss.backward()
 
     @over_split_cases
     def test_split_gradients_equal_the_unsplit_step(self, monkeypatch, share_pool, compression,
@@ -386,8 +397,8 @@ class TestSplitBackward:
             task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
             return out, ka.final_loss(seq, task, None, weights)
 
-        out, loss = step()
-        out.backward(loss)
+        _, loss = step()
+        loss.backward()
         named = params.named_parameters()
         for name in ("proj0.w", "proj1.b", "enc0.attn.wq", "enc1.mlp.b2", "dec0.cross.wvo",
                      "queries", "class.w", "box.w3"):

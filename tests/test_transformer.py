@@ -5,7 +5,7 @@ import pytest
 
 from kaseq import tensor as T
 from kaseq import transformer as tf
-from kaseq.errors import ConfigError, ContractError
+from kaseq.errors import ConfigError, ShapeError
 from kaseq.tensor import Tensor
 
 from helpers import is_leaf
@@ -86,7 +86,7 @@ class TestMHA:
     def test_one_call_adds_four_operation_nodes_over_three_leaves(self):
         p = tf.MHAParams.init(8, 4, RNG)
         x = Tensor(RNG.standard_normal((6, 8)))
-        nodes = T._topo_order(tf.mha(x, x, x, p, tf.AttentionMask(2, 3, 3)))
+        nodes = T._topo_order(tf.mha(x, x, x, p, blocks=2))
         assert sum(not is_leaf(n) for n in nodes) == 4
         assert {id(n) for n in nodes if is_leaf(n) and n.requires_grad} == \
             {id(p.wq), id(p.wk), id(p.wvo)}
@@ -121,7 +121,7 @@ class TestMaskedSelfAttention:
     def test_single_part_equals_unmasked(self):
         p = tf.MHAParams.init(4, 2, RNG)
         x = Tensor(RNG.standard_normal((5, 4)))
-        masked = tf.mha(x, x, x, p, tf.AttentionMask(1, 5, 5))
+        masked = tf.mha(x, x, x, p, blocks=1)
         plain = tf.mha(x, x, x, p)
         np.testing.assert_allclose(masked.data, plain.data, atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestMaskedSelfAttention:
         a = RNG.standard_normal((4, 6))
         b = RNG.standard_normal((4, 6))
         x = Tensor(np.vstack([a, b]))
-        out = tf.mha(x, x, x, p, tf.AttentionMask(2, 4, 4)).data
+        out = tf.mha(x, x, x, p, blocks=2).data
         for part, rows in ((a, out[:4]), (b, out[4:])):
             solo = tf.mha(Tensor(part), Tensor(part), Tensor(part), p)
             assert np.max(np.abs(rows - solo.data)) < 1e-10
@@ -139,12 +139,15 @@ class TestMaskedSelfAttention:
         p = tf.MHAParams.init(4, 2, RNG)
         x = RNG.standard_normal((3, 4))
         both = Tensor(np.vstack([x, x]))
-        out = tf.mha(both, both, both, p, tf.AttentionMask(2, 3, 3)).data
+        out = tf.mha(both, both, both, p, blocks=2).data
         np.testing.assert_allclose(out[:3], out[3:], atol=1e-12)
 
-    def test_empty_part_list_rejected(self):
-        with pytest.raises(ContractError):
-            tf.AttentionMask(0, 4, 4)
+    @pytest.mark.parametrize("blocks, keys", [(0, 4), (-1, 4), (4, 8), (2, 5)])
+    def test_blocks_that_do_not_tile_both_sequences_are_rejected(self, blocks, keys):
+        p = tf.MHAParams.init(4, 2, RNG)
+        q, kv = Tensor(RNG.standard_normal((6, 4))), Tensor(RNG.standard_normal((keys, 4)))
+        with pytest.raises(ShapeError, match="attention blocks"):
+            tf.mha(q, kv, kv, p, blocks=blocks)
 
 
 class TestEncoder:
@@ -171,9 +174,8 @@ class TestEncoder:
         a = RNG.standard_normal((4, 6))
         b = RNG.standard_normal((4, 6))
         pos = RNG.uniform(-1, 1, size=(4, 6))
-        mask = tf.AttentionMask(2, 4, 4)
         joint = tf.encoder_forward(Tensor(np.vstack([a, b])), layers,
-                                   mask=mask, pos=np.vstack([pos, pos]))
+                                   blocks=2, pos=np.vstack([pos, pos]))
         solo_a = tf.encoder_forward(Tensor(a), layers, pos=pos)
         solo_b = tf.encoder_forward(Tensor(b), layers, pos=pos)
         for lj, la, lb_ in zip(joint, solo_a, solo_b):
