@@ -2,8 +2,10 @@
 
 Configuration is layered: built-in defaults, then an optional JSON config
 file (--config), then explicit command-line flags, later layers winning.
-The effective merged configuration is dumped alongside every artifact so
-any run can be reconstructed from its outputs.
+The configuration that ran is dumped alongside every artifact, with a
+trained model's own detector section, so any run can be reconstructed from
+its outputs; an ablation directory records it before the first cell and
+resumes only under the same configuration.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (non-finite loss; the last good checkpoint is dumped next to the
@@ -175,9 +177,7 @@ def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
 
 
 def _detector_config(cfg: dict, **overrides) -> DetectorConfig:
-    merged = dict(cfg["detector"])
-    merged.update(overrides)
-    return DetectorConfig.from_dict(merged)
+    return DetectorConfig.from_dict({**cfg["detector"], **overrides})
 
 
 def _require_file(path: str, what: str) -> None:
@@ -262,36 +262,6 @@ def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
     return ckpt
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value)
-
-
-def _evaluate_checkpoint(cfg: dict, ckpt: tv.Checkpoint, dataset: D.Dataset) -> tv.EvalReport:
-    """Evaluate over the category ids and task partition the checkpoint
-    records; either entry that does not fit the model and the dataset is a
-    DataFormatError naming its metadata key."""
-    num = ckpt.config.num_categories
-    partition = None
-    if "partition" in ckpt.metadata:
-        subsets = ckpt.metadata["partition"]
-        if not (isinstance(subsets, list) and all(_is_int_list(s) for s in subsets)):
-            raise DataFormatError(f"checkpoint metadata 'partition' {subsets!r} is not a "
-                                  f"list of integer lists")
-        try:
-            partition = D.TaskPartition.from_jsonable(subsets, num)
-        except ContractError as e:
-            raise DataFormatError(f"checkpoint metadata 'partition' {subsets!r} is not a "
-                                  f"partition of categories 1..{num}: {e}") from None
-    category_ids = ckpt.metadata.get("category_ids", list(range(1, num + 1)))
-    if not (_is_int_list(category_ids) and len(set(category_ids)) == len(category_ids) == num
-            and all(1 <= c <= dataset.num_categories for c in category_ids)):
-        raise DataFormatError(f"checkpoint metadata 'category_ids' {category_ids!r} is not "
-                              f"{num} distinct integers in 1..{dataset.num_categories}")
-    return tv.evaluate(ckpt, dataset, category_ids=category_ids,
-                       partition=partition, batch_size=cfg["train"]["eval_batch_size"])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -312,26 +282,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_dataset(path: str) -> D.Dataset:
+    _require_file(os.path.join(path, "annotations.json"), "dataset")
+    return D.load_dataset(path)
+
+
 def _load_train_eval(args):
-    _require_file(os.path.join(args.data, "annotations.json"), "dataset")
-    train = D.load_dataset(args.data)
-    eval_ds = None
-    if getattr(args, "eval_data", None):
-        _require_file(os.path.join(args.eval_data, "annotations.json"), "dataset")
-        eval_ds = D.load_dataset(args.eval_data)
-    return train, eval_ds
+    train = _load_dataset(args.data)
+    return train, _load_dataset(args.eval_data) if getattr(args, "eval_data", None) else None
 
 
 def _load_teachers(paths: Sequence[str]) -> list:
     ckpts = []
     for t, path in enumerate(paths):
         _require_file(path, "teacher checkpoint")
-        ckpt = tv.load_checkpoint(path)
-        subset, num = ckpt.metadata.get("task_subset"), ckpt.config.num_categories
-        if not (_is_int_list(subset) and len(set(subset)) == len(subset) == num):
-            raise DataFormatError(f"teacher {t + 1} ({path}): metadata 'task_subset' "
-                                  f"{subset!r} is not {num} distinct integers")
-        ckpts.append(ckpt)
+        try:
+            ckpts.append(tv.load_checkpoint(path))
+        except DataFormatError as e:
+            raise DataFormatError(f"teacher {t + 1}: {e}") from None
     return ckpts
 
 
@@ -343,9 +311,9 @@ def cmd_train_teacher(args) -> int:
     if max(subset) > train.num_categories:
         raise UsageError(f"task categories exceed the dataset universe 1..{train.num_categories}")
     partition = _full_partition_for_subset(subset, train.num_categories)
-    run_teacher(cfg, train, eval_ds, partition, 0, cfg["seed"],
-                cfg["train"]["teacher_epochs"], args.out)
-    dump_effective_config(cfg, "train-teacher", args.out)
+    ckpt = run_teacher(cfg, train, eval_ds, partition, 0, cfg["seed"],
+                       cfg["train"]["teacher_epochs"], args.out)
+    dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-teacher", args.out)
     print(f"teacher checkpoint written to {args.out}")
     return 0
 
@@ -354,9 +322,10 @@ def cmd_train_baseline(args) -> int:
     cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
-    run_baseline(cfg, train, eval_ds, args.variant, 1 if args.variant == "raw" else args.parts,
-                 cfg["seed"], cfg["train"]["epochs"], args.out)
-    dump_effective_config(cfg, "train-baseline", args.out)
+    ckpt = run_baseline(cfg, train, eval_ds, args.variant,
+                        1 if args.variant == "raw" else args.parts,
+                        cfg["seed"], cfg["train"]["epochs"], args.out)
+    dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-baseline", args.out)
     print(f"{args.variant} checkpoint written to {args.out}")
     return 0
 
@@ -369,10 +338,10 @@ def cmd_amalgamate(args) -> int:
     if args.label_free:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)
-    run_amalgamation(cfg, train, eval_ds, _load_teachers(args.teachers), args.mode,
-                     args.compress, args.label_free, cfg["seed"],
-                     cfg["train"]["epochs"], args.out)
-    dump_effective_config(cfg, "amalgamate", args.out)
+    ckpt = run_amalgamation(cfg, train, eval_ds, _load_teachers(args.teachers), args.mode,
+                            args.compress or cfg["detector"]["compression"], args.label_free,
+                            cfg["seed"], cfg["train"]["epochs"], args.out)
+    dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "amalgamate", args.out)
     print(f"student checkpoint written to {args.out}")
     return 0
 
@@ -380,13 +349,14 @@ def cmd_amalgamate(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     _require_file(args.model, "checkpoint")
-    _require_file(os.path.join(args.data, "annotations.json"), "dataset")
-    ckpt = tv.load_checkpoint(args.model)
-    report = _evaluate_checkpoint(cfg, ckpt, D.load_dataset(args.data))
+    dataset = _load_dataset(args.data)
+    report = tv.evaluate(tv.load_checkpoint(args.model), dataset,
+                         batch_size=cfg["train"]["eval_batch_size"])
     print(f"AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     for name, value in sorted(report.per_subset.items()):
         print(f"  {name}: AP={value:.4f}")
     if args.report:
+        os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=1)
         dump_effective_config(cfg, "evaluate", args.report)
@@ -396,11 +366,9 @@ def cmd_evaluate(args) -> int:
 def cmd_analyze_redundancy(args) -> int:
     cfg = build_config(args)
     _require_file(args.model, "checkpoint")
-    _require_file(os.path.join(args.data, "annotations.json"), "dataset")
     _guard_output(args.out, args.force)
-    ckpt = tv.load_checkpoint(args.model)
-    dataset = D.load_dataset(args.data)
-    report = tv.analyze_redundancy(ckpt, dataset)
+    report = tv.analyze_redundancy(tv.load_checkpoint(args.model), _load_dataset(args.data))
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "count"])
@@ -455,7 +423,7 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
                                 setting["compress"], setting["label_free"], seed, epochs,
                                 ckpt_path, teachers_by_id)
 
-    report = _evaluate_checkpoint(cfg, ckpt, eval_ds)
+    report = tv.evaluate(ckpt, eval_ds, batch_size=cfg["train"]["eval_batch_size"])
     row = {"mode": setting["label"], "seed": seed, "AP": report.ap,
            "AP50": report.ap50, "AP75": report.ap75}
     with open(report_path, "w") as fh:
@@ -480,6 +448,15 @@ def _prepare_teachers(args, cfg, train, eval_ds, out_dir) -> list:
     return ckpts
 
 
+def _flat(cfg: dict, prefix: str = "") -> dict:
+    """Every entry of a nested configuration under its dotted path."""
+    flat = {}
+    for key, value in cfg.items():
+        flat.update(_flat(value, f"{prefix}{key}.") if isinstance(value, dict)
+                    else {prefix + key: value})
+    return flat
+
+
 def cmd_ablate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
@@ -490,6 +467,19 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     train = D.load_dataset(args.train_data)
     eval_ds = D.load_dataset(args.eval_data)
+    # A resumed run reuses the teachers and cells of the run recorded here.
+    recorded = os.path.join(args.out, "config.json")
+    if os.path.exists(recorded):
+        old = load_config_file(recorded).get("config")
+        if not isinstance(old, dict):
+            raise DataFormatError(f"{recorded}: lacks a 'config' object")
+        old, new = _flat(old), _flat(cfg)
+        key = next((k for k in [*new, *old] if k not in old or k not in new or old[k] != new[k]),
+                   None)
+        if key is not None:
+            raise UsageError(f"{recorded} records another configuration ({key!r} differs); "
+                             f"resume with that configuration or use another --out")
+    dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out)
 
     seeds = list(range(args.seeds))
@@ -522,7 +512,6 @@ def cmd_ablate(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     print(f"wrote {table} with {len(rows)} rows")
     return 0
 
@@ -598,8 +587,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--eval-data")
     p.add_argument("--mode", choices=tv.AMALGAMATION_MODES, default="sa+ta")
-    p.add_argument("--compress", choices=("none", "isometric", "random", "redundancy"),
-                   default="none")
+    p.add_argument("--compress", choices=detector.COMPRESSION_MODES,
+                   help="token compression (default: detector.compression)")
     p.add_argument("--label-free", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)

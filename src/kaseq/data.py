@@ -78,13 +78,6 @@ class TaskPartition:
             raise ContractError(f"task index {t} out of range")
         return self.subsets[t]
 
-    def to_jsonable(self):
-        return [list(s) for s in self.subsets]
-
-    @classmethod
-    def from_jsonable(cls, subsets, num_categories: int) -> "TaskPartition":
-        return cls(tuple(tuple(int(c) for c in s) for s in subsets), num_categories)
-
 
 def category_name(category: int) -> str:
     shape_idx, color_idx = divmod(category - 1, len(COLORS))
@@ -196,7 +189,7 @@ def generate_dataset(count: int, num_categories: int = 8, image_size: int = 64,
 # persistence
 
 
-def _write_atomic(path: str, payload: bytes) -> None:
+def write_atomic(path: str, payload: bytes) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -258,7 +251,7 @@ def persist_dataset(dataset: Dataset, root: str) -> None:
     ann_id = 0
     for i in range(len(dataset)):
         name = f"images/{i:06d}.ppm"
-        _write_atomic(os.path.join(root, name), _encode_ppm(dataset.image(i)))
+        write_atomic(os.path.join(root, name), _encode_ppm(dataset.image(i)))
         doc["images"].append({"id": i, "file_name": name,
                               "width": dataset.image_size, "height": dataset.image_size})
         for ann in dataset._annotations[i]:
@@ -266,8 +259,7 @@ def persist_dataset(dataset: Dataset, root: str) -> None:
                                        "category_id": ann.category,
                                        "bbox": list(ann.box)})
             ann_id += 1
-    _write_atomic(os.path.join(root, "annotations.json"),
-                  json.dumps(doc, indent=1).encode())
+    write_atomic(os.path.join(root, "annotations.json"), json.dumps(doc, indent=1).encode())
 
 
 _IMAGE_FIELDS = {"id": int, "file_name": str, "width": int, "height": int}

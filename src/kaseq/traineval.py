@@ -44,7 +44,7 @@ import numpy as np
 from . import amalgamation as ka
 from . import matching
 from . import tensor as T
-from .data import Dataset, TaskPartition, read_json
+from .data import Dataset, TaskPartition, read_json, write_atomic
 from .detector import (BatchOutput, DetectorConfig, DetectorParams, extended_projection,
                        forward_batch)
 from .errors import (ConfigError, ContractError, DataFormatError, InfeasibleError,
@@ -146,13 +146,20 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     blob += header
     for n in names:
         blob += np.ascontiguousarray(ckpt.tensors[n], dtype="<f8").tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_atomic(path, blob)
+
+
+def _is_positive_int_list(value) -> bool:
+    """Whether ``value`` is a non-empty list of positive integers (not booleans)."""
+    return isinstance(value, list) and value != [] and all(
+        type(v) is int and v >= 1 for v in value)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; a fault is a DataFormatError naming the file, and so
+    is metadata that does not fit the model's C classes: ``category_ids`` and
+    ``task_subset`` are C distinct positive integers, and ``partition`` is a
+    list of integer lists that partitions 1..C."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -182,6 +189,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         config = DetectorConfig.from_dict(config)
     except ConfigError as e:
         raise DataFormatError(f"{path}: bad config in header: {e}") from None
+    num = config.num_categories
+    every = list(range(1, num + 1))  # stands in for an entry the metadata lacks
+    for key in ("category_ids", "task_subset"):
+        value = metadata.get(key, every)
+        if not (_is_positive_int_list(value) and len(set(value)) == len(value) == num):
+            raise DataFormatError(f"{path}: metadata {key!r} {value!r} is not {num} distinct "
+                                  f"positive integers")
+    subsets = metadata.get("partition", [every])
+    if not (isinstance(subsets, list) and all(map(_is_positive_int_list, subsets))
+            and sorted(c for s in subsets for c in s) == every):
+        raise DataFormatError(f"{path}: metadata 'partition' {subsets!r} is not a list of "
+                              f"integer lists that partitions categories 1..{num}")
     offset = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
     if not isinstance(header["tensors"], list):
@@ -412,12 +431,11 @@ def category_ap(predictions: np.ndarray, gt: np.ndarray,
 
 
 def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Dataset,
-                        category_ids: Sequence[int], batch_size: int = 32,
-                        rng: Optional[np.random.Generator] = None) -> dict[int, np.ndarray]:
+                        category_ids: Sequence[int], batch_size: int = 32) -> dict[int, np.ndarray]:
     """One prediction per decoder slot whose argmax is a real category, as a
     (P, 7) array of rows (score, image, slot, x0, y0, x1, y1) per category."""
     m = cfg.queries
-    rng = rng or np.random.default_rng(0)  # one stream, drawn in image order
+    rng = np.random.default_rng(0)  # one stream, drawn in image order
     rows, labels = [], []
     for start in range(0, len(dataset), batch_size):
         idx = list(range(start, min(start + batch_size, len(dataset))))
@@ -434,19 +452,20 @@ def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Da
     return {c: rows[labels == k] for k, c in enumerate(category_ids)}
 
 
-def evaluate(ckpt: Checkpoint, dataset: Dataset,
-             category_ids: Optional[Sequence[int]] = None,
-             partition: Optional[TaskPartition] = None,
+def evaluate(ckpt: Checkpoint, dataset: Dataset, partition: Optional[TaskPartition] = None,
              batch_size: int = 32) -> EvalReport:
     """COCO-style AP over IoU 0.50:0.05:0.95 with 101-point interpolation;
-    one :func:`category_ap` call scores a category at all ten thresholds."""
+    one :func:`category_ap` call scores a category at all ten thresholds.
+    Class k is scored as category ``category_ids[k]`` of the metadata (k + 1
+    without it), which the dataset must have; ``per_subset`` scores each
+    task of ``partition``, by default the metadata's."""
     params, cfg = detector_from_checkpoint(ckpt)
     _check_image_size(cfg, dataset)
+    category_ids = ckpt.metadata.get("category_ids", list(range(1, cfg.num_categories + 1)))
+    if max(category_ids) > dataset.num_categories:  # where the model meets the data
+        raise DataFormatError(f"checkpoint metadata 'category_ids' {category_ids!r} exceeds "
+                              f"the dataset's categories 1..{dataset.num_categories}")
     params.set_requires_grad(False)
-    if category_ids is None:
-        category_ids = list(range(1, cfg.num_categories + 1))
-    if len(category_ids) != cfg.num_categories:
-        raise ContractError("model class arity disagrees with the category id map")
     preds = collect_predictions(params, cfg, dataset, category_ids, batch_size)
 
     wanted = set(category_ids)
@@ -469,11 +488,11 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset,
     mean_per_threshold = all_rows.mean(axis=0)
     per_category = {c: float(v.mean()) for c, v in ap_table.items()}
     per_subset: dict[str, float] = {}
-    if partition is not None:
-        for t in range(partition.num_tasks):
-            vals = [per_category[c] for c in partition.subset(t) if c in per_category]
-            if vals:
-                per_subset[f"task{t + 1}"] = float(np.mean(vals))
+    subsets = ckpt.metadata.get("partition", []) if partition is None else partition.subsets
+    for t, subset in enumerate(subsets):
+        vals = [per_category[c] for c in subset if c in per_category]
+        if vals:
+            per_subset[f"task{t + 1}"] = float(np.mean(vals))
     return EvalReport(ap=float(mean_per_threshold.mean()),
                       ap50=float(mean_per_threshold[0]),
                       ap75=float(mean_per_threshold[5]),
@@ -516,7 +535,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          objective: Callable[[BatchOutput, np.ndarray], tuple[Tensor, dict[str, Tensor]]],
          guide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
          predict: bool = True,
-         eval_ds: Optional[Dataset] = None, partition: Optional[TaskPartition] = None,
+         eval_ds: Optional[Dataset] = None,
          eval_batch_size: int = 32,
          csv_path: Optional[str] = None,
          crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
@@ -529,7 +548,8 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     prediction: the forward pass stops after the encoder, and the sequences
     are checked for finiteness in place of the predictions. The step's
     ``loss.backward()`` walks the forward's shares too, so it reaches every
-    parameter. Returns the final checkpoint and each epoch's mean terms.
+    parameter. :func:`evaluate` scores each epoch's checkpoint on ``eval_ds``
+    by its ``metadata``. Returns the final checkpoint and each epoch's mean terms.
     """
     _check_image_size(cfg, dataset, eval_ds)
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
@@ -549,6 +569,9 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
             out = forward_batch(images, params, cfg,
                                 guide=guide(idx) if guide is not None else None, rng=rng,
                                 predict=predict)
+            # Drop the previous step's loss graph before this step's is built; dropped
+            # before the forward, its pages went back to the system and faulted in again.
+            loss = terms = None
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.
             read = (out.dists, out.boxes) if predict else out.layer_seqs
@@ -570,8 +593,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
         last_good = make_checkpoint(params, cfg, metadata)
         report = None
         if eval_ds is not None:
-            report = evaluate(last_good, eval_ds, category_ids=metadata["category_ids"],
-                              partition=partition, batch_size=eval_batch_size)
+            report = evaluate(last_good, eval_ds, batch_size=eval_batch_size)
         logger.log(epoch, epoch_terms[-1], report, time.time() - start_time)
 
     last_good.metadata["final_epoch"] = epochs - 1
@@ -591,7 +613,6 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                       eval_batch_size: int = 32,
                       csv_path: Optional[str] = None,
                       mode_label: str = "raw",
-                      partition: Optional[TaskPartition] = None,
                       crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[float]]:
     """Train a detector on ground truth only; backbone of teachers and the
     raw/raw_ext baselines. Returns the checkpoint and per-epoch mean losses."""
@@ -600,8 +621,6 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
     params = DetectorParams.init(cfg, rng)
     metadata = {"mode": mode_label, "seed": seed, "epochs": epochs,
                 "category_ids": list(category_ids)}
-    if partition is not None:
-        metadata["partition"] = partition.to_jsonable()
 
     def objective(out: BatchOutput, idx: np.ndarray):
         loss = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
@@ -610,9 +629,8 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
 
     ckpt, epoch_terms = _fit(params, params.named_parameters(), cfg, train_ds, epochs,
                              batch_size, rng, opt_settings, metadata,
-                             objective, eval_ds=eval_ds, partition=partition,
-                             eval_batch_size=eval_batch_size, csv_path=csv_path,
-                             crash_dump=crash_dump)
+                             objective, eval_ds=eval_ds, eval_batch_size=eval_batch_size,
+                             csv_path=csv_path, crash_dump=crash_dump)
     return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
@@ -672,10 +690,10 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
 
     subsets = []
     teacher_models = []
-    for ckpt in teacher_ckpts:
+    for t, ckpt in enumerate(teacher_ckpts):
         params_t, cfg_t = detector_from_checkpoint(ckpt)
         if "task_subset" not in ckpt.metadata:
-            raise ContractError("teacher checkpoint lacks its task subset")
+            raise DataFormatError(f"teacher {t + 1}'s checkpoint metadata lacks 'task_subset'")
         subsets.append(tuple(sorted(ckpt.metadata["task_subset"])))
         teacher_models.append((params_t, cfg_t))
     partition = TaskPartition(tuple(subsets), cfg.num_categories)
@@ -726,7 +744,7 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
 
     category_ids = list(range(1, cfg.num_categories + 1))
     metadata = {"mode": mode + ("_lf" if label_free else ""), "seed": seed, "epochs": epochs,
-                "label_free": label_free, "partition": partition.to_jsonable(),
+                "label_free": label_free, "partition": [list(s) for s in partition.subsets],
                 "compression": cfg.compression, "category_ids": category_ids}
     n = cfg.tokens
 
@@ -767,8 +785,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective,
                    guide=functools.partial(cache.layer_rows, 0) if compressed else None,
-                   predict=predict, eval_ds=eval_ds, partition=partition,
-                   eval_batch_size=eval_batch_size, csv_path=csv_path, crash_dump=crash_dump)
+                   predict=predict, eval_ds=eval_ds, eval_batch_size=eval_batch_size,
+                   csv_path=csv_path, crash_dump=crash_dump)
     return ckpt
 
 

@@ -88,6 +88,22 @@ def test_amalgamate_then_evaluate(ws, capsys):
     assert "AP=" in capsys.readouterr().out
 
 
+def test_dumped_detector_section_is_the_trained_models(ws):
+    # The teacher has 2 of the 4 categories; the student has 2 parts, one per
+    # teacher, and the configured compression, which no --compress overrides.
+    teacher = json.loads((ws["root"] / "t1.ckpt.config.json").read_text())
+    assert teacher["config"]["detector"] == tv.load_checkpoint(str(ws["t1"])).config.to_dict()
+    assert teacher["config"]["detector"]["num_categories"] == 2
+    student = ws["root"] / "configured_compression.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+               "--out", student, "--config", ws["config"],
+               "--set", "detector.compression=redundancy", "--set", "detector.num_parts=5") == 0
+    ckpt_cfg = tv.load_checkpoint(str(student)).config
+    assert (ckpt_cfg.compression, ckpt_cfg.num_parts) == ("redundancy", 2)
+    dump = json.loads((ws["root"] / "configured_compression.ckpt.config.json").read_text())
+    assert dump["config"]["detector"] == ckpt_cfg.to_dict()
+
+
 def test_ablate_resumes_without_duplicating_metrics(ws):
     out = ws["root"] / "ablate"
     argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
@@ -108,6 +124,36 @@ def test_ablate_resumes_without_duplicating_metrics(ws):
     assert metrics_rows(table) == first
     assert os.stat(kept).st_mtime_ns == kept_mtime
     assert len(metrics_rows(runs / "sa+ta_random_s0.ckpt.metrics.csv")) == 1
+
+
+def test_ablate_into_a_run_of_another_configuration_exits_1(ws, capsys):
+    out = ws["root"] / "ablate_config"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+            "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    assert run(*argv) == 0
+    recorded = (out / "config.json").read_text()
+    assert run(*argv, "--epochs", 3, "--set", "optim.lr=0.01") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'optim.lr'" in err
+    assert (out / "config.json").read_text() == recorded
+    assert sorted(os.listdir(out / "runs")) == sorted(
+        f"sa+ta_{s}_s0{ext}" for s in ("redundancy", "isometric", "random")
+        for ext in (".ckpt", ".ckpt.metrics.csv", ".report.json"))
+
+
+def test_outputs_into_a_missing_directory(ws):
+    cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4, "num_parts": 2})
+    student = ws["root"] / "two_parts.ckpt"
+    tv.save_checkpoint(tv.make_checkpoint(
+        DetectorParams.init(cfg, np.random.default_rng(0)), cfg), str(student))
+    report = ws["root"] / "missing" / "report.json"
+    assert run("evaluate", "--model", student, "--data", ws["eval"], "--report", report) == 0
+    assert set(json.loads(report.read_text())) >= {"AP", "per_subset"}
+    histogram = ws["root"] / "also_missing" / "redundancy.csv"
+    assert run("analyze-redundancy", "--model", student, "--data", ws["eval"],
+               "--out", histogram) == 0
+    assert metrics_rows(histogram)[0]["bin_low"] == "-1.00"
 
 
 def test_forced_retraining_starts_a_fresh_metrics_log(ws):
@@ -502,6 +548,18 @@ def test_teacher_task_subset_that_does_not_fit_exits_2(ws, capsys, subset):
     assert not out.exists()
 
 
+def test_teacher_without_a_task_subset_exits_2(ws, capsys):
+    bad = ws["root"] / "no_subset.ckpt"
+    bad.write_bytes(_rewrite_header(ws["t2"].read_bytes(), lambda header:
+                                    header["metadata"].pop("task_subset")))
+    out = ws["root"] / "no_subset_student.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], bad, "--data", ws["train"],
+               "--mode", "sa+ta", "--out", out, "--config", ws["config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'task_subset'" in err and "teacher 2" in err
+    assert not out.exists()
+
+
 def test_negative_epochs_exit_1(ws, capsys):
     out = ws["root"] / "negative_epochs.ckpt"
     assert run("train-teacher", "--data", ws["train"], "--task", "1-2", "--out", out,
@@ -533,9 +591,9 @@ def test_ablation_seed_count_below_one_exits_1(ws, capsys):
 def test_per_epoch_evaluation_uses_the_eval_batch_size(ws, monkeypatch, command):
     received, shipped = [], tv.collect_predictions
 
-    def collect(params, cfg, dataset, category_ids, batch_size=32, rng=None):
+    def collect(params, cfg, dataset, category_ids, batch_size=32):
         received.append(batch_size)
-        return shipped(params, cfg, dataset, category_ids, batch_size, rng)
+        return shipped(params, cfg, dataset, category_ids, batch_size)
 
     monkeypatch.setattr(tv, "collect_predictions", collect)
     inputs = {"train-teacher": ["--task", "1-2"], "train-baseline": [],

@@ -94,6 +94,23 @@ class TestCheckpoint:
         for name, p in rebuilt.named_parameters().items():
             np.testing.assert_array_equal(p.data, ckpt.tensors[name])
 
+    @pytest.mark.parametrize("metadata, key", [
+        ({"category_ids": [True, 2, 3, 4]}, "category_ids"),
+        ({"category_ids": [0, 1, 2, 3]}, "category_ids"),
+        ({"task_subset": [1.0, 2, 3, 4]}, "task_subset"),
+        ({"partition": None}, "partition"),
+        ({"partition": [[1, 2, 3, 4], []]}, "partition"),
+        ({"partition": [[1, 2], [2, 3, 4]]}, "partition"),
+    ], ids=["boolean_id", "zero_id", "float_in_subset", "null_partition", "empty_task",
+            "overlapping_tasks"])
+    def test_metadata_that_does_not_fit_the_model_is_rejected(self, tmp_path, metadata, key):
+        cfg = tiny_cfg(num_categories=4)
+        path = str(tmp_path / "model.ckpt")
+        tv.save_checkpoint(tv.make_checkpoint(DetectorParams.init(cfg, RNG), cfg, metadata),
+                           path)
+        with pytest.raises(DataFormatError, match=f"model.ckpt: metadata '{key}'"):
+            tv.load_checkpoint(path)
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
@@ -299,6 +316,21 @@ class TestEvaluate:
         again = tv.evaluate(ckpt, shuffled)
         assert again.ap == pytest.approx(base.ap, abs=1e-12)
         assert again.ap50 == pytest.approx(base.ap50, abs=1e-12)
+
+    def test_categories_and_partition_come_from_the_metadata(self, tiny_eval):
+        cfg = tiny_cfg(num_categories=4)
+        teacher = tv.make_checkpoint(DetectorParams.init(cfg, RNG), cfg,
+                                     {"category_ids": [5, 6, 7, 8]})
+        report = tv.evaluate(teacher, tiny_eval)
+        assert report.per_category and set(report.per_category) <= {5, 6, 7, 8}
+        assert report.per_subset == {}
+        cfg = tiny_cfg()
+        params = DetectorParams.init(cfg, RNG)
+        recorded = tv.make_checkpoint(params, cfg, {"partition": [[1, 2, 3, 4], [5, 6, 7, 8]]})
+        given = tv.evaluate(tv.make_checkpoint(params, cfg), tiny_eval,
+                            partition=TaskPartition.equal_split(8, 2))
+        assert set(given.per_subset) == {"task1", "task2"}
+        assert tv.evaluate(recorded, tiny_eval) == given
 
     def test_evaluate_does_not_mutate_parameters(self, tiny_eval):
         cfg = tiny_cfg()
