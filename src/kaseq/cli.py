@@ -7,6 +7,17 @@ trained model's own detector section, so any run can be reconstructed from
 its outputs; an ablation directory records it before the first cell and
 resumes only under the same configuration.
 
+Each run splits its forwards and backward passes across the CPU cores
+itself, so BLAS runs one thread per matrix product unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set: BLAS
+threads on top of the shares would oversubscribe the cores.
+
+``ablate`` runs its cells in this process or, with --workers k, in a pool
+of up to k spawned processes that split the cores between them. Either way
+a process receives the datasets and teachers once, keeps one teacher-set
+cache for all the cells it runs, and this process prints each cell's line
+in suite order.
+
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (non-finite loss; the last good checkpoint is dumped next to the
 requested output).
@@ -19,10 +30,15 @@ import contextlib
 import copy
 import csv
 import json
+import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+# Before numpy loads BLAS; spawned workers inherit the setting.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from . import data as D
 from . import detector
@@ -464,9 +480,8 @@ def cmd_ablate(args) -> int:
         raise UsageError("--seeds must be at least 1")
     cfg = build_config(args, _epochs_flag(args))
     settings = _suite_settings(args.suite)
+    train, eval_ds = _load_dataset(args.train_data), _load_dataset(args.eval_data)
     os.makedirs(args.out, exist_ok=True)
-    train = D.load_dataset(args.train_data)
-    eval_ds = D.load_dataset(args.eval_data)
     # A resumed run reuses the teachers and cells of the run recorded here.
     recorded = os.path.join(args.out, "config.json")
     if os.path.exists(recorded):
@@ -481,27 +496,22 @@ def cmd_ablate(args) -> int:
                              f"resume with that configuration or use another --out")
     dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out)
+    tv.teacher_partition(teacher_ckpts, train.num_categories)  # before the first cell
 
-    seeds = list(range(args.seeds))
-    jobs = [(setting, seed) for setting in settings for seed in seeds]
+    jobs = [(setting, seed) for setting in settings for seed in range(args.seeds)]
+    inputs = (cfg, train, eval_ds, teacher_ckpts, args.out)
+    processes = min(args.workers, len(jobs))
     rows = []
-    if args.workers > 1:
-        import multiprocessing as mp
-        ctx = mp.get_context("spawn")
-        payload = [(setting, seed, cfg, args.train_data, args.eval_data,
-                    [os.path.join(args.out, "teachers", f"teacher{t + 1}.ckpt")
-                     if not args.teachers else args.teachers[t]
-                     for t in range(len(teacher_ckpts))], args.out)
-                   for setting, seed in jobs]
-        with ctx.Pool(processes=args.workers, initializer=_init_ablation_worker,
-                      initargs=(args.workers,)) as pool:
-            rows = pool.map(_ablation_worker, payload)
-    else:
-        shared_teachers: dict = {}
-        for setting, seed in jobs:
-            row = run_single_ablation(setting, seed, cfg, train, eval_ds,
-                                      teacher_ckpts, args.out,
-                                      teachers_by_id=shared_teachers)
+    with contextlib.ExitStack() as stack:
+        stack.callback(_cells.clear)
+        if processes > 1:
+            pool = stack.enter_context(multiprocessing.get_context("spawn").Pool(
+                processes, initializer=_init_cells, initargs=(processes, *inputs)))
+            cells = pool.imap(_run_cell, jobs)
+        else:
+            _init_cells(None, *inputs)
+            cells = map(_run_cell, jobs)
+        for row in cells:
             print(f"{row['mode']} seed {row['seed']}: AP50={row['AP50']:.4f}")
             rows.append(row)
 
@@ -516,19 +526,23 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _init_ablation_worker(workers: int) -> None:
-    # The workers share the cores: each splits its forwards and backward
-    # passes, training steps included, into an equal part of them.
-    detector.limit_shares(max(1, detector.core_count() // workers))
+# The inputs of the ablation cells this process runs, set by _init_cells.
+_cells: dict = {}
 
 
-def _ablation_worker(payload) -> dict:
-    setting, seed, cfg, train_dir, eval_dir, teacher_paths, out_dir = payload
-    train = D.load_dataset(train_dir)
-    eval_ds = D.load_dataset(eval_dir)
-    teacher_ckpts = [tv.load_checkpoint(p) for p in teacher_paths]
-    return run_single_ablation(setting, seed, cfg, train, eval_ds,
-                               teacher_ckpts, out_dir)
+def _init_cells(processes: Optional[int], cfg: dict, train: D.Dataset, eval_ds: D.Dataset,
+                teacher_ckpts: list, out_dir: str) -> None:
+    """Ready this process to run ablation cells, one teacher-set memo for all of them; as one
+    of ``processes`` sharing the cores (None: the only one), cap its shares at its part."""
+    if processes is not None:
+        detector.limit_shares(max(1, detector.core_count() // processes))
+    _cells.update(cfg=cfg, train=train, eval_ds=eval_ds, teacher_ckpts=teacher_ckpts,
+                  out_dir=out_dir, teachers_by_id={})
+
+
+def _run_cell(job: tuple) -> dict:
+    setting, seed = job
+    return run_single_ablation(setting, seed, **_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +635,8 @@ def build_parser() -> _Parser:
                    help="pretrained teacher checkpoints (default: train them)")
     p.add_argument("--teacher-count", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes running ablation cells in parallel "
+                   help="worker processes running ablation cells in parallel, splitting "
+                        "the cores; each receives the inputs and builds a teacher cache once "
                         "(1, the default, runs them in this process)")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)

@@ -245,13 +245,18 @@ def detector_from_checkpoint(ckpt: Checkpoint) -> tuple[DetectorParams, Detector
     return params, ckpt.config
 
 
-def _check_image_size(cfg: DetectorConfig, *datasets: Optional[Dataset]) -> None:
-    """Raise ConfigError unless every given non-empty dataset holds images of
-    the model's size; run once where a dataset meets a model."""
-    for dataset in datasets:
-        if dataset is not None and len(dataset) and dataset.image_size != cfg.image_size:
+def _check_fit(cfg: DetectorConfig, *datasets: Optional[Dataset],
+               category_ids: Sequence[int] = ()) -> None:
+    """Raise unless every given dataset holds the model's categories
+    ``category_ids`` (DataFormatError) and, when not empty, images of the
+    model's size (ConfigError); run once where a dataset meets a model."""
+    for dataset in (d for d in datasets if d is not None):
+        if len(dataset) and dataset.image_size != cfg.image_size:
             raise ConfigError(f"the dataset's images are {dataset.image_size} px, but the "
                               f"model's detector.image_size is {cfg.image_size}")
+        if max(category_ids, default=0) > dataset.num_categories:
+            raise DataFormatError(f"checkpoint metadata 'category_ids' {list(category_ids)!r} "
+                                  f"exceeds the dataset's categories 1..{dataset.num_categories}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +338,7 @@ class TeacherCache:
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
                  dataset: Dataset, partition: TaskPartition, batch_size: int = 32):
         for params, cfg in teachers:
-            _check_image_size(cfg, dataset)
+            _check_fit(cfg, dataset)
             params.set_requires_grad(False)
         cfg = teachers[0][1]
         n, m, count, k = cfg.tokens, cfg.queries, len(dataset), len(teachers)
@@ -460,11 +465,8 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, partition: Optional[TaskPartiti
     without it), which the dataset must have; ``per_subset`` scores each
     task of ``partition``, by default the metadata's."""
     params, cfg = detector_from_checkpoint(ckpt)
-    _check_image_size(cfg, dataset)
     category_ids = ckpt.metadata.get("category_ids", list(range(1, cfg.num_categories + 1)))
-    if max(category_ids) > dataset.num_categories:  # where the model meets the data
-        raise DataFormatError(f"checkpoint metadata 'category_ids' {category_ids!r} exceeds "
-                              f"the dataset's categories 1..{dataset.num_categories}")
+    _check_fit(cfg, dataset, category_ids=category_ids)
     params.set_requires_grad(False)
     preds = collect_predictions(params, cfg, dataset, category_ids, batch_size)
 
@@ -551,7 +553,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     parameter. :func:`evaluate` scores each epoch's checkpoint on ``eval_ds``
     by its ``metadata``. Returns the final checkpoint and each epoch's mean terms.
     """
-    _check_image_size(cfg, dataset, eval_ds)
+    _check_fit(cfg, dataset, eval_ds, category_ids=metadata["category_ids"])
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
     logger = MetricsLogger(csv_path, metadata["mode"], metadata["seed"])
     start_time = time.time()
@@ -662,6 +664,17 @@ def _teacher_digest(ckpt: Checkpoint) -> str:
     return digest.hexdigest()
 
 
+def teacher_partition(teacher_ckpts: Sequence[Checkpoint], num_categories: int) -> TaskPartition:
+    """The teachers' task subsets, in order, as a partition of 1..``num_categories``;
+    a teacher without one is a DataFormatError naming its position."""
+    subsets = []
+    for t, ckpt in enumerate(teacher_ckpts):
+        if "task_subset" not in ckpt.metadata:
+            raise DataFormatError(f"teacher {t + 1}'s checkpoint metadata lacks 'task_subset'")
+        subsets.append(tuple(sorted(ckpt.metadata["task_subset"])))
+    return TaskPartition(tuple(subsets), num_categories)
+
+
 def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                cfg: DetectorConfig, mode: str, epochs: int, seed: int,
                eval_ds: Optional[Dataset] = None,
@@ -688,15 +701,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     if label_free:
         weights.lambda_direct = 0.0
 
-    subsets = []
-    teacher_models = []
-    for t, ckpt in enumerate(teacher_ckpts):
-        params_t, cfg_t = detector_from_checkpoint(ckpt)
-        if "task_subset" not in ckpt.metadata:
-            raise DataFormatError(f"teacher {t + 1}'s checkpoint metadata lacks 'task_subset'")
-        subsets.append(tuple(sorted(ckpt.metadata["task_subset"])))
-        teacher_models.append((params_t, cfg_t))
-    partition = TaskPartition(tuple(subsets), cfg.num_categories)
+    partition = teacher_partition(teacher_ckpts, cfg.num_categories)
+    teacher_models = [detector_from_checkpoint(ckpt) for ckpt in teacher_ckpts]
     n_teachers = len(teacher_models)
 
     first = teacher_models[0][1]
@@ -814,7 +820,7 @@ def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
     """Histogram of extended projection-output token redundancies (Fig.-5a
     style, 0.05-wide bins spanning [-1, 1])."""
     params, cfg = detector_from_checkpoint(ckpt)
-    _check_image_size(cfg, dataset)
+    _check_fit(cfg, dataset)
     params.set_requires_grad(False)
     if cfg.num_parts < 2:
         raise ContractError("redundancy analysis requires an extended (N >= 2) student")

@@ -264,6 +264,18 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_cli_import_defaults_to_one_blas_thread(preset, threads):
+    src = os.path.dirname(os.path.dirname(kaseq.__file__))
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env.update(PYTHONPATH=src, **({} if preset is None else dict.fromkeys(names, preset)))
+    code = f"import os, kaseq.cli; print(*[os.environ[n] for n in {names!r}])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == [threads] * 3
+
+
 def _rewrite_header(raw, edit):
     (length,) = struct.unpack_from("<I", raw, 8)
     header = json.loads(raw[12:12 + length])
@@ -418,16 +430,25 @@ def test_teacher_count_below_one_exits_1(ws, capsys):
     assert "at least 1 task" in capsys.readouterr().err
 
 
-def test_parallel_ablation_matches_the_serial_table(ws):
-    tables = []
+@pytest.mark.parametrize("suite, seeds, table", [("compression", 1, "compression.csv"),
+                                                ("table4", 2, "ablation.csv")],
+                         ids=["compression", "table4"])
+def test_parallel_ablation_matches_the_serial_table(ws, capsys, suite, seeds, table):
+    # At two seeds a worker runs several cells and reuses its teacher cache.
+    tables, lines = [], []
     for workers in (1, 2):
-        out = ws["root"] / f"ablate_workers{workers}"
-        assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
-                   "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+        out = ws["root"] / f"ablate_{suite}_workers{workers}"
+        assert run("ablate", "--suite", suite, "--train-data", ws["train"],
+                   "--eval-data", ws["eval"], "--out", out, "--seeds", seeds,
                    "--teachers", ws["t1"], ws["t2"], "--config", ws["config"],
                    "--workers", workers) == 0
-        tables.append((out / "compression.csv").read_text())
+        tables.append((out / table).read_text())
+        lines.append(capsys.readouterr().out.splitlines()[:-1])  # less the table's path
     assert tables[0] == tables[1]
+    assert lines[0] == lines[1]
+    assert [line.split(":")[0] for line in lines[0]] == [
+        f"{setting['label']} seed {seed}"
+        for setting in cli._suite_settings(suite) for seed in range(seeds)]
 
 
 def test_non_integer_process_count_exits_1(ws, capsys):
@@ -548,16 +569,46 @@ def test_teacher_task_subset_that_does_not_fit_exits_2(ws, capsys, subset):
     assert not out.exists()
 
 
-def test_teacher_without_a_task_subset_exits_2(ws, capsys):
+@pytest.mark.parametrize("command", ["amalgamate", "ablate"])
+def test_teacher_without_a_task_subset_exits_2(ws, capsys, command):
     bad = ws["root"] / "no_subset.ckpt"
     bad.write_bytes(_rewrite_header(ws["t2"].read_bytes(), lambda header:
                                     header["metadata"].pop("task_subset")))
-    out = ws["root"] / "no_subset_student.ckpt"
-    assert run("amalgamate", "--teachers", ws["t1"], bad, "--data", ws["train"],
-               "--mode", "sa+ta", "--out", out, "--config", ws["config"]) == 2
+    out = ws["root"] / f"no_subset_{command}"
+    inputs = {"amalgamate": ["--data", ws["train"], "--mode", "sa+ta"],
+              "ablate": ["--train-data", ws["train"], "--eval-data", ws["eval"],
+                         "--suite", "table4", "--seeds", 1]}[command]
+    assert run(command, *inputs, "--teachers", ws["t1"], bad, "--out", out,
+               "--config", ws["config"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "'task_subset'" in err and "teacher 2" in err
+    # An ablation fails before its first cell writes anything.
+    assert not (out / "runs" if command == "ablate" else out).exists()
+
+
+@pytest.mark.parametrize("missing", ["--train-data", "--eval-data"])
+def test_ablate_with_a_missing_dataset_exits_1(ws, capsys, missing):
+    out = ws["root"] / "missing_dataset"
+    data = {"--train-data": ws["train"], "--eval-data": ws["eval"],
+            missing: ws["root"] / "nope"}
+    assert run("ablate", "--suite", "compression", *[a for kv in data.items() for a in kv],
+               "--out", out, "--seeds", 1, "--teachers", ws["t1"], ws["t2"],
+               "--config", ws["config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "nope" in err
     assert not out.exists()
+
+
+def test_eval_data_without_the_models_categories_exits_2_before_training(ws, capsys):
+    two = ws["root"] / "two_categories"
+    assert run("gen-data", "--out", two, "--images", 4, "--categories", 2,
+               "--size", 32, "--seed", 2) == 0
+    out = ws["root"] / "categories_3_4.ckpt"
+    assert run("train-teacher", "--data", ws["train"], "--eval-data", two, "--task", "3,4",
+               "--out", out, "--config", ws["config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'category_ids' [3, 4]" in err
+    assert not out.exists() and not os.path.exists(str(out) + ".metrics.csv")
 
 
 def test_negative_epochs_exit_1(ws, capsys):
@@ -609,5 +660,6 @@ def test_per_epoch_evaluation_uses_the_eval_batch_size(ws, monkeypatch, command)
 def test_ablation_workers_split_the_cores_between_them(monkeypatch, cores, workers, shares):
     monkeypatch.setattr(detector, "core_count", lambda: cores)
     monkeypatch.setattr(detector, "_max_shares", None)
-    cli._init_ablation_worker(workers)
+    monkeypatch.setattr(cli, "_cells", {})
+    cli._init_cells(workers, {}, None, None, [], "")
     assert detector.share_count() == shares
