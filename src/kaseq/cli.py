@@ -16,7 +16,8 @@ threads on top of the shares would oversubscribe the cores.
 of up to k spawned processes that split the cores between them. Either way
 a process receives the datasets and teachers once, keeps one teacher-set
 cache for all the cells it runs, and this process prints each cell's line
-in suite order.
+in suite order. A SIGTERM to this process terminates the workers and exits
+with code 143.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (non-finite loss; the last good checkpoint is dumped next to the
@@ -32,6 +33,7 @@ import csv
 import json
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -505,6 +507,9 @@ def cmd_ablate(args) -> int:
     with contextlib.ExitStack() as stack:
         stack.callback(_cells.clear)
         if processes > 1:
+            # A SIGTERM leaves through this stack, which terminates the pool.
+            stack.callback(signal.signal, signal.SIGTERM, signal.signal(
+                signal.SIGTERM, lambda signum, _: sys.exit(128 + signum)))
             pool = stack.enter_context(multiprocessing.get_context("spawn").Pool(
                 processes, initializer=_init_cells, initargs=(processes, *inputs)))
             cells = pool.imap(_run_cell, jobs)

@@ -25,7 +25,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,11 @@ class DetectorConfig(Settings):
         return self.patch_size * self.patch_size * 3
 
     @property
+    def selects_tokens(self) -> bool:
+        """Whether compression keeps n of each image's N n extended tokens."""
+        return self.compression != "none" and self.num_parts > 1
+
+    @property
     def supervised_layers(self) -> int:
         """Sequences amalgamation supervises: the projection output, then
         each encoder layer's."""
@@ -94,87 +99,80 @@ class DetectorConfig(Settings):
 
 
 @dataclass
+class BoxHead(tf.MLP):
+    """sigmoid(relu(relu(x w1 + b1) w2 + b2) w3 + b3): a box (cx, cy, w, h)
+    per decoded row."""
+
+    w3: Tensor
+    b3: Tensor
+
+    @classmethod
+    def init(cls, d: int, rng: np.random.Generator) -> "BoxHead":
+        return cls(w1=tf._xavier(d, d, rng), b1=tf._zeros_row(d), w2=tf._xavier(d, d, rng),
+                   b2=tf._zeros_row(d), w3=tf._xavier(d, 4, rng), b3=tf._zeros_row(4))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.sigmoid(T.add(T.matmul(T.relu(super().__call__(x)), self.w3), self.b3))
+
+
+@dataclass
 class DetectorParams:
-    proj_w: list[Tensor]
-    proj_b: list[Tensor]
-    transformer: tf.TransformerParams
-    query_embed: Tensor
-    class_w: Tensor
-    class_b: Tensor
-    box_w1: Tensor
-    box_b1: Tensor
-    box_w2: Tensor
-    box_b2: Tensor
-    box_w3: Tensor
-    box_b3: Tensor
+    """The detector's tensors, one field path each. A tensor's name, in
+    ``named_parameters`` and in checkpoints, is its path: field names joined
+    by dots, a trailing underscore dropped, and a list position appended to
+    its field's name (``proj1.w``, ``enc0.ln1.g``, ``dec0.self.wq``,
+    ``class.b``). ``pos``, the fixed positional encodings, is no tensor and
+    has no name."""
+
+    proj: list[tf.Affine]  # one per part
+    enc: list[tf.EncoderLayerParams]
+    dec: list[tf.DecoderLayerParams]
+    final_ln: tf.Norm
+    queries: Tensor
+    class_: tf.Affine
+    box: BoxHead
     pos: np.ndarray = field(repr=False)
 
     @classmethod
     def init(cls, cfg: DetectorConfig, rng: np.random.Generator) -> "DetectorParams":
         d = cfg.d_model
         return cls(
-            proj_w=[tf._xavier(cfg.patch_dim, d, rng) for _ in range(cfg.num_parts)],
-            proj_b=[tf._zeros_row(d) for _ in range(cfg.num_parts)],
-            transformer=tf.TransformerParams.init(d, cfg.heads, cfg.enc_layers,
-                                                  cfg.dec_layers, cfg.ffn_dim, rng),
-            query_embed=Tensor(rng.normal(0.0, 0.5, size=(cfg.queries, d)),
-                               requires_grad=True),
-            class_w=tf._xavier(d, cfg.num_categories + 1, rng),
-            class_b=tf._zeros_row(cfg.num_categories + 1),
-            box_w1=tf._xavier(d, d, rng), box_b1=tf._zeros_row(d),
-            box_w2=tf._xavier(d, d, rng), box_b2=tf._zeros_row(d),
-            box_w3=tf._xavier(d, 4, rng), box_b3=tf._zeros_row(4),
+            proj=[tf.Affine.init(cfg.patch_dim, d, rng) for _ in range(cfg.num_parts)],
+            enc=[tf.EncoderLayerParams.init(d, cfg.heads, cfg.ffn_dim, rng)
+                 for _ in range(cfg.enc_layers)],
+            dec=[tf.DecoderLayerParams.init(d, cfg.heads, cfg.ffn_dim, rng)
+                 for _ in range(cfg.dec_layers)],
+            final_ln=tf.Norm.init(d),
+            queries=Tensor(rng.normal(0.0, 0.5, size=(cfg.queries, d)), requires_grad=True),
+            class_=tf.Affine.init(d, cfg.num_categories + 1, rng),
+            box=BoxHead.init(d, rng),
             pos=tf.positional_encoding(cfg.grid, cfg.grid, d),
         )
 
     def named_parameters(self) -> dict[str, Tensor]:
         named: dict[str, Tensor] = {}
-        for t, (w, b) in enumerate(zip(self.proj_w, self.proj_b)):
-            named[f"proj{t}.w"] = w
-            named[f"proj{t}.b"] = b
-        for l, enc in enumerate(self.transformer.encoder):
-            base = f"enc{l}"
-            named[f"{base}.ln1.g"] = enc.ln1_g
-            named[f"{base}.ln1.b"] = enc.ln1_b
-            named[f"{base}.attn.wq"] = enc.attn.wq
-            named[f"{base}.attn.wk"] = enc.attn.wk
-            named[f"{base}.attn.wvo"] = enc.attn.wvo
-            named[f"{base}.ln2.g"] = enc.ln2_g
-            named[f"{base}.ln2.b"] = enc.ln2_b
-            named[f"{base}.mlp.w1"] = enc.mlp_w1
-            named[f"{base}.mlp.b1"] = enc.mlp_b1
-            named[f"{base}.mlp.w2"] = enc.mlp_w2
-            named[f"{base}.mlp.b2"] = enc.mlp_b2
-        for l, dec in enumerate(self.transformer.decoder):
-            base = f"dec{l}"
-            named[f"{base}.ln1.g"] = dec.ln1_g
-            named[f"{base}.ln1.b"] = dec.ln1_b
-            named[f"{base}.self.wq"] = dec.self_attn.wq
-            named[f"{base}.self.wk"] = dec.self_attn.wk
-            named[f"{base}.self.wvo"] = dec.self_attn.wvo
-            named[f"{base}.ln2.g"] = dec.ln2_g
-            named[f"{base}.ln2.b"] = dec.ln2_b
-            named[f"{base}.cross.wq"] = dec.cross_attn.wq
-            named[f"{base}.cross.wk"] = dec.cross_attn.wk
-            named[f"{base}.cross.wvo"] = dec.cross_attn.wvo
-            named[f"{base}.ln3.g"] = dec.ln3_g
-            named[f"{base}.ln3.b"] = dec.ln3_b
-            named[f"{base}.mlp.w1"] = dec.mlp_w1
-            named[f"{base}.mlp.b1"] = dec.mlp_b1
-            named[f"{base}.mlp.w2"] = dec.mlp_w2
-            named[f"{base}.mlp.b2"] = dec.mlp_b2
-        named["final_ln.g"] = self.transformer.final_ln_g
-        named["final_ln.b"] = self.transformer.final_ln_b
-        named["queries"] = self.query_embed
-        named["class.w"] = self.class_w
-        named["class.b"] = self.class_b
-        for name in ("box_w1", "box_b1", "box_w2", "box_b2", "box_w3", "box_b3"):
-            named[name.replace("_", ".", 1)] = getattr(self, name)
+        _rebuild(self, named.setdefault)
         return named
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.named_parameters().values():
             p.requires_grad = flag
+
+
+def _rebuild(obj, leaf: Callable[[str, Tensor], Tensor], name: str = ""):
+    """``obj`` rebuilt with ``leaf(name, t)`` in place of each Tensor ``t``
+    it holds through dataclass fields and lists, called in field order;
+    ``name`` is the tensor's name (see :class:`DetectorParams`)."""
+    if isinstance(obj, Tensor):
+        return leaf(name, obj)
+    if isinstance(obj, list):
+        return [_rebuild(item, leaf, f"{name}{i}") for i, item in enumerate(obj)]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    prefix = name + "." if name else ""
+    # Field names in order; no parameter class declares a ClassVar or InitVar.
+    return type(obj)(*[_rebuild(getattr(obj, f), leaf, prefix + f.removesuffix("_"))
+                       for f in obj.__dataclass_fields__])
 
 
 def image_to_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -222,8 +220,7 @@ def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
     image's N part projections of its patches, one after another."""
     patches = Tensor(np.concatenate([normalized_patches(img, cfg.patch_size)
                                      for img in images], axis=0))
-    part_seqs = [T.add(T.matmul(patches, params.proj_w[t]), params.proj_b[t])
-                 for t in range(cfg.num_parts)]
+    part_seqs = [proj(patches) for proj in params.proj]
     if cfg.num_parts == 1:
         return part_seqs[0]
     return T.permute_rows(T.concat_rows(part_seqs),
@@ -292,16 +289,17 @@ def _run_shares(fn, shares: Sequence[tuple]) -> list:
     return results + [future.result() for future in futures]
 
 
-def _leaf_views(obj):
-    """``obj`` with each Tensor replaced by a fresh leaf over the same array."""
-    if isinstance(obj, Tensor):
-        return Tensor(obj.data, requires_grad=obj.requires_grad)
-    if isinstance(obj, list):
-        return [_leaf_views(item) for item in obj]
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.replace(obj, **{f.name: _leaf_views(getattr(obj, f.name))
-                                           for f in dataclasses.fields(obj)})
-    return obj
+def _leaf_views(params: DetectorParams) -> tuple[DetectorParams, list[tuple[Tensor, Tensor]]]:
+    """``params`` with each Tensor replaced by a fresh leaf over the same
+    array, and the (parameter, leaf) pairs in name order."""
+    pairs: list[tuple[Tensor, Tensor]] = []
+
+    def view(_, p: Tensor) -> Tensor:
+        leaf = Tensor(p.data, requires_grad=p.requires_grad)
+        pairs.append((p, leaf))
+        return leaf
+
+    return _rebuild(params, view), pairs
 
 
 def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: int,
@@ -315,29 +313,24 @@ def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: i
     # a linear patch embedding of near-uniform backgrounds carries no spatial
     # signal of its own and the decoder reads position from memory values.
     enc_in = T.add(x, Tensor(pos))
-    enc_outs = tf.encoder_forward(enc_in, params.transformer.encoder,
-                                  blocks=images * image_blocks, pos=pos)
+    enc_outs = tf.encoder_forward(enc_in, params.enc, blocks=images * image_blocks, pos=pos)
     if not predict:
         return enc_outs
 
     memory = enc_outs[-1] if enc_outs else enc_in
-    queries = T.gather_rows(params.query_embed, np.tile(np.arange(m), images))
-    decoded = tf.decoder_forward(memory, queries, params.transformer, blocks=images)
-
-    dists = T.softmax_rows(T.add(T.matmul(decoded, params.class_w), params.class_b))
-    hidden = T.relu(T.add(T.matmul(decoded, params.box_w1), params.box_b1))
-    hidden = T.relu(T.add(T.matmul(hidden, params.box_w2), params.box_b2))
-    boxes = T.sigmoid(T.add(T.matmul(hidden, params.box_w3), params.box_b3))
-    return enc_outs + [dists, boxes]
+    queries = T.gather_rows(params.queries, np.tile(np.arange(m), images))
+    decoded = tf.decoder_forward(memory, queries, params.dec, params.final_ln, blocks=images)
+    return enc_outs + [T.softmax_rows(params.class_(decoded)), params.box(decoded)]
 
 
-def _merge_shares(x: Tensor, params: DetectorParams, bounds: list[tuple[int, int]],
-                  inputs: list[Tensor], views: list[DetectorParams],
+def _merge_shares(x: Tensor, bounds: list[tuple[int, int]], inputs: list[Tensor],
+                  pairs: list[list[tuple[Tensor, Tensor]]],
                   outputs: list[list[Tensor]]) -> list[Tensor]:
     """The shares' outputs, each joined in image order. A taped forward's
     joins are tape nodes over one parent node, whose parents are ``x`` and
-    the parameters, so a walk reaches it after every join the loss reads.
-    Its backward walks each share's graph on its own thread, seeded with the
+    the parameters, so a walk reaches it after every join the loss reads;
+    ``pairs`` holds each share's (parameter, leaf view) pairs, in one order
+    for every share. Its backward walks each share's graph on its own thread, seeded with the
     share's rows of the joins' gradients, and returns the shares' input
     gradients joined, for ``x``, and each parameter's view gradients added
     in share order, so that no sum depends on the thread schedule. It then
@@ -346,10 +339,10 @@ def _merge_shares(x: Tensor, params: DetectorParams, bounds: list[tuple[int, int
              for pieces in zip(*outputs)]
     per_image = [data.shape[0] // bounds[-1][1] for data in datas]
     grads: list[Optional[np.ndarray]] = [None] * len(datas)  # filled by the joins' backward
-    named = list(params.named_parameters().values())
+    named = [p for p, _ in pairs[0]]
 
     def share_backward(_):
-        nonlocal inputs, views, outputs
+        nonlocal inputs, pairs, outputs
         if outputs is None:
             raise ContractError("a second backward through one split forward; "
                                 "its share graphs were released by the first")
@@ -361,11 +354,11 @@ def _merge_shares(x: Tensor, params: DetectorParams, bounds: list[tuple[int, int
             gx = np.concatenate([np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
                                  for leaf in inputs])
         gparams: list[Optional[np.ndarray]] = [None] * len(named)
-        for view in views:
-            for i, v in enumerate(view.named_parameters().values()):
+        for share in pairs:
+            for i, (_, v) in enumerate(share):
                 if v.grad is not None:
                     gparams[i] = v.grad if gparams[i] is None else gparams[i] + v.grad
-        inputs = views = outputs = None
+        inputs = pairs = outputs = None
         grads[:] = [None] * len(grads)
         return (gx, *gparams)
 
@@ -418,7 +411,7 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     n, parts = cfg.tokens, cfg.num_parts
     extended = extended_projection(images, params, cfg)
 
-    if cfg.compression != "none" and parts > 1:
+    if cfg.selects_tokens:
         rows = parts * n
         source = extended.data if guide is None else guide
         if source.shape[0] != batch * rows:
@@ -447,8 +440,8 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     views = [_leaf_views(params) for _ in bounds]
     outputs = _run_shares(_encode_and_predict, [
         (leaf, pos[lo * seq_len:hi * seq_len], hi - lo, image_blocks, view, cfg, predict)
-        for leaf, view, (lo, hi) in zip(inputs, views, bounds)])
-    joins = _merge_shares(x, params, bounds, inputs, views, outputs)
+        for leaf, (view, _), (lo, hi) in zip(inputs, views, bounds)])
+    joins = _merge_shares(x, bounds, inputs, [pairs for _, pairs in views], outputs)
     enc = cfg.enc_layers
     dists, boxes = joins[enc:] if predict else (None, None)
     return BatchOutput(dists, boxes, layer_seqs=[x] + joins[:enc], kept=kept, batch=batch)

@@ -724,17 +724,12 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                 f"detector.compression='none', not {cfg.num_parts} and {cfg.compression!r}")
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
-    # Training-time rule: the teachers' concatenated projections, layer 0 of
-    # the cache, guide compression.
-    compressed = cfg.compression != "none" and cfg.num_parts > 1
 
-    if teachers_by_id is None:
-        cache = TeacherCache(teacher_models, train_ds, partition)
-    else:
-        key = (tuple(_teacher_digest(c) for c in teacher_ckpts), train_ds, partition)
-        if key not in teachers_by_id:
-            teachers_by_id[key] = TeacherCache(teacher_models, train_ds, partition)
-        cache = teachers_by_id[key]
+    teachers_by_id = {} if teachers_by_id is None else teachers_by_id
+    key = (tuple(_teacher_digest(c) for c in teacher_ckpts), train_ds, partition)
+    if key not in teachers_by_id:
+        teachers_by_id[key] = TeacherCache(teacher_models, train_ds, partition)
+    cache = teachers_by_id[key]
 
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
@@ -788,10 +783,12 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
 
     # Only the task-level and ground-truth terms read the student's predictions.
     predict = mode in ("ta", "sa+ta") or weights.lambda_direct > 0.0
+    # Training-time rule: the teachers' concatenated projections, layer 0 of
+    # the cache, guide compression.
+    guide = functools.partial(cache.layer_rows, 0) if cfg.selects_tokens else None
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
-                   opt_settings, metadata, objective,
-                   guide=functools.partial(cache.layer_rows, 0) if compressed else None,
-                   predict=predict, eval_ds=eval_ds, eval_batch_size=eval_batch_size,
+                   opt_settings, metadata, objective, guide=guide, predict=predict,
+                   eval_ds=eval_ds, eval_batch_size=eval_batch_size,
                    csv_path=csv_path, crash_dump=crash_dump)
     return ckpt
 

@@ -16,6 +16,13 @@ counts, so attention runs as one batched product over all blocks, which
 keeps the cost linear in the number of blocks and makes masked entries
 contribute exactly zero weight. The encoder uses one block per part or
 image, the decoder one per image.
+
+The parameters come in small groups: a :class:`Norm` (gain ``g``, bias
+``b``), an :class:`Affine` map (``w``, ``b``), an :class:`MLP` (``w1``,
+``b1``, ``w2``, ``b2``) and an :class:`MHAParams` (``wq``, ``wk``, ``wvo``).
+An encoder layer holds ``ln1, attn, ln2, mlp``; a decoder layer holds
+``ln1, self_, ln2, cross, ln3, mlp``. The field names are the tensors'
+checkpoint names (see :class:`kaseq.detector.DetectorParams`).
 """
 
 from __future__ import annotations
@@ -73,73 +80,80 @@ class MHAParams:
 
 
 @dataclass
+class Norm:
+    """Row layer-norm gain ``g`` and bias ``b``, each 1 x d."""
+
+    g: Tensor
+    b: Tensor
+
+    @classmethod
+    def init(cls, d: int) -> "Norm":
+        return cls(g=Tensor(np.ones((1, d)), requires_grad=True), b=_zeros_row(d))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.layer_norm_rows(x, self.g, self.b)
+
+
+@dataclass
+class Affine:
+    """x w + b, with a Xavier-initialized fan_in x fan_out ``w`` and a zero row ``b``."""
+
+    w: Tensor
+    b: Tensor
+
+    @classmethod
+    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator) -> "Affine":
+        return cls(w=_xavier(fan_in, fan_out, rng), b=_zeros_row(fan_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add(T.matmul(x, self.w), self.b)
+
+
+@dataclass
+class MLP:
+    """relu(x w1 + b1) w2 + b2."""
+
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+    @classmethod
+    def init(cls, d_in: int, hidden: int, d_out: int, rng: np.random.Generator) -> "MLP":
+        return cls(w1=_xavier(d_in, hidden, rng), b1=_zeros_row(hidden),
+                   w2=_xavier(hidden, d_out, rng), b2=_zeros_row(d_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.add(T.matmul(T.relu(T.add(T.matmul(x, self.w1), self.b1)), self.w2), self.b2)
+
+
+@dataclass
 class EncoderLayerParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
+    ln1: Norm
     attn: MHAParams
-    ln2_g: Tensor
-    ln2_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    ln2: Norm
+    mlp: MLP
 
     @classmethod
     def init(cls, d_model, heads, ffn_dim, rng):
-        return cls(
-            ln1_g=_ones_row(d_model), ln1_b=_zeros_row(d_model),
-            attn=MHAParams.init(d_model, heads, rng),
-            ln2_g=_ones_row(d_model), ln2_b=_zeros_row(d_model),
-            mlp_w1=_xavier(d_model, ffn_dim, rng), mlp_b1=_zeros_row(ffn_dim),
-            mlp_w2=_xavier(ffn_dim, d_model, rng), mlp_b2=_zeros_row(d_model),
-        )
+        return cls(ln1=Norm.init(d_model), attn=MHAParams.init(d_model, heads, rng),
+                   ln2=Norm.init(d_model), mlp=MLP.init(d_model, ffn_dim, d_model, rng))
 
 
 @dataclass
 class DecoderLayerParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    self_attn: MHAParams
-    ln2_g: Tensor
-    ln2_b: Tensor
-    cross_attn: MHAParams
-    ln3_g: Tensor
-    ln3_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    ln1: Norm
+    self_: MHAParams
+    ln2: Norm
+    cross: MHAParams
+    ln3: Norm
+    mlp: MLP
 
     @classmethod
     def init(cls, d_model, heads, ffn_dim, rng):
-        return cls(
-            ln1_g=_ones_row(d_model), ln1_b=_zeros_row(d_model),
-            self_attn=MHAParams.init(d_model, heads, rng),
-            ln2_g=_ones_row(d_model), ln2_b=_zeros_row(d_model),
-            cross_attn=MHAParams.init(d_model, heads, rng),
-            ln3_g=_ones_row(d_model), ln3_b=_zeros_row(d_model),
-            mlp_w1=_xavier(d_model, ffn_dim, rng), mlp_b1=_zeros_row(ffn_dim),
-            mlp_w2=_xavier(ffn_dim, d_model, rng), mlp_b2=_zeros_row(d_model),
-        )
-
-
-@dataclass
-class TransformerParams:
-    encoder: list[EncoderLayerParams]
-    decoder: list[DecoderLayerParams]
-    final_ln_g: Tensor
-    final_ln_b: Tensor
-
-    @classmethod
-    def init(cls, d_model, heads, enc_layers, dec_layers, ffn_dim, rng):
-        return cls(
-            encoder=[EncoderLayerParams.init(d_model, heads, ffn_dim, rng)
-                     for _ in range(enc_layers)],
-            decoder=[DecoderLayerParams.init(d_model, heads, ffn_dim, rng)
-                     for _ in range(dec_layers)],
-            final_ln_g=_ones_row(d_model),
-            final_ln_b=_zeros_row(d_model),
-        )
+        return cls(ln1=Norm.init(d_model), self_=MHAParams.init(d_model, heads, rng),
+                   ln2=Norm.init(d_model), cross=MHAParams.init(d_model, heads, rng),
+                   ln3=Norm.init(d_model), mlp=MLP.init(d_model, ffn_dim, d_model, rng))
 
 
 def _xavier(fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1.0) -> Tensor:
@@ -149,10 +163,6 @@ def _xavier(fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1
 
 def _zeros_row(d: int) -> Tensor:
     return Tensor(np.zeros((1, d)), requires_grad=True)
-
-
-def _ones_row(d: int) -> Tensor:
-    return Tensor(np.ones((1, d)), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +187,6 @@ def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1) -> Tenso
 # layers
 
 
-def _mlp(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    return T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
-
-
 def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int = 1,
                     pos: Optional[np.ndarray] = None) -> list[Tensor]:
     """Pre-norm encoder; returns every layer output (the supervision points).
@@ -194,30 +200,28 @@ def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int
         raise ShapeError("positional encodings must match the token sequence shape")
     outputs = []
     for layer in layers:
-        u = T.layer_norm_rows(x, layer.ln1_g, layer.ln1_b)
+        u = layer.ln1(x)
         qk = T.add(u, pos_t) if pos_t is not None else u
         x = T.add(x, mha(qk, qk, u, layer.attn, blocks))
-        u2 = T.layer_norm_rows(x, layer.ln2_g, layer.ln2_b)
-        x = T.add(x, _mlp(u2, layer.mlp_w1, layer.mlp_b1, layer.mlp_w2, layer.mlp_b2))
+        x = T.add(x, layer.mlp(layer.ln2(x)))
         outputs.append(x)
     return outputs
 
 
-def decoder_forward(memory: Tensor, queries: Tensor, params: TransformerParams,
-                    blocks: int = 1) -> Tensor:
-    """Pre-norm decoder over learned query tokens; cross-attention is
-    mha(targets, memory, memory), so the memory length is unconstrained.
-    Self- and cross-attention both run over ``blocks`` blocks, one per image
-    of a batch."""
+def decoder_forward(memory: Tensor, queries: Tensor, layers: Sequence[DecoderLayerParams],
+                    final_ln: Norm, blocks: int = 1) -> Tensor:
+    """Pre-norm decoder over learned query tokens, then ``final_ln``;
+    cross-attention is mha(targets, memory, memory), so the memory length is
+    unconstrained. Self- and cross-attention both run over ``blocks``
+    blocks, one per image of a batch."""
     x = queries
-    for layer in params.decoder:
-        u = T.layer_norm_rows(x, layer.ln1_g, layer.ln1_b)
-        x = T.add(x, mha(u, u, u, layer.self_attn, blocks))
-        u = T.layer_norm_rows(x, layer.ln2_g, layer.ln2_b)
-        x = T.add(x, mha(u, memory, memory, layer.cross_attn, blocks))
-        u = T.layer_norm_rows(x, layer.ln3_g, layer.ln3_b)
-        x = T.add(x, _mlp(u, layer.mlp_w1, layer.mlp_b1, layer.mlp_w2, layer.mlp_b2))
-    return T.layer_norm_rows(x, params.final_ln_g, params.final_ln_b)
+    for layer in layers:
+        u = layer.ln1(x)
+        x = T.add(x, mha(u, u, u, layer.self_, blocks))
+        u = layer.ln2(x)
+        x = T.add(x, mha(u, memory, memory, layer.cross, blocks))
+        x = T.add(x, layer.mlp(layer.ln3(x)))
+    return final_ln(x)
 
 
 def positional_encoding(grid_h: int, grid_w: int, d_model: int) -> np.ndarray:

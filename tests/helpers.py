@@ -486,7 +486,7 @@ def backbone_project(image: np.ndarray, params: DetectorParams, cfg: DetectorCon
     if not 0 <= part_index < cfg.num_parts:
         raise ContractError(f"part index {part_index} out of range for N={cfg.num_parts}")
     patches = Tensor(normalized_patches(image, cfg.patch_size))
-    return T.add(T.matmul(patches, params.proj_w[part_index]), params.proj_b[part_index])
+    return T.add(T.matmul(patches, params.proj[part_index].w), params.proj[part_index].b)
 
 
 def student_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,

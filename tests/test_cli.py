@@ -8,9 +8,11 @@ import csv
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -663,3 +665,47 @@ def test_ablation_workers_split_the_cores_between_them(monkeypatch, cores, worke
     monkeypatch.setattr(cli, "_cells", {})
     cli._init_cells(workers, {}, None, None, [], "")
     assert detector.share_count() == shares
+
+
+def _children(pid: int) -> list[int]:
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(c) for c in fh.read().split()]
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is no zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_sigterm_to_a_parallel_ablation_ends_its_workers(ws):
+    src = os.path.dirname(os.path.dirname(kaseq.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kaseq.cli", "ablate", "--suite", "compression",
+         "--train-data", ws["train"], "--eval-data", ws["eval"], "--out", ws["root"] / "sigterm",
+         "--seeds", "1", "--teachers", ws["t1"], ws["t2"], "--config", ws["config"],
+         "--set", "train.epochs=10000", "--workers", "2"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_children(proc.pid)) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None
+            time.sleep(0.05)
+        time.sleep(1.0)  # the pool starts its last worker and the cells begin
+        children = _children(proc.pid)
+        assert len(children) >= 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, children))
+    finally:
+        proc.kill()
+        proc.wait()

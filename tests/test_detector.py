@@ -64,8 +64,8 @@ class TestBackbone:
     def test_identical_parameters_identical_sequences(self):
         cfg = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg, RNG)
-        params.proj_w[1].data[:] = params.proj_w[0].data
-        params.proj_b[1].data[:] = params.proj_b[0].data
+        params.proj[1].w.data[:] = params.proj[0].w.data
+        params.proj[1].b.data[:] = params.proj[0].b.data
         img = rand_image()
         a = backbone_project(img, params, cfg, 0)
         b = backbone_project(img, params, cfg, 1)
@@ -76,8 +76,8 @@ class TestBackbone:
         params = det.DetectorParams.init(cfg, RNG)
         seq = backbone_project(rand_image(), params, cfg, 1)
         T.frobenius_sq(seq).backward()
-        assert params.proj_w[1].grad is not None
-        assert params.proj_w[0].grad is None
+        assert params.proj[1].w.grad is not None
+        assert params.proj[0].w.grad is None
 
     def test_patch_flattening_layout(self):
         img = np.arange(32 * 32 * 3, dtype=np.float64).reshape(32, 32, 3)
@@ -124,7 +124,7 @@ class TestStudentForward:
         img = rand_image()
         params = det.DetectorParams.init(cfg, RNG)
         _, layers_before = student_forward(img, params, cfg)
-        params.proj_w[1].data[:] = RNG.standard_normal(params.proj_w[1].shape)
+        params.proj[1].w.data[:] = RNG.standard_normal(params.proj[1].w.shape)
         _, layers_after = student_forward(img, params, cfg)
         n = cfg.tokens
         for before, after in zip(layers_before, layers_after):
@@ -434,6 +434,21 @@ class TestTeacherForward:
             teacher_forward(rand_image(), params, cfg)
 
 
+# The tensor names of a model with 2 parts, 2 encoder and 1 decoder layers.
+TWO_PART_NAMES = [
+    "proj0.w", "proj0.b", "proj1.w", "proj1.b",
+    "enc0.ln1.g", "enc0.ln1.b", "enc0.attn.wq", "enc0.attn.wk", "enc0.attn.wvo",
+    "enc0.ln2.g", "enc0.ln2.b", "enc0.mlp.w1", "enc0.mlp.b1", "enc0.mlp.w2", "enc0.mlp.b2",
+    "enc1.ln1.g", "enc1.ln1.b", "enc1.attn.wq", "enc1.attn.wk", "enc1.attn.wvo",
+    "enc1.ln2.g", "enc1.ln2.b", "enc1.mlp.w1", "enc1.mlp.b1", "enc1.mlp.w2", "enc1.mlp.b2",
+    "dec0.ln1.g", "dec0.ln1.b", "dec0.self.wq", "dec0.self.wk", "dec0.self.wvo",
+    "dec0.ln2.g", "dec0.ln2.b", "dec0.cross.wq", "dec0.cross.wk", "dec0.cross.wvo",
+    "dec0.ln3.g", "dec0.ln3.b", "dec0.mlp.w1", "dec0.mlp.b1", "dec0.mlp.w2", "dec0.mlp.b2",
+    "final_ln.g", "final_ln.b", "queries", "class.w", "class.b",
+    "box.w1", "box.b1", "box.w2", "box.b2", "box.w3", "box.b3",
+]
+
+
 def parameter_count(params) -> int:
     return sum(p.data.size for p in params.named_parameters().values())
 
@@ -463,13 +478,18 @@ class TestParameterAccounting:
         assert len({id(t) for t in named.values()}) == len(named)
         assert {id(t) for t in named.values()} == {id(t) for t in held_tensors(params)}
 
-    def test_default_model_has_one_tensor_per_attention_projection(self):
-        cfg = det.DetectorConfig()
+    @pytest.mark.parametrize("cfg, count, names", [
+        (det.DetectorConfig(), 78, None),
+        (det.DetectorConfig(num_parts=2, enc_layers=2, dec_layers=1), 53, TWO_PART_NAMES)],
+        ids=["default", "two_parts"])
+    def test_checkpoint_names_one_tensor_per_attention_projection(self, cfg, count, names):
+        # Checkpoints store the tensors under these names, in this order.
         named = det.DetectorParams.init(cfg, np.random.default_rng(0)).named_parameters()
-        assert len(named) == 78
+        assert len(named) == count
+        assert names is None or list(named) == names
         heads, d = cfg.heads, cfg.d_model
         assert named["enc0.attn.wq"].shape == (d, d)
-        assert named["dec1.cross.wvo"].shape == (heads * d, d)
+        assert named[f"dec{cfg.dec_layers - 1}.cross.wvo"].shape == (heads * d, d)
 
     def test_split_parts_round_trip(self):
         cfg = tiny_cfg(num_parts=2)

@@ -189,29 +189,29 @@ class TestEncoder:
 
 class TestDecoder:
     def _params(self, d=6, heads=2, dec=2):
-        return tf.TransformerParams.init(d, heads, 0, dec, 12, RNG)
+        return [tf.DecoderLayerParams.init(d, heads, 12, RNG) for _ in range(dec)], tf.Norm.init(d)
 
     def test_memory_permutation_invariance(self):
         params = self._params()
         mem = RNG.standard_normal((7, 6))
         queries = RNG.standard_normal((3, 6))
-        base = tf.decoder_forward(Tensor(mem), Tensor(queries), params).data
+        base = tf.decoder_forward(Tensor(mem), Tensor(queries), *params).data
         for _ in range(10):
             perm = RNG.permutation(7)
-            out = tf.decoder_forward(Tensor(mem[perm]), Tensor(queries), params).data
+            out = tf.decoder_forward(Tensor(mem[perm]), Tensor(queries), *params).data
             assert np.max(np.abs(out - base)) < 1e-8
 
     def test_single_query_shape(self):
         params = self._params()
         out = tf.decoder_forward(Tensor(RNG.standard_normal((5, 6))),
-                                 Tensor(RNG.standard_normal((1, 6))), params)
+                                 Tensor(RNG.standard_normal((1, 6))), *params)
         assert out.shape == (1, 6)
 
     def test_memory_length_is_unconstrained(self):
         params = self._params()
         queries = Tensor(RNG.standard_normal((3, 6)))
-        long = tf.decoder_forward(Tensor(RNG.standard_normal((8, 6))), queries, params)
-        short = tf.decoder_forward(Tensor(RNG.standard_normal((4, 6))), queries, params)
+        long = tf.decoder_forward(Tensor(RNG.standard_normal((8, 6))), queries, *params)
+        short = tf.decoder_forward(Tensor(RNG.standard_normal((4, 6))), queries, *params)
         assert long.shape == short.shape == (3, 6)
 
 
