@@ -14,6 +14,7 @@ one assignment problem per image and one loss over all the batch's slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,6 +44,10 @@ class KAWeights(Settings):
     l1_weight: float = 5.0
     giou_weight: float = 2.0
     confidence_threshold: float = 0.1
+
+    def __post_init__(self):
+        self._require(self.to_dict(), lambda v: 0 <= v < math.inf, "finite and non-negative")
+        self._require(("confidence_threshold",), lambda v: v <= 1, "in [0, 1]")
 
 
 # ---------------------------------------------------------------------------

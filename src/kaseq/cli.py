@@ -16,8 +16,12 @@ threads on top of the shares would oversubscribe the cores.
 of up to k spawned processes that split the cores between them. Either way
 a process receives the datasets and teachers once, keeps one teacher-set
 cache for all the cells it runs, and this process prints each cell's line
-in suite order. A SIGTERM to this process terminates the workers and exits
-with code 143.
+in suite order. That cache grows to what the process's cells read: it holds
+the teachers' sequences, their predictions or both, as far as the cells run
+so far read them, and a cell that reads more rebuilds it once to hold both
+(in table4 order: one encoder-only build for sag and sa, one full build from
+ta on). A SIGTERM to this process terminates the workers and exits with
+code 143.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (non-finite loss; the last good checkpoint is dumped next to the
@@ -63,12 +67,8 @@ class TrainSettings(Settings):
     eval_batch_size: int = 32
 
     def __post_init__(self):
-        for key in ("epochs", "teacher_epochs"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"TrainSettings.{key} must be non-negative")
-        for key in ("batch_size", "eval_batch_size"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"TrainSettings.{key} must be at least 1")
+        self._require(("epochs", "teacher_epochs"), lambda v: v >= 0, "non-negative")
+        self._require(("batch_size", "eval_batch_size"), lambda v: v >= 1, "at least 1")
 
 
 # The settings class that validates each configuration section.

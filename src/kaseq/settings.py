@@ -18,6 +18,14 @@ class Settings:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def _require(self, keys, test, what: str) -> None:
+        """Raise ConfigError naming the first of ``keys`` whose value fails
+        ``test``; a range test written as comparisons rejects NaN too."""
+        for key in keys:
+            value = getattr(self, key)
+            if not test(value):
+                raise ConfigError(f"{type(self).__name__}.{key} must be {what}, got {value!r}")
+
     @classmethod
     def from_dict(cls, d):
         """Build from a mapping, raising ConfigError that names the first key

@@ -14,10 +14,15 @@ and the (B, K) teacher pools, and the ground-truth term gathers every
 matched slot into one box term; only the assignments are solved per image.
 Teachers never change during amalgamation, so the teacher set's outputs on
 the training set are computed once into one :class:`TeacherCache` (float32),
-the only source of teacher outputs, stored as the losses read them. A
+the only source of teacher outputs, stored as the losses read them and only
+as far as the run reads them: ``sa``, ``sa+ta`` and ``sag`` store every
+supervised layer, ``ta`` layer 0 only when the student selects tokens (the
+compression guide), and ``ta`` and ``sa+ta`` the task-level pool. A cache
+without the pool runs only the teachers' projection and encoder. A
 caller-owned memo reuses caches across runs; its key is the teachers'
 digests of configuration and tensors, the training-set object itself, and
-the task partition.
+the task partition. An entry that lacks part of what a run reads is dropped
+and rebuilt to hold both, so a memo keeps one cache per teacher set.
 
 :func:`forward_batch` splits every batch across the cores the process may
 use: evaluation and teacher-cache builds, which record no tape, and
@@ -71,6 +76,12 @@ class OptimSettings(Settings):
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        self._require(("lr", "weight_decay"), lambda v: 0 <= v < math.inf,
+                      "finite and non-negative")
+        self._require(("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)")
+        self._require(("eps",), lambda v: 0 < v < math.inf, "finite and positive")
 
 
 class AdamW:
@@ -327,40 +338,65 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
 
 class TeacherCache:
     """Outputs of N teachers, (params, cfg) pairs of one geometry and
-    encoder depth, on every image. ``layers[l]`` (count, N n, d) holds an
-    image's concatenated layer-l teacher sequences, the sequence-level hint:
-    layer 0 is the projection output, which also guides compression, and
-    layer l > 0 encoder layer l's output. ``dists`` (count, N m, C+1) and
-    ``boxes`` (count, N m, 4) hold its task-level pool, every teacher's
-    padded predictions in teacher order. The cache freezes the teachers'
+    encoder depth, on every image, as far as a run reads them.
+    ``layers[l]`` (count, N n, d), for the first ``layers`` supervised
+    layers, holds an image's concatenated layer-l teacher sequences, the
+    sequence-level hint: layer 0 is the projection output, which also guides
+    compression, and layer l > 0 encoder layer l's output. With ``pool``,
+    ``dists`` (count, N m, C+1) and ``boxes`` (count, N m, 4) hold its
+    task-level pool, every teacher's padded predictions in teacher order;
+    without it they are None, and the build runs only the teachers'
+    projection and encoder. :func:`amalgamate` stores every layer for
+    ``sa``, ``sa+ta`` and ``sag``, layer 0 for ``ta`` only when the student
+    selects tokens, and the pool for ``ta`` and ``sa+ta``. Reading what is
+    not stored is a ContractError. The cache freezes the teachers'
     parameters, so that its forwards record no tape."""
 
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
-                 dataset: Dataset, partition: TaskPartition, batch_size: int = 32):
+                 dataset: Dataset, partition: TaskPartition, layers: int, pool: bool,
+                 batch_size: int = 32):
         for params, cfg in teachers:
             _check_fit(cfg, dataset)
             params.set_requires_grad(False)
         cfg = teachers[0][1]
         n, m, count, k = cfg.tokens, cfg.queries, len(dataset), len(teachers)
         self.layers = [np.empty((count, k * n, cfg.d_model), dtype=np.float32)
-                       for _ in range(cfg.supervised_layers)]
-        self.dists = np.empty((count, k * m, partition.num_categories + 1), dtype=np.float32)
-        self.boxes = np.empty((count, k * m, 4), dtype=np.float32)
+                       for _ in range(layers)]
+        self.dists = self.boxes = None
+        if pool:
+            self.dists = np.empty((count, k * m, partition.num_categories + 1),
+                                  dtype=np.float32)
+            self.boxes = np.empty((count, k * m, 4), dtype=np.float32)
         for start in range(0, count, batch_size):
             stop = min(start + batch_size, count)
             images = [dataset.image(i) for i in range(start, stop)]
             for t, (params_t, cfg_t) in enumerate(teachers):
-                out = forward_batch(images, params_t, cfg_t)
+                out = forward_batch(images, params_t, cfg_t, predict=pool)
                 for layer, seq in zip(self.layers, out.layer_seqs):
                     layer[start:stop, t * n:(t + 1) * n] = seq.data.reshape(stop - start, n, -1)
-                self.dists[start:stop, t * m:(t + 1) * m] = ka.pad_predictions(
-                    out.dists.data, partition, t).reshape(stop - start, m, -1)
-                self.boxes[start:stop, t * m:(t + 1) * m] = out.boxes.data.reshape(-1, m, 4)
+                if pool:
+                    self.dists[start:stop, t * m:(t + 1) * m] = ka.pad_predictions(
+                        out.dists.data, partition, t).reshape(stop - start, m, -1)
+                    self.boxes[start:stop, t * m:(t + 1) * m] = out.boxes.data.reshape(-1, m, 4)
+
+    @property
+    def has_pool(self) -> bool:
+        return self.dists is not None
 
     def layer_rows(self, layer: int, image_ids: np.ndarray) -> np.ndarray:
         """Layer ``layer`` of images ``image_ids`` as (B N n, d) float64 rows."""
+        if not 0 <= layer < len(self.layers):
+            raise ContractError(f"the teacher cache holds {len(self.layers)} layers, "
+                                f"not layer {layer}")
         rows = self.layers[layer][image_ids]
         return rows.reshape(-1, rows.shape[-1]).astype(np.float64)
+
+    def pool_rows(self, image_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The task-level pools of images ``image_ids``: (B, N m, C+1) class
+        distributions and (B, N m, 4) boxes."""
+        if not self.has_pool:
+            raise ContractError("the teacher cache holds no task-level pool")
+        return self.dists[image_ids], self.boxes[image_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +729,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     are never read during updates). ``teachers_by_id`` is an optional memo
     reusing built teacher-set caches across runs; a cache is reused only for
     the same teachers' weights in the same order, the same dataset object,
-    and the same partition.
+    and the same partition, and only when it holds what ``mode`` reads (see
+    :class:`TeacherCache`). Otherwise the entry is dropped first and one
+    cache holding what it held and what this run reads takes its place.
     """
     if mode not in AMALGAMATION_MODES:
         raise ConfigError(f"unknown amalgamation mode {mode!r}")
@@ -725,11 +763,19 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
 
+    # What the losses and the compression guide read of the teachers.
+    reads_pool = mode in ("ta", "sa+ta")
+    layers = first.supervised_layers if mode != "ta" else int(cfg.selects_tokens)
     teachers_by_id = {} if teachers_by_id is None else teachers_by_id
     key = (tuple(_teacher_digest(c) for c in teacher_ckpts), train_ds, partition)
-    if key not in teachers_by_id:
-        teachers_by_id[key] = TeacherCache(teacher_models, train_ds, partition)
-    cache = teachers_by_id[key]
+    cache = teachers_by_id.get(key)
+    if cache is None or len(cache.layers) < layers or (reads_pool and not cache.has_pool):
+        pool = reads_pool
+        if cache is not None:  # rebuilt to hold what it held and what this run reads
+            layers, pool = max(layers, len(cache.layers)), pool or cache.has_pool
+            del teachers_by_id[key], cache  # so that two caches are never alive at once
+        cache = teachers_by_id[key] = TeacherCache(teacher_models, train_ds, partition,
+                                                   layers, pool)
 
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
@@ -770,9 +816,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                     [trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)]))
             terms["seq"] = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
 
-        if mode in ("ta", "sa+ta"):
-            terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes, cache.dists[idx],
-                                               cache.boxes[idx], weights), 1.0 / batch)
+        if reads_pool:
+            terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes, *cache.pool_rows(idx),
+                                               weights), 1.0 / batch)
 
         if weights.lambda_direct > 0.0:
             terms["direct"] = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
@@ -782,7 +828,7 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                              weights), terms
 
     # Only the task-level and ground-truth terms read the student's predictions.
-    predict = mode in ("ta", "sa+ta") or weights.lambda_direct > 0.0
+    predict = reads_pool or weights.lambda_direct > 0.0
     # Training-time rule: the teachers' concatenated projections, layer 0 of
     # the cache, guide compression.
     guide = functools.partial(cache.layer_rows, 0) if cfg.selects_tokens else None

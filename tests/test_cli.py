@@ -246,6 +246,22 @@ def test_bad_train_or_top_level_key_exits_1(ws, capsys, setting, key):
     assert not (ws["root"] / "keys.ckpt").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "optim.beta2=1.0", "optim.beta1=1.0", "optim.beta1=-0.1", "optim.lr=NaN", "optim.lr=-1",
+    "optim.eps=0", "optim.eps=Infinity", "optim.weight_decay=-1e-4",
+    "weights.lambda_seq=NaN", "weights.lambda_direct=-0.1", "weights.l1_weight=Infinity",
+    "weights.beta_kl=-Infinity", "weights.confidence_threshold=1.5"])
+def test_out_of_range_optimizer_or_loss_weight_exits_1(ws, capsys, setting):
+    out = ws["root"] / "out_of_range" / "model.ckpt"
+    out.parent.mkdir(exist_ok=True)
+    assert run("train-baseline", "--data", ws["train"], "--out", out, "--config", ws["config"],
+               "--epochs", 1, "--set", setting) == 1
+    err = capsys.readouterr().err
+    key = setting.split("=")[0].split(".")[1]
+    assert err.startswith("invalid request:") and f".{key} must be" in err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_more_objects_than_queries_exits_1(ws, capsys):
     out = ws["root"] / "few_queries.ckpt"
     assert run("train-baseline", "--data", ws["train"], "--out", out,

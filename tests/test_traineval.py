@@ -1,6 +1,7 @@
 """Optimizer, checkpoint format, AP evaluation, and training-loop contracts."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ def tiny_teachers(tiny_train):
     cfg = tiny_cfg()
     return [tv.train_teacher(tiny_train, part, t, cfg, epochs=1, seed=t,
                              batch_size=8)[0] for t in range(2)]
+
+
+def _stored(cache):
+    """Every array a teacher cache holds."""
+    return cache.layers + ([cache.dists, cache.boxes] if cache.has_pool else [])
 
 
 class TestAdamW:
@@ -382,7 +388,6 @@ class TestTrainingLoops:
     def test_cache_rows_match_fresh_forward(self, tiny_train, tiny_teachers):
         part = TaskPartition.equal_split(8, 2)
         models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
-        cache = tv.TeacherCache(models, tiny_train, part, batch_size=8)
         ids = np.array([3, 17, 0])
         fresh = [forward_batch([tiny_train.image(i) for i in ids], params, cfg)
                  for params, cfg in models]
@@ -392,15 +397,90 @@ class TestTrainingLoops:
         def per_image(rows, width):  # (B K, w) rows of each teacher -> (B, N K, w)
             return np.concatenate([r.reshape(len(ids), width, -1) for r in rows], axis=1)
 
-        for layer in range(len(fresh[0].layer_seqs)):
-            want = per_image([out.layer_seqs[layer].data for out in fresh], n)
-            np.testing.assert_allclose(cache.layer_rows(layer, ids), want.reshape(-1, d),
-                                       **close)
-        np.testing.assert_allclose(cache.dists[ids], per_image(
-            [ka.pad_predictions(out.dists.data, part, t) for t, out in enumerate(fresh)], m),
-            **close)
-        np.testing.assert_allclose(cache.boxes[ids],
-                                   per_image([out.boxes.data for out in fresh], m), **close)
+        for pool in (True, False):  # a full build, then an encoder-only one
+            cache = tv.TeacherCache(models, tiny_train, part, len(fresh[0].layer_seqs), pool,
+                                    batch_size=8)
+            for layer in range(len(fresh[0].layer_seqs)):
+                want = per_image([out.layer_seqs[layer].data for out in fresh], n)
+                np.testing.assert_allclose(cache.layer_rows(layer, ids), want.reshape(-1, d),
+                                           **close)
+            if pool:
+                dists, boxes = cache.pool_rows(ids)
+                np.testing.assert_allclose(dists, per_image(
+                    [ka.pad_predictions(out.dists.data, part, t) for t, out in enumerate(fresh)],
+                    m), **close)
+                np.testing.assert_allclose(boxes, per_image([out.boxes.data for out in fresh], m),
+                                           **close)
+
+    def _memo_cache(self, teachers, dataset, mode, parts, compression="none"):
+        """The one cache that an ``epochs=0`` run of ``mode`` leaves in a fresh memo."""
+        memo = {}
+        tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=parts, compression=compression),
+                      mode, epochs=0, seed=3, teachers_by_id=memo)
+        (cache,) = memo.values()
+        return cache
+
+    @pytest.mark.parametrize("mode, parts", [("sa", 2), ("sag", 1)])
+    def test_sequence_level_builds_skip_the_teachers_decoder(self, tiny_train, tiny_teachers,
+                                                            monkeypatch, mode, parts):
+        shipped, decoded = det.tf.decoder_forward, []
+
+        def decoder_forward(*args, **kwargs):
+            decoded.append(1)
+            return shipped(*args, **kwargs)
+
+        monkeypatch.setattr(det.tf, "decoder_forward", decoder_forward)
+        cache = self._memo_cache(tiny_teachers, tiny_train, mode, parts)
+        assert decoded == [] and not cache.has_pool and cache.dists is cache.boxes is None
+        models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        full = tv.TeacherCache(models, tiny_train, TaskPartition.equal_split(8, 2), 3, True)
+        assert decoded  # the full build does run it
+        assert len(cache.layers) == len(full.layers) == 3
+        for a, b in zip(cache.layers, full.layers, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("compression, layers", [("none", 0), ("redundancy", 1)])
+    def test_task_level_builds_keep_only_the_compression_guide(self, tiny_train, tiny_teachers,
+                                                               compression, layers):
+        cache = self._memo_cache(tiny_teachers, tiny_train, "ta", 2, compression)
+        assert len(cache.layers) == layers and cache.has_pool
+
+    def test_reading_what_the_cache_does_not_hold_raises(self, tiny_train, tiny_teachers):
+        models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+        cache = tv.TeacherCache(models, tiny_train, TaskPartition.equal_split(8, 2), 1, False)
+        ids = np.array([0, 5])
+        assert cache.layer_rows(0, ids).shape == (2 * 2 * models[0][1].tokens, 16)
+        for read in (lambda: cache.layer_rows(1, ids), lambda: cache.layer_rows(-1, ids),
+                     lambda: cache.pool_rows(ids)):
+            with pytest.raises(ContractError):
+                read()
+
+    def test_one_memo_serves_the_table4_modes(self, tiny_train, tiny_teachers, monkeypatch):
+        shipped, refs, builds = tv.TeacherCache, [], []
+
+        def build(*args, **kwargs):
+            alive = sum(ref() is not None for ref in refs)  # earlier caches still alive
+            cache = shipped(*args, **kwargs)
+            refs.append(weakref.ref(cache))
+            builds.append((alive, len(cache.layers), cache.has_pool))
+            return cache
+
+        monkeypatch.setattr(tv, "TeacherCache", build)
+        cells = [("sag", 1), ("sa", 2), ("ta", 2), ("sa+ta", 2)]  # the order of table 4
+
+        def student(mode, parts, memo):
+            return tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=parts), mode,
+                                 epochs=1, seed=3, batch_size=8, teachers_by_id=memo)
+
+        memo = {}
+        shared = [student(mode, parts, memo) for mode, parts in cells]
+        # An encoder-only build for sag and sa, then one with the pool, in place of it.
+        assert builds == [(0, 3, False), (0, 3, True)] and len(memo) == 1
+        for (mode, parts), got in zip(cells, shared):
+            want = student(mode, parts, {})
+            assert got.tensors.keys() == want.tensors.keys()
+            for name, value in want.tensors.items():
+                assert got.tensors[name].tobytes() == value.tobytes(), (mode, name)
 
     def _sa_student(self, teachers, dataset, memo=None):
         return tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=2), "sa", epochs=1,
@@ -615,26 +695,28 @@ class TestSplitForwards:
 
     def test_the_cache_freezes_its_teachers(self, tiny_train, tiny_teachers, monkeypatch):
         part = TaskPartition.equal_split(8, 2)
-        frozen = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
-        for params, _ in frozen:
-            params.set_requires_grad(False)
-        given = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
         shipped_forward, taped = tv.forward_batch, []
 
         def forward(*args, **kwargs):
             out = shipped_forward(*args, **kwargs)
-            taped.append(any(t.requires_grad for t in out.layer_seqs + [out.dists, out.boxes]))
+            taped.append(any(t.requires_grad for t in out.layer_seqs + [out.dists, out.boxes]
+                             if t is not None))
             return out
 
         monkeypatch.setattr(tv, "forward_batch", forward)
-        built, reference = (tv.TeacherCache(models, tiny_train, part, batch_size=10)
-                            for models in (given, frozen))
-        assert taped == [False] * (2 * 2 * 3)  # 2 caches, 2 teachers, 3 batches
-        assert not any(p.requires_grad for params, _ in given
-                       for p in params.named_parameters().values())
-        for a, b in zip(built.layers + [built.dists, built.boxes],
-                        reference.layers + [reference.dists, reference.boxes], strict=True):
-            assert a.tobytes() == b.tobytes()
+        for pool in (True, False):  # a full build and an encoder-only one
+            frozen = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+            for params, _ in frozen:
+                params.set_requires_grad(False)
+            given = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
+            del taped[:]
+            built, reference = (tv.TeacherCache(models, tiny_train, part, 3, pool, batch_size=10)
+                                for models in (given, frozen))
+            assert taped == [False] * (2 * 2 * 3)  # 2 caches, 2 teachers, 3 batches
+            assert not any(p.requires_grad for params, _ in given
+                           for p in params.named_parameters().values())
+            for a, b in zip(_stored(built), _stored(reference), strict=True):
+                assert a.tobytes() == b.tobytes()
 
     def test_teacher_cache_is_the_same_at_one_and_two_cores(self, tiny_train, tiny_teachers,
                                                              monkeypatch):
@@ -648,15 +730,17 @@ class TestSplitForwards:
             return pools[-1]
 
         monkeypatch.setattr(det, "_share_pool", share_pool)
-        caches = []
-        for cores in (1, 2):
-            monkeypatch.setattr(det, "core_count", lambda: cores)
-            caches.append(tv.TeacherCache(models, tiny_train, part, batch_size=5))
-            assert len(pools) == (0 if cores == 1 else 2 * 5)  # 2 teachers, 5 batches
-        one, two = caches
-        for a, b in zip(one.layers + [one.dists, one.boxes],
-                        two.layers + [two.dists, two.boxes], strict=True):
-            assert a.tobytes() == b.tobytes()
+        for pool in (True, False):  # a full build and an encoder-only one
+            caches = []
+            for cores in (1, 2):
+                monkeypatch.setattr(det, "core_count", lambda: cores)
+                del pools[:]
+                caches.append(tv.TeacherCache(models, tiny_train, part, 3, pool, batch_size=5))
+                assert len(pools) == (0 if cores == 1 else 2 * 5)  # 2 teachers, 5 batches
+            one, two = caches
+            assert len(_stored(one)) == (5 if pool else 3)
+            for a, b in zip(_stored(one), _stored(two), strict=True):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestBatchLosses:
