@@ -20,8 +20,9 @@ in suite order. That cache grows to what the process's cells read: it holds
 the teachers' sequences, their predictions or both, as far as the cells run
 so far read them, and a cell that reads more rebuilds it once to hold both
 (in table4 order: one encoder-only build for sag and sa, one full build from
-ta on). A SIGTERM to this process terminates the workers and exits with
-code 143.
+ta on). Each process, a worker included, may also keep up to 64 MiB of
+freed heap mapped for its next forward (see ``detector._keep_freed_heap``).
+A SIGTERM to this process terminates the workers and exits with code 143.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
 failure (non-finite loss; the last good checkpoint is dumped next to the

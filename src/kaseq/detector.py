@@ -8,18 +8,24 @@ decoder cross-attends whatever memory the encoder produced, compressed or
 not.
 
 A forward splits its batch into contiguous image shares, one per usable
-core, after token selection; the calling thread runs the first share and a
-module-level thread pool the others, and the results are joined in image
-order. Every image's rows are computed by the same operations either way,
-so the outputs are byte-equal to an unsplit pass. A taped forward (a
-training step) builds each share's graph over leaf views of the
-parameters, and its joined outputs are tape nodes whose backward walks the
-shares, again one per thread, so ``loss.backward()`` reaches every
-parameter.
+core, before anything is computed: each share projects its images'
+patches, selects their tokens, and runs the encoder, decoder and heads.
+The calling thread runs the first share and a module-level thread pool the
+others, and the results are joined in image order. Every image's rows are
+computed by the same operations either way, so the outputs are byte-equal
+to an unsplit pass. A taped forward (a training step) builds each share's
+graph over leaf views of the parameters, and its joined outputs are tape
+nodes whose backward walks the shares, again one per thread, so
+``loss.backward()`` reaches every parameter.
+
+At import the module has glibc's malloc keep freed heap mapped (see
+:func:`_keep_freed_heap`): every forward frees and reallocates the same
+tens of megabytes, which the next forward would otherwise fault in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import os
 import threading
@@ -278,6 +284,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (glibc's malloc.h)
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep up to 64 MiB of freed memory at the top of
+    each heap mapped, and serve blocks under 32 MiB from the heap; blocks of
+    32 MiB or more are still mapped on their own and returned when freed.
+    By default glibc hands freed heap back to the system (every thread that
+    allocates, such as a share thread, trims its own arena), and the next
+    forward faults the same pages in again. A no-op where the C library has
+    no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
+
+
 def _run_shares(fn, shares: Sequence[tuple]) -> list:
     """``[fn(*share) for share in shares]``, the first on the calling thread
     and the others on the share pool."""
@@ -302,67 +331,85 @@ def _leaf_views(params: DetectorParams) -> tuple[DetectorParams, list[tuple[Tens
     return _rebuild(params, view), pairs
 
 
-def _encode_and_predict(x: Tensor, pos: np.ndarray, images: int, image_blocks: int,
-                        params: DetectorParams, cfg: DetectorConfig, predict: bool):
-    """Encoder, decoder and heads over the selected tokens ``x`` of ``images``
-    images, each ``image_blocks`` attention blocks long; returns the encoder
-    outputs, followed by ``dists`` and ``boxes`` if ``predict``."""
+def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
+                   drawn: Optional[list[np.ndarray]], params: DetectorParams,
+                   cfg: DetectorConfig, predict: bool):
+    """One share's whole forward over ``images``: the extended projection,
+    token selection (from ``guide``, its rows of the caller's guide, or its
+    own projection; ``drawn`` holds the random rule's draws), the encoder,
+    decoder and heads. Returns the kept rows, or None, and the outputs: the
+    selected tokens, each encoder output, then ``dists`` and ``boxes`` if
+    ``predict``."""
+    batch, n, parts = len(images), cfg.tokens, cfg.num_parts
     m = cfg.queries
+    extended = extended_projection(images, params, cfg)
+    if cfg.selects_tokens:
+        rows = parts * n
+        source = extended.data if guide is None else guide
+        picks = drawn or [ka.select_tokens(cfg.compression, source[b * rows:(b + 1) * rows],
+                                           parts, n, None) for b in range(batch)]
+        kept = np.concatenate([b * rows + pick for b, pick in enumerate(picks)])
+        x = T.gather_rows(extended, kept)
+        pos = params.pos[kept % n]
+        blocks = batch
+    else:
+        kept = None
+        x = extended
+        pos = np.tile(params.pos, (batch * parts, 1))
+        blocks = batch * parts
+
     # The supervision/compression/redundancy point is the raw projection
     # output; the encoder consumes it with positional content mixed in, since
     # a linear patch embedding of near-uniform backgrounds carries no spatial
     # signal of its own and the decoder reads position from memory values.
     enc_in = T.add(x, Tensor(pos))
-    enc_outs = tf.encoder_forward(enc_in, params.enc, blocks=images * image_blocks, pos=pos)
-    if not predict:
-        return enc_outs
+    outs = [x] + tf.encoder_forward(enc_in, params.enc, blocks=blocks, pos=pos)
+    if predict:
+        memory = outs[-1] if cfg.enc_layers else enc_in
+        queries = T.gather_rows(params.queries, np.tile(np.arange(m), batch))
+        decoded = tf.decoder_forward(memory, queries, params.dec, params.final_ln, blocks=batch)
+        outs += [T.softmax_rows(params.class_(decoded)), params.box(decoded)]
+    return kept, outs
 
-    memory = enc_outs[-1] if enc_outs else enc_in
-    queries = T.gather_rows(params.queries, np.tile(np.arange(m), images))
-    decoded = tf.decoder_forward(memory, queries, params.dec, params.final_ln, blocks=images)
-    return enc_outs + [T.softmax_rows(params.class_(decoded)), params.box(decoded)]
 
-
-def _merge_shares(x: Tensor, bounds: list[tuple[int, int]], inputs: list[Tensor],
-                  pairs: list[list[tuple[Tensor, Tensor]]],
+def _merge_shares(bounds: list[tuple[int, int]],
+                  pairs: Optional[list[list[tuple[Tensor, Tensor]]]],
                   outputs: list[list[Tensor]]) -> list[Tensor]:
-    """The shares' outputs, each joined in image order. A taped forward's
-    joins are tape nodes over one parent node, whose parents are ``x`` and
-    the parameters, so a walk reaches it after every join the loss reads;
-    ``pairs`` holds each share's (parameter, leaf view) pairs, in one order
-    for every share. Its backward walks each share's graph on its own thread, seeded with the
-    share's rows of the joins' gradients, and returns the shares' input
-    gradients joined, for ``x``, and each parameter's view gradients added
-    in share order, so that no sum depends on the thread schedule. It then
-    drops the share graphs; a second backward is a ContractError."""
+    """The shares' outputs, each joined in image order: plain arrays for an
+    untaped forward (``pairs`` None), and otherwise tape nodes over one
+    parent node, whose parents are the parameters, so a walk reaches it
+    after every join the loss reads; ``pairs`` then holds each share's
+    (parameter, leaf view) pairs, in one order for every share. Its backward
+    walks each share's graph on its own thread, seeded with the share's rows
+    of the joins' gradients, and returns each parameter's view gradients
+    added in share order, so that no sum depends on the thread schedule. It
+    then drops the share graphs; a second backward is a ContractError."""
     datas = [pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
              for pieces in zip(*outputs)]
+    if pairs is None:
+        return [Tensor(data) for data in datas]
     per_image = [data.shape[0] // bounds[-1][1] for data in datas]
     grads: list[Optional[np.ndarray]] = [None] * len(datas)  # filled by the joins' backward
     named = [p for p, _ in pairs[0]]
 
     def share_backward(_):
-        nonlocal inputs, pairs, outputs
+        nonlocal pairs, outputs
         if outputs is None:
             raise ContractError("a second backward through one split forward; "
                                 "its share graphs were released by the first")
         seeds = [[None if g is None else g[lo * rows:hi * rows]
                   for g, rows in zip(grads, per_image)] for lo, hi in bounds]
         _run_shares(T.backward_seeded, list(zip(outputs, seeds)))
-        gx = None
-        if any(leaf.grad is not None for leaf in inputs):
-            gx = np.concatenate([np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
-                                 for leaf in inputs])
         gparams: list[Optional[np.ndarray]] = [None] * len(named)
         for share in pairs:
             for i, (_, v) in enumerate(share):
                 if v.grad is not None:
                     gparams[i] = v.grad if gparams[i] is None else gparams[i] + v.grad
-        inputs = pairs = outputs = None
+        pairs = outputs = None
         grads[:] = [None] * len(grads)
-        return (gx, *gparams)
+        return gparams
 
-    parent = T._from_op(np.zeros(()), (x, *named), share_backward)
+    parent = T._from_op(np.zeros(()), named, share_backward)
 
     def join(i: int, data: np.ndarray) -> Tensor:
         def vjp(g):
@@ -383,65 +430,56 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     ``cfg.compression`` selects from its N n rows of ``guide``, an
     image-major (B N n, d) array (training passes the concatenated teacher
     projections); when ``guide`` is omitted, the student's own extended
-    projection guides, the evaluation-time rule.
+    projection guides, the evaluation-time rule. The random rule draws from
+    ``rng`` (by default ``default_rng(0)``) in image order.
 
     With ``predict`` false the pass stops after the encoder: the decoder and
     the heads do not run, ``dists`` and ``boxes`` are None, and the
     supervision sequences and ``kept`` are those of the full pass. Training
     uses it on steps whose loss reads no prediction.
 
-    A batch of at least 2 images is split after token selection (so
-    ``rng`` is drawn in image order on the calling thread) into
-    ``min(B, share_count())`` contiguous image shares, whether or not the
-    pass records a tape. Each share runs the encoder, decoder and heads over
-    a leaf holding its rows of the selected tokens and over fresh leaf views
-    of the parameters, which share their arrays; the results are
-    concatenated in image order, byte-equal to a pass in one share (see
-    :func:`_merge_shares` for how a taped pass's gradient reaches the
-    shares). The calling thread runs the first share and a pool of
-    cores - 1 threads the others. The caller works rather than waits because
-    every thread that allocates gets its own glibc malloc arena, which keeps
-    freed memory: on 2 vCPUs, the benchmark's ``evaluate_student`` peaked
-    at 80.2 MB with a pool that ran both shares while the caller waited,
-    against 74.1 MB this way (and 74.0 MB unsplit).
+    The batch is split into ``min(B, share_count())`` contiguous image
+    shares before the projection, whether or not the pass records a tape;
+    only the random rule's draws are made first, on the calling thread, so
+    that they stay one stream. Each share projects its images' patches,
+    selects their tokens and runs the encoder, decoder and heads; the
+    results are concatenated in image order, byte-equal to a pass in one
+    share. A taped pass (some parameter requires grad) runs each share over
+    fresh leaf views of the parameters, which share their arrays, and joins
+    its outputs as tape nodes (see :func:`_merge_shares`); an untaped pass
+    reads the parameters themselves and joins plain arrays. The calling
+    thread runs the first share and a pool of cores - 1 threads the others.
+    The caller works rather than waits because every thread that allocates
+    gets its own glibc malloc arena, which keeps freed memory (up to 64 MiB
+    each, see :func:`_keep_freed_heap`): on 2 vCPUs, before that setting,
+    the benchmark's ``evaluate_student`` peaked at 80.2 MB with a pool that
+    ran both shares while the caller waited, against 74.1 MB this way (and
+    74.0 MB unsplit).
     """
     batch = len(images)
     if batch == 0:
         raise ContractError("empty batch")
     n, parts = cfg.tokens, cfg.num_parts
-    extended = extended_projection(images, params, cfg)
-
-    if cfg.selects_tokens:
-        rows = parts * n
-        source = extended.data if guide is None else guide
-        if source.shape[0] != batch * rows:
-            raise ContractError(f"the guide holds {source.shape[0]} rows, not {batch * rows}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        kept = np.concatenate([
-            b * rows + ka.select_tokens(cfg.compression, source[b * rows:(b + 1) * rows],
-                                        parts, n, rng)
-            for b in range(batch)])
-        x = T.gather_rows(extended, kept)
-        pos = params.pos[kept % n]
-        image_blocks = 1
-    else:
-        kept = None
-        x = extended
-        pos = np.tile(params.pos, (batch * parts, 1))
-        image_blocks = parts
+    rows, drawn = parts * n, None
+    if cfg.selects_tokens and guide is not None and guide.shape[0] != batch * rows:
+        raise ContractError(f"the guide holds {guide.shape[0]} rows, not {batch * rows}")
+    if cfg.selects_tokens and cfg.compression == "random":
+        rng = np.random.default_rng(0) if rng is None else rng
+        drawn = [ka.compress_random(parts, n, rng) for _ in range(batch)]
 
     count = min(batch, share_count())
-    seq_len = x.shape[0] // batch
     starts = [batch * s // count for s in range(count + 1)]
     bounds = list(zip(starts, starts[1:]))
-    inputs = [Tensor(x.data[lo * seq_len:hi * seq_len], requires_grad=x.requires_grad)
-              for lo, hi in bounds]
-    views = [_leaf_views(params) for _ in bounds]
-    outputs = _run_shares(_encode_and_predict, [
-        (leaf, pos[lo * seq_len:hi * seq_len], hi - lo, image_blocks, view, cfg, predict)
-        for leaf, (view, _), (lo, hi) in zip(inputs, views, bounds)])
-    joins = _merge_shares(x, bounds, inputs, [pairs for _, pairs in views], outputs)
+    taped = any(p.requires_grad for p in params.named_parameters().values())
+    views = [_leaf_views(params) if taped else (params, None) for _ in bounds]
+    results = _run_shares(_share_forward, [
+        (images[lo:hi], None if guide is None else guide[lo * rows:hi * rows],
+         None if drawn is None else drawn[lo:hi], view, cfg, predict)
+        for (view, _), (lo, hi) in zip(views, bounds)])
+    kept = np.concatenate([share_kept + lo * rows for (share_kept, _), (lo, _)
+                           in zip(results, bounds)]) if cfg.selects_tokens else None
+    joins = _merge_shares(bounds, [pairs for _, pairs in views] if taped else None,
+                          [outs for _, outs in results])
     enc = cfg.enc_layers
-    dists, boxes = joins[enc:] if predict else (None, None)
-    return BatchOutput(dists, boxes, layer_seqs=[x] + joins[:enc], kept=kept, batch=batch)
+    dists, boxes = joins[1 + enc:] if predict else (None, None)
+    return BatchOutput(dists, boxes, layer_seqs=joins[:1 + enc], kept=kept, batch=batch)

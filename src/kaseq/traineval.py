@@ -25,9 +25,10 @@ the task partition. An entry that lacks part of what a run reads is dropped
 and rebuilt to hold both, so a memo keeps one cache per teacher set.
 
 :func:`forward_batch` splits every batch across the cores the process may
-use: evaluation and teacher-cache builds, which record no tape, and
-training steps, whose ``loss.backward()`` walks the shares' graphs the same
-way.
+use, and each share runs the whole forward of its images, patch projection
+and token selection included: evaluation and teacher-cache builds, which
+record no tape and join plain arrays, and training steps, whose
+``loss.backward()`` walks the shares' graphs the same way.
 """
 
 from __future__ import annotations
@@ -607,8 +608,9 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
             out = forward_batch(images, params, cfg,
                                 guide=guide(idx) if guide is not None else None, rng=rng,
                                 predict=predict)
-            # Drop the previous step's loss graph before this step's is built; dropped
-            # before the forward, its pages went back to the system and faulted in again.
+            # Drop the previous step's loss graph only now, before this step's is built:
+            # dropping it with ``out`` at the end of each step was no faster, with freed
+            # heap kept mapped or not (ROADMAP item 3).
             loss = terms = None
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.

@@ -1,9 +1,14 @@
 """Detector forward: patch embedding, extension, compression, heads."""
 
 import dataclasses
+import json
+import os
+import platform
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +231,21 @@ class TestSplitForward:
             for got, want in pairs:
                 assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
 
+    @pytest.mark.parametrize("compression", det.COMPRESSION_MODES)
+    def test_an_untaped_forward_records_no_tape(self, monkeypatch, share_pool, compression):
+        cfg = tiny_cfg(num_parts=2, compression=compression)
+        params = det.DetectorParams.init(cfg, np.random.default_rng(2))
+        images = [rand_image() for _ in range(3)]
+        viewed, shipped = [], det._leaf_views
+        monkeypatch.setattr(det, "_leaf_views", lambda p: viewed.append(p) or shipped(p))
+        monkeypatch.setattr(det, "core_count", lambda: 2)
+        det.forward_batch(images, params, cfg)
+        assert len(viewed) == 2  # a taped forward: one set of views per share
+        params.set_requires_grad(False)
+        out = det.forward_batch(images, params, cfg)
+        assert len(viewed) == 2
+        for t in out.layer_seqs + [out.dists, out.boxes]:
+            assert not t.requires_grad and t._parents == () and t._vjp is None
 
     @pytest.mark.parametrize("limit", [0, -2])
     def test_a_share_limit_below_one_is_rejected(self, monkeypatch, limit):
@@ -325,6 +345,7 @@ class TestSplitBackward:
         assert (whole["class.w"] is not None) == predict
         for cores in (2, 3):
             split = step_gradients(monkeypatch, cores, params, cfg, images, predict)
+            assert split["proj1.w"] is not None  # projected in the shares
             for name, want in whole.items():
                 got = split[name]
                 if want is None:
@@ -416,6 +437,60 @@ class TestSplitBackward:
 
             numeric = finite_difference_grad(loss_at, chosen.copy(), h=1e-6)
             assert rel_err(p.grad[entries], numeric) < 1e-6, name
+
+
+def no_library(name):
+    raise OSError("no C library")
+
+
+class TestFreedHeap:
+    def test_the_setting_asks_malloc_to_keep_freed_heap(self, monkeypatch):
+        calls = []
+        library = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(det.ctypes, "CDLL", lambda name: library)
+        det._keep_freed_heap()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("library", [lambda name: SimpleNamespace(), no_library],
+                             ids=["no-mallopt", "no-library"])
+    def test_without_mallopt_the_setting_does_nothing(self, monkeypatch, library):
+        monkeypatch.setattr(det.ctypes, "CDLL", library)
+        det._keep_freed_heap()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc", reason="glibc's malloc only")
+    def test_repeated_evaluate_calls_fault_in_few_pages(self):
+        # Without the setting each call faulted in thousands of pages: glibc
+        # handed the freed heap back and the next call touched it again. A
+        # fresh interpreter, since earlier tests move glibc's own thresholds.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(det.__file__)))
+        run = subprocess.run([sys.executable, "-c", EVALUATE_FAULTS], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        faults = json.loads(run.stdout)
+        assert max(faults) <= 400, faults
+
+
+# Minor page faults of three evaluate calls of a 2-part redundancy student at
+# 2 shares, after a warm-up call.
+EVALUATE_FAULTS = """
+import json, resource
+import numpy as np
+from kaseq import detector as det, traineval as tv
+from kaseq.data import generate_dataset
+
+det.core_count = lambda: 2
+cfg = det.DetectorConfig(num_parts=2, compression="redundancy")
+ckpt = tv.make_checkpoint(det.DetectorParams.init(cfg, np.random.default_rng(3)), cfg)
+dataset = generate_dataset(32, cfg.num_categories, cfg.image_size, seed=11)
+tv.evaluate(ckpt, dataset)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tv.evaluate(ckpt, dataset)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
 
 
 class TestTeacherForward:

@@ -300,6 +300,30 @@ class TestAPMachinery:
         for c in ids:
             np.testing.assert_array_equal(whole[c], halves[c])
 
+    @pytest.mark.parametrize("compression", det.COMPRESSION_MODES)
+    def test_rows_do_not_depend_on_shares_or_batch_size(self, monkeypatch, tiny_eval,
+                                                        compression):
+        # Each share projects its images and selects their tokens; the random
+        # rule still draws one stream, in image order across batches.
+        cfg = tiny_cfg(num_parts=2, compression=compression)
+        params = DetectorParams.init(cfg, np.random.default_rng(8))
+        params.set_requires_grad(False)
+        ids = list(range(1, 9))
+        monkeypatch.setattr(det, "_max_shares", None)
+        got = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(det, "core_count", lambda: cores)
+            for batch_size in (1, 5, 32):
+                got[cores, batch_size] = tv.collect_predictions(params, cfg, tiny_eval, ids,
+                                                                batch_size)
+        want = got[1, 32]
+        assert sum(len(rows) for rows in want.values()) > 0
+        for key, preds in got.items():
+            assert list(preds) == ids
+            for c in ids:
+                assert preds[c].shape == want[c].shape, (key, c)
+                assert preds[c].tobytes() == want[c].tobytes(), (key, c)
+
 
 class TestEvaluate:
     def test_untrained_model_report_is_valid(self, tiny_eval):
