@@ -135,20 +135,6 @@ def compress_random(n_teachers: int, n_tokens: int, rng: np.random.Generator) ->
     return np.sort(t_keep * n_tokens + np.arange(n_tokens))
 
 
-def select_tokens(strategy: str, x_concat: np.ndarray, n_parts: int, n_tokens: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Kept indices of one image's concatenated (n_parts * n_tokens)-row
-    sequence under a compression strategy; ``x_concat`` is read only by the
-    redundancy rule and ``rng`` only by the random one."""
-    if strategy == "redundancy":
-        return compress_redundancy(x_concat, n_parts, n_tokens)
-    if strategy == "isometric":
-        return compress_isometric(n_parts, n_tokens)
-    if strategy == "random":
-        return compress_random(n_parts, n_tokens, rng)
-    raise ContractError(f"no token selection for compression strategy {strategy!r}")
-
-
 # ---------------------------------------------------------------------------
 # task-level amalgamation
 

@@ -21,7 +21,8 @@ the teachers' sequences, their predictions or both, as far as the cells run
 so far read them, and a cell that reads more rebuilds it once to hold both
 (in table4 order: one encoder-only build for sag and sa, one full build from
 ta on). Each process, a worker included, may also keep up to 64 MiB of
-freed heap mapped for its next forward (see ``detector._keep_freed_heap``).
+freed heap mapped per malloc arena (one per share thread) for its next
+forward (see ``detector._keep_freed_heap``).
 A SIGTERM to this process terminates the workers and exits with code 143.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric

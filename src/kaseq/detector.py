@@ -289,12 +289,15 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (glibc's mal
 
 def _keep_freed_heap() -> None:
     """Have glibc's malloc keep up to 64 MiB of freed memory at the top of
-    each heap mapped, and serve blocks under 32 MiB from the heap; blocks of
-    32 MiB or more are still mapped on their own and returned when freed.
-    By default glibc hands freed heap back to the system (every thread that
-    allocates, such as a share thread, trims its own arena), and the next
-    forward faults the same pages in again. A no-op where the C library has
-    no ``mallopt``."""
+    each arena's heap mapped (the main arena's and one per share thread),
+    and serve blocks under 32 MiB from the heap; blocks of 32 MiB or more
+    are still mapped on their own and returned when freed. By default glibc
+    hands freed heap back to the system (every thread that allocates, such
+    as a share thread, trims its own arena), and the next forward faults
+    the same pages in again. The 64 MiB bounds only the free top of a heap:
+    free blocks below it stay mapped, as they always did, and blocks that
+    glibc would first have mapped on their own now land among them. A no-op
+    where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -332,22 +335,24 @@ def _leaf_views(params: DetectorParams) -> tuple[DetectorParams, list[tuple[Tens
 
 
 def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
-                   drawn: Optional[list[np.ndarray]], params: DetectorParams,
+                   picks: Optional[list[np.ndarray]], params: DetectorParams,
                    cfg: DetectorConfig, predict: bool):
     """One share's whole forward over ``images``: the extended projection,
-    token selection (from ``guide``, its rows of the caller's guide, or its
-    own projection; ``drawn`` holds the random rule's draws), the encoder,
-    decoder and heads. Returns the kept rows, or None, and the outputs: the
-    selected tokens, each encoder output, then ``dists`` and ``boxes`` if
-    ``predict``."""
+    token selection, the encoder, decoder and heads. ``picks`` holds each
+    image's kept rows under a rule that reads no data; the redundancy rule
+    reads ``guide``, the share's rows of the caller's guide, or else the
+    share's own projection. Returns the kept rows, or None, and the outputs:
+    the selected tokens, each encoder output, then ``dists`` and ``boxes``
+    if ``predict``."""
     batch, n, parts = len(images), cfg.tokens, cfg.num_parts
     m = cfg.queries
     extended = extended_projection(images, params, cfg)
     if cfg.selects_tokens:
         rows = parts * n
-        source = extended.data if guide is None else guide
-        picks = drawn or [ka.select_tokens(cfg.compression, source[b * rows:(b + 1) * rows],
-                                           parts, n, None) for b in range(batch)]
+        if picks is None:
+            source = extended.data if guide is None else guide
+            picks = [ka.compress_redundancy(source[b * rows:(b + 1) * rows], parts, n)
+                     for b in range(batch)]
         kept = np.concatenate([b * rows + pick for b, pick in enumerate(picks)])
         x = T.gather_rows(extended, kept)
         pos = params.pos[kept % n]
@@ -372,22 +377,19 @@ def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
     return kept, outs
 
 
-def _merge_shares(bounds: list[tuple[int, int]],
-                  pairs: Optional[list[list[tuple[Tensor, Tensor]]]],
+def _merge_shares(bounds: list[tuple[int, int]], pairs: list[list[tuple[Tensor, Tensor]]],
                   outputs: list[list[Tensor]]) -> list[Tensor]:
-    """The shares' outputs, each joined in image order: plain arrays for an
-    untaped forward (``pairs`` None), and otherwise tape nodes over one
-    parent node, whose parents are the parameters, so a walk reaches it
-    after every join the loss reads; ``pairs`` then holds each share's
-    (parameter, leaf view) pairs, in one order for every share. Its backward
-    walks each share's graph on its own thread, seeded with the share's rows
-    of the joins' gradients, and returns each parameter's view gradients
-    added in share order, so that no sum depends on the thread schedule. It
-    then drops the share graphs; a second backward is a ContractError."""
+    """The shares' outputs, each joined in image order. A taped forward's
+    joins are tape nodes over one parent node, whose parents are the
+    parameters, so a walk reaches it after every join the loss reads;
+    ``pairs`` holds each share's (parameter, leaf view) pairs, in one order
+    for every share. Its backward walks each share's graph on its own
+    thread, seeded with the share's rows of the joins' gradients, and
+    returns each parameter's view gradients added in share order, so that
+    no sum depends on the thread schedule. It then drops the share graphs; a
+    second backward is a ContractError."""
     datas = [pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
              for pieces in zip(*outputs)]
-    if pairs is None:
-        return [Tensor(data) for data in datas]
     per_image = [data.shape[0] // bounds[-1][1] for data in datas]
     grads: list[Optional[np.ndarray]] = [None] * len(datas)  # filled by the joins' backward
     named = [p for p, _ in pairs[0]]
@@ -439,15 +441,16 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     uses it on steps whose loss reads no prediction.
 
     The batch is split into ``min(B, share_count())`` contiguous image
-    shares before the projection, whether or not the pass records a tape;
-    only the random rule's draws are made first, on the calling thread, so
+    shares before the projection, whether or not the pass records a tape.
+    The kept rows of the rules that read no data are picked first, on the
+    calling thread: ``isometric``'s fixed rows, and ``random``'s draws, so
     that they stay one stream. Each share projects its images' patches,
-    selects their tokens and runs the encoder, decoder and heads; the
-    results are concatenated in image order, byte-equal to a pass in one
-    share. A taped pass (some parameter requires grad) runs each share over
-    fresh leaf views of the parameters, which share their arrays, and joins
-    its outputs as tape nodes (see :func:`_merge_shares`); an untaped pass
-    reads the parameters themselves and joins plain arrays. The calling
+    selects their tokens (``redundancy`` reads the share's rows of the
+    guide) and runs the encoder, decoder and heads over fresh leaf views of
+    the parameters, which share their arrays; the results are concatenated
+    in image order, byte-equal to a pass in one share (see
+    :func:`_merge_shares` for how a taped pass's gradient reaches the
+    shares; an untaped pass's views and joins record no tape). The calling
     thread runs the first share and a pool of cores - 1 threads the others.
     The caller works rather than waits because every thread that allocates
     gets its own glibc malloc arena, which keeps freed memory (up to 64 MiB
@@ -460,25 +463,26 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     if batch == 0:
         raise ContractError("empty batch")
     n, parts = cfg.tokens, cfg.num_parts
-    rows, drawn = parts * n, None
+    rows, picks = parts * n, None
     if cfg.selects_tokens and guide is not None and guide.shape[0] != batch * rows:
         raise ContractError(f"the guide holds {guide.shape[0]} rows, not {batch * rows}")
     if cfg.selects_tokens and cfg.compression == "random":
         rng = np.random.default_rng(0) if rng is None else rng
-        drawn = [ka.compress_random(parts, n, rng) for _ in range(batch)]
+        picks = [ka.compress_random(parts, n, rng) for _ in range(batch)]
+    elif cfg.selects_tokens and cfg.compression == "isometric":
+        picks = [ka.compress_isometric(parts, n)] * batch
 
     count = min(batch, share_count())
     starts = [batch * s // count for s in range(count + 1)]
     bounds = list(zip(starts, starts[1:]))
-    taped = any(p.requires_grad for p in params.named_parameters().values())
-    views = [_leaf_views(params) if taped else (params, None) for _ in bounds]
+    views = [_leaf_views(params) for _ in bounds]
     results = _run_shares(_share_forward, [
         (images[lo:hi], None if guide is None else guide[lo * rows:hi * rows],
-         None if drawn is None else drawn[lo:hi], view, cfg, predict)
+         None if picks is None else picks[lo:hi], view, cfg, predict)
         for (view, _), (lo, hi) in zip(views, bounds)])
     kept = np.concatenate([share_kept + lo * rows for (share_kept, _), (lo, _)
                            in zip(results, bounds)]) if cfg.selects_tokens else None
-    joins = _merge_shares(bounds, [pairs for _, pairs in views] if taped else None,
+    joins = _merge_shares(bounds, [pairs for _, pairs in views],
                           [outs for _, outs in results])
     enc = cfg.enc_layers
     dists, boxes = joins[1 + enc:] if predict else (None, None)

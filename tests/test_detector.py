@@ -236,14 +236,12 @@ class TestSplitForward:
         cfg = tiny_cfg(num_parts=2, compression=compression)
         params = det.DetectorParams.init(cfg, np.random.default_rng(2))
         images = [rand_image() for _ in range(3)]
-        viewed, shipped = [], det._leaf_views
-        monkeypatch.setattr(det, "_leaf_views", lambda p: viewed.append(p) or shipped(p))
         monkeypatch.setattr(det, "core_count", lambda: 2)
-        det.forward_batch(images, params, cfg)
-        assert len(viewed) == 2  # a taped forward: one set of views per share
+        out = det.forward_batch(images, params, cfg)
+        for t in out.layer_seqs + [out.dists, out.boxes]:
+            assert t.requires_grad and t._parents
         params.set_requires_grad(False)
         out = det.forward_batch(images, params, cfg)
-        assert len(viewed) == 2
         for t in out.layer_seqs + [out.dists, out.boxes]:
             assert not t.requires_grad and t._parents == () and t._vjp is None
 
@@ -462,7 +460,8 @@ class TestFreedHeap:
     def test_repeated_evaluate_calls_fault_in_few_pages(self):
         # Without the setting each call faulted in thousands of pages: glibc
         # handed the freed heap back and the next call touched it again. A
-        # fresh interpreter, since earlier tests move glibc's own thresholds.
+        # fresh interpreter, so that the count does not depend on the heap
+        # and arenas that earlier tests left behind.
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.path.dirname(os.path.dirname(det.__file__)))
         run = subprocess.run([sys.executable, "-c", EVALUATE_FAULTS], env=env,
