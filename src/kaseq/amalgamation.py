@@ -102,25 +102,28 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, _NORM_FLOOR)
 
 
-def redundancy_all(x: np.ndarray) -> np.ndarray:
-    """Redundancy of every token: row means of the cosine similarity matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    unit = _unit_rows(x)
-    return unit @ unit.mean(axis=0)
+def redundancy_all(x: np.ndarray, images: int = 1) -> np.ndarray:
+    """Redundancy of every token of ``images`` equal image-major sequences
+    stacked in ``x``: the row means of each image's cosine similarity matrix.
+    Unit rows are taken over the block, mean rows and products per image."""
+    unit = _unit_rows(np.asarray(x, dtype=np.float64))
+    unit = unit.reshape(images, -1, unit.shape[1])
+    return np.concatenate([u @ mean for u, mean in zip(unit, unit.mean(axis=1))])
 
 
 def compress_redundancy(x_concat: np.ndarray, n_teachers: int, n_tokens: int) -> np.ndarray:
-    """Keep, per grid position, the candidate token with minimum redundancy.
-
-    Redundancies are computed against the full concatenated sequence; ties go
-    to the lowest teacher index. Returns sorted kept indices of length n.
+    """Keep, per image and grid position, the candidate token with minimum
+    redundancy against the image's full sequence; ties go to the lowest
+    teacher index. ``x_concat`` stacks B images' N n rows; returns (B, n),
+    each row one image's sorted kept indices into its own N n rows.
     """
     x_concat = np.asarray(x_concat)
-    if x_concat.shape[0] != n_teachers * n_tokens:
-        raise ShapeError(f"expected {n_teachers * n_tokens} rows, got {x_concat.shape[0]}")
-    r = redundancy_all(x_concat).reshape(n_teachers, n_tokens)
-    t_keep = np.argmin(r, axis=0)  # argmin returns the first (lowest) index on ties
-    return np.sort(t_keep * n_tokens + np.arange(n_tokens))
+    images, extra = divmod(x_concat.shape[0], n_teachers * n_tokens)
+    if extra or not images:
+        raise ShapeError(f"{x_concat.shape[0]} rows are not B x {n_teachers} x {n_tokens}")
+    r = redundancy_all(x_concat, images).reshape(images, n_teachers, n_tokens)
+    t_keep = np.argmin(r, axis=1)  # argmin returns the first (lowest) index on ties
+    return np.sort(t_keep * n_tokens + np.arange(n_tokens), axis=1)
 
 
 def compress_isometric(n_teachers: int, n_tokens: int) -> np.ndarray:

@@ -335,25 +335,23 @@ def _leaf_views(params: DetectorParams) -> tuple[DetectorParams, list[tuple[Tens
 
 
 def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
-                   picks: Optional[list[np.ndarray]], params: DetectorParams,
+                   picks: Optional[np.ndarray], params: DetectorParams,
                    cfg: DetectorConfig, predict: bool):
     """One share's whole forward over ``images``: the extended projection,
-    token selection, the encoder, decoder and heads. ``picks`` holds each
-    image's kept rows under a rule that reads no data; the redundancy rule
-    reads ``guide``, the share's rows of the caller's guide, or else the
-    share's own projection. Returns the kept rows, or None, and the outputs:
-    the selected tokens, each encoder output, then ``dists`` and ``boxes``
-    if ``predict``."""
+    token selection, the encoder, decoder and heads. ``picks`` holds the
+    kept rows of a rule that reads no data, one (B, n) row per image; the
+    redundancy rule reads ``guide``, the share's rows of the caller's guide,
+    or else the share's own projection, in one call. Returns the kept rows,
+    or None, and the outputs: the selected tokens, each encoder output, then
+    ``dists`` and ``boxes`` if ``predict``."""
     batch, n, parts = len(images), cfg.tokens, cfg.num_parts
     m = cfg.queries
     extended = extended_projection(images, params, cfg)
     if cfg.selects_tokens:
         rows = parts * n
         if picks is None:
-            source = extended.data if guide is None else guide
-            picks = [ka.compress_redundancy(source[b * rows:(b + 1) * rows], parts, n)
-                     for b in range(batch)]
-        kept = np.concatenate([b * rows + pick for b, pick in enumerate(picks)])
+            picks = ka.compress_redundancy(extended.data if guide is None else guide, parts, n)
+        kept = (picks + rows * np.arange(batch)[:, None]).reshape(-1)
         x = T.gather_rows(extended, kept)
         pos = params.pos[kept % n]
         blocks = batch
@@ -468,9 +466,9 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
         raise ContractError(f"the guide holds {guide.shape[0]} rows, not {batch * rows}")
     if cfg.selects_tokens and cfg.compression == "random":
         rng = np.random.default_rng(0) if rng is None else rng
-        picks = [ka.compress_random(parts, n, rng) for _ in range(batch)]
+        picks = np.stack([ka.compress_random(parts, n, rng) for _ in range(batch)])
     elif cfg.selects_tokens and cfg.compression == "isometric":
-        picks = [ka.compress_isometric(parts, n)] * batch
+        picks = np.tile(ka.compress_isometric(parts, n), (batch, 1))
 
     count = min(batch, share_count())
     starts = [batch * s // count for s in range(count + 1)]

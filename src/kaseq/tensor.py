@@ -221,14 +221,18 @@ def frobenius_sq(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _from_op(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    """Byte-equal to ``np.where(a > 0, a, 0.0)`` in a tenth of the time: ``fmax``
+    maps NaN to 0, and +0.0 turns a -0.0 into +0.0. The backward builds its
+    mask from the input, bool because a float mask costs eight times more."""
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _from_op(out, (a,), lambda g: (g * (a.data > 0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _from_op(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -243,9 +247,14 @@ def tabs(a: Tensor) -> Tensor:
 
 
 def clamp_min(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
+    """Byte-equal to ``np.where(a > floor, a, floor)``: ``fmax`` maps NaN to
+    the floor and returns it on ties, except numpy's scalar loop on a tie of
+    signed zeros, which the zero-floor line mends. The mask is as in relu."""
     floor = float(floor)
-    mask = a.data > floor
-    return _from_op(np.where(mask, a.data, floor), (a,), lambda g: (g * mask,))
+    out = np.fmax(a.data, floor)
+    if floor == 0.0:
+        out[out == 0.0] = floor
+    return _from_op(out, (a,), lambda g: (g * (a.data > floor),))
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +335,30 @@ def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization with learned (1, d) gain and bias."""
+    """Per-row normalization with learned (1, d) gain and bias. The rows are
+    centered once, where ``np.var`` would center again: both it and
+    ``np.mean`` sum then divide, so the results are byte-equal to theirs."""
     if x.data.ndim != 2:
         raise ShapeError("layer_norm_rows requires a matrix")
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise ShapeError("layer_norm gain/bias must be (1, d)")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    z = (x.data - mu) * inv
-    out = z * gain.data + bias.data
+    n = x.shape[1]
+    z = x.data - x.data.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((z * z).sum(axis=1, keepdims=True) / n + eps)
+    z *= inv
+    out = z * gain.data
+    out += bias.data
 
     nx, ng, nb = x.requires_grad, gain.requires_grad, bias.requires_grad
 
     def vjp(g):
         gx = ggain = gbias = None
         if nx:
-            gz = g * gain.data
-            gx = (gz - gz.mean(axis=1, keepdims=True)
-                  - z * (gz * z).mean(axis=1, keepdims=True)) * inv
+            gx = g * gain.data
+            c = (gx * z).sum(axis=1, keepdims=True) / n
+            gx -= gx.sum(axis=1, keepdims=True) / n
+            gx -= z * c
+            gx *= inv
         if ng:
             ggain = (g * z).sum(axis=0, keepdims=True)
         if nb:

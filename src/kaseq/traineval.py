@@ -874,13 +874,11 @@ def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
     # Projection outputs only: the analysis never needs the full forward pass.
     for start in range(0, len(dataset), batch_size):
         images = [dataset.image(i) for i in range(start, min(start + batch_size, len(dataset)))]
-        for block in np.split(extended_projection(images, params, cfg).data, len(images)):
-            r = ka.redundancy_all(block)
-            bins = np.clip(((r + 1.0) / REDUNDANCY_BIN_WIDTH).astype(int), 0,
-                           REDUNDANCY_BINS - 1)
-            counts += np.bincount(bins, minlength=REDUNDANCY_BINS)
-            above += int((r > 0.5).sum())
-            total += r.size
+        r = ka.redundancy_all(extended_projection(images, params, cfg).data, len(images))
+        bins = np.clip(((r + 1.0) / REDUNDANCY_BIN_WIDTH).astype(int), 0, REDUNDANCY_BINS - 1)
+        counts += np.bincount(bins, minlength=REDUNDANCY_BINS)
+        above += int((r > 0.5).sum())
+        total += r.size
     lows = -1.0 + REDUNDANCY_BIN_WIDTH * np.arange(REDUNDANCY_BINS)
     return RedundancyReport(bin_lows=lows, counts=counts,
                             fraction_above_half=above / max(total, 1),

@@ -74,6 +74,73 @@ def check_grad(build_loss, values, h=1e-5, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# plain numpy forms of the lean kernels, which must match them byte for byte
+
+
+def relu_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(x, 0) by ``np.where``, and the backward's bool mask."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def clamp_min_reference(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    mask = x > floor
+    return np.where(mask, x, floor), mask
+
+
+def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                         g: np.ndarray, eps: float = 1e-5):
+    """Row layer norm through ``np.mean`` and ``np.var``: the output and the
+    gradients of <g, output> with respect to x, gain and bias."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    z = (x - mu) * inv
+    gz = g * gain
+    gx = (gz - gz.mean(axis=1, keepdims=True)
+          - z * (gz * z).mean(axis=1, keepdims=True)) * inv
+    return z * gain + bias, gx, (g * z).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+
+def redundancy_per_image(x: np.ndarray) -> np.ndarray:
+    """Mean cosine similarity of each of one image's tokens to all of them."""
+    unit = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    return unit @ unit.mean(axis=0)
+
+
+def compress_redundancy_per_image(x: np.ndarray, n_teachers: int, n_tokens: int) -> np.ndarray:
+    """Kept indices of one image's (N n, d) sequence: per position, the
+    teacher whose token has the least redundancy, the lowest on ties."""
+    r = redundancy_per_image(x).reshape(n_teachers, n_tokens)
+    return np.sort(np.argmin(r, axis=0) * n_tokens + np.arange(n_tokens))
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+SPECIAL_VALUES = (np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, _TINY, -_TINY, 3 * _TINY, -1e-310)
+
+
+def special_values(rng: np.random.Generator, shape, share: float = 0.3) -> np.ndarray:
+    """Normal draws with about ``share`` of the entries replaced by
+    :data:`SPECIAL_VALUES`: NaN, +-0.0, +-inf and +-subnormals."""
+    x = rng.standard_normal(shape)
+    where = rng.random(shape) < share
+    x[where] = rng.choice(np.array(SPECIAL_VALUES), size=int(where.sum()))
+    return x
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal values, NaN where NaN, and equal signs (so -0.0 is not +0.0)."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# ---------------------------------------------------------------------------
 # tape ops that only the oracles build on (the library has fused forms)
 
 

@@ -12,8 +12,9 @@ from kaseq.data import TaskPartition
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import (apply_compression, box_cost, box_giou, check_grad, confidence,
-                     is_leaf, kl_divergence, match_cost, pad_prediction, ta_loss_per_image,
+from helpers import (apply_compression, assert_same_bits, box_cost, box_giou, check_grad,
+                     compress_redundancy_per_image, confidence, is_leaf, kl_divergence,
+                     match_cost, pad_prediction, redundancy_per_image, ta_loss_per_image,
                      token_redundancy)
 from helpers import box_giou_rows as composed_giou_rows
 
@@ -183,14 +184,14 @@ class TestCompression:
         teacher1 = np.tile(u, (n, 1))
         teacher2 = np.eye(d)[1:n + 1]
         p_slim = A.compress_redundancy(np.vstack([teacher1, teacher2]), 2, n)
-        np.testing.assert_array_equal(p_slim, np.arange(n, 2 * n))
+        np.testing.assert_array_equal(p_slim, [np.arange(n, 2 * n)])
 
     def test_contract_one_index_per_position(self):
         for _ in range(25):
             n_teachers = int(RNG.integers(1, 5))
             n = int(RNG.integers(2, 9))
             x = RNG.standard_normal((n_teachers * n, 5))
-            p_slim = A.compress_redundancy(x, n_teachers, n)
+            (p_slim,) = A.compress_redundancy(x, n_teachers, n)
             assert p_slim.shape == (n,)
             np.testing.assert_array_equal(np.sort(p_slim % n), np.arange(n))
 
@@ -205,7 +206,7 @@ class TestCompression:
                 cands = [(r[t * n + i], t) for t in range(n_teachers)]
                 best_t = min(cands)[1]
                 expected.append(best_t * n + i)
-            np.testing.assert_array_equal(A.compress_redundancy(x, n_teachers, n),
+            np.testing.assert_array_equal(A.compress_redundancy(x, n_teachers, n)[0],
                                           np.sort(expected))
 
     def test_permutation_consistency_of_teacher_order(self):
@@ -216,11 +217,49 @@ class TestCompression:
 
         n_teachers, n = 3, 5
         x = RNG.standard_normal((n_teachers * n, 4))
-        base = sources_by_position(A.compress_redundancy(x, n_teachers, n), n)
+        base = sources_by_position(A.compress_redundancy(x, n_teachers, n)[0], n)
         order = np.array([2, 0, 1])  # new slot s holds original teacher order[s]
         shuffled = np.vstack([x[t * n:(t + 1) * n] for t in order])
-        new = sources_by_position(A.compress_redundancy(shuffled, n_teachers, n), n)
+        new = sources_by_position(A.compress_redundancy(shuffled, n_teachers, n)[0], n)
         np.testing.assert_array_equal(order[new], base)
+
+    @pytest.mark.parametrize("images", [1, 16])
+    def test_a_block_keeps_what_each_image_keeps(self, images):
+        n_teachers, n, d = 3, 16, 8
+        x = RNG.standard_normal((images * n_teachers * n, d))
+        x[::7] = 0.0  # zero rows keep a zero unit row
+        got = A.compress_redundancy(x, n_teachers, n)
+        want = [compress_redundancy_per_image(block, n_teachers, n)
+                for block in np.split(x, images)]
+        assert got.shape == (images, n)
+        assert_same_bits(got, np.array(want))
+        per_image = [redundancy_per_image(block) for block in np.split(x, images)]
+        assert_same_bits(A.redundancy_all(x, images), np.concatenate(per_image))
+
+    @pytest.mark.parametrize("images", [1, 16])
+    def test_exact_ties_go_to_the_lowest_teacher(self, images):
+        # Tokens are scaled basis vectors and each image has 2 x 8 of them,
+        # so every redundancy is an exact count / 16 and many positions tie.
+        n_teachers, n, d = 2, 8, 3
+        axes = RNG.integers(0, d, size=(images, n_teachers, n))
+        x = np.zeros((images, n_teachers, n, d))
+        scale = RNG.choice([0.5, 1.0, 4.0], size=axes.shape)
+        np.put_along_axis(x, axes[..., None], scale[..., None], axis=3)
+        got = A.compress_redundancy(x.reshape(-1, d), n_teachers, n)
+        ties = 0
+        for b in range(images):
+            count = np.bincount(axes[b].ravel(), minlength=d)
+            r = count[axes[b]]  # (teacher, position)
+            want = [min(range(n_teachers), key=lambda t: (r[t, i], t)) * n + i for i in range(n)]
+            np.testing.assert_array_equal(got[b], np.sort(want))
+            ties += int((r[0] == r[1]).sum())
+        assert ties > 0
+
+    def test_rows_must_split_into_images(self):
+        with pytest.raises(ShapeError):
+            A.compress_redundancy(np.zeros((10, 3)), 2, 4)
+        with pytest.raises(ShapeError):
+            A.compress_redundancy(np.zeros((0, 3)), 2, 4)
 
     def test_isometric_alternation(self):
         p_slim = A.compress_isometric(2, 4)

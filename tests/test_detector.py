@@ -16,13 +16,11 @@ import pytest
 from kaseq import amalgamation as ka
 from kaseq import detector as det
 from kaseq import tensor as T
-from kaseq.amalgamation import compress_redundancy
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
-from helpers import (backbone_project, finite_difference_grad, image_detections, rel_err,
-                     split_parts, student_forward,
-                     teacher_forward)
+from helpers import (backbone_project, compress_redundancy_per_image, finite_difference_grad,
+                     image_detections, rel_err, split_parts, student_forward, teacher_forward)
 
 RNG = np.random.default_rng(17)
 
@@ -179,7 +177,7 @@ class TestStudentForward:
         n, rows = cfg.tokens, 2 * cfg.tokens
         guide = RNG.standard_normal((3 * rows, cfg.d_model))
         out = det.forward_batch([rand_image() for _ in range(3)], params, cfg, guide=guide)
-        want = [b * rows + compress_redundancy(guide[b * rows:(b + 1) * rows], 2, n)
+        want = [b * rows + compress_redundancy_per_image(guide[b * rows:(b + 1) * rows], 2, n)
                 for b in range(3)]
         np.testing.assert_array_equal(out.kept, np.concatenate(want))
 

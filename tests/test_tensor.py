@@ -7,7 +7,9 @@ from kaseq import tensor as T
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import check_grad, div, maximum, minimum, slice_cols, slice_rows
+from helpers import (assert_same_bits, check_grad, clamp_min_reference, div,
+                     layer_norm_reference, maximum, minimum, relu_reference, sigmoid_reference,
+                     slice_cols, slice_rows, SPECIAL_VALUES, special_values)
 
 RNG = np.random.default_rng(20240811)
 
@@ -304,3 +306,71 @@ def test_random_matmul_gradient_tight_tolerance():
     b = rand(5, 3)
     check_grad(lambda t: T.frobenius_sq(T.matmul(t, Tensor(b))), a, tol=1e-6)
     check_grad(lambda t: T.frobenius_sq(T.matmul(Tensor(a), t)), b, tol=1e-6)
+
+
+def _special_inputs():
+    # One entry takes numpy's scalar loops and long rows its SIMD loops,
+    # which break ties between signed zeros differently.
+    rng = np.random.default_rng(7)
+    return ([np.array([[v]]) for v in SPECIAL_VALUES]
+            + [special_values(rng, shape) for shape in ((1, 7), (5, 4), (64, 128))]
+            + [special_values(rng, (64, 128), share=0.002), rng.standard_normal((64, 128)),
+               rng.standard_normal((37, 24))])
+
+
+SPECIAL_INPUTS = _special_inputs()
+
+
+class TestLeanKernelsAreExact:
+    """relu, sigmoid, clamp_min and layer_norm_rows against the plain numpy
+    forms they replace, byte for byte, forward and backward, on inputs with
+    NaN, +-0.0, +-inf and subnormals."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(all="ignore"):  # NaN and inf inputs are the point
+            yield
+
+    @staticmethod
+    def _taped(op, x):
+        leaf = Tensor(x, requires_grad=True)
+        out = op(leaf)
+        g = np.random.default_rng(x.size).standard_normal(x.shape)
+        T.backward_seeded([out], [g])
+        return out.data, leaf.grad, g
+
+    @pytest.mark.parametrize("x", SPECIAL_INPUTS)
+    def test_relu(self, x):
+        want, mask = relu_reference(x)
+        out, grad, g = self._taped(T.relu, x)
+        assert_same_bits(out, want)
+        assert_same_bits(grad, g * mask)
+        assert_same_bits(T.relu(Tensor(x.T)).data, relu_reference(x.T)[0])  # strided
+
+    @pytest.mark.parametrize("x", SPECIAL_INPUTS)
+    def test_sigmoid(self, x):
+        want = sigmoid_reference(x)
+        out, grad, g = self._taped(T.sigmoid, x)
+        assert_same_bits(out, want)
+        assert_same_bits(grad, g * want * (1.0 - want))
+
+    @pytest.mark.parametrize("floor", [T.LOG_FLOOR, 0.0, -0.0, -1.0, 0.2])
+    @pytest.mark.parametrize("x", SPECIAL_INPUTS)
+    def test_clamp_min(self, x, floor):
+        for a in (x, -x, np.where(np.arange(x.size).reshape(x.shape) % 3, x, floor)):
+            want, mask = clamp_min_reference(a, floor)
+            out, grad, g = self._taped(lambda t: T.clamp_min(t, floor), a)
+            assert_same_bits(out, want)
+            assert_same_bits(grad, g * mask)
+
+    @pytest.mark.parametrize("x", SPECIAL_INPUTS)
+    def test_layer_norm_rows(self, x):
+        rng = np.random.default_rng(x.size)
+        gain, bias = rng.standard_normal((2, 1, x.shape[1]))
+        g = rng.standard_normal(x.shape)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layer_norm_rows(*leaves)
+        T.backward_seeded([out], [g])
+        for got, want in zip([out.data] + [leaf.grad for leaf in leaves],
+                             layer_norm_reference(x, gain, bias, g)):
+            assert_same_bits(got, want)

@@ -324,6 +324,43 @@ class TestAPMachinery:
                 assert preds[c].shape == want[c].shape, (key, c)
                 assert preds[c].tobytes() == want[c].tobytes(), (key, c)
 
+    def test_a_seeded_redundancy_student_predicts_pinned_rows(self):
+        # The forward, pinned where the benchmark's AP reference is too loose
+        # to notice: with the query init scaled by 1.00002 this fails.
+        cfg = tiny_cfg(queries=4, num_parts=2, compression="redundancy")
+        params = DetectorParams.init(cfg, np.random.default_rng(2024))
+        data = generate_dataset(count=3, num_categories=8, image_size=32, seed=6)
+        got = tv.collect_predictions(params, cfg, data, range(1, 9))
+        assert all(len(rows) == 0 for c, rows in got.items() if c != 7)
+        # (score, image, slot, x0, y0, x1, y1), computed with np.where relu
+        # and np.var layer norm
+        want = np.array([
+            [0.49701210913367777, 0, 0, 0.5466511498581857, 0.494264998065284,
+             0.7948108887477648, 0.6478593882122095],
+            [0.38864509165261857, 0, 1, 0.497743685817742, 0.46526369868720197,
+             0.7974425756602077, 0.6688256585325224],
+            [0.3381041494348873, 0, 2, 0.5285919614574217, 0.567020711935781,
+             0.8784984198412675, 0.7695585115266993],
+            [0.4634167434102377, 0, 3, 0.516867157410966, 0.47832986169712943,
+             0.7943974434320953, 0.6369784267605785],
+            [0.4157015101619862, 1, 0, 0.48795846633333095, 0.44972472614793213,
+             0.7710688917471886, 0.6099792539856955],
+            [0.4237855950766137, 1, 1, 0.5188171453738033, 0.5174806173630295,
+             0.8376027039270384, 0.7048355470881034],
+            [0.3581364698736872, 1, 2, 0.525626387982012, 0.5571028058146882,
+             0.8605100867469186, 0.7461846533720672],
+            [0.4248571770269945, 1, 3, 0.4146045031646867, 0.40011889175517035,
+             0.7513418933355915, 0.5721475814690786],
+            [0.47223757869255567, 2, 0, 0.5635302782885129, 0.5149427311576018,
+             0.817980343809478, 0.6552976114387419],
+            [0.3658404871256339, 2, 1, 0.49749598044696786, 0.4665516081405278,
+             0.8137215990289128, 0.6657236126599944],
+            [0.3038649881800877, 2, 2, 0.4869553744214492, 0.5200272367939522,
+             0.8570185587049619, 0.7247381948664202],
+            [0.450752118954766, 2, 3, 0.5444522409881064, 0.504005630873356,
+             0.8213679459573985, 0.6544536379724732]])
+        np.testing.assert_allclose(got[7], want, rtol=1e-9, atol=0)
+
 
 class TestEvaluate:
     def test_untrained_model_report_is_valid(self, tiny_eval):
@@ -815,6 +852,19 @@ class TestRedundancyAnalysis:
         assert report.bin_lows.shape == (41,)
         assert report.bin_lows[0] == -1.0 and report.bin_lows[-1] == pytest.approx(1.0)
         assert 0.0 <= report.fraction_above_half <= 1.0
+
+    @pytest.mark.parametrize("batch_size", [3, 64])
+    def test_histogram_is_pinned(self, batch_size):
+        # Counts of the per-image computation, which one call per batch
+        # keeps, whatever the batch size.
+        cfg = tiny_cfg(queries=4, num_parts=2, compression="redundancy")
+        ckpt = tv.make_checkpoint(DetectorParams.init(cfg, np.random.default_rng(2024)), cfg)
+        data = generate_dataset(count=8, num_categories=8, image_size=32, seed=6)
+        report = tv.analyze_redundancy(ckpt, data, batch_size=batch_size)
+        want = np.zeros(41, dtype=np.int64)
+        want[21:32] = [2, 0, 5, 3, 10, 7, 12, 21, 54, 71, 71]
+        np.testing.assert_array_equal(report.counts, want)
+        assert report.token_count == 256 and report.fraction_above_half == 142 / 256
 
     def test_single_part_model_rejected(self, tiny_eval):
         cfg = tiny_cfg()
