@@ -2,7 +2,9 @@
 
 Sequence-level amalgamation supervises the student's per-layer token
 sequences with the concatenation of the frozen teachers' sequences,
-normalized per channel over the mini-batch; the sequence-aggregation
+normalized per channel over the mini-batch. It is one tape op, whose
+layers run forward and backward on the share pool (``tensor.run_shares``),
+each reading its own teacher rows; the sequence-aggregation
 baseline instead projects teacher sequences through learned matrices and
 averages them into a fixed-size hint. Compression keeps exactly one token
 per original grid position, choosing sources by token redundancy (mean
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,24 +56,50 @@ class KAWeights(Settings):
 # sequence-level amalgamation
 
 
-def sa_loss(student_layers: Sequence[Tensor], teacher_layers: Sequence[Tensor],
+def sa_loss(student_layers: Sequence[Tensor], teacher_rows: Callable[[int], np.ndarray],
             n_teachers: int) -> Tensor:
-    """(1/N) * sum_l ||Y_student^l - Y_teacher^l||_F^2 over supervision layers.
-
-    Inputs must already share shapes layer by layer (any compression applied
-    identically to both sides beforehand).
-    """
-    if len(student_layers) != len(teacher_layers):
-        raise ShapeError("student and teacher supervision layer counts differ")
-    if not student_layers:
+    """(1/N) sum_l ||cn(S_l) - cn(T_l)||_F^2, cn being :func:`tensor.channel_norm`,
+    as one tape op over the student's raw layer sequences S_l and their
+    teacher rows T_l = ``teacher_rows(l)``, compressed as the student is. Each
+    layer's forward, its teacher-row read included, and its vjp run on the
+    share pool, the layers dealt to ``min(L, tensor.share_count())`` groups.
+    The operations and their order are those of the composed ops, so the
+    loss and gradients are byte-equal to theirs. The backward keeps only each
+    layer's difference and its student channel-norm intermediates."""
+    count = len(student_layers)
+    if not count:
         raise ContractError("sa_loss needs at least one supervised layer")
-    total: Optional[Tensor] = None
-    for ys, yt in zip(student_layers, teacher_layers):
-        if ys.shape != yt.shape:
-            raise ShapeError(f"supervised layer shapes differ: {ys.shape} vs {yt.shape}")
-        term = T.frobenius_sq(T.sub(ys, yt))
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / n_teachers)
+    shares = min(count, T.share_count())
+    groups = [(range(k, count, shares),) for k in range(shares)]
+    saved: list = [None] * count  # per layer: its term, difference and student cn vjp
+
+    def forward(layers: range) -> None:
+        for l in layers:
+            ys, yt = student_layers[l], np.asarray(teacher_rows(l), dtype=np.float64)
+            if ys.shape != yt.shape or yt.ndim != 2:
+                raise ShapeError(f"supervised layer {l}: student {ys.shape}, teacher {yt.shape}")
+            out, cn_vjp = T.channel_norm_array(ys.data)
+            diff = out - T.channel_norm_array(yt)[0]
+            saved[l] = (np.sum(diff * diff), diff, cn_vjp)
+
+    T.run_shares(forward, groups)
+    total = saved[0][0]
+    for term, *_ in saved[1:]:
+        total = total + term
+    c = 1.0 / n_teachers
+
+    def vjp(g):
+        g, grads = g * c, [None] * count
+
+        def backward(layers: range) -> None:
+            for l in layers:
+                _, diff, cn_vjp = saved[l]
+                grads[l] = cn_vjp(2.0 * g * diff)
+
+        T.run_shares(backward, groups)
+        return grads
+
+    return T._from_op(total * c, tuple(student_layers), vjp)
 
 
 def sag_loss(student_seq: Tensor, teacher_seqs: Sequence[Tensor],

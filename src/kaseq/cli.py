@@ -50,6 +50,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import data as D
 from . import detector
+from . import tensor as T
 from . import traineval as tv
 from .amalgamation import KAWeights
 from .detector import DetectorConfig
@@ -542,7 +543,7 @@ def _init_cells(processes: Optional[int], cfg: dict, train: D.Dataset, eval_ds: 
     """Ready this process to run ablation cells, one teacher-set memo for all of them; as one
     of ``processes`` sharing the cores (None: the only one), cap its shares at its part."""
     if processes is not None:
-        detector.limit_shares(max(1, detector.core_count() // processes))
+        T.limit_shares(max(1, T.core_count() // processes))
     _cells.update(cfg=cfg, train=train, eval_ds=eval_ds, teacher_ckpts=teacher_ckpts,
                   out_dir=out_dir, teachers_by_id={})
 

@@ -8,15 +8,10 @@ decoder cross-attends whatever memory the encoder produced, compressed or
 not.
 
 A forward splits its batch into contiguous image shares, one per usable
-core, before anything is computed: each share projects its images'
-patches, selects their tokens, and runs the encoder, decoder and heads.
-The calling thread runs the first share and a module-level thread pool the
-others, and the results are joined in image order. Every image's rows are
-computed by the same operations either way, so the outputs are byte-equal
-to an unsplit pass. A taped forward (a training step) builds each share's
-graph over leaf views of the parameters, and its joined outputs are tape
-nodes whose backward walks the shares, again one per thread, so
-``loss.backward()`` reaches every parameter.
+core, each running the whole forward of its images on the share pool of
+:mod:`kaseq.tensor`; the outputs are byte-equal to an unsplit pass, and a
+taped forward's backward walks the shares the same way (see
+:func:`forward_batch`).
 
 At import the module has glibc's malloc keep freed heap mapped (see
 :func:`_keep_freed_heap`): every forward frees and reallocates the same
@@ -27,9 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -236,54 +228,6 @@ def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
 # ---------------------------------------------------------------------------
 # splitting forwards across cores
 
-_max_shares: Optional[int] = None  # per-process cap, see limit_shares
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def core_count() -> int:
-    """CPU cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def limit_shares(limit: int) -> None:
-    """Split a forward, and its backward, into at most ``limit`` (>= 1)
-    shares in this process. Processes that share the cores with siblings,
-    such as the workers of a parallel ablation, set it once at start-up."""
-    global _max_shares
-    if limit < 1:
-        raise ContractError(f"a share limit of {limit}; it must be at least 1")
-    _max_shares = limit
-
-
-def share_count() -> int:
-    """Image shares of a forward: one per usable core, at most the
-    :func:`limit_shares` cap."""
-    cores = core_count()
-    return cores if _max_shares is None else min(cores, _max_shares)
-
-
-def _share_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, share_count() - 1),
-                                       thread_name_prefix="kaseq-share")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters (glibc's malloc.h)
 
 
@@ -308,17 +252,6 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
-
-
-def _run_shares(fn, shares: Sequence[tuple]) -> list:
-    """``[fn(*share) for share in shares]``, the first on the calling thread
-    and the others on the share pool."""
-    futures = [_share_pool().submit(fn, *share) for share in shares[1:]]
-    try:
-        results = [fn(*shares[0])]
-    finally:
-        wait(futures)
-    return results + [future.result() for future in futures]
 
 
 def _leaf_views(params: DetectorParams) -> tuple[DetectorParams, list[tuple[Tensor, Tensor]]]:
@@ -399,7 +332,7 @@ def _merge_shares(bounds: list[tuple[int, int]], pairs: list[list[tuple[Tensor, 
                                 "its share graphs were released by the first")
         seeds = [[None if g is None else g[lo * rows:hi * rows]
                   for g, rows in zip(grads, per_image)] for lo, hi in bounds]
-        _run_shares(T.backward_seeded, list(zip(outputs, seeds)))
+        T.run_shares(T.backward_seeded, list(zip(outputs, seeds)))
         gparams: list[Optional[np.ndarray]] = [None] * len(named)
         for share in pairs:
             for i, (_, v) in enumerate(share):
@@ -438,7 +371,7 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     supervision sequences and ``kept`` are those of the full pass. Training
     uses it on steps whose loss reads no prediction.
 
-    The batch is split into ``min(B, share_count())`` contiguous image
+    The batch is split into ``min(B, tensor.share_count())`` contiguous image
     shares before the projection, whether or not the pass records a tape.
     The kept rows of the rules that read no data are picked first, on the
     calling thread: ``isometric``'s fixed rows, and ``random``'s draws, so
@@ -448,14 +381,8 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     the parameters, which share their arrays; the results are concatenated
     in image order, byte-equal to a pass in one share (see
     :func:`_merge_shares` for how a taped pass's gradient reaches the
-    shares; an untaped pass's views and joins record no tape). The calling
-    thread runs the first share and a pool of cores - 1 threads the others.
-    The caller works rather than waits because every thread that allocates
-    gets its own glibc malloc arena, which keeps freed memory (up to 64 MiB
-    each, see :func:`_keep_freed_heap`): on 2 vCPUs, before that setting,
-    the benchmark's ``evaluate_student`` peaked at 80.2 MB with a pool that
-    ran both shares while the caller waited, against 74.1 MB this way (and
-    74.0 MB unsplit).
+    shares; an untaped pass's views and joins record no tape), and
+    ``tensor.run_shares`` runs the shares.
     """
     batch = len(images)
     if batch == 0:
@@ -470,11 +397,11 @@ def forward_batch(images: Sequence[np.ndarray], params: DetectorParams,
     elif cfg.selects_tokens and cfg.compression == "isometric":
         picks = np.tile(ka.compress_isometric(parts, n), (batch, 1))
 
-    count = min(batch, share_count())
+    count = min(batch, T.share_count())
     starts = [batch * s // count for s in range(count + 1)]
     bounds = list(zip(starts, starts[1:]))
     views = [_leaf_views(params) for _ in bounds]
-    results = _run_shares(_share_forward, [
+    results = T.run_shares(_share_forward, [
         (images[lo:hi], None if guide is None else guide[lo * rows:hi * rows],
          None if picks is None else picks[lo:hi], view, cfg, predict)
         for (view, _), (lo, hi) in zip(views, bounds)])

@@ -13,10 +13,17 @@ graph of its own, as those outputs do to walk the forward's shares.
 Tensors are immutable values apart from gradient accumulation. A graph is
 used by one thread at a time; disjoint graphs may be built and walked in
 parallel, and a graph built on one thread may be walked on another.
+
+:func:`run_shares` runs independent pieces of work on the share pool, the
+process's one thread pool: a forward's image shares and their backward
+walks (``detector.forward_batch``), and the layers of ``amalgamation.sa_loss``.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -131,6 +138,71 @@ def backward_seeded(roots: Sequence[Tensor], seeds: Sequence[Optional[np.ndarray
                 flowing[key] = flowing[key] + pg
             else:
                 flowing[key] = pg
+
+
+# ---------------------------------------------------------------------------
+# the share pool
+
+_max_shares: Optional[int] = None  # per-process cap, see limit_shares
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def core_count() -> int:
+    """CPU cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def limit_shares(limit: int) -> None:
+    """Split work into at most ``limit`` (>= 1) shares in this process.
+    Processes that share the cores with siblings, such as the workers of a
+    parallel ablation, set it once at start-up."""
+    global _max_shares
+    if limit < 1:
+        raise ContractError(f"a share limit of {limit}; it must be at least 1")
+    _max_shares = limit
+
+
+def share_count() -> int:
+    """Shares a piece of work is split into: one per usable core, at most
+    the :func:`limit_shares` cap."""
+    cores = core_count()
+    return cores if _max_shares is None else min(cores, _max_shares)
+
+
+def _share_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, share_count() - 1),
+                                       thread_name_prefix="kaseq-share")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_shares(fn, shares: Sequence[tuple]) -> list:
+    """``[fn(*share) for share in shares]``, the first on the calling thread
+    and the others on the share pool. The caller works rather than waits:
+    each thread that allocates gets its own malloc arena, which keeps freed
+    memory (see ``detector._keep_freed_heap``), and a pool that ran every
+    share peaked higher (``evaluate_student`` on 2 vCPUs: 80.2 against 74.1 MB)."""
+    futures = [_share_pool().submit(fn, *share) for share in shares[1:]]
+    try:
+        results = [fn(*shares[0])]
+    finally:
+        wait(futures)
+    return results + [future.result() for future in futures]
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -368,6 +440,26 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     return _from_op(out, (x, gain, bias), vjp)
 
 
+def channel_norm_array(x: np.ndarray, eps: float = 1e-6):
+    """:func:`channel_norm` of an array: the output, and its vjp, which maps
+    an output gradient to the input's and keeps only what it reads."""
+    mu = x.mean(axis=0, keepdims=True)
+    centered = x - mu
+    sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))
+    denom = sigma + eps
+
+    def vjp(g):
+        n = centered.shape[0]
+        gc = (g - g.mean(axis=0, keepdims=True)) / denom
+        # d(sigma)/dx_j = centered_j / (n * sigma); zero for constant columns.
+        safe_sigma = np.where(sigma > 0, sigma, 1.0)
+        coeff = (g * centered).sum(axis=0, keepdims=True) / (n * safe_sigma * denom * denom)
+        coeff = np.where(sigma > 0, coeff, 0.0)
+        return gc - centered * coeff
+
+    return centered / denom, vjp
+
+
 def channel_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize each column to zero mean, unit std over all rows.
 
@@ -376,22 +468,8 @@ def channel_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
     """
     if x.data.ndim != 2:
         raise ShapeError("channel_norm requires a matrix")
-    mu = x.data.mean(axis=0, keepdims=True)
-    centered = x.data - mu
-    sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))
-    denom = sigma + eps
-    out = centered / denom
-
-    def vjp(g):
-        n = x.shape[0]
-        gc = (g - g.mean(axis=0, keepdims=True)) / denom
-        # d(sigma)/dx_j = centered_j / (n * sigma); zero for constant columns.
-        safe_sigma = np.where(sigma > 0, sigma, 1.0)
-        coeff = (g * centered).sum(axis=0, keepdims=True) / (n * safe_sigma * denom * denom)
-        coeff = np.where(sigma > 0, coeff, 0.0)
-        return (gc - centered * coeff,)
-
-    return _from_op(out, (x,), vjp)
+    out, vjp = channel_norm_array(x.data, eps)
+    return _from_op(out, (x,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,22 @@ AdamW, and checkpoints, evaluates and logs each epoch. Callers supply only
 the parameters and the loss: teachers and the raw baselines the
 set-prediction ground-truth loss, amalgamation any mix of sequence-level,
 task-level, aggregation baseline and ground-truth terms against frozen
-teachers. Each loss term is one graph over the whole batch:
-the task-level term is a single ``ta_loss`` call over the B m student slots
-and the (B, K) teacher pools, and the ground-truth term gathers every
-matched slot into one box term; only the assignments are solved per image.
+teachers. Each loss term covers the whole batch at once: the
+sequence-level term is one tape op, ``sa_loss``, whose supervised layers
+run forward and backward on the share pool, each reading its own teacher
+rows; the task-level term is a single ``ta_loss`` call over the B m student
+slots and the (B, K) teacher pools; and the ground-truth term gathers every
+matched slot into one box term. Only the assignments are solved per image.
 Teachers never change during amalgamation, so the teacher set's outputs on
-the training set are computed once into one :class:`TeacherCache` (float32),
-the only source of teacher outputs, stored as the losses read them and only
-as far as the run reads them: ``sa``, ``sa+ta`` and ``sag`` store every
-supervised layer, ``ta`` layer 0 only when the student selects tokens (the
-compression guide), and ``ta`` and ``sa+ta`` the task-level pool. A cache
-without the pool runs only the teachers' projection and encoder. A
-caller-owned memo reuses caches across runs; its key is the teachers'
-digests of configuration and tensors, the training-set object itself, and
-the task partition. An entry that lacks part of what a run reads is dropped
-and rebuilt to hold both, so a memo keeps one cache per teacher set.
+the training set are computed once into one :class:`TeacherCache`, the only
+source of teacher outputs, holding only what the run reads; a caller-owned
+memo keeps one cache per teacher set across runs (see :func:`amalgamate`).
 
-:func:`forward_batch` splits every batch across the cores the process may
-use, and each share runs the whole forward of its images, patch projection
-and token selection included: evaluation and teacher-cache builds, which
-record no tape and join plain arrays, and training steps, whose
-``loss.backward()`` walks the shares' graphs the same way.
+:func:`forward_batch` splits every batch across the cores on the share pool
+of :mod:`kaseq.tensor`, each share running the whole forward of its images,
+and a training step's ``loss.backward()`` walks the shares' graphs the same
+way. Matching, the task-level and ground-truth losses and AdamW run on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -610,7 +605,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
                                 predict=predict)
             # Drop the previous step's loss graph only now, before this step's is built:
             # dropping it with ``out`` at the end of each step was no faster, with freed
-            # heap kept mapped or not (ROADMAP item 3).
+            # heap kept mapped or not (ROADMAP item 5, "Measured and kept as is").
             loss = terms = None
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.
@@ -734,6 +729,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     and the same partition, and only when it holds what ``mode`` reads (see
     :class:`TeacherCache`). Otherwise the entry is dropped first and one
     cache holding what it held and what this run reads takes its place.
+    When no loss reads predictions (label-free ``sa`` and ``sag``), the last
+    encoder layer's ``mlp.b2`` is frozen at its initial value: only channel
+    norms read that layer, and they cancel it, so its true gradient is zero.
     """
     if mode not in AMALGAMATION_MODES:
         raise ConfigError(f"unknown amalgamation mode {mode!r}")
@@ -782,6 +780,10 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
     trainable = params.named_parameters()
+    # Only the task-level and ground-truth terms read the student's predictions.
+    predict = reads_pool or weights.lambda_direct > 0.0
+    if not predict and cfg.enc_layers:  # AdamW would step it by rounding noise alone
+        trainable.pop(f"enc{cfg.enc_layers - 1}.mlp.b2").requires_grad = False
 
     n_layers = cfg.supervised_layers
     if mode == "sag":
@@ -801,12 +803,10 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         batch = len(idx)
         terms: dict[str, Tensor] = {}
         if mode in ("sa", "sa+ta"):
-            student_norm = [T.channel_norm(seq) for seq in out.layer_seqs]
             keep = slice(None) if out.kept is None else out.kept
-            teacher_norm = [T.channel_norm(Tensor(cache.layer_rows(j, idx)[keep]))
-                            for j in range(n_layers)]
-            terms["seq"] = T.scale(ka.sa_loss(student_norm, teacher_norm, n_teachers),
-                                   1.0 / batch)
+            terms["seq"] = T.scale(ka.sa_loss(out.layer_seqs,
+                                              lambda j: cache.layer_rows(j, idx)[keep],
+                                              n_teachers), 1.0 / batch)
         elif mode == "sag":
             per_layer = []
             for j, seq in enumerate(out.layer_seqs):
@@ -829,8 +829,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         return ka.final_loss(terms.get("seq"), terms.get("task"), terms.get("direct"),
                              weights), terms
 
-    # Only the task-level and ground-truth terms read the student's predictions.
-    predict = reads_pool or weights.lambda_direct > 0.0
     # Training-time rule: the teachers' concatenated projections, layer 0 of
     # the cache, guide compression.
     guide = functools.partial(cache.layer_rows, 0) if cfg.selects_tokens else None

@@ -405,6 +405,17 @@ def ta_loss_per_image(student_dists: Tensor, student_boxes: Tensor,
     return T.tsum(per_slot), chosen
 
 
+def sa_loss_composed(student_layers, teacher_layers, n_teachers: int) -> Tensor:
+    """The sequence-level loss of raw per-layer sequences by the composed tape
+    ops: channel norms of both sides, then sub, frobenius_sq, add and scale,
+    the layers summed in order. Teacher layers are arrays."""
+    total = None
+    for ys, yt in zip(student_layers, teacher_layers, strict=True):
+        term = T.frobenius_sq(T.sub(T.channel_norm(ys), T.channel_norm(Tensor(yt))))
+        total = term if total is None else T.add(total, term)
+    return T.scale(total, 1.0 / n_teachers)
+
+
 def token_redundancy(index: int, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if not 0 <= index < x.shape[0]:

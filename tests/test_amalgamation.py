@@ -1,6 +1,9 @@
 """Amalgamation losses, compression strategies, and prediction padding."""
 
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from kaseq.tensor import Tensor
 
 from helpers import (apply_compression, assert_same_bits, box_cost, box_giou, check_grad,
                      compress_redundancy_per_image, confidence, is_leaf, kl_divergence,
-                     match_cost, pad_prediction, redundancy_per_image, ta_loss_per_image,
-                     token_redundancy)
+                     match_cost, pad_prediction, redundancy_per_image, sa_loss_composed,
+                     ta_loss_per_image, token_redundancy)
 from helpers import box_giou_rows as composed_giou_rows
 
 RNG = np.random.default_rng(31)
@@ -58,19 +61,47 @@ class TestChannelNormalize:
         assert is_leaf(normed) and not normed.requires_grad
 
 
+def sa_case(rng, rows, layers=4, d=5):
+    """Raw student leaves and teacher arrays of ``layers`` supervised layers,
+    with a constant column on each side (the sigma = 0 branch)."""
+    students = [Tensor(rng.standard_normal((rows, d)) * 2 + 1, requires_grad=True)
+                for _ in range(layers)]
+    teachers = [rng.standard_normal((rows, d)) for _ in range(layers)]
+    students[0].data[:, 1] = 0.75
+    teachers[-1][:, 2] = -3.0
+    return students, teachers
+
+
 class TestSALoss:
     def test_identical_layers_is_zero(self):
         layers = [Tensor(RNG.standard_normal((5, 4))) for _ in range(3)]
-        assert A.sa_loss(layers, layers, n_teachers=2).item() == 0.0
+        rows = [t.data for t in layers]
+        assert A.sa_loss(layers, rows.__getitem__, n_teachers=2).item() == 0.0
 
-    def test_unit_difference_forced_value(self):
-        ys = Tensor(np.zeros((4, 3)))
-        yt = Tensor(np.ones((4, 3)))
-        assert A.sa_loss([ys], [yt], n_teachers=2).item() == pytest.approx(6.0)
+    def test_opposite_columns_forced_value(self):
+        # Each column is +-1 about its mean, so it normalizes to +-1/(1 + eps);
+        # the teacher's opposite signs make every difference 2/(1 + eps).
+        signs = np.array([1.0, -1.0, 1.0, -1.0])[:, None] * np.ones((1, 3))
+        ys = Tensor(signs + np.array([3.0, -2.0, 0.5]))
+        yt = 7.0 - signs
+        expected = 12 * 4.0 / (1.0 + 1e-6) ** 2 / 2
+        assert A.sa_loss([ys], [yt].__getitem__, n_teachers=2).item() == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_constant_columns_are_zero_after_normalization(self):
+        # A constant column normalizes to exactly zero on either side.
+        ys = Tensor(np.full((4, 2), 5.0))
+        yt = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, 2.0], [-1.0, 2.0]])
+        assert A.sa_loss([ys], [yt].__getitem__, n_teachers=1).item() == pytest.approx(
+            4 / (1.0 + 1e-6) ** 2, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            A.sa_loss([Tensor(np.zeros((3, 2)))], [Tensor(np.zeros((2, 3)))], 1)
+            A.sa_loss([Tensor(np.zeros((3, 2)))], [np.zeros((2, 3))].__getitem__, 1)
+
+    def test_no_layer_rejected(self):
+        with pytest.raises(ContractError):
+            A.sa_loss([], [].__getitem__, 1)
 
     def test_gradient_matches_finite_differences(self):
         x1, x2 = RNG.standard_normal((5, 4)), RNG.standard_normal((5, 4))
@@ -78,29 +109,100 @@ class TestSALoss:
 
         def loss(w):
             return A.sa_loss([T.matmul(Tensor(x1), w), T.matmul(Tensor(x2), w)],
-                             [Tensor(yt1), Tensor(yt2)], n_teachers=2)
+                             [yt1, yt2].__getitem__, n_teachers=2)
 
         check_grad(loss, RNG.standard_normal((4, 4)), tol=1e-4)
 
-    def test_closed_form_gradient_on_linear_layer(self):
-        # d/dW (1/N) sum_i ||X^i W - Y_t^i||_F^2 = (2/N) sum_i (X^i)^T (Y_s^i - Y_t^i)
-        n_teachers = 3
-        xs = [RNG.standard_normal((6, 4)) for _ in range(n_teachers)]
-        yts = [RNG.standard_normal((6, 4)) for _ in range(n_teachers)]
-        w = Tensor(RNG.standard_normal((4, 4)), requires_grad=True)
-        loss = A.sa_loss([T.matmul(Tensor(x), w) for x in xs],
-                         [Tensor(y) for y in yts], n_teachers)
+    def test_gradient_is_blind_to_column_shifts(self):
+        # cn subtracts each column's mean, so the loss does not see a shift
+        # of a student column and its gradient sums to zero down each column.
+        students, teachers = sa_case(RNG, 12, layers=2)
+        loss = A.sa_loss(students, teachers.__getitem__, 2)
         loss.backward()
-        expected = sum(x.T @ (x @ w.data - y) for x, y in zip(xs, yts)) * (2.0 / n_teachers)
-        assert np.max(np.abs(w.grad - expected)) < 1e-10
+        for s in students:  # to rounding, which the constant column's 1/eps scales up
+            assert np.all(np.abs(s.grad.sum(axis=0)) <= 1e-14 * (np.abs(s.grad).sum(axis=0) + 1))
+        shifted = [Tensor(s.data + RNG.standard_normal((1, s.shape[1]))) for s in students]
+        assert A.sa_loss(shifted, teachers.__getitem__, 2).item() == pytest.approx(
+            loss.item(), rel=1e-12)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [2 * 2 * 16, 2 * 16], ids=["uncompressed", "compressed"])
+    def test_equals_the_composed_ops_byte_for_byte(self, monkeypatch, rows, cores):
+        # The oracle: channel norms, sub, frobenius_sq, add and scale as
+        # separate tape ops, at one share.
+        monkeypatch.setattr(T, "_max_shares", None)
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        # Seeds whose layer terms sum to another value in another order.
+        students, teachers = sa_case(np.random.default_rng({64: 4, 32: 10}[rows]), rows)
+        want = sa_loss_composed(students, teachers, 2)
+        want.backward()
+        want_grads = [s.grad for s in students]
+        for s in students:
+            s.grad = None
+        monkeypatch.setattr(T, "core_count", lambda: cores)
+        caller, readers = threading.current_thread(), {}
+
+        def rows_of(l):
+            readers[l] = threading.current_thread()
+            return teachers[l]
+
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            submitted = []
+            monkeypatch.setattr(T, "_share_pool", lambda: submitted.append(1) or executor)
+            got = A.sa_loss(students, rows_of, 2)
+            got.backward()
+        assert got.data.tobytes() == want.data.tobytes()
+        for s, g in zip(students, want_grads):
+            assert s.grad.tobytes() == g.tobytes()
+        # The four layers are dealt to min(4, cores) groups, each read in its group.
+        assert len(submitted) == 2 * (cores - 1)  # the forward's groups and the backward's
+        off_caller = {l for l, thread in readers.items() if thread is not caller}
+        assert off_caller == {l for l in range(4) if l % cores}
+
+    def test_more_groups_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # Six layers in six groups on five pool threads, switching threads
+        # every microsecond: a term or gradient written to the wrong layer,
+        # or lost, breaks the equality with the composed ops.
+        monkeypatch.setattr(T, "_max_shares", None)
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        # A seed whose layer terms sum to another value in another order.
+        students, teachers = sa_case(np.random.default_rng(0), 48, layers=6)
+        want = sa_loss_composed(students, teachers, 3)
+        want.backward()
+        want_grads = [s.grad for s in students]
+        runs = []
+
+        def run():
+            for _ in range(2):
+                for s in students:
+                    s.grad = None
+                loss = A.sa_loss(students, teachers.__getitem__, 3)
+                loss.backward()
+                runs.append((loss.data.tobytes(), [s.grad.tobytes() for s in students]))
+
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(max_workers=5) as executor:
+            monkeypatch.setattr(T, "_share_pool", lambda: executor)
+            monkeypatch.setattr(T, "core_count", lambda: 6)
+            sys.setswitchinterval(1e-6)
+            try:
+                runner = threading.Thread(target=run)
+                runner.start()
+                runner.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not runner.is_alive() and len(runs) == 2
+        for loss, grads in runs:
+            assert loss == want.data.tobytes()
+            assert grads == [g.tobytes() for g in want_grads]
 
 
 class TestSAGLoss:
     def test_single_teacher_identity_projection_equals_sa(self):
         ys = Tensor(RNG.standard_normal((5, 3)))
         yt = Tensor(RNG.standard_normal((5, 3)))
-        sag = A.sag_loss(ys, [yt], [Tensor(np.eye(3))])
-        sa = A.sa_loss([ys], [yt], n_teachers=1)
+        sag = A.sag_loss(T.channel_norm(ys), [T.channel_norm(yt)], [Tensor(np.eye(3))])
+        sa = A.sa_loss([ys], [yt.data].__getitem__, n_teachers=1)
         assert sag.item() == pytest.approx(sa.item(), abs=1e-12)
 
     def test_zero_teachers_reduce_to_student_norm(self):
@@ -141,7 +243,7 @@ class TestSAGLoss:
             return w.grad
 
         w_student = RNG.standard_normal((d, d))
-        g_sa = grad_of(lambda w: A.sa_loss([T.matmul(Tensor(x), w)], [Tensor(y_sa)], 1))
+        g_sa = grad_of(lambda w: T.frobenius_sq(T.sub(T.matmul(Tensor(x), w), Tensor(y_sa))))
         g_sag = grad_of(lambda w: A.sag_loss(T.matmul(Tensor(x), w), [Tensor(y_t)],
                                              [Tensor(w_opt)]))
         assert np.max(np.abs(g_sa - g_sag)) < 1e-10

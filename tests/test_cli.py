@@ -19,7 +19,7 @@ import pytest
 
 import kaseq
 from kaseq import cli
-from kaseq import detector
+from kaseq import tensor as T
 from kaseq import traineval as tv
 from kaseq.detector import DetectorConfig, DetectorParams
 
@@ -676,11 +676,11 @@ def test_per_epoch_evaluation_uses_the_eval_batch_size(ws, monkeypatch, command)
 @pytest.mark.parametrize("cores, workers, shares", [(8, 1, 8), (8, 3, 2), (2, 2, 1),
                                                     (2, 4, 1)])
 def test_ablation_workers_split_the_cores_between_them(monkeypatch, cores, workers, shares):
-    monkeypatch.setattr(detector, "core_count", lambda: cores)
-    monkeypatch.setattr(detector, "_max_shares", None)
+    monkeypatch.setattr(T, "core_count", lambda: cores)
+    monkeypatch.setattr(T, "_max_shares", None)
     monkeypatch.setattr(cli, "_cells", {})
     cli._init_cells(workers, {}, None, None, [], "")
-    assert detector.share_count() == shares
+    assert T.share_count() == shares
 
 
 def _children(pid: int) -> list[int]:

@@ -207,9 +207,9 @@ class TestSplitForward:
         outs = []
         with ThreadPoolExecutor(max_workers=2) as executor:
             pool = CountingPool(executor)
-            monkeypatch.setattr(det, "_share_pool", lambda: pool)
+            monkeypatch.setattr(T, "_share_pool", lambda: pool)
             for cores in (1, 2, 3):
-                monkeypatch.setattr(det, "core_count", lambda: cores)
+                monkeypatch.setattr(T, "core_count", lambda: cores)
                 before = pool.submitted
                 outs.append(det.forward_batch(images, params, cfg, predict=predict,
                                               rng=np.random.default_rng(4)))
@@ -234,7 +234,7 @@ class TestSplitForward:
         cfg = tiny_cfg(num_parts=2, compression=compression)
         params = det.DetectorParams.init(cfg, np.random.default_rng(2))
         images = [rand_image() for _ in range(3)]
-        monkeypatch.setattr(det, "core_count", lambda: 2)
+        monkeypatch.setattr(T, "core_count", lambda: 2)
         out = det.forward_batch(images, params, cfg)
         for t in out.layer_seqs + [out.dists, out.boxes]:
             assert t.requires_grad and t._parents
@@ -245,10 +245,10 @@ class TestSplitForward:
 
     @pytest.mark.parametrize("limit", [0, -2])
     def test_a_share_limit_below_one_is_rejected(self, monkeypatch, limit):
-        monkeypatch.setattr(det, "_max_shares", None)
+        monkeypatch.setattr(T, "_max_shares", None)
         with pytest.raises(ContractError, match="at least 1"):
-            det.limit_shares(limit)
-        assert det.share_count() == det.core_count()
+            T.limit_shares(limit)
+        assert T.share_count() == T.core_count()
         cfg = tiny_cfg()
         params = det.DetectorParams.init(cfg, np.random.default_rng(2))
         params.set_requires_grad(False)
@@ -258,10 +258,10 @@ class TestSplitForward:
 @pytest.fixture
 def share_pool(monkeypatch):
     """A counting two-thread share pool, with no cap on the share count."""
-    monkeypatch.setattr(det, "_max_shares", None)
+    monkeypatch.setattr(T, "_max_shares", None)
     with ThreadPoolExecutor(max_workers=2) as executor:
         pool = CountingPool(executor)
-        monkeypatch.setattr(det, "_share_pool", lambda: pool)
+        monkeypatch.setattr(T, "_share_pool", lambda: pool)
         yield pool
 
 
@@ -294,7 +294,7 @@ def every_output_loss(out):
 
 def step_gradients(monkeypatch, cores, params, cfg, images, predict):
     """Each parameter's gradient after one step at ``cores`` cores, by name."""
-    monkeypatch.setattr(det, "core_count", lambda: cores)
+    monkeypatch.setattr(T, "core_count", lambda: cores)
     named = params.named_parameters()
     for p in named.values():
         p.grad = None
@@ -312,7 +312,7 @@ class TestSplitBackward:
     def test_a_taped_forward_reaches_the_share_pool(self, monkeypatch, share_pool, compression,
                                                     predict, enc_layers):
         params, cfg = self.split_case(compression, enc_layers)
-        monkeypatch.setattr(det, "core_count", lambda: 2)
+        monkeypatch.setattr(T, "core_count", lambda: 2)
         out = det.forward_batch([rand_image() for _ in range(2)], params, cfg, predict=predict)
         assert share_pool.submitted == 1  # the forward's second share
         every_output_loss(out).backward()
@@ -322,7 +322,7 @@ class TestSplitBackward:
     def test_a_second_backward_through_a_split_forward_is_rejected(self, monkeypatch,
                                                                    share_pool, cores):
         params, cfg = self.split_case("redundancy")
-        monkeypatch.setattr(det, "core_count", lambda: cores)
+        monkeypatch.setattr(T, "core_count", lambda: cores)
         out = det.forward_batch([rand_image() for _ in range(2)], params, cfg)
         loss = every_output_loss(out)
         loss.backward()
@@ -372,8 +372,8 @@ class TestSplitBackward:
         steps = []
         interval = sys.getswitchinterval()
         with ThreadPoolExecutor(max_workers=5) as executor:
-            monkeypatch.setattr(det, "_share_pool", lambda: executor)
-            monkeypatch.setattr(det, "_max_shares", None)
+            monkeypatch.setattr(T, "_share_pool", lambda: executor)
+            monkeypatch.setattr(T, "_max_shares", None)
             sys.setswitchinterval(1e-6)
             try:
                 runner = threading.Thread(target=lambda: steps.extend(
@@ -393,9 +393,10 @@ class TestSplitBackward:
     def test_split_sa_ta_gradient_matches_finite_differences(self, monkeypatch, share_pool,
                                                              compression):
         # The independent oracle: central differences of the loss, each
-        # evaluated by a forward split across two cores.
+        # evaluated by a forward, and a sequence-level loss, split across two
+        # cores.
         params, cfg = self.split_case(compression)
-        monkeypatch.setattr(det, "core_count", lambda: 2)
+        monkeypatch.setattr(T, "core_count", lambda: 2)
         rng = np.random.default_rng(8)
         batch, n, m = 2, cfg.tokens, cfg.queries
         images = [rand_image() for _ in range(batch)]
@@ -409,8 +410,7 @@ class TestSplitBackward:
         def step():
             out = det.forward_batch(images, params, cfg, guide=guide)
             keep = slice(None) if out.kept is None else out.kept
-            seq = ka.sa_loss([T.channel_norm(s) for s in out.layer_seqs],
-                             [T.channel_norm(Tensor(t[keep])) for t in teacher_layers], 2)
+            seq = ka.sa_loss(out.layer_seqs, lambda l: teacher_layers[l][keep], 2)
             task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
             return out, ka.final_loss(seq, task, None, weights)
 
@@ -473,10 +473,10 @@ class TestFreedHeap:
 EVALUATE_FAULTS = """
 import json, resource
 import numpy as np
-from kaseq import detector as det, traineval as tv
+from kaseq import detector as det, tensor as T, traineval as tv
 from kaseq.data import generate_dataset
 
-det.core_count = lambda: 2
+T.core_count = lambda: 2
 cfg = det.DetectorConfig(num_parts=2, compression="redundancy")
 ckpt = tv.make_checkpoint(det.DetectorParams.init(cfg, np.random.default_rng(3)), cfg)
 dataset = generate_dataset(32, cfg.num_categories, cfg.image_size, seed=11)

@@ -309,10 +309,10 @@ class TestAPMachinery:
         params = DetectorParams.init(cfg, np.random.default_rng(8))
         params.set_requires_grad(False)
         ids = list(range(1, 9))
-        monkeypatch.setattr(det, "_max_shares", None)
+        monkeypatch.setattr(T, "_max_shares", None)
         got = {}
         for cores in (1, 2, 3):
-            monkeypatch.setattr(det, "core_count", lambda: cores)
+            monkeypatch.setattr(T, "core_count", lambda: cores)
             for batch_size in (1, 5, 32):
                 got[cores, batch_size] = tv.collect_predictions(params, cfg, tiny_eval, ids,
                                                                 batch_size)
@@ -662,9 +662,9 @@ class TestTrainingLoops:
         finite = []
         sa_loss = ka.sa_loss
 
-        def recording_sa_loss(student, teacher, n_teachers):
+        def recording_sa_loss(student, teacher_rows, n_teachers):
             finite.append(all(np.isfinite(seq.data).all() for seq in student))
-            return sa_loss(student, teacher, n_teachers)
+            return sa_loss(student, teacher_rows, n_teachers)
 
         monkeypatch.setattr(ka, "sa_loss", recording_sa_loss)
         dump = str(tmp_path / "crash.ckpt")
@@ -730,29 +730,61 @@ class TestSplitForwards:
                                                       monkeypatch):
         cfg = tiny_cfg(num_parts=2, compression="redundancy")
         memo = {}
-        monkeypatch.setattr(det, "_max_shares", None)
-        submitted, shipped_pool = [], det._share_pool
+        monkeypatch.setattr(T, "_max_shares", None)
+        submitted, shipped_pool = [], T._share_pool
 
         def share_pool():
             submitted.append(1)
             return shipped_pool()
 
-        monkeypatch.setattr(det, "_share_pool", share_pool)
+        monkeypatch.setattr(T, "_share_pool", share_pool)
         students = []
         for cores in (1, 2):
-            monkeypatch.setattr(det, "core_count", lambda: cores)
+            monkeypatch.setattr(T, "core_count", lambda: cores)
             del submitted[:]
             students.append(tv.amalgamate(tiny_teachers, tiny_train, cfg, "sa+ta", epochs=2,
                                           seed=3, batch_size=8, teachers_by_id=memo,
                                           opt_settings=tv.OptimSettings(lr=1e-3)))
-            # 2 epochs of 3 steps, each a forward and a backward in two shares
-            assert len(submitted) == (0 if cores == 1 else 6 * 2)
+            # 2 epochs of 3 steps, each in two shares: the forward, the
+            # sequence-level loss's forward and backward, and the share backward
+            assert len(submitted) == (0 if cores == 1 else 6 * 4)
         one, two = students
         for name, want in one.tensors.items():
             # Summing by share changes the rounding of each gradient, and
             # Adam's per-coordinate step scales the difference up.
             np.testing.assert_allclose(two.tensors[name], want, rtol=0,
                                        atol=1e-9 * np.abs(want).max(), err_msg=name)
+
+    @pytest.mark.parametrize("mode, parts", [("sa", 2), ("sag", 1)])
+    def test_label_free_students_agree_across_shares(self, tiny_train, tiny_teachers,
+                                                     monkeypatch, mode, parts):
+        # No loss reads predictions, so only channel norms read the last
+        # encoder layer: its output bias has a zero true gradient and stays
+        # frozen: AdamW would otherwise step it by share-dependent rounding.
+        cfg = tiny_cfg(num_parts=parts)
+        dead = f"enc{cfg.enc_layers - 1}.mlp.b2"
+        initial = DetectorParams.init(cfg, np.random.default_rng(0)).named_parameters()[dead]
+        monkeypatch.setattr(T, "_max_shares", None)
+        students, memo = [], {}
+        for cores in (1, 2):
+            monkeypatch.setattr(T, "core_count", lambda: cores)
+            students.append(tv.amalgamate(tiny_teachers, tiny_train, cfg, mode, epochs=2,
+                                          seed=0, batch_size=8, label_free=True,
+                                          teachers_by_id=memo,
+                                          opt_settings=tv.OptimSettings(lr=1e-3)))
+        one, two = students
+        for ckpt in students:
+            assert ckpt.tensors[dead].tobytes() == initial.data.tobytes()
+        assert not np.array_equal(one.tensors["enc0.mlp.b2"], initial.data)  # the others train
+        for name, want in one.tensors.items():
+            # A hidden unit of the last MLP that is active on every row of a
+            # batch shifts that layer's columns by a constant, so its b1 entry
+            # is dead on that batch too. Such entries are not frozen (which
+            # units they are depends on the data), and here they differ by up
+            # to 4e-6 of max |b1| between share counts.
+            rel = 1e-5 if name == f"enc{cfg.enc_layers - 1}.mlp.b1" else 1e-9
+            np.testing.assert_allclose(two.tensors[name], want, rtol=0,
+                                       atol=rel * np.abs(want).max(), err_msg=name)
 
     def test_the_cache_freezes_its_teachers(self, tiny_train, tiny_teachers, monkeypatch):
         part = TaskPartition.equal_split(8, 2)
@@ -783,18 +815,18 @@ class TestSplitForwards:
                                                              monkeypatch):
         part = TaskPartition.equal_split(8, 2)
         models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
-        monkeypatch.setattr(det, "_max_shares", None)
-        pools, shipped_pool = [], det._share_pool
+        monkeypatch.setattr(T, "_max_shares", None)
+        pools, shipped_pool = [], T._share_pool
 
         def share_pool():
             pools.append(shipped_pool())
             return pools[-1]
 
-        monkeypatch.setattr(det, "_share_pool", share_pool)
+        monkeypatch.setattr(T, "_share_pool", share_pool)
         for pool in (True, False):  # a full build and an encoder-only one
             caches = []
             for cores in (1, 2):
-                monkeypatch.setattr(det, "core_count", lambda: cores)
+                monkeypatch.setattr(T, "core_count", lambda: cores)
                 del pools[:]
                 caches.append(tv.TeacherCache(models, tiny_train, part, 3, pool, batch_size=5))
                 assert len(pools) == (0 if cores == 1 else 2 * 5)  # 2 teachers, 5 batches
