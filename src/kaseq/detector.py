@@ -110,7 +110,7 @@ class BoxHead(tf.MLP):
                    b2=tf._zeros_row(d), w3=tf._xavier(d, 4, rng), b3=tf._zeros_row(4))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.sigmoid(T.add(T.matmul(T.relu(super().__call__(x)), self.w3), self.b3))
+        return T.sigmoid(T.matmul_add(T.relu(super().__call__(x)), self.w3, self.b3))
 
 
 @dataclass

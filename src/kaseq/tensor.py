@@ -258,15 +258,80 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _from_op(a.data * c, (a,), lambda g: (g * c,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_shapes(a: Tensor, b: Tensor, op: str,
+                   *addends: tuple[Optional[Tensor], tuple]) -> None:
+    # a b must be defined, and each addend given must have an allowed shape.
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires matrices, got {a.shape} and {b.shape}")
+        raise ShapeError(f"{op} requires matrices, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
+        raise ShapeError(f"{op}: inner dimensions {a.shape} x {b.shape} disagree")
+    for c, shapes in addends:
+        if c is not None and c.shape not in shapes:
+            raise ShapeError(f"{op}: an addend of shape {c.shape}, not one of {shapes}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _matmul_shapes(a, b, "matmul")
     na, nb = a.requires_grad, b.requires_grad
     return _from_op(a.data @ b.data, (a, b),
                     lambda g: (g @ b.data.T if na else None,
                                a.data.T @ g if nb else None))
+
+
+def matmul_add(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
+    """``a b + c``, where ``c`` is a (1, d) bias row or a residual of the
+    product's shape, keeping ``a`` and ``b`` for the backward but no product.
+    Byte-equal to ``add(matmul(a, b), c)`` for a row and ``add(c, matmul(a,
+    b))`` for a residual of two or more rows (a sum of two NaNs takes the
+    first one's sign). ``c`` is the first parent, as the residual is the
+    composed add's first operand, so a backward walk meets the nodes, and
+    sums each gradient read by several of them, in the same order."""
+    _matmul_shapes(a, b, "matmul_add", (c, ((1, b.shape[1]), (a.shape[0], b.shape[1]))))
+    out = a.data @ b.data
+    if c.shape[0] == 1:
+        out += c.data
+    else:
+        np.add(c.data, out, out=out)
+    na, nb, nc = a.requires_grad, b.requires_grad, c.requires_grad
+    return _from_op(out, (c, a, b),
+                    lambda g: (_reduce_to(g, c.shape) if nc else None,
+                               g @ b.data.T if na else None,
+                               a.data.T @ g if nb else None))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        residual: Optional[Tensor] = None) -> Tensor:
+    """``relu(x w1 + b1) w2 + b2``, plus ``residual`` when given (as the
+    first parent and operand, see :func:`matmul_add`), byte-equal to the
+    composed ops. The hidden layer is one buffer, biased and rectified in
+    place as in :func:`relu`; only it is kept for the backward, whose mask
+    ``h > 0`` equals ``x w1 + b1 > 0`` for every input, NaN and -0.0 too."""
+    _matmul_shapes(x, w1, "mlp", (b1, ((1, w1.shape[1]),)))
+    _matmul_shapes(w1, w2, "mlp", (b2, ((1, w2.shape[1]),)),
+                   (residual, ((x.shape[0], w2.shape[1]),)))
+    h = x.data @ w1.data
+    h += b1.data
+    np.fmax(h, 0.0, out=h)
+    h += 0.0
+    out = h @ w2.data
+    out += b2.data
+    if residual is not None:
+        np.add(residual.data, out, out=out)
+    nx, nw1, nb1, nw2, nb2 = (t.requires_grad for t in (x, w1, b1, w2, b2))
+
+    def vjp(g):
+        gx = gw1 = gb1 = None
+        if nx or nw1 or nb1:
+            gpre = g @ w2.data.T
+            gpre *= (h > 0)
+            gx = gpre @ w1.data.T if nx else None
+            gw1 = x.data.T @ gpre if nw1 else None
+            gb1 = _reduce_to(gpre, b1.shape) if nb1 else None
+        grads = (gx, gw1, gb1, h.T @ g if nw2 else None, _reduce_to(g, b2.shape) if nb2 else None)
+        return grads if residual is None else (g,) + grads
+
+    parents = (x, w1, b1, w2, b2) if residual is None else (residual, x, w1, b1, w2, b2)
+    return _from_op(out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

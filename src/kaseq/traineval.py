@@ -729,9 +729,15 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     and the same partition, and only when it holds what ``mode`` reads (see
     :class:`TeacherCache`). Otherwise the entry is dropped first and one
     cache holding what it held and what this run reads takes its place.
-    When no loss reads predictions (label-free ``sa`` and ``sag``), the last
-    encoder layer's ``mlp.b2`` is frozen at its initial value: only channel
-    norms read that layer, and they cancel it, so its true gradient is zero.
+    When no loss reads predictions (label-free ``sa`` and ``sag``), only the
+    projections and the encoder train; the decoder, ``final_ln``, ``queries``
+    and the heads keep their initial values. So does the last encoder
+    layer's ``mlp.b2``: only channel norms read that layer, and they cancel
+    it, so its true gradient is zero. Its ``mlp.b1`` entries are
+    unconstrained on a batch where their hidden unit is active on every row,
+    which shifts the layer's columns by a constant: their true gradient is
+    zero there too, and AdamW steps them by rounding noise. Which units
+    those are depends on the data, so they are not frozen.
     """
     if mode not in AMALGAMATION_MODES:
         raise ConfigError(f"unknown amalgamation mode {mode!r}")
@@ -782,8 +788,10 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     trainable = params.named_parameters()
     # Only the task-level and ground-truth terms read the student's predictions.
     predict = reads_pool or weights.lambda_direct > 0.0
-    if not predict and cfg.enc_layers:  # AdamW would step it by rounding noise alone
-        trainable.pop(f"enc{cfg.enc_layers - 1}.mlp.b2").requires_grad = False
+    if not predict:  # AdamW would decay what no loss reads and step the dead b2 by noise
+        dead = f"enc{cfg.enc_layers - 1}.mlp.b2"
+        for name in [n for n in trainable if not n.startswith(("proj", "enc")) or n == dead]:
+            trainable.pop(name).requires_grad = False
 
     n_layers = cfg.supervised_layers
     if mode == "sag":

@@ -23,6 +23,13 @@ The parameters come in small groups: a :class:`Norm` (gain ``g``, bias
 An encoder layer holds ``ln1, attn, ln2, mlp``; a decoder layer holds
 ``ln1, self_, ln2, cross, ln3, mlp``. The field names are the tensors'
 checkpoint names (see :class:`kaseq.detector.DetectorParams`).
+
+Each group runs as one tape op, byte-equal to the matmul, add and relu ops
+it replaces. An affine map and an attention's ``W_vo`` product with its
+residual are one ``tensor.matmul_add``, which keeps its two factors; an MLP
+with its residual is one ``tensor.mlp``, which keeps its input and its
+rectified hidden layer. Neither keeps a product, a pre-activation or a
+branch output, which no backward reads.
 """
 
 from __future__ import annotations
@@ -96,7 +103,8 @@ class Norm:
 
 @dataclass
 class Affine:
-    """x w + b, with a Xavier-initialized fan_in x fan_out ``w`` and a zero row ``b``."""
+    """x w + b, with a Xavier-initialized fan_in x fan_out ``w`` and a zero
+    row ``b``; one ``tensor.matmul_add``, which keeps ``x`` and ``w``."""
 
     w: Tensor
     b: Tensor
@@ -106,12 +114,13 @@ class Affine:
         return cls(w=_xavier(fan_in, fan_out, rng), b=_zeros_row(fan_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
+        return T.matmul_add(x, self.w, self.b)
 
 
 @dataclass
 class MLP:
-    """relu(x w1 + b1) w2 + b2."""
+    """relu(x w1 + b1) w2 + b2, plus a residual when one is given; one
+    ``tensor.mlp``, which keeps ``x`` and the rectified hidden layer."""
 
     w1: Tensor
     b1: Tensor
@@ -123,8 +132,8 @@ class MLP:
         return cls(w1=_xavier(d_in, hidden, rng), b1=_zeros_row(hidden),
                    w2=_xavier(hidden, d_out, rng), b2=_zeros_row(d_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(T.relu(T.add(T.matmul(x, self.w1), self.b1)), self.w2), self.b2)
+    def __call__(self, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+        return T.mlp(x, self.w1, self.b1, self.w2, self.b2, residual)
 
 
 @dataclass
@@ -169,10 +178,12 @@ def _zeros_row(d: int) -> Tensor:
 # attention
 
 
-def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1) -> Tensor:
+def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1,
+        residual: Optional[Tensor] = None) -> Tensor:
     """Multi-head attention in matrix form: the queries and the keys each
     split into ``blocks`` equal aligned blocks, and query block j attends
-    only to key block j."""
+    only to key block j. A ``residual`` is added to the output in the
+    ``W_vo`` product's op."""
     if q.shape[1] != p.d_model or k.shape[1] != p.d_model or v.shape[1] != p.d_model:
         raise ShapeError("mha inputs must have width d_model")
     if blocks < 1 or q.shape[0] % blocks or k.shape[0] % blocks:
@@ -180,7 +191,7 @@ def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1) -> Tenso
                          f"and {k.shape[0]} key rows")
     mixed = T.block_attention(T.matmul(q, p.wq), T.matmul(k, p.wk), v,
                               p.heads, q.shape[0] // blocks, k.shape[0] // blocks)
-    return T.matmul(mixed, p.wvo)
+    return T.matmul(mixed, p.wvo) if residual is None else T.matmul_add(mixed, p.wvo, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +213,8 @@ def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int
     for layer in layers:
         u = layer.ln1(x)
         qk = T.add(u, pos_t) if pos_t is not None else u
-        x = T.add(x, mha(qk, qk, u, layer.attn, blocks))
-        x = T.add(x, layer.mlp(layer.ln2(x)))
+        x = mha(qk, qk, u, layer.attn, blocks, residual=x)
+        x = layer.mlp(layer.ln2(x), residual=x)
         outputs.append(x)
     return outputs
 
@@ -217,10 +228,10 @@ def decoder_forward(memory: Tensor, queries: Tensor, layers: Sequence[DecoderLay
     x = queries
     for layer in layers:
         u = layer.ln1(x)
-        x = T.add(x, mha(u, u, u, layer.self_, blocks))
+        x = mha(u, u, u, layer.self_, blocks, residual=x)
         u = layer.ln2(x)
-        x = T.add(x, mha(u, memory, memory, layer.cross, blocks))
-        x = T.add(x, layer.mlp(layer.ln3(x)))
+        x = mha(u, memory, memory, layer.cross, blocks, residual=x)
+        x = layer.mlp(layer.ln3(x), residual=x)
     return final_ln(x)
 
 

@@ -5,6 +5,7 @@ loops, exhaustive enumeration, scalar formulas, single-image forwards) so it
 cannot share a failure mode with the batched library code it checks.
 """
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -414,6 +415,33 @@ def sa_loss_composed(student_layers, teacher_layers, n_teachers: int) -> Tensor:
         term = T.frobenius_sq(T.sub(T.channel_norm(ys), T.channel_norm(Tensor(yt))))
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / n_teachers)
+
+
+def matmul_add_composed(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
+    """``T.matmul_add`` by matmul and add: a (1, d) bias row after the
+    product, a residual before it, as the layers composed them."""
+    if c.shape[0] == 1:
+        return T.add(T.matmul(a, b), c)
+    return T.add(c, T.matmul(a, b))
+
+
+def mlp_composed(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 residual: Optional[Tensor] = None) -> Tensor:
+    """``T.mlp`` by matmul, add and relu, each a tape node that keeps its inputs."""
+    out = T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
+    return out if residual is None else T.add(residual, out)
+
+
+@contextlib.contextmanager
+def composed_ops():
+    """Run the library with ``T.matmul_add`` and ``T.mlp`` in their composed
+    forms inside the block (layers look them up at call time)."""
+    fused = T.matmul_add, T.mlp
+    T.matmul_add, T.mlp = matmul_add_composed, mlp_composed
+    try:
+        yield
+    finally:
+        T.matmul_add, T.mlp = fused
 
 
 def token_redundancy(index: int, x: np.ndarray) -> float:

@@ -8,8 +8,9 @@ from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
 from helpers import (assert_same_bits, check_grad, clamp_min_reference, div,
-                     layer_norm_reference, maximum, minimum, relu_reference, sigmoid_reference,
-                     slice_cols, slice_rows, SPECIAL_VALUES, special_values)
+                     layer_norm_reference, matmul_add_composed, maximum, minimum, mlp_composed,
+                     relu_reference, sigmoid_reference, slice_cols, slice_rows, SPECIAL_VALUES,
+                     special_values)
 
 RNG = np.random.default_rng(20240811)
 
@@ -210,6 +211,22 @@ def _c(*shape):
     return Tensor(RNG.standard_normal(shape))
 
 
+FUSED_RNG = np.random.default_rng(3)  # its own stream, so the cases above keep theirs
+
+
+def fused_rand(*shape):
+    return FUSED_RNG.standard_normal(shape)
+
+
+def _cf(*shape):
+    return Tensor(fused_rand(*shape))
+
+
+MLP_ARGS = {"x": Tensor(fused_rand(5, 4)), "w1": Tensor(fused_rand(4, 6)),
+            "b1": Tensor(fused_rand(1, 6)), "w2": Tensor(fused_rand(6, 3)),
+            "b2": Tensor(fused_rand(1, 3)), "residual": Tensor(fused_rand(5, 3))}
+
+
 # (name, input values, loss builder). Each builder maps the leaf under test
 # to a scalar; every differentiable primitive appears at least once per
 # argument slot. Random companions are frozen via default-argument binding
@@ -288,6 +305,23 @@ GRAD_CASES = [
     ("block_attention_v", rand(8, 5),
      lambda x, q=Tensor(rand(6, 4)), k=Tensor(rand(8, 4)), c=_c(6, 10):
          T.tsum(T.mul(T.block_attention(q, k, x, 2, 3, 4), c))),
+    ("matmul_add_lhs", fused_rand(4, 5),
+     lambda x, b=Tensor(fused_rand(5, 3)), r=Tensor(fused_rand(1, 3)), c=_cf(4, 3):
+         T.tsum(T.mul(T.matmul_add(x, b, r), c))),
+    ("matmul_add_rhs", fused_rand(5, 3),
+     lambda x, a=Tensor(fused_rand(4, 5)), r=Tensor(fused_rand(4, 3)), c=_cf(4, 3):
+         T.tsum(T.mul(T.matmul_add(a, x, r), c))),
+    ("matmul_add_bias", fused_rand(1, 3),
+     lambda x, a=Tensor(fused_rand(4, 5)), b=Tensor(fused_rand(5, 3)), c=_cf(4, 3):
+         T.tsum(T.mul(T.matmul_add(a, b, x), c))),
+    ("matmul_add_residual", fused_rand(4, 3),
+     lambda x, a=Tensor(fused_rand(4, 5)), b=Tensor(fused_rand(5, 3)), c=_cf(4, 3):
+         T.tsum(T.mul(T.matmul_add(a, b, x), c))),
+    # A (5, 4) -> 6 -> 3 MLP; each case perturbs one slot of the same network.
+    *[(f"mlp_{slot}", fused_rand(*MLP_ARGS[slot].shape),
+       lambda x, slot=slot, c=_cf(5, 3):
+           T.tsum(T.mul(T.mlp(**{**MLP_ARGS, slot: x}), c)))
+      for slot in MLP_ARGS],
 ]
 
 
@@ -374,3 +408,102 @@ class TestLeanKernelsAreExact:
         for got, want in zip([out.data] + [leaf.grad for leaf in leaves],
                              layer_norm_reference(x, gain, bias, g)):
             assert_same_bits(got, want)
+
+
+def _fused_cases():
+    # Random draws, then special values: rows of zeros in ``x`` make the
+    # pre-activation equal the bias row exactly, so the relu meets NaN,
+    # +-0.0, +-inf and subnormals as the layers' hidden units can.
+    rng = np.random.default_rng(11)
+    cases = [[rng.standard_normal(s) for s in ((37, 24), (24, 40), (1, 40), (40, 16),
+                                                (1, 16), (37, 16))]]
+    for share in (0.3, 0.02):
+        x = special_values(rng, (37, 24), share)
+        x[::3] = 0.0
+        cases.append([x, rng.standard_normal((24, 40)), special_values(rng, (1, 40), 0.5),
+                      special_values(rng, (40, 16), share), special_values(rng, (1, 16), 0.5),
+                      special_values(rng, (37, 16), 0.5)])
+    for v in SPECIAL_VALUES:  # every hidden unit of a zero row at one special value
+        cases.append([np.zeros((3, 2)), rng.standard_normal((2, 5)), np.full((1, 5), v),
+                      rng.standard_normal((5, 4)), rng.standard_normal((1, 4)),
+                      rng.standard_normal((3, 4))])
+    return cases
+
+
+FUSED_CASES = _fused_cases()
+
+
+class TestFusedOpsAreExact:
+    """matmul_add and mlp against the composed tape ops they replace, byte
+    for byte: the value and every gradient, with and without a residual,
+    with a frozen bias, on random inputs and on special values."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(all="ignore"):  # NaN and inf inputs are the point
+            yield
+
+    @staticmethod
+    def _taped(op, arrays, frozen=()):
+        leaves = [Tensor(a.copy(), requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+        out = op(*leaves)
+        g = np.random.default_rng(out.data.size).standard_normal(out.shape)
+        T.backward_seeded([out], [g])
+        return [out.data] + [leaf.grad for leaf in leaves], out
+
+    @staticmethod
+    def _same(got, want):
+        for a, b in zip(got, want, strict=True):
+            if b is None:
+                assert a is None
+            else:
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (2,)],
+                             ids=["all-taped", "untaped-input", "frozen-bias"])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("case", range(len(FUSED_CASES)))
+    def test_matmul_add(self, case, residual, frozen):
+        x, w, b, _, _, r = FUSED_CASES[case]
+        arrays = [x, w, np.resize(r, (x.shape[0], w.shape[1])) if residual else b]
+        got, out = self._taped(T.matmul_add, arrays, frozen)
+        want, _ = self._taped(matmul_add_composed, arrays, frozen)
+        self._same(got, want)
+        assert out._vjp is not None and len(out._parents) == 3
+        for i in frozen:
+            assert got[1 + i] is None
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (4,), (2, 4)],
+                             ids=["all-taped", "untaped-input", "frozen-b2", "frozen-b1-b2"])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("case", range(len(FUSED_CASES)))
+    def test_mlp(self, case, residual, frozen):
+        arrays = FUSED_CASES[case] if residual else FUSED_CASES[case][:5]
+        got, out = self._taped(T.mlp, arrays, frozen)
+        want, _ = self._taped(mlp_composed, arrays, frozen)
+        self._same(got, want)
+        assert len(out._parents) == len(arrays)
+        for i in frozen:
+            assert got[1 + i] is None
+
+    @pytest.mark.parametrize("case", range(len(FUSED_CASES)))
+    def test_the_mlp_keeps_only_the_rectified_hidden_layer(self, case):
+        x, w1, b1, w2, b2, r = (Tensor(a, requires_grad=True) for a in FUSED_CASES[case])
+        out = T.mlp(x, w1, b1, w2, b2, residual=r)
+        kept = [c.cell_contents for c in out._vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(kept) == 1
+        assert_same_bits(kept[0], relu_reference(x.data @ w1.data + b1.data)[0])
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (1, 2)), ((3, 4), (4, 2), (1, 3)),
+                                        ((3, 4), (4, 2), (2, 2)), ((3, 4), (4, 2), (3, 2, 1))])
+    def test_matmul_add_shapes(self, shapes):
+        with pytest.raises(ShapeError):
+            T.matmul_add(*(Tensor(np.zeros(s)) for s in shapes))
+
+    @pytest.mark.parametrize("slot, shape", [("x", (5, 3)), ("w1", (4, 7)), ("b1", (5, 6)),
+                                             ("w2", (7, 3)), ("b2", (3,)),
+                                             ("residual", (1, 3))])
+    def test_mlp_shapes(self, slot, shape):
+        with pytest.raises(ShapeError):
+            T.mlp(**{**MLP_ARGS, slot: Tensor(np.zeros(shape))})

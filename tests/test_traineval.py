@@ -1,5 +1,6 @@
 """Optimizer, checkpoint format, AP evaluation, and training-loop contracts."""
 
+import contextlib
 import os
 import weakref
 
@@ -17,7 +18,7 @@ from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
 
 from helpers import (ap_arrays, apply_task, category_ap_per_threshold,
-                     collect_predictions_per_row)
+                     collect_predictions_per_row, composed_ops)
 
 RNG = np.random.default_rng(23)
 
@@ -786,6 +787,43 @@ class TestSplitForwards:
             np.testing.assert_allclose(two.tensors[name], want, rtol=0,
                                        atol=rel * np.abs(want).max(), err_msg=name)
 
+    @pytest.mark.parametrize("mode, parts", [("sa", 2), ("sag", 1)])
+    def test_label_free_students_train_only_projections_and_encoder(
+            self, tiny_train, tiny_teachers, monkeypatch, mode, parts):
+        cfg = tiny_cfg(num_parts=parts)
+        dead = f"enc{cfg.enc_layers - 1}.mlp.b2"
+        initial = DetectorParams.init(cfg, np.random.default_rng(0)).named_parameters()
+        memo = {}
+
+        def train():
+            return tv.amalgamate(tiny_teachers, tiny_train, cfg, mode, epochs=2, seed=0,
+                                 batch_size=8, label_free=True, teachers_by_id=memo,
+                                 opt_settings=tv.OptimSettings(lr=1e-3))
+
+        student = train()
+        # The earlier trainable set held every tensor but the dead b2, and
+        # AdamW decayed those that no loss reads.
+        shipped_fit = tv._fit
+
+        def fit_all(params, trainable, *args, **kwargs):
+            for name, p in params.named_parameters().items():
+                if name not in trainable and name != dead:
+                    p.requires_grad = True
+                    trainable[name] = p
+            return shipped_fit(params, trainable, *args, **kwargs)
+
+        monkeypatch.setattr(tv, "_fit", fit_all)
+        decayed = train()
+        for name, init in initial.items():
+            got = student.tensors[name].tobytes()
+            if name.startswith(("proj", "enc")) and name != dead:
+                assert got == decayed.tensors[name].tobytes(), name
+                assert got != init.data.tobytes(), name
+            else:
+                assert got == init.data.tobytes(), name
+        for name in ("dec0.mlp.w1", "queries", "class.w", "box.w3", "final_ln.g"):
+            assert decayed.tensors[name].tobytes() != initial[name].data.tobytes()
+
     def test_the_cache_freezes_its_teachers(self, tiny_train, tiny_teachers, monkeypatch):
         part = TaskPartition.equal_split(8, 2)
         shipped_forward, taped = tv.forward_batch, []
@@ -834,6 +872,30 @@ class TestSplitForwards:
             assert len(_stored(one)) == (5 if pool else 3)
             for a, b in zip(_stored(one), _stored(two), strict=True):
                 assert a.tobytes() == b.tobytes()
+
+
+class TestFusedLayersTrainAsComposed:
+    """Every layer's fused matmul_add and mlp ops against the composed tape
+    ops, over whole training steps."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_students_are_byte_equal(self, tiny_train, tiny_teachers, monkeypatch, cores):
+        # sa+ta with the ground-truth term runs the projections, the encoder,
+        # the decoder and both heads, each share on its own thread. With two
+        # decoder layers the memory's gradient sums four terms, whose order
+        # follows the order in which the backward walk meets the nodes.
+        cfg = tiny_cfg(num_parts=2, compression="redundancy", dec_layers=2)
+        monkeypatch.setattr(T, "_max_shares", None)
+        monkeypatch.setattr(T, "core_count", lambda: cores)
+        memo, students = {}, []
+        for context in (contextlib.nullcontext, composed_ops):
+            with context():
+                students.append(tv.amalgamate(
+                    tiny_teachers, tiny_train, cfg, "sa+ta", epochs=2, seed=3, batch_size=8,
+                    teachers_by_id=memo, opt_settings=tv.OptimSettings(lr=1e-3)))
+        fused, composed = students
+        for name, want in composed.tensors.items():
+            assert fused.tensors[name].tobytes() == want.tobytes(), name
 
 
 class TestBatchLosses:

@@ -1,14 +1,18 @@
 """Attention mechanics: matrix-form MHA, block masking, permutation laws."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kaseq import tensor as T
 from kaseq import transformer as tf
+from kaseq.detector import DetectorConfig
 from kaseq.errors import ConfigError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import is_leaf
+from helpers import composed_ops, is_leaf
 
 RNG = np.random.default_rng(7)
 
@@ -33,6 +37,15 @@ def naive_mha(q, k, v, params):
             attended = sum(w[s] * v[s] for s in range(k.shape[0]))
             out[t] += attended @ wvo
     return out
+
+
+def _tensors(*groups) -> list[Tensor]:
+    """The parameter tensors of layer dataclasses, through their fields."""
+    found = []
+    for group in groups:
+        for value in vars(group).values():
+            found += [value] if isinstance(value, Tensor) else _tensors(value)
+    return found
 
 
 def perm_matrix(perm):
@@ -186,6 +199,47 @@ class TestEncoder:
         outs = tf.encoder_forward(Tensor(RNG.standard_normal((4, 6))), layers)
         assert len(outs) == 3
 
+    def test_one_layer_adds_eight_operation_nodes(self):
+        layer = self._layers(count=1)[0]
+        x = Tensor(RNG.standard_normal((8, 6)), requires_grad=True)
+        pos = RNG.standard_normal((8, 6))
+        # ln1, the positional add, the query and key products, attention,
+        # the W_vo product with the residual, ln2 and the MLP with the residual
+        for context, want in ((contextlib.nullcontext, 8), (composed_ops, 14)):
+            with context():
+                out, = tf.encoder_forward(x, [layer], blocks=2, pos=pos)
+            nodes = T._topo_order(out)
+            assert sum(not is_leaf(n) for n in nodes) == want
+            assert {id(n) for n in nodes if is_leaf(n) and n.requires_grad} == \
+                {id(x)} | {id(t) for t in _tensors(layer)}
+
+    def test_a_taped_forward_holds_less_than_the_composed_ops(self):
+        cfg = DetectorConfig()  # default geometry: d 64, ffn 128, 3 layers, 64 tokens
+        images, rng = 4, np.random.default_rng(0)
+        rows = images * cfg.tokens
+        layers = [tf.EncoderLayerParams.init(cfg.d_model, cfg.heads, cfg.ffn_dim, rng)
+                  for _ in range(cfg.enc_layers)]
+        x = Tensor(rng.standard_normal((rows, cfg.d_model)), requires_grad=True)
+        pos = np.tile(tf.positional_encoding(cfg.grid, cfg.grid, cfg.d_model), (images, 1))
+
+        def held() -> int:
+            tracemalloc.start()
+            try:
+                outs = tf.encoder_forward(x, layers, blocks=images, pos=pos)
+                assert len(outs) == cfg.enc_layers  # the graph is alive here
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        fused = held()
+        with composed_ops():
+            composed = held()
+        # Per layer, the composed ops also keep the MLP's first product and its
+        # pre-activation, each (rows, ffn), and three (rows, d) arrays: the
+        # W_vo product, the MLP's second product and its biased output.
+        per_layer = (composed - fused) / cfg.enc_layers
+        assert per_layer >= (2 * cfg.ffn_dim + 3 * cfg.d_model) * rows * 8
+
 
 class TestDecoder:
     def _params(self, d=6, heads=2, dec=2):
@@ -206,6 +260,21 @@ class TestDecoder:
         out = tf.decoder_forward(Tensor(RNG.standard_normal((5, 6))),
                                  Tensor(RNG.standard_normal((1, 6))), *params)
         assert out.shape == (1, 6)
+
+    def test_one_layer_adds_twelve_operation_nodes_and_the_final_norm(self):
+        (layer,), final_ln = self._params(dec=1)
+        memory = Tensor(RNG.standard_normal((8, 6)), requires_grad=True)
+        queries = Tensor(RNG.standard_normal((4, 6)), requires_grad=True)
+        # Self- and cross-attention: a norm, the query and key products,
+        # attention and the W_vo product with the residual, five nodes each;
+        # then ln3 and the MLP with the residual.
+        for context, want in ((contextlib.nullcontext, 12 + 1), (composed_ops, 19 + 1)):
+            with context():
+                out = tf.decoder_forward(memory, queries, [layer], final_ln, blocks=2)
+            nodes = T._topo_order(out)
+            assert sum(not is_leaf(n) for n in nodes) == want
+            assert {id(n) for n in nodes if is_leaf(n) and n.requires_grad} == \
+                {id(memory), id(queries)} | {id(t) for t in _tensors(layer, final_ln)}
 
     def test_memory_length_is_unconstrained(self):
         params = self._params()
