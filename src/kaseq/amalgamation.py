@@ -130,7 +130,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, _NORM_FLOOR)
 
 
-def redundancy_all(x: np.ndarray, images: int = 1) -> np.ndarray:
+def redundancy_all(x: np.ndarray, images: int) -> np.ndarray:
     """Redundancy of every token of ``images`` equal image-major sequences
     stacked in ``x``: the row means of each image's cosine similarity matrix.
     Unit rows are taken over the block, mean rows and products per image."""

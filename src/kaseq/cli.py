@@ -4,8 +4,8 @@ Configuration is layered: built-in defaults, then an optional JSON config
 file (--config), then explicit command-line flags, later layers winning.
 The configuration that ran is dumped alongside every artifact, with a
 trained model's own detector section, so any run can be reconstructed from
-its outputs; an ablation directory records it before the first cell and
-resumes only under the same configuration.
+its outputs; an ablation directory records it and digests of its datasets
+and teachers before the first cell, and resumes only with the same ones.
 
 Each run splits its forwards and backward passes across the CPU cores
 itself, so BLAS runs one thread per matrix product unless
@@ -87,15 +87,15 @@ def default_config() -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError naming the first unknown top-level key, bad section
-    entry, or non-integer seed."""
+    entry, or a seed that is not a non-negative int."""
     for key in cfg:
         if key not in SECTIONS and key != "seed":
             raise ConfigError(f"unknown top-level config key {key!r}")
     for name, cls in SECTIONS.items():
         cls.from_dict(cfg[name])
     seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be int, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -478,6 +478,19 @@ def _flat(cfg: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _check_recorded(path: str, key: str, new: dict) -> None:
+    """For a resumed ablation: raise UsageError naming the first entry in
+    which ``new`` differs from the ``key`` object that ``path`` records."""
+    old = load_config_file(path).get(key)
+    if not isinstance(old, dict):
+        raise DataFormatError(f"{path}: lacks a {key!r} object")
+    old, new = _flat(old), _flat(new)
+    diff = next((k for k in [*new, *old] if k not in old or k not in new or old[k] != new[k]), None)
+    if diff is not None:
+        raise UsageError(f"{path} records other {key} ({diff!r} differs); "
+                         f"resume with the recorded {key} or use another --out")
+
+
 def cmd_ablate(args) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
@@ -490,18 +503,16 @@ def cmd_ablate(args) -> int:
     # A resumed run reuses the teachers and cells of the run recorded here.
     recorded = os.path.join(args.out, "config.json")
     if os.path.exists(recorded):
-        old = load_config_file(recorded).get("config")
-        if not isinstance(old, dict):
-            raise DataFormatError(f"{recorded}: lacks a 'config' object")
-        old, new = _flat(old), _flat(cfg)
-        key = next((k for k in [*new, *old] if k not in old or k not in new or old[k] != new[k]),
-                   None)
-        if key is not None:
-            raise UsageError(f"{recorded} records another configuration ({key!r} differs); "
-                             f"resume with that configuration or use another --out")
+        _check_recorded(recorded, "config", cfg)
     dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out)
     tv.teacher_partition(teacher_ckpts, train.num_categories)  # before the first cell
+    digests = {"--train-data": train.digest(), "--eval-data": eval_ds.digest(),
+               "--teachers": [tv._teacher_digest(c) for c in teacher_ckpts]}
+    recorded = os.path.join(args.out, "inputs.json")
+    if os.path.exists(recorded):
+        _check_recorded(recorded, "inputs", digests)
+    D.write_atomic(recorded, json.dumps({"inputs": digests}, indent=1).encode())
 
     jobs = [(setting, seed) for setting in settings for seed in range(args.seeds)]
     inputs = (cfg, train, eval_ds, teacher_ckpts, args.out)

@@ -9,6 +9,7 @@ embarrassingly parallel per image.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -110,6 +111,13 @@ class Dataset:
     def annotations_for(self, i: int) -> list[Annotation]:
         self.annotation_reads += 1
         return self._annotations[i]
+
+    def digest(self) -> str:
+        """Digest of the category count, the annotations and the images."""
+        digest = hashlib.sha256(repr((self.num_categories, self._annotations)).encode())
+        for image in self._images:
+            digest.update(image.tobytes())
+        return digest.hexdigest()
 
 
 def _shape_mask(shape: str, size: int, cx: float, cy: float, s: float) -> np.ndarray:

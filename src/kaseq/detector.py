@@ -2,10 +2,10 @@
 
 The backbone is a linear patch embedding; extending the student to N parts
 duplicates only that projection (independent parameters, shared input), so
-the extended model costs (N-1) projection layers over the baseline. The
-encoder runs under a block-diagonal mask that decouples the parts; the
-decoder cross-attends whatever memory the encoder produced, compressed or
-not.
+the extended model costs (N-1) projection layers over the baseline. One
+``tensor.interleave_rows`` lays a batch's part projections out image-major.
+The encoder runs under a block-diagonal mask that decouples the parts; the
+decoder cross-attends whatever memory the encoder produced, compressed or not.
 
 A forward splits its batch into contiguous image shares, one per usable
 core, each running the whole forward of its images on the share pool of
@@ -205,24 +205,13 @@ class BatchOutput:
     batch: int
 
 
-def _interleave_perm(batch: int, parts: int, tokens: int) -> np.ndarray:
-    # Part-major concat -> image-major layout: target (b, t, j) reads
-    # source t * (batch * tokens) + b * tokens + j.
-    src = np.arange(parts * batch * tokens).reshape(parts, batch, tokens)
-    return src.transpose(1, 0, 2).reshape(-1)
-
-
 def extended_projection(images: Sequence[np.ndarray], params: DetectorParams,
                         cfg: DetectorConfig) -> Tensor:
     """The extended sequence of a batch, (B N n, d) and image-major: each
     image's N part projections of its patches, one after another."""
     patches = Tensor(np.concatenate([normalized_patches(img, cfg.patch_size)
                                      for img in images], axis=0))
-    part_seqs = [proj(patches) for proj in params.proj]
-    if cfg.num_parts == 1:
-        return part_seqs[0]
-    return T.permute_rows(T.concat_rows(part_seqs),
-                          _interleave_perm(len(images), cfg.num_parts, cfg.tokens))
+    return T.interleave_rows([proj(patches) for proj in params.proj], len(images))
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +288,11 @@ def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
     # a linear patch embedding of near-uniform backgrounds carries no spatial
     # signal of its own and the decoder reads position from memory values.
     enc_in = T.add(x, Tensor(pos))
-    outs = [x] + tf.encoder_forward(enc_in, params.enc, blocks=blocks, pos=pos)
+    outs = [x] + tf.encoder_forward(enc_in, params.enc, blocks, pos)
     if predict:
         memory = outs[-1] if cfg.enc_layers else enc_in
         queries = T.gather_rows(params.queries, np.tile(np.arange(m), batch))
-        decoded = tf.decoder_forward(memory, queries, params.dec, params.final_ln, blocks=batch)
+        decoded = tf.decoder_forward(memory, queries, params.dec, params.final_ln, batch)
         outs += [T.softmax_rows(params.class_(decoded)), params.box(decoded)]
     return kept, outs
 

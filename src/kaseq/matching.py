@@ -56,15 +56,13 @@ def giou_terms(corners_a: np.ndarray, corners_b: np.ndarray) -> GIoUTerms:
                      iou - (enclosure - union) / enclosure)
 
 
-def pairwise_iou_giou(corners_a: np.ndarray,
-                      corners_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """IoU and generalized IoU for every (a, b) pair of (x0, y0, x1, y1)
-    boxes; rows index a, columns index b."""
-    terms = giou_terms(np.asarray(corners_a)[:, None, :], np.asarray(corners_b)[None, :, :])
-    return terms.iou, terms.giou
+def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
+    """IoU of every (a, b) pair of (x0, y0, x1, y1) boxes; rows index a,
+    columns index b."""
+    return giou_terms(np.asarray(corners_a)[:, None, :], np.asarray(corners_b)[None, :, :]).iou
 
 
-def box_cost(boxes_a, boxes_b, l1_weight: float = 5.0, giou_weight: float = 2.0) -> np.ndarray:
+def box_cost(boxes_a, boxes_b, l1_weight: float, giou_weight: float) -> np.ndarray:
     """(..., m, K) match cost l1 + (1 - GIoU) between (cx, cy, w, h) boxes
     ``boxes_a`` (..., m, 4) and ``boxes_b`` (..., K, 4)."""
     a = np.asarray(boxes_a, dtype=np.float64)[..., :, None, :]
@@ -83,9 +81,8 @@ def neg_entropy(p) -> np.ndarray:
 
 def build_cost_matrix(student_dists: np.ndarray, student_boxes: np.ndarray,
                       pool_dists: np.ndarray, pool_boxes: np.ndarray,
-                      alpha_kl: float = 1.0, alpha_box: float = 1.0,
-                      alpha_conf: float = 1.0,
-                      l1_weight: float = 5.0, giou_weight: float = 2.0) -> np.ndarray:
+                      alpha_kl: float, alpha_box: float, alpha_conf: float,
+                      l1_weight: float, giou_weight: float) -> np.ndarray:
     """Vectorized (m students) x (K pool) matrix of match costs, one per
     image when the inputs carry a leading batch axis ((B, m, .) against
     (B, K, .) gives (B, m, K))."""

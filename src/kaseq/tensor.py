@@ -10,6 +10,11 @@ walked once). :func:`backward_seeded` walks from several roots at once,
 each seeded with a given gradient; a node's backward may use it to walk a
 graph of its own, as those outputs do to walk the forward's shares.
 
+The ops are the ones the detector and its losses use: elementwise ops of
+equal shapes, products (``matmul_add`` and ``mlp`` add a bias row), sums,
+nonlinearities (``clamp_min`` at :data:`LOG_FLOOR`), row layout
+(``interleave_rows``, ``gather_rows``), softmax, norms and attention.
+
 Tensors are immutable values apart from gradient accumulation. A graph is
 used by one thread at a time; disjoint graphs may be built and walked in
 parallel, and a graph built on one thread may be walked on another.
@@ -205,21 +210,13 @@ def run_shares(fn, shares: Sequence[tuple]) -> list:
     return results + [future.result() for future in futures]
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    # Equal shapes, or a (1, d) row broadcast against (n, d) on either side.
-    if a.shape == b.shape:
-        return
-    if (
-        a.data.ndim == 2
-        and b.data.ndim == 2
-        and a.shape[1] == b.shape[1]
-        and (a.shape[0] == 1 or b.shape[0] == 1)
-    ):
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
+def _same_shapes(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # A (1, d) bias row's gradient sums the rows it was added to.
     if grad.shape == shape:
         return grad
     return grad.sum(axis=0, keepdims=True)
@@ -230,27 +227,22 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "add")
+    _same_shapes(a, b, "add")
     na, nb = a.requires_grad, b.requires_grad
-    return _from_op(a.data + b.data, (a, b),
-                    lambda g: (_reduce_to(g, a.shape) if na else None,
-                               _reduce_to(g, b.shape) if nb else None))
+    return _from_op(a.data + b.data, (a, b), lambda g: (g if na else None, g if nb else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "sub")
+    _same_shapes(a, b, "sub")
     na, nb = a.requires_grad, b.requires_grad
-    return _from_op(a.data - b.data, (a, b),
-                    lambda g: (_reduce_to(g, a.shape) if na else None,
-                               _reduce_to(-g, b.shape) if nb else None))
+    return _from_op(a.data - b.data, (a, b), lambda g: (g if na else None, -g if nb else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
+    _same_shapes(a, b, "mul")
     na, nb = a.requires_grad, b.requires_grad
     return _from_op(a.data * b.data, (a, b),
-                    lambda g: (_reduce_to(g * b.data, a.shape) if na else None,
-                               _reduce_to(g * a.data, b.shape) if nb else None))
+                    lambda g: (g * b.data if na else None, g * a.data if nb else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -281,11 +273,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def matmul_add(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     """``a b + c``, where ``c`` is a (1, d) bias row or a residual of the
     product's shape, keeping ``a`` and ``b`` for the backward but no product.
-    Byte-equal to ``add(matmul(a, b), c)`` for a row and ``add(c, matmul(a,
-    b))`` for a residual of two or more rows (a sum of two NaNs takes the
-    first one's sign). ``c`` is the first parent, as the residual is the
-    composed add's first operand, so a backward walk meets the nodes, and
-    sums each gradient read by several of them, in the same order."""
+    Byte-equal to ``matmul(a, b)`` plus the row added to each of its rows,
+    and to ``add(c, matmul(a, b))`` for a residual of two or more rows (a
+    sum of two NaNs takes the first one's sign). ``c`` is the first parent,
+    as the residual is the composed add's first operand, so a backward walk
+    meets the nodes, and sums each gradient read by several of them, in the
+    same order."""
     _matmul_shapes(a, b, "matmul_add", (c, ((1, b.shape[1]), (a.shape[0], b.shape[1]))))
     out = a.data @ b.data
     if c.shape[0] == 1:
@@ -383,36 +376,30 @@ def tabs(a: Tensor) -> Tensor:
     return _from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
-def clamp_min(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
-    """Byte-equal to ``np.where(a > floor, a, floor)``: ``fmax`` maps NaN to
-    the floor and returns it on ties, except numpy's scalar loop on a tie of
-    signed zeros, which the zero-floor line mends. The mask is as in relu."""
-    floor = float(floor)
-    out = np.fmax(a.data, floor)
-    if floor == 0.0:
-        out[out == 0.0] = floor
-    return _from_op(out, (a,), lambda g: (g * (a.data > floor),))
+def clamp_min(a: Tensor) -> Tensor:
+    """``a`` floored at :data:`LOG_FLOOR`, byte-equal to ``np.where(a >
+    LOG_FLOOR, a, LOG_FLOOR)``: ``fmax`` maps NaN to the floor and returns
+    it on ties. The mask is as in relu."""
+    out = np.fmax(a.data, LOG_FLOOR)
+    return _from_op(out, (a,), lambda g: (g * (a.data > LOG_FLOOR),))
 
 
 # ---------------------------------------------------------------------------
 # structural ops
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices vertically; realizes sequence concatenation."""
-    if not parts:
-        raise ContractError("concat_rows of an empty list")
-    width = parts[0].shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != width:
-            raise ShapeError("concat_rows: all parts must be matrices of equal width")
-    sizes = [p.shape[0] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=0))
-
-    return _from_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), vjp)
+def interleave_rows(parts: Sequence[Tensor], blocks: int) -> Tensor:
+    """Matrices of one shape, each ``blocks`` equal row blocks, stacked block
+    by block in one copy: block j of every part in order, then block j + 1.
+    The backward hands each part its rows of the gradient."""
+    shape = parts[0].shape if parts else ()
+    if len(shape) != 2 or blocks < 1 or shape[0] % blocks or any(p.shape != shape for p in parts):
+        raise ShapeError(f"interleave_rows: {blocks} blocks of {[p.shape for p in parts]}")
+    stacked = np.stack([p.data.reshape(blocks, -1, shape[1]) for p in parts], axis=1)
+    layout = stacked.shape
+    return _from_op(stacked.reshape(-1, shape[1]), tuple(parts),
+                    lambda g: tuple(g.reshape(layout)[:, i].reshape(shape)
+                                    for i in range(len(parts))))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -431,16 +418,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (full,)
 
     return _from_op(a.data[idx].copy(), (a,), vjp)
-
-
-def permute_rows(a: Tensor, perm) -> Tensor:
-    """Reorder all rows by a permutation; backward is the inverse permutation."""
-    p = np.asarray(perm, dtype=np.intp)
-    if a.data.ndim != 2 or p.shape != (a.shape[0],):
-        raise ShapeError("permute_rows requires a matrix and a full-length permutation")
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=np.intp)
-    return _from_op(a.data[p].copy(), (a,), lambda g: (g[inv],))
 
 
 # ---------------------------------------------------------------------------

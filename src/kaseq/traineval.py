@@ -447,7 +447,7 @@ def category_ap(predictions: np.ndarray, gt: np.ndarray,
     if total_gt == 0:
         return None
     preds = predictions[np.lexsort((predictions[:, 2], predictions[:, 1], -predictions[:, 0]))]
-    iou, _ = matching.pairwise_iou_giou(preds[:, 3:], gt[:, 1:])
+    iou = matching.pairwise_iou(preds[:, 3:], gt[:, 1:])
     reach = (preds[:, 1, None] == gt[None, :, 0]) & (iou >= min(thresholds))
     candidates = [(rank, np.flatnonzero(reach[rank]).tolist(), iou[rank, reach[rank]].tolist())
                   for rank in np.flatnonzero(reach.any(axis=1)).tolist()]

@@ -25,11 +25,11 @@ An encoder layer holds ``ln1, attn, ln2, mlp``; a decoder layer holds
 checkpoint names (see :class:`kaseq.detector.DetectorParams`).
 
 Each group runs as one tape op, byte-equal to the matmul, add and relu ops
-it replaces. An affine map and an attention's ``W_vo`` product with its
-residual are one ``tensor.matmul_add``, which keeps its two factors; an MLP
-with its residual is one ``tensor.mlp``, which keeps its input and its
-rectified hidden layer. Neither keeps a product, a pre-activation or a
-branch output, which no backward reads.
+it replaces. An affine map, and an attention's ``W_vo`` product with the
+residual every attention is given, are one ``tensor.matmul_add``, which
+keeps its two factors; an MLP with its residual (the box head has none) is
+one ``tensor.mlp``, which keeps its input and its rectified hidden layer.
+Neither keeps a product, a pre-activation or a branch output.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class MHAParams:
     @property
     def d_model(self) -> int:
         return self.wq.shape[0]
-
-    @property
-    def d_k(self) -> int:
-        return self.wq.shape[1] // self.heads
 
     @classmethod
     def init(cls, d_model: int, heads: int, rng: np.random.Generator) -> "MHAParams":
@@ -165,8 +161,8 @@ class DecoderLayerParams:
                    ln3=Norm.init(d_model), mlp=MLP.init(d_model, ffn_dim, d_model, rng))
 
 
-def _xavier(fan_in: int, fan_out: int, rng: np.random.Generator, gain: float = 1.0) -> Tensor:
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+def _xavier(fan_in: int, fan_out: int, rng: np.random.Generator) -> Tensor:
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
 
@@ -178,12 +174,12 @@ def _zeros_row(d: int) -> Tensor:
 # attention
 
 
-def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1,
-        residual: Optional[Tensor] = None) -> Tensor:
-    """Multi-head attention in matrix form: the queries and the keys each
-    split into ``blocks`` equal aligned blocks, and query block j attends
-    only to key block j. A ``residual`` is added to the output in the
-    ``W_vo`` product's op."""
+def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int,
+        residual: Tensor) -> Tensor:
+    """``residual`` plus multi-head attention in matrix form: the queries and
+    the keys each split into ``blocks`` equal aligned blocks, and query block
+    j attends only to key block j. The residual is added in the ``W_vo``
+    product's op."""
     if q.shape[1] != p.d_model or k.shape[1] != p.d_model or v.shape[1] != p.d_model:
         raise ShapeError("mha inputs must have width d_model")
     if blocks < 1 or q.shape[0] % blocks or k.shape[0] % blocks:
@@ -191,28 +187,28 @@ def mha(q: Tensor, k: Tensor, v: Tensor, p: MHAParams, blocks: int = 1,
                          f"and {k.shape[0]} key rows")
     mixed = T.block_attention(T.matmul(q, p.wq), T.matmul(k, p.wk), v,
                               p.heads, q.shape[0] // blocks, k.shape[0] // blocks)
-    return T.matmul(mixed, p.wvo) if residual is None else T.matmul_add(mixed, p.wvo, residual)
+    return T.matmul_add(mixed, p.wvo, residual)
 
 
 # ---------------------------------------------------------------------------
 # layers
 
 
-def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int = 1,
-                    pos: Optional[np.ndarray] = None) -> list[Tensor]:
-    """Pre-norm encoder; returns every layer output (the supervision points).
+def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int,
+                    pos: np.ndarray) -> list[Tensor]:
+    """Pre-norm encoder over ``blocks`` attention blocks; returns every layer
+    output (the supervision points), so none for an empty layer stack.
 
-    Positional encodings, when given, are added to queries and keys only, at
-    every layer. An empty layer stack returns an empty list (the input itself
-    is the degenerate encoding).
+    The positional encodings ``pos``, one row per row of ``x``, are added to
+    queries and keys only, at every layer.
     """
-    pos_t = Tensor(pos) if pos is not None else None
-    if pos_t is not None and pos_t.shape != x.shape:
+    pos_t = Tensor(pos)
+    if pos_t.shape != x.shape:
         raise ShapeError("positional encodings must match the token sequence shape")
     outputs = []
     for layer in layers:
         u = layer.ln1(x)
-        qk = T.add(u, pos_t) if pos_t is not None else u
+        qk = T.add(u, pos_t)
         x = mha(qk, qk, u, layer.attn, blocks, residual=x)
         x = layer.mlp(layer.ln2(x), residual=x)
         outputs.append(x)
@@ -220,7 +216,7 @@ def encoder_forward(x: Tensor, layers: Sequence[EncoderLayerParams], blocks: int
 
 
 def decoder_forward(memory: Tensor, queries: Tensor, layers: Sequence[DecoderLayerParams],
-                    final_ln: Norm, blocks: int = 1) -> Tensor:
+                    final_ln: Norm, blocks: int) -> Tensor:
     """Pre-norm decoder over learned query tokens, then ``final_ln``;
     cross-attention is mha(targets, memory, memory), so the memory length is
     unconstrained. Self- and cross-attention both run over ``blocks``

@@ -89,9 +89,10 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def clamp_min_reference(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > floor
-    return np.where(mask, x, floor), mask
+def clamp_min_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(x, LOG_FLOOR) by ``np.where``, and the backward's bool mask."""
+    mask = x > T.LOG_FLOOR
+    return np.where(mask, x, T.LOG_FLOOR), mask
 
 
 def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -175,6 +176,17 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.data <= b.data
     return T._from_op(np.where(take_a, a.data, b.data), (a, b),
                       lambda g: (g * take_a, g * ~take_a))
+
+
+def add_row(x: Tensor, row: Tensor) -> Tensor:
+    """``x`` plus a (1, d) row broadcast over its rows, as the library once
+    added bias rows; the row's gradient sums the rows of ``g``."""
+    if row.data.ndim != 2 or row.shape[0] != 1 or x.data.ndim != 2 or row.shape[1] != x.shape[1]:
+        raise ShapeError(f"add_row: a row of shape {row.shape} for rows of shape {x.shape}")
+    nx, nr = x.requires_grad, row.requires_grad
+    return T._from_op(x.data + row.data, (x, row),
+                      lambda g: (g if nx else None,
+                                 g.sum(axis=0, keepdims=True) if nr else None))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -355,7 +367,7 @@ def apply_task(annotations, partition: TaskPartition, t: int) -> list:
 def box_giou_rows(pred: Tensor, target) -> Tensor:
     """Row-wise GIoU composed of elementwise tape ops, each with its own
     gradient rule (ties of ``maximum``/``minimum`` go to the first operand,
-    ``clamp_min`` passes gradient only above its floor)."""
+    ``relu`` passes gradient only above zero)."""
     tc = box_cxcywh_to_corners(np.asarray(target, dtype=np.float64))
     cx, cy = slice_cols(pred, 0, 1), slice_cols(pred, 1, 2)
     w, h = slice_cols(pred, 2, 3), slice_cols(pred, 3, 4)
@@ -365,8 +377,8 @@ def box_giou_rows(pred: Tensor, target) -> Tensor:
     y1 = T.add(cy, T.scale(h, 0.5))
     tx0, ty0 = Tensor(tc[:, 0:1]), Tensor(tc[:, 1:2])
     tx1, ty1 = Tensor(tc[:, 2:3]), Tensor(tc[:, 3:4])
-    iw = T.clamp_min(T.sub(minimum(x1, tx1), maximum(x0, tx0)), 0.0)
-    ih = T.clamp_min(T.sub(minimum(y1, ty1), maximum(y0, ty0)), 0.0)
+    iw = T.relu(T.sub(minimum(x1, tx1), maximum(x0, tx0)))
+    ih = T.relu(T.sub(minimum(y1, ty1), maximum(y0, ty0)))
     inter = T.mul(iw, ih)
     area_p = T.mul(w, h)
     area_t = Tensor(((tc[:, 2] - tc[:, 0]) * (tc[:, 3] - tc[:, 1]))[:, None])
@@ -421,14 +433,14 @@ def matmul_add_composed(a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     """``T.matmul_add`` by matmul and add: a (1, d) bias row after the
     product, a residual before it, as the layers composed them."""
     if c.shape[0] == 1:
-        return T.add(T.matmul(a, b), c)
+        return add_row(T.matmul(a, b), c)
     return T.add(c, T.matmul(a, b))
 
 
 def mlp_composed(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                  residual: Optional[Tensor] = None) -> Tensor:
     """``T.mlp`` by matmul, add and relu, each a tape node that keeps its inputs."""
-    out = T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
+    out = add_row(T.matmul(T.relu(add_row(T.matmul(x, w1), b1)), w2), b2)
     return out if residual is None else T.add(residual, out)
 
 
@@ -448,7 +460,7 @@ def token_redundancy(index: int, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if not 0 <= index < x.shape[0]:
         raise ContractError(f"token index {index} out of range")
-    return float(redundancy_all(x)[index])
+    return float(redundancy_all(x, 1)[index])
 
 
 def apply_compression(seq, p_slim):
@@ -507,8 +519,7 @@ def category_ap_per_threshold(predictions, gt_boxes_by_image, threshold: float):
             spans[img] = range(start, start + len(boxes))
             gt_rows.extend(boxes)
             start += len(boxes)
-        iou, _ = matching.pairwise_iou_giou(np.asarray([p[3] for p in preds]),
-                                            np.asarray(gt_rows))
+        iou = matching.pairwise_iou(np.asarray([p[3] for p in preds]), np.asarray(gt_rows))
         taken = [False] * total_gt
         for rank, ((_, img, _, _), row) in enumerate(zip(preds, iou.tolist())):
             best_iou, best_j = 0.0, -1
@@ -592,7 +603,7 @@ def backbone_project(image: np.ndarray, params: DetectorParams, cfg: DetectorCon
     if not 0 <= part_index < cfg.num_parts:
         raise ContractError(f"part index {part_index} out of range for N={cfg.num_parts}")
     patches = Tensor(normalized_patches(image, cfg.patch_size))
-    return T.add(T.matmul(patches, params.proj[part_index].w), params.proj[part_index].b)
+    return add_row(T.matmul(patches, params.proj[part_index].w), params.proj[part_index].b)
 
 
 def student_forward(image: np.ndarray, params: DetectorParams, cfg: DetectorConfig,

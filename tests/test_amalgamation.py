@@ -258,12 +258,12 @@ class TestSAGLoss:
 class TestRedundancy:
     def test_identical_tokens_have_unit_redundancy(self):
         x = np.tile(RNG.standard_normal(4), (6, 1))
-        r = A.redundancy_all(x)
+        r = A.redundancy_all(x, 1)
         np.testing.assert_allclose(r, 1.0, atol=1e-12)
 
     def test_two_orthogonal_tokens(self):
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(A.redundancy_all(x), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(A.redundancy_all(x, 1), [0.5, 0.5], atol=1e-12)
 
     def test_matches_similarity_matrix_oracle(self):
         x = RNG.standard_normal((5, 3))
@@ -274,7 +274,7 @@ class TestRedundancy:
 
     def test_bounded_in_minus_one_one(self):
         x = RNG.standard_normal((30, 6))
-        r = A.redundancy_all(x)
+        r = A.redundancy_all(x, 1)
         assert np.all(r >= -1.0 - 1e-12) and np.all(r <= 1.0 + 1e-12)
 
 
@@ -396,8 +396,9 @@ class TestCompression:
         x = RNG.standard_normal((8, 4))
         idx_sorted = np.array([1, 3, 4, 6])
         shuffle = np.array([2, 0, 3, 1])
-        base = tf.encoder_forward(Tensor(apply_compression(x, idx_sorted)), layers)[0].data
-        permuted = tf.encoder_forward(Tensor(x[idx_sorted[shuffle]]), layers)[0].data
+        pos = np.zeros((4, 4))
+        base = tf.encoder_forward(Tensor(apply_compression(x, idx_sorted)), layers, 1, pos)[0].data
+        permuted = tf.encoder_forward(Tensor(x[idx_sorted[shuffle]]), layers, 1, pos)[0].data
         assert np.max(np.abs(permuted - base[shuffle])) < 1e-10
 
 

@@ -144,6 +144,30 @@ def test_ablate_into_a_run_of_another_configuration_exits_1(ws, capsys):
         for ext in (".ckpt", ".ckpt.metrics.csv", ".report.json"))
 
 
+def test_ablate_into_a_run_of_other_teachers_or_datasets_exits_1(ws, capsys):
+    out = ws["root"] / "ablate_inputs"
+    argv = ["ablate", "--suite", "compression", "--out", out, "--seeds", 1,
+            "--config", ws["config"]]
+    inputs = ["--train-data", ws["train"], "--eval-data", ws["eval"],
+              "--teachers", ws["t1"], ws["t2"]]
+    assert run(*argv, *inputs) == 0
+    recorded = (out / "inputs.json").read_text()
+    runs = {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()}
+    for flag, changed in (("--teachers", inputs[:4] + ["--teachers", ws["t2"], ws["t1"]]),
+                          ("--eval-data", inputs[:2] + ["--eval-data", ws["train"]] + inputs[4:]),
+                          ("--train-data", ["--train-data", ws["eval"]] + inputs[2:])):
+        assert run(*argv, *changed) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"'{flag}' differs" in err
+        assert (out / "inputs.json").read_text() == recorded
+        assert {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()} == runs
+    # A directory from before the record gets one, and resumes as before.
+    (out / "inputs.json").unlink()
+    assert run(*argv, *inputs) == 0
+    assert (out / "inputs.json").read_text() == recorded
+    assert {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()} == runs
+
+
 def test_outputs_into_a_missing_directory(ws):
     cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4, "num_parts": 2})
     student = ws["root"] / "two_parts.ckpt"
@@ -237,13 +261,21 @@ def test_wrongly_typed_config_value_exits_1(ws, capsys):
                                           ("train.eval_batch_size=0", "eval_batch_size"),
                                           ("train.use_cache=true", "'use_cache'"),
                                           ("use_cache=true", "'use_cache'"),
-                                          ("seed=x", "seed")])
+                                          ("seed=x", "seed"), ("seed=-1", "seed")])
 def test_bad_train_or_top_level_key_exits_1(ws, capsys, setting, key):
     assert run("train-baseline", "--data", ws["train"], "--out", ws["root"] / "keys.ckpt",
                "--config", ws["config"], "--set", setting) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid request:") and key in err
     assert not (ws["root"] / "keys.ckpt").exists()
+
+
+def test_gen_data_with_a_negative_seed_exits_1(ws, capsys):
+    out = ws["root"] / "negative_seed"
+    assert run("gen-data", "--out", out, "--images", 2, "--seed", -1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:") and "seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", [

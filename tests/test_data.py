@@ -149,6 +149,18 @@ class TestPersistence:
                           - small_dataset.image(i).astype(np.float64))
             assert diff.max() <= 1.0 / 255.0
 
+    def test_digest_reads_every_image_and_annotation(self, small_dataset):
+        images, annotations = list(small_dataset._images), list(small_dataset._annotations)
+        same = D.Dataset(images, annotations, 8, 64)
+        assert same.digest() == small_dataset.digest() and same.annotation_reads == 0
+        pixel = images[:5] + [images[5].copy()] + images[6:]
+        pixel[5][1, 2, 0] += 0.5
+        moved = [[D.Annotation(box=(0.5, 0.5, 0.2, 0.2), category=a.category) for a in anns]
+                 if i == 7 else anns for i, anns in enumerate(annotations)]
+        others = [D.Dataset(pixel, annotations, 8, 64), D.Dataset(images, moved, 8, 64),
+                  D.Dataset(images, annotations, 9, 64)]
+        assert len({small_dataset.digest(), *(d.digest() for d in others)}) == 4
+
     def test_missing_annotation_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             D.load_dataset(str(tmp_path / "nothing"))

@@ -20,7 +20,8 @@ from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
 from helpers import (backbone_project, compress_redundancy_per_image, finite_difference_grad,
-                     image_detections, rel_err, split_parts, student_forward, teacher_forward)
+                     image_detections, is_leaf, rel_err, split_parts, student_forward,
+                     teacher_forward)
 
 RNG = np.random.default_rng(17)
 
@@ -81,6 +82,18 @@ class TestBackbone:
         T.frobenius_sq(seq).backward()
         assert params.proj[1].w.grad is not None
         assert params.proj[0].w.grad is None
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_the_extended_sequence_is_one_op_over_the_part_projections(self, parts):
+        cfg = tiny_cfg(num_parts=parts)
+        params = det.DetectorParams.init(cfg, RNG)
+        images = [rand_image() for _ in range(3)]
+        out = det.extended_projection(images, params, cfg)
+        nodes = T._topo_order(out)
+        assert sum(not is_leaf(n) for n in nodes) == parts + 1
+        assert [p._parents[0] for p in out._parents] == [proj.b for proj in params.proj]
+        np.testing.assert_array_equal(out.data, np.concatenate(
+            [backbone_project(img, params, cfg, t).data for img in images for t in range(parts)]))
 
     def test_patch_flattening_layout(self):
         img = np.arange(32 * 32 * 3, dtype=np.float64).reshape(32, 32, 3)

@@ -158,7 +158,7 @@ class TestMatchCost:
         sb = np.stack([random_box(RNG) for _ in range(m)])
         pd = np.stack([random_dist(RNG, 5) for _ in range(k)])
         pb = np.stack([random_box(RNG) for _ in range(k)])
-        mat = M.build_cost_matrix(sd, sb, pd, pb)
+        mat = M.build_cost_matrix(sd, sb, pd, pb, 1.0, 1.0, 1.0, 5.0, 2.0)
         for i in range(m):
             for j in range(k):
                 assert mat[i, j] == pytest.approx(
@@ -171,12 +171,12 @@ class TestMatchCost:
         sb = np.stack([[random_box(RNG) for _ in range(m)] for _ in range(batch)])
         pd = np.stack([[random_dist(RNG, 5) for _ in range(k)] for _ in range(batch)])
         pb = np.stack([[random_box(RNG) for _ in range(k)] for _ in range(batch)])
-        mats = M.build_cost_matrix(sd, sb, pd, pb, alpha_kl=2.0, alpha_conf=0.5)
+        weights = (2.0, 1.0, 0.5, 5.0, 2.0)  # alpha_kl, alpha_box, alpha_conf, l1, giou
+        mats = M.build_cost_matrix(sd, sb, pd, pb, *weights)
         assert mats.shape == (batch, m, k)
         for b in range(batch):
             np.testing.assert_allclose(
-                mats[b], M.build_cost_matrix(sd[b], sb[b], pd[b], pb[b],
-                                             alpha_kl=2.0, alpha_conf=0.5),
+                mats[b], M.build_cost_matrix(sd[b], sb[b], pd[b], pb[b], *weights),
                 rtol=1e-14, atol=1e-14)
 
 

@@ -20,7 +20,7 @@ RNG = np.random.default_rng(7)
 def naive_mha(q, k, v, params):
     """Per-head, per-token dot-product loop; the matrix form's oracle."""
     heads = params.heads
-    d_k = params.d_k
+    d_k = params.wq.shape[1] // heads
     d = v.shape[1]
     out = np.zeros((q.shape[0], d))
     for i in range(heads):
@@ -37,6 +37,11 @@ def naive_mha(q, k, v, params):
             attended = sum(w[s] * v[s] for s in range(k.shape[0]))
             out[t] += attended @ wvo
     return out
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, p: tf.MHAParams, blocks: int = 1) -> Tensor:
+    """``tf.mha`` with a zero residual: the attention output alone."""
+    return tf.mha(q, k, v, p, blocks, residual=Tensor(np.zeros((q.shape[0], p.d_model))))
 
 
 def _tensors(*groups) -> list[Tensor]:
@@ -60,7 +65,7 @@ class TestMHA:
         d = 6
         p = tf.MHAParams.init(d, 2, RNG)
         v = RNG.standard_normal((1, d))
-        out = tf.mha(Tensor(v), Tensor(v), Tensor(v), p)
+        out = attend(Tensor(v), Tensor(v), Tensor(v), p)
         expected = v @ p.wvo.data.reshape(2, d, d).sum(axis=0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -71,7 +76,7 @@ class TestMHA:
         tok = RNG.standard_normal((1, d))
         x = np.vstack([tok, tok])
         values = RNG.standard_normal((2, d))
-        out = tf.mha(Tensor(x), Tensor(x), Tensor(values), p)
+        out = attend(Tensor(x), Tensor(x), Tensor(values), p)
         np.testing.assert_allclose(out.data, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_matrix_form_matches_naive_loop(self):
@@ -79,7 +84,7 @@ class TestMHA:
         q = RNG.standard_normal((3, 4))
         k = RNG.standard_normal((5, 4))
         v = RNG.standard_normal((5, 4))
-        out = tf.mha(Tensor(q), Tensor(k), Tensor(v), p)
+        out = attend(Tensor(q), Tensor(k), Tensor(v), p)
         assert np.max(np.abs(out.data - naive_mha(q, k, v, p))) < 1e-10
 
     def test_packed_init_lays_per_head_draws_side_by_side(self):
@@ -90,19 +95,24 @@ class TestMHA:
         rng = np.random.default_rng(11)
         wq = [tf._xavier(d, d // heads, rng).data for _ in range(heads)]
         wk = [tf._xavier(d, d // heads, rng).data for _ in range(heads)]
-        wvo = [tf._xavier(d, d, rng, gain=1.0 / heads).data for _ in range(heads)]
+        bound = 1.0 / heads * np.sqrt(6.0 / (d + d))  # Xavier with gain 1 / H
+        wvo = [rng.uniform(-bound, bound, size=(d, d)) for _ in range(heads)]
         np.testing.assert_array_equal(p.wq.data, np.hstack(wq))
         np.testing.assert_array_equal(p.wk.data, np.hstack(wk))
         np.testing.assert_array_equal(p.wvo.data, np.vstack(wvo))
-        assert (p.heads, p.d_model, p.d_k) == (heads, d, d // heads)
+        assert (p.heads, p.d_model, p.wq.shape[1]) == (heads, d, d)
 
     def test_one_call_adds_four_operation_nodes_over_three_leaves(self):
         p = tf.MHAParams.init(8, 4, RNG)
         x = Tensor(RNG.standard_normal((6, 8)))
-        nodes = T._topo_order(tf.mha(x, x, x, p, blocks=2))
+        residual = Tensor(RNG.standard_normal((6, 8)))
+        out = tf.mha(x, x, x, p, 2, residual)
+        nodes = T._topo_order(out)
         assert sum(not is_leaf(n) for n in nodes) == 4
         assert {id(n) for n in nodes if is_leaf(n) and n.requires_grad} == \
             {id(p.wq), id(p.wk), id(p.wvo)}
+        np.testing.assert_allclose(out.data, residual.data + attend(x, x, x, p, 2).data,
+                                   rtol=0, atol=1e-12)
 
     def test_query_and_keyvalue_equivariance(self):
         # Lemma: mha(Pq Q, P K, P V) == Pq mha(Q, K, V).
@@ -110,11 +120,11 @@ class TestMHA:
         q = RNG.standard_normal((4, 6))
         k = RNG.standard_normal((7, 6))
         v = RNG.standard_normal((7, 6))
-        base = tf.mha(Tensor(q), Tensor(k), Tensor(v), p).data
+        base = attend(Tensor(q), Tensor(k), Tensor(v), p).data
         for _ in range(20):
             pq = RNG.permutation(4)
             pkv = RNG.permutation(7)
-            permed = tf.mha(Tensor(q[pq]), Tensor(k[pkv]), Tensor(v[pkv]), p).data
+            permed = attend(Tensor(q[pq]), Tensor(k[pkv]), Tensor(v[pkv]), p).data
             assert np.max(np.abs(permed - base[pq])) < 1e-8
 
     def test_softmax_permutation_commutation(self):
@@ -133,26 +143,25 @@ class TestMaskedSelfAttention:
 
     def test_single_part_equals_unmasked(self):
         p = tf.MHAParams.init(4, 2, RNG)
-        x = Tensor(RNG.standard_normal((5, 4)))
-        masked = tf.mha(x, x, x, p, blocks=1)
-        plain = tf.mha(x, x, x, p)
-        np.testing.assert_allclose(masked.data, plain.data, atol=1e-12)
+        x = RNG.standard_normal((5, 4))
+        masked = attend(Tensor(x), Tensor(x), Tensor(x), p, blocks=1)
+        np.testing.assert_allclose(masked.data, naive_mha(x, x, x, p), atol=1e-10)
 
     def test_two_parts_decouple(self):
         p = tf.MHAParams.init(6, 2, RNG)
         a = RNG.standard_normal((4, 6))
         b = RNG.standard_normal((4, 6))
         x = Tensor(np.vstack([a, b]))
-        out = tf.mha(x, x, x, p, blocks=2).data
+        out = attend(x, x, x, p, blocks=2).data
         for part, rows in ((a, out[:4]), (b, out[4:])):
-            solo = tf.mha(Tensor(part), Tensor(part), Tensor(part), p)
+            solo = attend(Tensor(part), Tensor(part), Tensor(part), p)
             assert np.max(np.abs(rows - solo.data)) < 1e-10
 
     def test_identical_parts_give_identical_halves(self):
         p = tf.MHAParams.init(4, 2, RNG)
         x = RNG.standard_normal((3, 4))
         both = Tensor(np.vstack([x, x]))
-        out = tf.mha(both, both, both, p, blocks=2).data
+        out = attend(both, both, both, p, blocks=2).data
         np.testing.assert_allclose(out[:3], out[3:], atol=1e-12)
 
     @pytest.mark.parametrize("blocks, keys", [(0, 4), (-1, 4), (4, 8), (2, 5)])
@@ -160,7 +169,7 @@ class TestMaskedSelfAttention:
         p = tf.MHAParams.init(4, 2, RNG)
         q, kv = Tensor(RNG.standard_normal((6, 4))), Tensor(RNG.standard_normal((keys, 4)))
         with pytest.raises(ShapeError, match="attention blocks"):
-            tf.mha(q, kv, kv, p, blocks=blocks)
+            attend(q, kv, kv, p, blocks=blocks)
 
 
 class TestEncoder:
@@ -169,16 +178,16 @@ class TestEncoder:
 
     def test_zero_layers_returns_nothing(self):
         x = Tensor(RNG.standard_normal((4, 6)))
-        assert tf.encoder_forward(x, []) == []
+        assert tf.encoder_forward(x, [], 1, np.zeros(x.shape)) == []
 
     def test_permutation_equivariance_per_layer(self):
         layers = self._layers()
         x = RNG.standard_normal((5, 6))
         pos = tf.positional_encoding(1, 5, 8)[:, :6]
-        base = tf.encoder_forward(Tensor(x), layers, pos=pos)
+        base = tf.encoder_forward(Tensor(x), layers, 1, pos)
         for _ in range(10):
             perm = RNG.permutation(5)
-            permed = tf.encoder_forward(Tensor(x[perm]), layers, pos=pos[perm])
+            permed = tf.encoder_forward(Tensor(x[perm]), layers, 1, pos[perm])
             for lb, lp in zip(base, permed):
                 assert np.max(np.abs(lp.data - lb.data[perm])) < 1e-8
 
@@ -189,14 +198,15 @@ class TestEncoder:
         pos = RNG.uniform(-1, 1, size=(4, 6))
         joint = tf.encoder_forward(Tensor(np.vstack([a, b])), layers,
                                    blocks=2, pos=np.vstack([pos, pos]))
-        solo_a = tf.encoder_forward(Tensor(a), layers, pos=pos)
-        solo_b = tf.encoder_forward(Tensor(b), layers, pos=pos)
+        solo_a = tf.encoder_forward(Tensor(a), layers, 1, pos)
+        solo_b = tf.encoder_forward(Tensor(b), layers, 1, pos)
         for lj, la, lb_ in zip(joint, solo_a, solo_b):
             assert np.max(np.abs(lj.data - np.vstack([la.data, lb_.data]))) < 1e-10
 
     def test_layer_count_contract(self):
         layers = self._layers(count=3)
-        outs = tf.encoder_forward(Tensor(RNG.standard_normal((4, 6))), layers)
+        outs = tf.encoder_forward(Tensor(RNG.standard_normal((4, 6))), layers, 2,
+                                  RNG.standard_normal((4, 6)))
         assert len(outs) == 3
 
     def test_one_layer_adds_eight_operation_nodes(self):
@@ -249,16 +259,16 @@ class TestDecoder:
         params = self._params()
         mem = RNG.standard_normal((7, 6))
         queries = RNG.standard_normal((3, 6))
-        base = tf.decoder_forward(Tensor(mem), Tensor(queries), *params).data
+        base = tf.decoder_forward(Tensor(mem), Tensor(queries), *params, 1).data
         for _ in range(10):
             perm = RNG.permutation(7)
-            out = tf.decoder_forward(Tensor(mem[perm]), Tensor(queries), *params).data
+            out = tf.decoder_forward(Tensor(mem[perm]), Tensor(queries), *params, 1).data
             assert np.max(np.abs(out - base)) < 1e-8
 
     def test_single_query_shape(self):
         params = self._params()
         out = tf.decoder_forward(Tensor(RNG.standard_normal((5, 6))),
-                                 Tensor(RNG.standard_normal((1, 6))), *params)
+                                 Tensor(RNG.standard_normal((1, 6))), *params, 1)
         assert out.shape == (1, 6)
 
     def test_one_layer_adds_twelve_operation_nodes_and_the_final_norm(self):
@@ -279,8 +289,8 @@ class TestDecoder:
     def test_memory_length_is_unconstrained(self):
         params = self._params()
         queries = Tensor(RNG.standard_normal((3, 6)))
-        long = tf.decoder_forward(Tensor(RNG.standard_normal((8, 6))), queries, *params)
-        short = tf.decoder_forward(Tensor(RNG.standard_normal((4, 6))), queries, *params)
+        long = tf.decoder_forward(Tensor(RNG.standard_normal((8, 6))), queries, *params, 1)
+        short = tf.decoder_forward(Tensor(RNG.standard_normal((4, 6))), queries, *params, 1)
         assert long.shape == short.shape == (3, 6)
 
 
