@@ -261,7 +261,8 @@ def test_wrongly_typed_config_value_exits_1(ws, capsys):
                                           ("train.eval_batch_size=0", "eval_batch_size"),
                                           ("train.use_cache=true", "'use_cache'"),
                                           ("use_cache=true", "'use_cache'"),
-                                          ("seed=x", "seed"), ("seed=-1", "seed")])
+                                          ("seed=x", "seed"), ("seed=-1", "seed"),
+                                          ("seed=true", "seed"), ("seed=1.5", "seed")])
 def test_bad_train_or_top_level_key_exits_1(ws, capsys, setting, key):
     assert run("train-baseline", "--data", ws["train"], "--out", ws["root"] / "keys.ckpt",
                "--config", ws["config"], "--set", setting) == 1
@@ -273,6 +274,24 @@ def test_bad_train_or_top_level_key_exits_1(ws, capsys, setting, key):
 def test_gen_data_with_a_negative_seed_exits_1(ws, capsys):
     out = ws["root"] / "negative_seed"
     assert run("gen-data", "--out", out, "--images", 2, "--seed", -1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request:") and "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-baseline", "amalgamate", "evaluate",
+                                     "analyze-redundancy", "ablate"])
+def test_every_command_rejects_a_negative_seed_before_writing(ws, capsys, command):
+    out = ws["root"] / f"negative_seed_{command}"
+    inputs = {"train-teacher": ["--data", ws["train"], "--task", "1-2", "--out", out],
+              "train-baseline": ["--data", ws["train"], "--out", out],
+              "amalgamate": ["--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+                             "--mode", "sa+ta", "--out", out],
+              "evaluate": ["--model", ws["t1"], "--data", ws["eval"], "--report", out],
+              "analyze-redundancy": ["--model", ws["t1"], "--data", ws["eval"], "--out", out],
+              "ablate": ["--train-data", ws["train"], "--eval-data", ws["eval"], "--out", out,
+                         "--seeds", 1, "--teachers", ws["t1"], ws["t2"]]}[command]
+    assert run(command, *inputs, "--config", ws["config"], "--seed", -3) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid request:") and "seed" in err
     assert not out.exists()

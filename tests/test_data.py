@@ -161,6 +161,12 @@ class TestPersistence:
                   D.Dataset(images, annotations, 9, 64)]
         assert len({small_dataset.digest(), *(d.digest() for d in others)}) == 4
 
+    def test_a_reloaded_dataset_keeps_its_digest(self, small_dataset, tmp_path):
+        # A resumed ablation compares the digest of the datasets it loads.
+        root = str(tmp_path / "ds")
+        D.persist_dataset(small_dataset, root)
+        assert D.load_dataset(root).digest() == D.load_dataset(root).digest()
+
     def test_missing_annotation_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             D.load_dataset(str(tmp_path / "nothing"))

@@ -95,6 +95,27 @@ class TestBackbone:
         np.testing.assert_array_equal(out.data, np.concatenate(
             [backbone_project(img, params, cfg, t).data for img in images for t in range(parts)]))
 
+    @pytest.mark.parametrize("images", [1, 4])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_each_projection_gets_the_gradient_of_its_own_rows(self, parts, images):
+        cfg = tiny_cfg(num_parts=parts)
+        params = det.DetectorParams.init(cfg, RNG)
+        imgs = [rand_image() for _ in range(images)]
+        out = det.extended_projection(imgs, params, cfg)
+        g = RNG.standard_normal(out.shape)
+        T.backward_seeded([out], [g])
+        got = [(proj.w.grad, proj.b.grad) for proj in params.proj]
+        for proj in params.proj:
+            proj.w.grad = proj.b.grad = None
+        # Image-major layout: block i * parts + t holds part t's tokens of image i.
+        seeds = np.split(g, images * parts)
+        for i, img in enumerate(imgs):
+            for t in range(parts):
+                T.backward_seeded([backbone_project(img, params, cfg, t)], [seeds[i * parts + t]])
+        for (w, b), proj in zip(got, params.proj):
+            np.testing.assert_allclose(w, proj.w.grad, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(b, proj.b.grad, rtol=1e-12, atol=1e-12)
+
     def test_patch_flattening_layout(self):
         img = np.arange(32 * 32 * 3, dtype=np.float64).reshape(32, 32, 3)
         patches = det.image_to_patches(img, 8)

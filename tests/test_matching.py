@@ -83,6 +83,31 @@ class TestBoxes:
             box_giou([0.5, 0.5, 0.1, -0.1], [0.5, 0.5, 0.1, 0.1])
 
 
+def corner_iou_oracle(a, b):
+    """IoU of two (x0, y0, x1, y1) boxes, all scalar math."""
+    inter = (max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+             * max(0.0, min(a[3], b[3]) - max(a[1], b[1])))
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+
+
+class TestPairwiseIoU:
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 5), (6, 2), (0, 4), (4, 0)])
+    def test_every_pair_matches_the_scalar_oracle(self, m, k):
+        a = M.box_cxcywh_to_corners(np.array([random_box(RNG) for _ in range(m)]).reshape(m, 4))
+        b = M.box_cxcywh_to_corners(np.array([random_box(RNG) for _ in range(k)]).reshape(k, 4))
+        iou = M.pairwise_iou(a, b)
+        assert iou.shape == (m, k)
+        for i in range(m):
+            for j in range(k):
+                assert abs(iou[i, j] - corner_iou_oracle(a[i], b[j])) < 1e-12
+
+    def test_identical_boxes_one_disjoint_boxes_zero(self):
+        a = np.array([[0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.9]])
+        b = np.array([[0.1, 0.2, 0.3, 0.9], [0.6, 0.6, 1.0, 1.0]])
+        iou = M.pairwise_iou(a, b)
+        assert iou[1, 0] == 1.0 and iou[0, 1] == 0.0 and iou[1, 1] == 0.0
+
+
 class TestKL:
     def test_identical_distributions(self):
         p = random_dist(RNG, 5)

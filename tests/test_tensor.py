@@ -62,6 +62,13 @@ class TestForwardSemantics:
         assert T.frobenius_sq(Tensor(np.zeros((3, 3)))).item() == 0.0
         assert T.frobenius_sq(Tensor(np.ones((2, 3)))).item() == 6.0
 
+    def test_concat_slice_seam_identity(self):
+        # With one block, interleave_rows is the concatenation of its parts.
+        a, b = rand(3, 4), rand(3, 4)
+        cat = T.interleave_rows([Tensor(a), Tensor(b)], 1)
+        np.testing.assert_array_equal(slice_rows(cat, 0, 3).data, a)
+        np.testing.assert_array_equal(slice_rows(cat, 3, 6).data, b)
+
     def test_log_requires_positive(self):
         with pytest.raises(ContractError):
             T.log(Tensor([[0.0, 1.0]]))
@@ -73,12 +80,35 @@ class TestForwardSemantics:
         out = T.channel_norm(Tensor(x))
         np.testing.assert_array_equal(out.data[:, 0], 0.0)
 
+    def test_permute_rows_roundtrip(self):
+        x = rand(6, 3)
+        perm = RNG.permutation(6)
+        inv = np.argsort(perm)
+        out = T.gather_rows(T.gather_rows(Tensor(x), perm), inv)
+        np.testing.assert_array_equal(out.data, x)
+
     @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
     @pytest.mark.parametrize("a, b", [((5, 3), (1, 3)), ((1, 3), (5, 3)), ((4, 3), (3, 4)),
                                       ((3,), (1, 3)), ((2, 3), (2, 1))])
     def test_elementwise_ops_take_equal_shapes_only(self, op, a, b):
         with pytest.raises(ShapeError):
             op(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
+    @pytest.mark.parametrize("op, forward, vjp", [
+        (T.add, np.add, lambda g, a, b: (g, g)),
+        (T.sub, np.subtract, lambda g, a, b: (g, -g)),
+        (T.mul, np.multiply, lambda g, a, b: (g * b, g * a))], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 3), (4, 1)])
+    def test_elementwise_ops_on_equal_shapes_are_exact(self, op, forward, vjp, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        a, b, g = (special_values(rng, shape) for _ in range(3))
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = op(ta, tb)
+        assert_same_bits(out.data, forward(a, b))
+        T.backward_seeded([out], [g])
+        want_a, want_b = vjp(g, a, b)
+        assert_same_bits(ta.grad, want_a)
+        assert_same_bits(tb.grad, want_b)
 
 
 class TestInterleaveRows:
@@ -93,7 +123,8 @@ class TestInterleaveRows:
         return src.transpose(1, 0, 2).reshape(-1)
 
     @pytest.mark.parametrize("parts, blocks, rows",
-                             [(1, 1, 4), (1, 3, 6), (2, 1, 5), (2, 3, 6), (3, 4, 8)])
+                             [(1, 1, 4), (1, 3, 6), (2, 1, 5), (2, 3, 6), (3, 4, 8),
+                              (1, 8, 8), (2, 8, 16), (3, 2, 4)])
     def test_forward_and_backward_match_the_permuted_concatenation(self, parts, blocks, rows):
         rng = np.random.default_rng(100 * parts + 10 * blocks + rows)
         arrays = [special_values(rng, (rows, 5)) for _ in range(parts)]
@@ -270,6 +301,8 @@ MLP_ARGS = {"x": Tensor(fused_rand(5, 4)), "w1": Tensor(fused_rand(4, 6)),
 GRAD_CASES = [
     ("add_lhs", rand(4, 3),
      lambda x, b=Tensor(rand(4, 3)), c=_c(4, 3): T.tsum(T.mul(T.add(x, b), c))),
+    ("add_row_broadcast", rand(1, 3),
+     lambda x, a=Tensor(rand(5, 3)), c=_c(5, 3): T.tsum(T.mul(add_row(a, x), c))),
     ("sub_rhs", rand(4, 3),
      lambda x, a=Tensor(rand(4, 3)), c=_c(4, 3): T.tsum(T.mul(T.sub(a, x), c))),
     ("mul_both", rand(3, 3),
@@ -310,12 +343,16 @@ GRAD_CASES = [
      lambda x, b=Tensor(rand(6, 3)), c=_c(12, 3): T.tsum(T.mul(T.interleave_rows([x, b], 3), c))),
     ("interleave_rows_last", rand(6, 3),
      lambda x, a=Tensor(rand(6, 3)), c=_c(12, 3): T.tsum(T.mul(T.interleave_rows([a, x], 2), c))),
+    ("concat_rows", rand(3, 4),
+     lambda x, b=Tensor(rand(3, 4)), c=_c(6, 4): T.tsum(T.mul(T.interleave_rows([x, b], 1), c))),
     ("slice_rows", rand(6, 3),
      lambda x, c=_c(3, 3): T.tsum(T.mul(slice_rows(x, 1, 4), c))),
     ("slice_cols", rand(3, 6),
      lambda x, c=_c(3, 3): T.tsum(T.mul(slice_cols(x, 2, 5), c))),
     ("gather_rows_with_repeats", rand(5, 3),
      lambda x, c=_c(5, 3): T.tsum(T.mul(T.gather_rows(x, [0, 2, 2, 4, 1]), c))),
+    ("permute_rows", rand(6, 2),
+     lambda x, c=_c(6, 2): T.tsum(T.mul(T.gather_rows(x, [3, 0, 5, 1, 4, 2]), c))),
     ("softmax_rows", rand(4, 5),
      lambda x, c=_c(4, 5): T.tsum(T.mul(T.softmax_rows(x), c))),
     ("layer_norm_x", rand(5, 4),

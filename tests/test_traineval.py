@@ -118,6 +118,20 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError, match=f"model.ckpt: metadata '{key}'"):
             tv.load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", ["none", "one_ulp", "heads"])
+    def test_the_teacher_digest_reads_the_config_and_every_value(self, tmp_path, change):
+        cfg = tiny_cfg()
+        ckpt = tv.make_checkpoint(DetectorParams.init(cfg, RNG), cfg, {"seed": 1})
+        path = str(tmp_path / "teacher.ckpt")
+        tv.save_checkpoint(ckpt, path)
+        other = tv.load_checkpoint(path)
+        if change == "one_ulp":
+            w = other.tensors["class.w"]
+            w[0, 0] = np.nextafter(w[0, 0], np.inf)
+        elif change == "heads":
+            other = tv.Checkpoint(tiny_cfg(heads=4), other.tensors, other.metadata)
+        assert (tv._teacher_digest(other) == tv._teacher_digest(ckpt)) == (change == "none")
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
