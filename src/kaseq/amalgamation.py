@@ -10,8 +10,10 @@ averages them into a fixed-size hint. Compression keeps exactly one token
 per original grid position, choosing sources by token redundancy (mean
 cosine similarity within the sequence). Task-level amalgamation matches
 student slots to pooled, confidence-filtered teacher soft targets and
-weighs each matched pair by teacher confidence; it runs once per batch, with
-one assignment problem per image and one loss over all the batch's slots.
+weighs each matched pair's KL and box terms by teacher confidence (the box
+term, l1 plus 1 - GIoU, is one tape op that the ground-truth loss shares);
+it runs once per batch, with one assignment problem per image and one loss
+over all the batch's slots.
 """
 
 from __future__ import annotations
@@ -195,26 +197,33 @@ def filter_pool(pool_dists: np.ndarray, threshold: float, m: int) -> np.ndarray:
     return keep
 
 
-def box_giou_rows(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Row-wise GIoU of predicted (cx, cy, w, h) boxes against fixed targets,
-    as an (n, 1) column and one tape op.
+def box_loss_rows(pred: Tensor, target: np.ndarray,
+                  l1_weight: float, giou_weight: float) -> Tensor:
+    """Row-wise ``l1 * l1_weight + (1 - GIoU) * giou_weight`` of predicted
+    (cx, cy, w, h) boxes against fixed targets, as an (n, 1) column and one
+    tape op.
 
-    The forward is :func:`matching.giou_terms` on row pairs. The backward
+    The GIoU is :func:`matching.giou_terms` on row pairs. Its backward
     routes ties the way elementwise ``maximum``/``minimum`` with the
     prediction as first operand would (to the prediction), and passes
-    intersection gradient only where the unclamped extent is positive.
+    intersection gradient only where the unclamped extent is positive; the
+    l1 term's is the sign of the difference, zero where it is zero.
     """
     if pred.data.ndim != 2 or pred.shape[1] != 4:
         raise ShapeError("boxes must have four columns")
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.shape:
         raise ShapeError(f"targets {target.shape} do not match predictions {pred.shape}")
+    diff = pred.data - target
     pc = matching.box_cxcywh_to_corners(pred.data)
     tc = matching.box_cxcywh_to_corners(target)
     t = matching.giou_terms(pc, tc)
+    out = np.abs(diff).sum(axis=1, keepdims=True) * l1_weight
+    out += (1.0 - t.giou[:, None]) * giou_weight
 
     def vjp(g):
-        g = g[:, 0]
+        g_l1 = g * l1_weight * np.sign(diff)
+        g = -(g[:, 0] * giou_weight)  # the gradient reaching the GIoU
         inv_enc = 1.0 / t.enclosure
         ratio = t.inter / (t.union * t.union)
         d_inter = (g * (1.0 / t.union - inv_enc + ratio))[:, None]
@@ -228,18 +237,9 @@ def box_giou_rows(pred: Tensor, target: np.ndarray) -> Tensor:
         g_size = d_area * (hi_p - lo_p)[:, ::-1]
         g_hi = g_overlap * (hi_p <= hi_t) + g_span * (hi_p >= hi_t) + g_size
         g_lo = -g_overlap * (lo_p >= lo_t) - g_span * (lo_p <= lo_t) - g_size
-        return (np.concatenate([g_lo + g_hi, 0.5 * (g_hi - g_lo)], axis=1),)
+        return (g_l1 + np.concatenate([g_lo + g_hi, 0.5 * (g_hi - g_lo)], axis=1),)
 
-    return T._from_op(t.giou[:, None], (pred,), vjp)
-
-
-def box_loss_rows(pred: Tensor, target: np.ndarray,
-                  l1_weight: float, giou_weight: float) -> Tensor:
-    """Row-wise weighted l1 + (1 - GIoU) box loss column vector."""
-    l1 = T.tsum(T.tabs(T.sub(pred, Tensor(np.asarray(target, dtype=np.float64)))), axis=1)
-    giou = box_giou_rows(pred, target)
-    one = Tensor(np.ones((pred.shape[0], 1)))
-    return T.add(T.scale(l1, l1_weight), T.scale(T.sub(one, giou), giou_weight))
+    return T._from_op(out, (pred,), vjp)
 
 
 def ta_assignment(student_dists: np.ndarray, student_boxes: np.ndarray,
@@ -298,25 +298,9 @@ def ta_loss(student_dists: Tensor, student_boxes: Tensor,
     t_boxes = pool_boxes.reshape(batch * k, 4)[flat]
     conf = t_dists[:, :-1].max(axis=1)
 
-    cross = T.tsum(T.mul(T.log(T.clamp_min(student_dists)), Tensor(t_dists)), axis=1)
+    cross = T.tsum(T.mul(T.log_floor(student_dists), Tensor(t_dists)), axis=1)
     kl = T.sub(Tensor(matching.neg_entropy(t_dists)[:, None]), cross)
     box = box_loss_rows(student_boxes, t_boxes, weights.l1_weight, weights.giou_weight)
     per_slot = T.mul(Tensor(conf[:, None]),
                      T.add(T.scale(kl, weights.beta_kl), T.scale(box, weights.beta_box)))
     return T.tsum(per_slot)
-
-
-def final_loss(l_seq: Optional[Tensor], l_task: Optional[Tensor],
-               l_direct: Optional[Tensor], weights: KAWeights) -> Tensor:
-    """Weighted sum of the enabled loss components (label-free sets lambda_d = 0)."""
-    total: Optional[Tensor] = None
-    for term, lam in ((l_seq, weights.lambda_seq),
-                      (l_task, weights.lambda_task),
-                      (l_direct, weights.lambda_direct)):
-        if term is None:
-            continue
-        piece = T.scale(term, lam)
-        total = piece if total is None else T.add(total, piece)
-    if total is None:
-        return Tensor(np.zeros(()))
-    return total

@@ -452,15 +452,19 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
     return row
 
 
-def _prepare_teachers(args, cfg, train, eval_ds, out_dir) -> list:
+def _prepare_teachers(args, cfg, train, eval_ds, out_dir, resumed: bool) -> list:
+    """``--teachers``, or those under ``<out>/teachers``, trained unless resumed."""
     if args.teachers:
         return _load_teachers(args.teachers)
     teacher_dir = os.path.join(out_dir, "teachers")
+    paths = [os.path.join(teacher_dir, f"teacher{t + 1}.ckpt") for t in range(args.teacher_count)]
+    if resumed and not all(os.path.exists(path) for path in paths):
+        raise UsageError(f"{out_dir} records a run of other teachers than {len(paths)} under "
+                         f"{teacher_dir}; resume with its --teachers or --teacher-count")
     os.makedirs(teacher_dir, exist_ok=True)
     partition = D.TaskPartition.equal_split(train.num_categories, args.teacher_count)
     ckpts = []
-    for t in range(args.teacher_count):
-        path = os.path.join(teacher_dir, f"teacher{t + 1}.ckpt")
+    for t, path in enumerate(paths):
         if os.path.exists(path):
             ckpts.append(tv.load_checkpoint(path))
         else:
@@ -505,11 +509,12 @@ def cmd_ablate(args) -> int:
     if os.path.exists(recorded):
         _check_recorded(recorded, "config", cfg)
     dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
-    teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out)
+    recorded = os.path.join(args.out, "inputs.json")
+    teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out,
+                                      resumed=os.path.exists(recorded))
     tv.teacher_partition(teacher_ckpts, train.num_categories)  # before the first cell
     digests = {"--train-data": train.digest(), "--eval-data": eval_ds.digest(),
                "--teachers": [tv._teacher_digest(c) for c in teacher_ckpts]}
-    recorded = os.path.join(args.out, "inputs.json")
     if os.path.exists(recorded):
         _check_recorded(recorded, "inputs", digests)
     D.write_atomic(recorded, json.dumps({"inputs": digests}, indent=1).encode())

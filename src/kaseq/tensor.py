@@ -12,7 +12,7 @@ graph of its own, as those outputs do to walk the forward's shares.
 
 The ops are the ones the detector and its losses use: elementwise ops of
 equal shapes, products (``matmul_add`` and ``mlp`` add a bias row), sums,
-nonlinearities (``clamp_min`` at :data:`LOG_FLOOR`), row layout
+nonlinearities (``log_floor``, a log floored at :data:`LOG_FLOOR`), row layout
 (``interleave_rows``, ``gather_rows``), softmax, norms and attention.
 
 Tensors are immutable values apart from gradient accumulation. A graph is
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-LOG_FLOOR = 1e-12  # clamp floor applied before every log (KL, cross-entropy)
+LOG_FLOOR = 1e-12  # floor applied before every log (KL, cross-entropy)
 
 
 class Tensor:
@@ -366,22 +366,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return _from_op(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise ContractError("log of non-positive entry; clamp_min first")
-    return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def tabs(a: Tensor) -> Tensor:
-    return _from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def clamp_min(a: Tensor) -> Tensor:
-    """``a`` floored at :data:`LOG_FLOOR`, byte-equal to ``np.where(a >
-    LOG_FLOOR, a, LOG_FLOOR)``: ``fmax`` maps NaN to the floor and returns
-    it on ties. The mask is as in relu."""
-    out = np.fmax(a.data, LOG_FLOOR)
-    return _from_op(out, (a,), lambda g: (g * (a.data > LOG_FLOOR),))
+def log_floor(a: Tensor) -> Tensor:
+    """``log`` of ``a`` floored at :data:`LOG_FLOOR`. ``fmax`` maps NaN to the
+    floor and returns it on ties; the backward passes ``g / floored`` only
+    where ``a`` is above the floor, its mask as in relu."""
+    floored = np.fmax(a.data, LOG_FLOOR)
+    return _from_op(np.log(floored), (a,), lambda g: (g / floored * (a.data > LOG_FLOOR),))
 
 
 # ---------------------------------------------------------------------------

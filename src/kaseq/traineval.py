@@ -315,8 +315,7 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
     weight_vec = np.where(slot_class == background, eos_coef, 1.0)
     onehot = np.zeros((out.batch * m, num_classes + 1))
     onehot[np.arange(out.batch * m), slot_class] = weight_vec
-    log_probs = T.log(T.clamp_min(out.dists))
-    cls_loss = T.scale(T.tsum(T.mul(log_probs, Tensor(onehot))),
+    cls_loss = T.scale(T.tsum(T.mul(T.log_floor(out.dists), Tensor(onehot))),
                        -1.0 / float(weight_vec.sum()))
 
     if matched_slots:
@@ -834,8 +833,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
             terms["direct"] = detection_loss(out, _batch_targets(train_ds, idx, category_ids),
                                              cfg.num_categories, weights)
 
-        return ka.final_loss(terms.get("seq"), terms.get("task"), terms.get("direct"),
-                             weights), terms
+        return functools.reduce(T.add, [T.scale(term, getattr(weights, f"lambda_{key}"))
+                                        for key, term in terms.items()]), terms
 
     # Training-time rule: the teachers' concatenated projections, layer 0 of
     # the cache, guide compression.

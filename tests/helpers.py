@@ -89,12 +89,6 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def clamp_min_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(x, LOG_FLOOR) by ``np.where``, and the backward's bool mask."""
-    mask = x > T.LOG_FLOOR
-    return np.where(mask, x, T.LOG_FLOOR), mask
-
-
 def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                          g: np.ndarray, eps: float = 1e-5):
     """Row layer norm through ``np.mean`` and ``np.var``: the output and the
@@ -176,6 +170,25 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.data <= b.data
     return T._from_op(np.where(take_a, a.data, b.data), (a, b),
                       lambda g: (g * take_a, g * ~take_a))
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0):
+        raise ContractError("log of non-positive entry; clamp_min first")
+    return T._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def clamp_min(a: Tensor) -> Tensor:
+    """``a`` floored at ``T.LOG_FLOOR``, byte-equal to ``np.where(a >
+    LOG_FLOOR, a, LOG_FLOOR)``: ``fmax`` maps NaN to the floor and returns
+    it on ties. The mask is as in relu."""
+    out = np.fmax(a.data, T.LOG_FLOOR)
+    return T._from_op(out, (a,), lambda g: (g * (a.data > T.LOG_FLOOR),))
+
+
+def tabs(a: Tensor) -> Tensor:
+    """``np.abs`` on the tape; the gradient is zero where ``a`` is."""
+    return T._from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def add_row(x: Tensor, row: Tensor) -> Tensor:
@@ -389,12 +402,22 @@ def box_giou_rows(pred: Tensor, target) -> Tensor:
     return T.sub(div(inter, union), div(T.sub(enclosure, union), enclosure))
 
 
+def box_loss_rows(pred: Tensor, target, l1_weight: float, giou_weight: float) -> Tensor:
+    """Row-wise ``l1 * l1_weight + (1 - GIoU) * giou_weight`` by the composed
+    tape ops, the GIoU being the composed :func:`box_giou_rows`."""
+    target = np.asarray(target, dtype=np.float64)
+    l1 = T.tsum(tabs(T.sub(pred, Tensor(target))), axis=1)
+    one = Tensor(np.ones((pred.shape[0], 1)))
+    return T.add(T.scale(l1, l1_weight),
+                 T.scale(T.sub(one, box_giou_rows(pred, target)), giou_weight))
+
+
 def ta_loss_per_image(student_dists: Tensor, student_boxes: Tensor,
                       pool_dists, pool_boxes, weights):
     """Task-level loss of one image's m slots against its (K, .) pool, and the
     pool row matched to each slot: filter, build the m x K' cost, solve, then
     weigh each matched pair's KL and l1 + (1 - GIoU) terms by the teacher's
-    confidence. The GIoU is the composed :func:`box_giou_rows`."""
+    confidence. The box term is the composed :func:`box_loss_rows`."""
     pool_dists = np.asarray(pool_dists, dtype=np.float64)
     pool_boxes = np.asarray(pool_boxes, dtype=np.float64)
     keep = filter_pool(pool_dists, weights.confidence_threshold, student_dists.shape[0])
@@ -407,12 +430,9 @@ def ta_loss_per_image(student_dists: Tensor, student_boxes: Tensor,
     t_dists, t_boxes = pool_dists[chosen], pool_boxes[chosen]
     conf = t_dists[:, :-1].max(axis=1)
     plogp = np.where(t_dists > 0, t_dists * np.log(np.maximum(t_dists, _KL_FLOOR)), 0.0)
-    cross = T.tsum(T.mul(T.log(T.clamp_min(student_dists)), Tensor(t_dists)), axis=1)
+    cross = T.tsum(T.mul(log(clamp_min(student_dists)), Tensor(t_dists)), axis=1)
     kl = T.sub(Tensor(plogp.sum(axis=1, keepdims=True)), cross)
-    l1 = T.tsum(T.tabs(T.sub(student_boxes, Tensor(t_boxes))), axis=1)
-    one_minus_giou = T.sub(Tensor(np.ones((len(chosen), 1))),
-                           box_giou_rows(student_boxes, t_boxes))
-    box = T.add(T.scale(l1, weights.l1_weight), T.scale(one_minus_giou, weights.giou_weight))
+    box = box_loss_rows(student_boxes, t_boxes, weights.l1_weight, weights.giou_weight)
     per_slot = T.mul(Tensor(conf[:, None]),
                      T.add(T.scale(kl, weights.beta_kl), T.scale(box, weights.beta_box)))
     return T.tsum(per_slot), chosen

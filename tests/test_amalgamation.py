@@ -19,7 +19,7 @@ from helpers import (apply_compression, assert_same_bits, box_cost, box_giou, ch
                      compress_redundancy_per_image, confidence, is_leaf, kl_divergence,
                      match_cost, pad_prediction, redundancy_per_image, sa_loss_composed,
                      ta_loss_per_image, token_redundancy)
-from helpers import box_giou_rows as composed_giou_rows
+from helpers import box_loss_rows as composed_box_loss_rows
 
 RNG = np.random.default_rng(31)
 
@@ -441,9 +441,12 @@ class TestBoxLossRows:
     def test_matches_scalar_giou(self):
         pred = np.stack([random_box(RNG) for _ in range(5)])
         target = np.stack([random_box(RNG) for _ in range(5)])
-        rows = A.box_giou_rows(Tensor(pred), target)
+        giou_only = A.box_loss_rows(Tensor(pred), target, 0.0, 1.0)
+        rows = A.box_loss_rows(Tensor(pred), target, 5.0, 2.0)
         for i in range(5):
-            assert rows.data[i, 0] == pytest.approx(box_giou(pred[i], target[i]), abs=1e-12)
+            assert giou_only.data[i, 0] == pytest.approx(1.0 - box_giou(pred[i], target[i]),
+                                                         abs=1e-12)
+            assert rows.data[i, 0] == pytest.approx(box_cost(target[i], pred[i]), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         target = np.stack([random_box(RNG) for _ in range(4)])
@@ -452,8 +455,8 @@ class TestBoxLossRows:
 
 
 # Pairs of exactly representable (cx, cy, w, h) boxes on which min/max ties
-# and zero-width overlaps occur; the one-op GIoU must route their gradients
-# as the composed elementwise ops do.
+# and zero-width overlaps occur; the one-op box loss must route their
+# gradients as the composed elementwise ops do.
 TIE_CASES = {
     "disjoint": ([0.25, 0.25, 0.25, 0.25], [0.75, 0.625, 0.25, 0.5]),
     "nested": ([0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.25, 0.125]),
@@ -463,52 +466,60 @@ TIE_CASES = {
     "same_left_edge": ([0.375, 0.5, 0.25, 0.5], [0.5, 0.5, 0.5, 0.25]),
 }
 
+# (l1_weight, giou_weight): the default, the GIoU term alone, the l1 term alone
+BOX_WEIGHTS = pytest.mark.parametrize("weights", [(5.0, 2.0), (0.0, 1.0), (1.0, 0.0)],
+                                      ids=["default", "giou_only", "l1_only"])
 
-class TestGIoUOp:
-    """``box_giou_rows`` is one tape op; the composed form in the helpers is
+
+class TestBoxLossOp:
+    """``box_loss_rows`` is one tape op; the composed form in the helpers is
     its oracle."""
 
     @staticmethod
-    def _value_and_grad(fn, pred, target, coef):
+    def _value_and_grad(fn, pred, target, weights, coef):
         leaf = Tensor(pred.copy(), requires_grad=True)
-        out = fn(leaf, target)
+        out = fn(leaf, target, *weights)
         T.tsum(T.mul(out, Tensor(coef))).backward()
         return out.data, leaf.grad
 
-    def _assert_agrees(self, pred, target):
+    def _assert_agrees(self, pred, target, weights):
         coef = RNG.uniform(0.5, 2.0, size=(pred.shape[0], 1))
-        value, grad = self._value_and_grad(A.box_giou_rows, pred, target, coef)
-        want_value, want_grad = self._value_and_grad(composed_giou_rows, pred, target, coef)
+        value, grad = self._value_and_grad(A.box_loss_rows, pred, target, weights, coef)
+        want_value, want_grad = self._value_and_grad(composed_box_loss_rows, pred, target,
+                                                     weights, coef)
         np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(want_grad).max())
 
-    def test_gradient_matches_finite_differences(self):
+    @BOX_WEIGHTS
+    def test_gradient_matches_finite_differences(self, weights):
         pred = np.stack([random_box(RNG) for _ in range(6)])
         target = np.stack([random_box(RNG) for _ in range(6)])
         coef = RNG.uniform(0.5, 2.0, size=(6, 1))
-        check_grad(lambda b: T.tsum(T.mul(A.box_giou_rows(b, target), Tensor(coef))),
+        check_grad(lambda b: T.tsum(T.mul(A.box_loss_rows(b, target, *weights), Tensor(coef))),
                    pred, tol=1e-7)
 
-    def test_matches_composed_oracle_on_random_boxes(self):
+    @BOX_WEIGHTS
+    def test_matches_composed_oracle_on_random_boxes(self, weights):
         pred = np.stack([random_box(RNG) for _ in range(64)])
         target = np.stack([random_box(RNG) for _ in range(64)])
-        self._assert_agrees(pred, target)
+        self._assert_agrees(pred, target, weights)
 
+    @BOX_WEIGHTS
     @pytest.mark.parametrize("case", sorted(TIE_CASES))
-    def test_matches_composed_oracle_where_ties_occur(self, case):
+    def test_matches_composed_oracle_where_ties_occur(self, case, weights):
         a, b = (np.asarray(x, dtype=np.float64) for x in TIE_CASES[case])
         # both operand orders: ties route to the prediction either way
-        self._assert_agrees(np.stack([a, b]), np.stack([b, a]))
+        self._assert_agrees(np.stack([a, b]), np.stack([b, a]), weights)
 
     def test_one_tape_node_over_the_prediction(self):
         pred = Tensor(np.stack([random_box(RNG) for _ in range(3)]), requires_grad=True)
-        out = A.box_giou_rows(pred, np.stack([random_box(RNG) for _ in range(3)]))
+        out = A.box_loss_rows(pred, np.stack([random_box(RNG) for _ in range(3)]), 5.0, 2.0)
         assert out.shape == (3, 1) and out._parents == (pred,)
 
     def test_mismatched_targets_rejected(self):
         with pytest.raises(ShapeError):
-            A.box_giou_rows(Tensor(np.zeros((2, 4))), np.zeros((3, 4)))
+            A.box_loss_rows(Tensor(np.zeros((2, 4))), np.zeros((3, 4)), 5.0, 2.0)
 
 
 class TestTALoss:
@@ -666,27 +677,7 @@ class TestBatchedTALoss:
                       pool_dists, pool_boxes, A.KAWeights())
 
 
-class TestFinalLoss:
+class TestKAWeights:
     def test_default_weights(self):
         w = A.KAWeights()
         assert (w.lambda_seq, w.lambda_task, w.lambda_direct) == (1.0, 1.0, 0.1)
-
-    def test_all_zero_lambdas(self):
-        w = A.KAWeights(lambda_seq=0.0, lambda_task=0.0, lambda_direct=0.0)
-        out = A.final_loss(Tensor(np.asarray(3.0)), Tensor(np.asarray(2.0)),
-                           Tensor(np.asarray(1.0)), w)
-        assert out.item() == 0.0
-
-    def test_linearity_in_lambdas(self):
-        terms = [Tensor(np.asarray(float(v))) for v in (1.5, 2.5, 3.5)]
-        w1 = A.KAWeights(lambda_seq=0.3, lambda_task=0.9, lambda_direct=0.2)
-        w2 = A.KAWeights(lambda_seq=0.6, lambda_task=1.8, lambda_direct=0.4)
-        assert A.final_loss(*terms, w2).item() == pytest.approx(
-            2 * A.final_loss(*terms, w1).item())
-
-    def test_label_free_drops_direct_term(self):
-        w = A.KAWeights(lambda_direct=0.0)
-        with_term = A.final_loss(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)),
-                                 Tensor(np.asarray(100.0)), w)
-        without = A.final_loss(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)), None, w)
-        assert with_term.item() == pytest.approx(without.item())

@@ -168,6 +168,29 @@ def test_ablate_into_a_run_of_other_teachers_or_datasets_exits_1(ws, capsys):
     assert {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()} == runs
 
 
+def test_ablate_resumed_with_teachers_it_would_train_exits_1_before_training(ws, capsys):
+    # A run recorded with --teachers, resumed without them, and a run that
+    # trained its two teachers, resumed with --teacher-count 4: neither
+    # resume may train a teacher before it is rejected.
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--seeds", 1, "--config", ws["config"]]
+    given, trained = ws["root"] / "ablate_given_teachers", ws["root"] / "ablate_own_teachers"
+    assert run(*argv, "--out", given, "--teachers", ws["t1"], ws["t2"]) == 0
+    assert run(*argv, "--out", trained) == 0
+    capsys.readouterr()
+    teachers = sorted(os.listdir(trained / "teachers"))
+    assert teachers == ["teacher1.ckpt", "teacher1.ckpt.metrics.csv",
+                        "teacher2.ckpt", "teacher2.ckpt.metrics.csv"]
+    for out, extra in ((given, []), (trained, ["--teacher-count", 4])):
+        recorded = (out / "inputs.json").read_text()
+        assert run(*argv, "--out", out, *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--teachers or --teacher-count" in err
+        assert not (given / "teachers").exists()
+        assert sorted(os.listdir(trained / "teachers")) == teachers
+        assert (out / "inputs.json").read_text() == recorded
+
+
 def test_outputs_into_a_missing_directory(ws):
     cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4, "num_parts": 2})
     student = ws["root"] / "two_parts.ckpt"

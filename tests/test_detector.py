@@ -317,7 +317,7 @@ def every_output_loss(out):
     terms = [T.tsum(T.mul(T.channel_norm(seq), Tensor(coefficients(seq.shape))))
              for seq in out.layer_seqs]
     if out.dists is not None:
-        terms += [T.tsum(T.mul(T.log(T.clamp_min(out.dists)),
+        terms += [T.tsum(T.mul(T.log_floor(out.dists),
                                Tensor(coefficients(out.dists.shape)))),
                   T.tsum(T.mul(out.boxes, Tensor(coefficients(out.boxes.shape))))]
     total = terms[0]
@@ -446,7 +446,8 @@ class TestSplitBackward:
             keep = slice(None) if out.kept is None else out.kept
             seq = ka.sa_loss(out.layer_seqs, lambda l: teacher_layers[l][keep], 2)
             task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
-            return out, ka.final_loss(seq, task, None, weights)
+            return out, T.add(T.scale(seq, weights.lambda_seq),
+                              T.scale(task, weights.lambda_task))
 
         _, loss = step()
         loss.backward()

@@ -7,10 +7,10 @@ from kaseq import tensor as T
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import (add_row, assert_same_bits, check_grad, clamp_min_reference, div,
-                     layer_norm_reference, matmul_add_composed, maximum, minimum, mlp_composed,
-                     relu_reference, sigmoid_reference, slice_cols, slice_rows, SPECIAL_VALUES,
-                     special_values)
+from helpers import (add_row, assert_same_bits, check_grad, clamp_min, div, layer_norm_reference,
+                     log, matmul_add_composed, maximum, minimum, mlp_composed, relu_reference,
+                     sigmoid_reference, slice_cols, slice_rows, SPECIAL_VALUES, special_values,
+                     tabs)
 
 RNG = np.random.default_rng(20240811)
 
@@ -68,12 +68,6 @@ class TestForwardSemantics:
         cat = T.interleave_rows([Tensor(a), Tensor(b)], 1)
         np.testing.assert_array_equal(slice_rows(cat, 0, 3).data, a)
         np.testing.assert_array_equal(slice_rows(cat, 3, 6).data, b)
-
-    def test_log_requires_positive(self):
-        with pytest.raises(ContractError):
-            T.log(Tensor([[0.0, 1.0]]))
-        out = T.log(T.clamp_min(Tensor([[0.0, 1.0]])))
-        assert np.isfinite(out.data).all()
 
     def test_channel_norm_constant_column_maps_to_zero(self):
         x = np.column_stack([np.full(7, 3.25), rand(7)])
@@ -328,11 +322,13 @@ GRAD_CASES = [
     ("sigmoid", rand(4, 4),
      lambda x, c=_c(4, 4): T.tsum(T.mul(T.sigmoid(x), c))),
     ("log", np.abs(rand(3, 3)) + 0.5,
-     lambda x, c=_c(3, 3): T.tsum(T.mul(T.log(x), c))),
+     lambda x, c=_c(3, 3): T.tsum(T.mul(log(x), c))),
     ("abs", rand(4, 3, away_from=0.0),
-     lambda x, c=_c(4, 3): T.tsum(T.mul(T.tabs(x), c))),
+     lambda x, c=_c(4, 3): T.tsum(T.mul(tabs(x), c))),
     ("clamp_min", rand(4, 4, away_from=T.LOG_FLOOR),
-     lambda x, c=_c(4, 4): T.tsum(T.mul(T.clamp_min(x), c))),
+     lambda x, c=_c(4, 4): T.tsum(T.mul(clamp_min(x), c))),
+    ("log_floor", np.abs(rand(3, 3)) + 0.5,
+     lambda x, c=_c(3, 3): T.tsum(T.mul(T.log_floor(x), c))),
     ("maximum_lhs", rand(4, 3),
      lambda x, b=Tensor(rand(4, 3) + 5.0), c=_c(4, 3): T.tsum(T.mul(maximum(x, b), c))),
     ("maximum_rhs", rand(4, 3) + 5.0,
@@ -427,9 +423,9 @@ SPECIAL_INPUTS = _special_inputs()
 
 
 class TestLeanKernelsAreExact:
-    """relu, sigmoid, clamp_min and layer_norm_rows against the plain numpy
-    forms they replace, byte for byte, forward and backward, on inputs with
-    NaN, +-0.0, +-inf and subnormals."""
+    """relu, sigmoid, log_floor and layer_norm_rows against the plain numpy
+    or composed forms they replace, byte for byte, forward and backward, on
+    inputs with NaN, +-0.0, +-inf and subnormals."""
 
     @pytest.fixture(autouse=True)
     def _quiet(self):
@@ -460,12 +456,14 @@ class TestLeanKernelsAreExact:
         assert_same_bits(grad, g * want * (1.0 - want))
 
     @pytest.mark.parametrize("x", SPECIAL_INPUTS)
-    def test_clamp_min(self, x):
+    def test_log_floor(self, x):
+        # The composed log(clamp_min(.)) and np.where's floor are the oracles.
         for a in (x, -x, np.where(np.arange(x.size).reshape(x.shape) % 3, x, T.LOG_FLOOR)):
-            want, mask = clamp_min_reference(a)
-            out, grad, g = self._taped(T.clamp_min, a)
+            out, grad, _ = self._taped(T.log_floor, a)
+            want, want_grad, _ = self._taped(lambda t: log(clamp_min(t)), a)
             assert_same_bits(out, want)
-            assert_same_bits(grad, g * mask)
+            assert_same_bits(grad, want_grad)
+            assert_same_bits(out, np.log(np.where(a > T.LOG_FLOOR, a, T.LOG_FLOOR)))
 
     @pytest.mark.parametrize("x", SPECIAL_INPUTS)
     def test_layer_norm_rows(self, x):

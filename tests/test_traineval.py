@@ -1,6 +1,7 @@
 """Optimizer, checkpoint format, AP evaluation, and training-loop contracts."""
 
 import contextlib
+import itertools
 import os
 import weakref
 
@@ -17,7 +18,7 @@ from kaseq.errors import ConfigError, ContractError, DataFormatError, NumericErr
 from kaseq.matching import box_cxcywh_to_corners
 from kaseq.tensor import Tensor
 
-from helpers import (ap_arrays, apply_task, category_ap_per_threshold,
+from helpers import (ap_arrays, apply_task, box_cost, category_ap_per_threshold, check_grad,
                      collect_predictions_per_row, composed_ops)
 
 RNG = np.random.default_rng(23)
@@ -912,6 +913,124 @@ class TestFusedLayersTrainAsComposed:
             assert fused.tensors[name].tobytes() == want.tobytes(), name
 
 
+class TestObjective:
+    """The objective ``amalgamate`` hands the training loop, evaluated on one
+    forward of the student it would train."""
+
+    @staticmethod
+    def objective_value(teachers, dataset, monkeypatch, label_free=False, **lambdas):
+        captured = {}
+
+        def fit(params, trainable, cfg, train_ds, epochs, batch_size, rng, opt_settings,
+                metadata, objective, guide=None, predict=True, **kwargs):
+            captured.update(params=params, cfg=cfg, objective=objective, guide=guide,
+                            predict=predict)
+            return tv.make_checkpoint(params, cfg), []
+
+        monkeypatch.setattr(tv, "_fit", fit)
+        tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=2, compression="redundancy"),
+                      "sa+ta", epochs=1, seed=3, label_free=label_free,
+                      weights=ka.KAWeights(**lambdas))
+        idx = np.arange(8)
+        guide = captured["guide"]
+        out = forward_batch([dataset.image(i) for i in idx], captured["params"],
+                            captured["cfg"], guide=None if guide is None else guide(idx),
+                            predict=captured["predict"])
+        loss, terms = captured["objective"](out, idx)
+        return loss.item(), {key: term.item() for key, term in terms.items()}
+
+    def test_the_loss_is_the_lambda_weighted_sum_and_linear_in_the_lambdas(
+            self, tiny_train, tiny_teachers, monkeypatch):
+        lambdas = dict(lambda_seq=0.3, lambda_task=0.9, lambda_direct=0.2)
+        loss, terms = self.objective_value(tiny_teachers, tiny_train, monkeypatch, **lambdas)
+        assert list(terms) == ["seq", "task", "direct"]
+        assert loss == pytest.approx(sum(lambdas[f"lambda_{k}"] * v for k, v in terms.items()),
+                                     rel=1e-12)
+        doubled, doubled_terms = self.objective_value(
+            tiny_teachers, tiny_train, monkeypatch, **{k: 2 * v for k, v in lambdas.items()})
+        assert doubled_terms == terms
+        assert doubled == pytest.approx(2 * loss, rel=1e-12)
+        zero, _ = self.objective_value(tiny_teachers, tiny_train, monkeypatch, lambda_seq=0.0,
+                                       lambda_task=0.0, lambda_direct=0.0)
+        assert zero == 0.0
+
+    def test_a_label_free_objective_has_no_direct_term(self, tiny_train, tiny_teachers,
+                                                       monkeypatch):
+        loss, terms = self.objective_value(tiny_teachers, tiny_train, monkeypatch,
+                                           label_free=True, lambda_direct=100.0)
+        assert list(terms) == ["seq", "task"]
+        assert loss == pytest.approx(terms["seq"] + terms["task"], rel=1e-12)
+
+
+def detection_loss_oracle(dists, boxes, targets, weights, eos_coef=0.1):
+    """The ground-truth loss by brute force: per image, the injective map of
+    objects to slots of least -p[label] + l1 + (1 - GIoU) cost; then the
+    class NLL over every slot, unmatched ones weighted by ``eos_coef`` and
+    labelled no-object, over the weight sum, plus the matched box costs over
+    the box count."""
+    m = dists.shape[0] // len(targets)
+    background = dists.shape[1] - 1
+    nll = weight_sum = box_sum = 0.0
+    boxes_matched = 0
+    for b, (gt_boxes, gt_labels) in enumerate(targets):
+        p, pred = dists[b * m:(b + 1) * m], boxes[b * m:(b + 1) * m]
+
+        def box_term(gi, slot):
+            return box_cost(gt_boxes[gi], pred[slot], weights.l1_weight, weights.giou_weight)
+
+        best = min(itertools.permutations(range(m), len(gt_labels)),
+                   key=lambda slots: sum(-p[s, gt_labels[gi]] + box_term(gi, s)
+                                         for gi, s in enumerate(slots)))
+        labels = {s: gt_labels[gi] for gi, s in enumerate(best)}
+        for slot in range(m):
+            w = 1.0 if slot in labels else eos_coef
+            nll -= w * np.log(max(p[slot, labels.get(slot, background)], T.LOG_FLOOR))
+            weight_sum += w
+        box_sum += sum(box_term(gi, s) for gi, s in enumerate(best))
+        boxes_matched += len(best)
+    return nll / weight_sum + (box_sum / boxes_matched if boxes_matched else 0.0)
+
+
+class TestDetectionLoss:
+    """``detection_loss`` against the brute-force oracle, value and gradient."""
+
+    CLASSES, SLOTS = 3, 5
+
+    def case(self, seed, objects):
+        rng = np.random.default_rng(seed)
+        dists = rng.dirichlet(np.ones(self.CLASSES + 1), size=len(objects) * self.SLOTS)
+        boxes = np.concatenate([rng.uniform(0.3, 0.7, size=(len(objects) * self.SLOTS, 2)),
+                                rng.uniform(0.1, 0.4, size=(len(objects) * self.SLOTS, 2))],
+                               axis=1)
+        targets = [(np.column_stack([rng.uniform(0.3, 0.7, size=(g, 2)),
+                                     rng.uniform(0.1, 0.4, size=(g, 2))]),
+                    rng.integers(0, self.CLASSES, size=g)) for g in objects]
+        return dists, boxes, targets
+
+    def loss(self, dists, boxes, targets, weights):
+        out = det.BatchOutput(dists=dists, boxes=boxes, layer_seqs=[], kept=None,
+                              batch=len(targets))
+        return tv.detection_loss(out, targets, self.CLASSES, weights)
+
+    @pytest.mark.parametrize("objects", [(3, 0, 2), (1, 3), (0, 0)],
+                             ids=["with_an_empty_image", "every_image", "no_objects"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_brute_force_oracle(self, seed, objects):
+        dists, boxes, targets = self.case(seed, objects)
+        weights = ka.KAWeights()
+        got = self.loss(Tensor(dists), Tensor(boxes), targets, weights).item()
+        assert got == pytest.approx(detection_loss_oracle(dists, boxes, targets, weights),
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("objects", [(3, 0, 2), (0, 0)], ids=["with_objects", "no_objects"])
+    def test_gradient_matches_finite_differences(self, objects):
+        dists, boxes, targets = self.case(7, objects)
+        weights = ka.KAWeights()
+        check_grad(lambda d: self.loss(d, Tensor(boxes), targets, weights), dists)
+        if any(objects):
+            check_grad(lambda b: self.loss(Tensor(dists), b, targets, weights), boxes)
+
+
 class TestBatchLosses:
     def test_batch_targets_equal_the_per_task_filter(self, tiny_train):
         part = TaskPartition.equal_split(8, 2)
@@ -944,7 +1063,8 @@ class TestBatchLosses:
             task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
             direct = tv.detection_loss(out, tv._batch_targets(tiny_train, idx, range(1, 9)),
                                        cfg.num_categories, weights)
-            loss = ka.final_loss(None, task, direct, weights)
+            loss = T.add(T.scale(task, weights.lambda_task),
+                         T.scale(direct, weights.lambda_direct))
             return len(T._topo_order(loss)) - len(forward)
 
         assert added_nodes(2) == added_nodes(8)
