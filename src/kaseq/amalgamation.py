@@ -1,12 +1,13 @@
 """Knowledge-amalgamation losses and sequence compression.
 
 Sequence-level amalgamation supervises the student's per-layer token
-sequences with the concatenation of the frozen teachers' sequences,
-normalized per channel over the mini-batch. It is one tape op, whose
-layers run forward and backward on the share pool (``tensor.run_shares``),
-each reading its own teacher rows; the sequence-aggregation
-baseline instead projects teacher sequences through learned matrices and
-averages them into a fixed-size hint. Compression keeps exactly one token
+sequences, normalized per channel over the mini-batch, with a hint per
+layer. SA's hint is the concatenation of the frozen teachers' sequences,
+normalized the same way; the sequence-aggregation baseline's projects each
+teacher's normalized sequence through a learned matrix and averages them
+into a fixed-size hint. Both are one tape op, :func:`sa_loss`, whose layers
+run forward and backward on the share pool (``tensor.run_shares``), each
+building its own hint. Compression keeps exactly one token
 per original grid position, choosing sources by token redundancy (mean
 cosine similarity within the sequence). Task-level amalgamation matches
 student slots to pooled, confidence-filtered teacher soft targets and
@@ -58,69 +59,84 @@ class KAWeights(Settings):
 # sequence-level amalgamation
 
 
-def sa_loss(student_layers: Sequence[Tensor], teacher_rows: Callable[[int], np.ndarray],
-            n_teachers: int) -> Tensor:
-    """(1/N) sum_l ||cn(S_l) - cn(T_l)||_F^2, cn being :func:`tensor.channel_norm`,
-    as one tape op over the student's raw layer sequences S_l and their
-    teacher rows T_l = ``teacher_rows(l)``, compressed as the student is. Each
-    layer's forward, its teacher-row read included, and its vjp run on the
-    share pool, the layers dealt to ``min(L, tensor.share_count())`` groups.
-    The operations and their order are those of the composed ops, so the
-    loss and gradients are byte-equal to theirs. The backward keeps only each
-    layer's difference and its student channel-norm intermediates."""
+def sa_loss(student_layers: Sequence[Tensor], hint: Callable[[int], Tensor],
+            scale: float) -> Tensor:
+    """``scale`` sum_l ||cn(S_l) - H_l||_F^2, cn being
+    :func:`tensor.channel_norm_array`, as one tape op over the student's raw
+    layer sequences S_l and their hints H_l = ``hint(l)``: SA passes
+    :func:`concat_hint` with scale 1/N, the aggregation baseline
+    :func:`aggregate_hint` with scale 1. Each layer's forward, its hint
+    included, and its vjp run on the share pool, the layers dealt to
+    ``min(L, tensor.share_count())`` groups. The operations and their order
+    are those of the composed ops, so the loss and gradients are byte-equal
+    to theirs. The backward keeps each layer's difference and student
+    channel-norm intermediates, and only the hints that need a gradient,
+    to which it hands -2 g (cn(S_l) - H_l)."""
     count = len(student_layers)
     if not count:
         raise ContractError("sa_loss needs at least one supervised layer")
     shares = min(count, T.share_count())
     groups = [(range(k, count, shares),) for k in range(shares)]
     saved: list = [None] * count  # per layer: its term, difference and student cn vjp
+    hints: list = [None] * count  # per layer: its hint, if that needs a gradient
 
     def forward(layers: range) -> None:
         for l in layers:
-            ys, yt = student_layers[l], np.asarray(teacher_rows(l), dtype=np.float64)
-            if ys.shape != yt.shape or yt.ndim != 2:
-                raise ShapeError(f"supervised layer {l}: student {ys.shape}, teacher {yt.shape}")
+            ys, h = student_layers[l], hint(l)
+            if ys.shape != h.shape or h.data.ndim != 2:
+                raise ShapeError(f"supervised layer {l}: student {ys.shape}, hint {h.shape}")
             out, cn_vjp = T.channel_norm_array(ys.data)
-            diff = out - T.channel_norm_array(yt)[0]
+            diff = out - h.data
             saved[l] = (np.sum(diff * diff), diff, cn_vjp)
+            hints[l] = h if h.requires_grad else None
 
     T.run_shares(forward, groups)
     total = saved[0][0]
     for term, *_ in saved[1:]:
         total = total + term
-    c = 1.0 / n_teachers
+    hinted = [l for l in range(count) if hints[l] is not None]
+    c = float(scale)
 
     def vjp(g):
-        g, grads = g * c, [None] * count
+        g, grads, hint_grads = g * c, [None] * count, [None] * count
 
         def backward(layers: range) -> None:
             for l in layers:
                 _, diff, cn_vjp = saved[l]
-                grads[l] = cn_vjp(2.0 * g * diff)
+                g_diff = 2.0 * g * diff
+                grads[l] = cn_vjp(g_diff)
+                hint_grads[l] = -g_diff
 
         T.run_shares(backward, groups)
-        return grads
+        return grads + [hint_grads[l] for l in hinted]
 
-    return T._from_op(total * c, tuple(student_layers), vjp)
+    return T._from_op(total * c, tuple(student_layers) + tuple(hints[l] for l in hinted), vjp)
 
 
-def sag_loss(student_seq: Tensor, teacher_seqs: Sequence[Tensor],
-             w_a: Sequence[Tensor]) -> Tensor:
-    """||Y_s - (1/N) sum_i Y_t^i W_a^i||_F^2 with learned projections W_a."""
-    if len(teacher_seqs) != len(w_a):
-        raise ContractError("one projection matrix per teacher sequence required")
-    if not teacher_seqs:
-        raise ContractError("sag_loss needs at least one teacher sequence")
-    n = len(teacher_seqs)
+def concat_hint(rows: np.ndarray) -> Tensor:
+    """SA's hint: the concatenated teacher rows, channel-normalized, as a constant."""
+    return Tensor(T.channel_norm_array(np.asarray(rows, dtype=np.float64))[0])
+
+
+def aggregate_hint(rows: np.ndarray, w_a: Sequence[Tensor], images: int) -> Tensor:
+    """The aggregation baseline's hint (1/N) sum_i cn(Y_t^i) W_a^i with
+    learned d x d projections W_a, Y_t^i being teacher i's rows of ``rows``,
+    which stacks ``images`` images' N n rows image-major, N = len(w_a)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n_teachers = len(w_a)
+    if not n_teachers:
+        raise ContractError("aggregate_hint needs at least one teacher")
+    if rows.ndim != 2 or images < 1 or rows.shape[0] % (images * n_teachers):
+        raise ShapeError(f"teacher rows {rows.shape} are not {images} x {n_teachers} x n")
+    d = rows.shape[1]
+    if any(w.shape != (d, d) for w in w_a):
+        raise ShapeError(f"W_a must be d x d, d = {d}")
+    blocks = rows.reshape(images, n_teachers, -1, d)
     agg: Optional[Tensor] = None
-    for yt, w in zip(teacher_seqs, w_a):
-        if yt.shape != student_seq.shape:
-            raise ShapeError("teacher sequences must match the student sequence shape")
-        if w.shape != (student_seq.shape[1], student_seq.shape[1]):
-            raise ShapeError("W_a must be d x d")
-        proj = T.matmul(yt, w)
+    for t, w in enumerate(w_a):
+        proj = T.matmul(Tensor(T.channel_norm_array(blocks[:, t].reshape(-1, d))[0]), w)
         agg = proj if agg is None else T.add(agg, proj)
-    return T.frobenius_sq(T.sub(student_seq, T.scale(agg, 1.0 / n)))
+    return T.scale(agg, 1.0 / n_teachers)
 
 
 # ---------------------------------------------------------------------------

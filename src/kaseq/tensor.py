@@ -13,7 +13,9 @@ graph of its own, as those outputs do to walk the forward's shares.
 The ops are the ones the detector and its losses use: elementwise ops of
 equal shapes, products (``matmul_add`` and ``mlp`` add a bias row), sums,
 nonlinearities (``log_floor``, a log floored at :data:`LOG_FLOOR`), row layout
-(``interleave_rows``, ``gather_rows``), softmax, norms and attention.
+(``interleave_rows``, ``gather_rows``), softmax, layer norm and attention.
+The channel norm of the sequence-level loss is an array function,
+:func:`channel_norm_array`, whose vjp that loss's own op calls.
 
 Tensors are immutable values apart from gradient accumulation. A graph is
 used by one thread at a time; disjoint graphs may be built and walked in
@@ -340,12 +342,6 @@ def tsum(a: Tensor, axis: Optional[int] = None) -> Tensor:
                     lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def frobenius_sq(a: Tensor) -> Tensor:
-    """Sum of squared entries; the squared Frobenius norm for matrices."""
-    return _from_op(np.asarray(np.sum(a.data * a.data)), (a,),
-                    lambda g: (2.0 * g * a.data,))
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 
@@ -473,8 +469,10 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
 
 
 def channel_norm_array(x: np.ndarray, eps: float = 1e-6):
-    """:func:`channel_norm` of an array: the output, and its vjp, which maps
-    an output gradient to the input's and keeps only what it reads."""
+    """Each column of ``x`` to zero mean and unit std over all rows, divided
+    by (std + eps) so that a constant column maps to exactly zero: the
+    output, and its vjp, which maps an output gradient to the input's
+    through the batch statistics and keeps only what it reads."""
     mu = x.mean(axis=0, keepdims=True)
     centered = x - mu
     sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))
@@ -490,18 +488,6 @@ def channel_norm_array(x: np.ndarray, eps: float = 1e-6):
         return gc - centered * coeff
 
     return centered / denom, vjp
-
-
-def channel_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize each column to zero mean, unit std over all rows.
-
-    The denominator is (std + eps); a constant column therefore maps to
-    exactly zero. Gradients flow through the batch statistics.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError("channel_norm requires a matrix")
-    out, vjp = channel_norm_array(x.data, eps)
-    return _from_op(out, (x,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ on a non-finite output or loss after dumping the last good checkpoint, steps
 AdamW, and checkpoints, evaluates and logs each epoch. Callers supply only
 the parameters and the loss: teachers and the raw baselines the
 set-prediction ground-truth loss, amalgamation any mix of sequence-level,
-task-level, aggregation baseline and ground-truth terms against frozen
-teachers. Each loss term covers the whole batch at once: the
-sequence-level term is one tape op, ``sa_loss``, whose supervised layers
-run forward and backward on the share pool, each reading its own teacher
-rows; the task-level term is a single ``ta_loss`` call over the B m student
+task-level and ground-truth terms against frozen teachers. Each loss term
+covers the whole batch at once: the sequence-level term, SA's or the
+aggregation baseline's, is one tape op, ``sa_loss``, whose supervised
+layers run forward and backward on the share pool, each building its own
+hint from its teacher rows; the task-level term is a single ``ta_loss`` call over the B m student
 slots and the (B, K) teacher pools; and the ground-truth term gathers every
 matched slot into one box term. Only the assignments are solved per image.
 Teachers never change during amalgamation, so the teacher set's outputs on
@@ -792,38 +792,32 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         for name in [n for n in trainable if not n.startswith(("proj", "enc")) or n == dead]:
             trainable.pop(name).requires_grad = False
 
-    n_layers = cfg.supervised_layers
+    w_a = []  # per supervised layer, the aggregation baseline's projection of each teacher
     if mode == "sag":
         for t in range(n_teachers):
-            for l in range(n_layers):
+            for l in range(cfg.supervised_layers):
                 trainable[f"wa.t{t}.l{l}"] = Tensor(
                     rng.normal(0.0, (1.0 / cfg.d_model) ** 0.5, size=(cfg.d_model, cfg.d_model)),
                     requires_grad=True)
+        w_a = [[trainable[f"wa.t{t}.l{l}"] for t in range(n_teachers)]
+               for l in range(cfg.supervised_layers)]
 
     category_ids = list(range(1, cfg.num_categories + 1))
     metadata = {"mode": mode + ("_lf" if label_free else ""), "seed": seed, "epochs": epochs,
                 "label_free": label_free, "partition": [list(s) for s in partition.subsets],
                 "compression": cfg.compression, "category_ids": category_ids}
-    n = cfg.tokens
 
     def objective(out: BatchOutput, idx: np.ndarray):
         batch = len(idx)
         terms: dict[str, Tensor] = {}
-        if mode in ("sa", "sa+ta"):
+        if mode == "sag":  # the two sequence-level losses differ only in the hint
+            hint = lambda j: ka.aggregate_hint(cache.layer_rows(j, idx), w_a[j], batch)
+            terms["seq"] = T.scale(ka.sa_loss(out.layer_seqs, hint, 1.0), 1.0 / batch)
+        elif mode != "ta":
             keep = slice(None) if out.kept is None else out.kept
-            terms["seq"] = T.scale(ka.sa_loss(out.layer_seqs,
-                                              lambda j: cache.layer_rows(j, idx)[keep],
-                                              n_teachers), 1.0 / batch)
-        elif mode == "sag":
-            per_layer = []
-            for j, seq in enumerate(out.layer_seqs):
-                blocks = cache.layer_rows(j, idx).reshape(batch, n_teachers, n, -1)
-                per_layer.append(ka.sag_loss(
-                    T.channel_norm(seq),
-                    [T.channel_norm(Tensor(blocks[:, t].reshape(batch * n, -1)))
-                     for t in range(n_teachers)],
-                    [trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)]))
-            terms["seq"] = T.scale(functools.reduce(T.add, per_layer), 1.0 / batch)
+            hint = lambda j: ka.concat_hint(cache.layer_rows(j, idx)[keep])
+            terms["seq"] = T.scale(ka.sa_loss(out.layer_seqs, hint, 1.0 / n_teachers),
+                                   1.0 / batch)
 
         if reads_pool:
             terms["task"] = T.scale(ka.ta_loss(out.dists, out.boxes, *cache.pool_rows(idx),

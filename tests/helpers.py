@@ -191,6 +191,21 @@ def tabs(a: Tensor) -> Tensor:
     return T._from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
+def frobenius_sq(a: Tensor) -> Tensor:
+    """Sum of squared entries; the squared Frobenius norm for matrices."""
+    return T._from_op(np.asarray(np.sum(a.data * a.data)), (a,),
+                      lambda g: (2.0 * g * a.data,))
+
+
+def channel_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
+    """``T.channel_norm_array`` as a tape op of its own: each column to zero
+    mean and unit std over all rows, a constant column to exactly zero."""
+    if x.data.ndim != 2:
+        raise ShapeError("channel_norm requires a matrix")
+    out, vjp = T.channel_norm_array(x.data, eps)
+    return T._from_op(out, (x,), lambda g: (vjp(g),))
+
+
 def add_row(x: Tensor, row: Tensor) -> Tensor:
     """``x`` plus a (1, d) row broadcast over its rows, as the library once
     added bias rows; the row's gradient sums the rows of ``g``."""
@@ -444,9 +459,28 @@ def sa_loss_composed(student_layers, teacher_layers, n_teachers: int) -> Tensor:
     the layers summed in order. Teacher layers are arrays."""
     total = None
     for ys, yt in zip(student_layers, teacher_layers, strict=True):
-        term = T.frobenius_sq(T.sub(T.channel_norm(ys), T.channel_norm(Tensor(yt))))
+        term = frobenius_sq(T.sub(channel_norm(ys), channel_norm(Tensor(yt))))
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / n_teachers)
+
+
+def sag_loss_composed(student_layers, teacher_rows, w_a, images: int) -> Tensor:
+    """The aggregation baseline's loss sum_l ||cn(S_l) - (1/N) sum_i
+    cn(Y_t^i) W_a^i||_F^2 by the composed tape ops, as training composed it:
+    per layer, channel norms, matmul, add, scale, sub and frobenius_sq, the
+    layers summed in order. ``teacher_rows[l]`` stacks ``images`` images' N n
+    rows image-major; ``w_a[l]`` holds the N projections of layer l."""
+    total = None
+    for ys, rows, projections in zip(student_layers, teacher_rows, w_a, strict=True):
+        n = len(projections)
+        blocks = rows.reshape(images, n, -1, rows.shape[1])
+        agg = None
+        for t, w in enumerate(projections):
+            proj = T.matmul(channel_norm(Tensor(blocks[:, t].reshape(-1, rows.shape[1]))), w)
+            agg = proj if agg is None else T.add(agg, proj)
+        term = frobenius_sq(T.sub(channel_norm(ys), T.scale(agg, 1.0 / n)))
+        total = term if total is None else T.add(total, term)
+    return total
 
 
 def matmul_add_composed(a: Tensor, b: Tensor, c: Tensor) -> Tensor:

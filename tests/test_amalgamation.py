@@ -15,10 +15,11 @@ from kaseq.data import TaskPartition
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import (apply_compression, assert_same_bits, box_cost, box_giou, check_grad,
-                     compress_redundancy_per_image, confidence, is_leaf, kl_divergence,
+from helpers import (apply_compression, assert_same_bits, box_cost, box_giou, channel_norm,
+                     check_grad, compress_redundancy_per_image, confidence, frobenius_sq,
+                     is_leaf, kl_divergence,
                      match_cost, pad_prediction, redundancy_per_image, sa_loss_composed,
-                     ta_loss_per_image, token_redundancy)
+                     sag_loss_composed, ta_loss_per_image, token_redundancy)
 from helpers import box_loss_rows as composed_box_loss_rows
 
 RNG = np.random.default_rng(31)
@@ -36,18 +37,19 @@ def random_box(rng):
 
 class TestChannelNormalize:
     """SA normalizes each side's stacked mini-batch sequences with
-    ``T.channel_norm``: the student on the tape, the teacher as a constant."""
+    ``T.channel_norm_array``: the student inside ``sa_loss``, the teacher
+    in ``concat_hint``, as a constant."""
 
     def test_batch_statistics(self):
         batch = [RNG.standard_normal((6, 5)) * 3 + 1 for _ in range(4)]
-        normed = T.channel_norm(Tensor(np.vstack(batch))).data
+        normed = T.channel_norm_array(np.vstack(batch))[0]
         np.testing.assert_allclose(normed.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(normed.var(axis=0), 1.0, atol=1e-5)
 
     def test_constant_channel_maps_to_zero(self):
         x = np.column_stack([np.full(8, 2.5), RNG.standard_normal(8)])
-        out = T.channel_norm(Tensor(x))
-        np.testing.assert_array_equal(out.data[:, 0], 0.0)
+        out = T.channel_norm_array(x)[0]
+        np.testing.assert_array_equal(out[:, 0], 0.0)
 
     def test_matches_direct_mean_variance_oracle(self):
         batch = [RNG.standard_normal((4, 3)) for _ in range(3)]
@@ -55,9 +57,9 @@ class TestChannelNormalize:
         mu = stacked.mean(axis=0)
         sd = stacked.std(axis=0)
         expected = (stacked - mu) / (sd + 1e-6)
-        normed = T.channel_norm(Tensor(stacked))
+        normed = A.concat_hint(stacked)
         np.testing.assert_array_equal(normed.data, expected)
-        # a constant input (the teacher side) adds no node to the tape
+        # the teacher side adds no node to the tape
         assert is_leaf(normed) and not normed.requires_grad
 
 
@@ -72,11 +74,15 @@ def sa_case(rng, rows, layers=4, d=5):
     return students, teachers
 
 
+def sa(students, teachers, n_teachers: int) -> Tensor:
+    """SA's loss: ``A.sa_loss`` with the concatenated teacher rows as hints."""
+    return A.sa_loss(students, lambda l: A.concat_hint(teachers[l]), 1.0 / n_teachers)
+
+
 class TestSALoss:
     def test_identical_layers_is_zero(self):
         layers = [Tensor(RNG.standard_normal((5, 4))) for _ in range(3)]
-        rows = [t.data for t in layers]
-        assert A.sa_loss(layers, rows.__getitem__, n_teachers=2).item() == 0.0
+        assert sa(layers, [t.data for t in layers], n_teachers=2).item() == 0.0
 
     def test_opposite_columns_forced_value(self):
         # Each column is +-1 about its mean, so it normalizes to +-1/(1 + eps);
@@ -85,31 +91,31 @@ class TestSALoss:
         ys = Tensor(signs + np.array([3.0, -2.0, 0.5]))
         yt = 7.0 - signs
         expected = 12 * 4.0 / (1.0 + 1e-6) ** 2 / 2
-        assert A.sa_loss([ys], [yt].__getitem__, n_teachers=2).item() == pytest.approx(
+        assert sa([ys], [yt], n_teachers=2).item() == pytest.approx(
             expected, rel=1e-12)
 
     def test_constant_columns_are_zero_after_normalization(self):
         # A constant column normalizes to exactly zero on either side.
         ys = Tensor(np.full((4, 2), 5.0))
         yt = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, 2.0], [-1.0, 2.0]])
-        assert A.sa_loss([ys], [yt].__getitem__, n_teachers=1).item() == pytest.approx(
+        assert sa([ys], [yt], n_teachers=1).item() == pytest.approx(
             4 / (1.0 + 1e-6) ** 2, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            A.sa_loss([Tensor(np.zeros((3, 2)))], [np.zeros((2, 3))].__getitem__, 1)
+            sa([Tensor(np.zeros((3, 2)))], [np.zeros((2, 3))], 1)
 
     def test_no_layer_rejected(self):
         with pytest.raises(ContractError):
-            A.sa_loss([], [].__getitem__, 1)
+            sa([], [], 1)
 
     def test_gradient_matches_finite_differences(self):
         x1, x2 = RNG.standard_normal((5, 4)), RNG.standard_normal((5, 4))
         yt1, yt2 = RNG.standard_normal((5, 4)), RNG.standard_normal((5, 4))
 
         def loss(w):
-            return A.sa_loss([T.matmul(Tensor(x1), w), T.matmul(Tensor(x2), w)],
-                             [yt1, yt2].__getitem__, n_teachers=2)
+            return sa([T.matmul(Tensor(x1), w), T.matmul(Tensor(x2), w)], [yt1, yt2],
+                      n_teachers=2)
 
         check_grad(loss, RNG.standard_normal((4, 4)), tol=1e-4)
 
@@ -117,12 +123,12 @@ class TestSALoss:
         # cn subtracts each column's mean, so the loss does not see a shift
         # of a student column and its gradient sums to zero down each column.
         students, teachers = sa_case(RNG, 12, layers=2)
-        loss = A.sa_loss(students, teachers.__getitem__, 2)
+        loss = sa(students, teachers, 2)
         loss.backward()
         for s in students:  # to rounding, which the constant column's 1/eps scales up
             assert np.all(np.abs(s.grad.sum(axis=0)) <= 1e-14 * (np.abs(s.grad).sum(axis=0) + 1))
         shifted = [Tensor(s.data + RNG.standard_normal((1, s.shape[1]))) for s in students]
-        assert A.sa_loss(shifted, teachers.__getitem__, 2).item() == pytest.approx(
+        assert sa(shifted, teachers, 2).item() == pytest.approx(
             loss.item(), rel=1e-12)
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -142,14 +148,14 @@ class TestSALoss:
         monkeypatch.setattr(T, "core_count", lambda: cores)
         caller, readers = threading.current_thread(), {}
 
-        def rows_of(l):
+        def hint_of(l):
             readers[l] = threading.current_thread()
-            return teachers[l]
+            return A.concat_hint(teachers[l])
 
         with ThreadPoolExecutor(max_workers=2) as executor:
             submitted = []
             monkeypatch.setattr(T, "_share_pool", lambda: submitted.append(1) or executor)
-            got = A.sa_loss(students, rows_of, 2)
+            got = A.sa_loss(students, hint_of, 0.5)
             got.backward()
         assert got.data.tobytes() == want.data.tobytes()
         for s, g in zip(students, want_grads):
@@ -176,7 +182,7 @@ class TestSALoss:
             for _ in range(2):
                 for s in students:
                     s.grad = None
-                loss = A.sa_loss(students, teachers.__getitem__, 3)
+                loss = sa(students, teachers, 3)
                 loss.backward()
                 runs.append((loss.data.tobytes(), [s.grad.tobytes() for s in students]))
 
@@ -197,62 +203,127 @@ class TestSALoss:
             assert grads == [g.tobytes() for g in want_grads]
 
 
+def sag(students, rows, w_a, images: int) -> Tensor:
+    """The aggregation baseline's loss: ``A.sa_loss`` with ``A.aggregate_hint``."""
+    return A.sa_loss(students, lambda l: A.aggregate_hint(rows[l], w_a[l], images), 1.0)
+
+
+def sag_case(rng, images=2, teachers=2, tokens=8, layers=4, d=5):
+    """Raw student leaves, teacher rows and projection leaves of ``layers``
+    supervised layers, with a constant column in a student and a teacher."""
+    students = [Tensor(rng.standard_normal((images * tokens, d)) * 2 + 1, requires_grad=True)
+                for _ in range(layers)]
+    rows = [rng.standard_normal((images * teachers * tokens, d)) for _ in range(layers)]
+    w_a = [[Tensor(rng.standard_normal((d, d)), requires_grad=True) for _ in range(teachers)]
+           for _ in range(layers)]
+    students[0].data[:, 1] = 0.75
+    rows[-1][:, 2] = -3.0
+    return students, rows, w_a
+
+
 class TestSAGLoss:
     def test_single_teacher_identity_projection_equals_sa(self):
         ys = Tensor(RNG.standard_normal((5, 3)))
-        yt = Tensor(RNG.standard_normal((5, 3)))
-        sag = A.sag_loss(T.channel_norm(ys), [T.channel_norm(yt)], [Tensor(np.eye(3))])
-        sa = A.sa_loss([ys], [yt.data].__getitem__, n_teachers=1)
-        assert sag.item() == pytest.approx(sa.item(), abs=1e-12)
+        yt = RNG.standard_normal((5, 3))
+        assert sag([ys], [yt], [[Tensor(np.eye(3))]], 1).item() == pytest.approx(
+            sa([ys], [yt], n_teachers=1).item(), abs=1e-12)
 
     def test_zero_teachers_reduce_to_student_norm(self):
         ys = RNG.standard_normal((4, 3))
-        out = A.sag_loss(Tensor(ys), [Tensor(np.zeros((4, 3)))],
-                         [Tensor(RNG.standard_normal((3, 3)))])
-        assert out.item() == pytest.approx(float(np.sum(ys * ys)))
+        out = sag([Tensor(ys)], [np.zeros((4, 3))], [[Tensor(RNG.standard_normal((3, 3)))]], 1)
+        assert out.item() == pytest.approx(float(np.sum(T.channel_norm_array(ys)[0] ** 2)))
 
     def test_gradient_matches_finite_differences(self):
         x = RNG.standard_normal((5, 3))
-        teachers = [RNG.standard_normal((5, 3)) for _ in range(2)]
+        rows = np.vstack([RNG.standard_normal((5, 3)) for _ in range(2)])
         w_a = [Tensor(RNG.standard_normal((3, 3))) for _ in range(2)]
 
         def loss_w(w):
-            return A.sag_loss(T.matmul(Tensor(x), w), [Tensor(t) for t in teachers], w_a)
+            return sag([T.matmul(Tensor(x), w)], [rows], [w_a], 1)
 
         check_grad(loss_w, RNG.standard_normal((3, 3)), tol=1e-4)
 
         def loss_wa(wa0):
-            return A.sag_loss(Tensor(x), [Tensor(t) for t in teachers],
-                              [wa0, w_a[1]])
+            return sag([Tensor(x)], [rows], [[wa0, w_a[1]]], 1)
 
         check_grad(loss_wa, RNG.standard_normal((3, 3)), tol=1e-4)
 
     def test_error_gradient_form(self):
-        # With the optimal projection the SAG gradient equals the SA gradient;
-        # perturbing W_a by Delta shifts it by exactly (2/N) X^T Y_t Delta.
+        # With the optimal projection the SAG gradient equals that of SA's
+        # form against the hint it should hit; perturbing W_a by Delta shifts
+        # it by exactly X^T cn'(2 cn(Y_t) Delta), linear in Delta.
         n, d = 6, 4
         x = RNG.standard_normal((n, d))
         y_t = RNG.standard_normal((n, d))
         w_opt = RNG.standard_normal((d, d))
-        y_sa = y_t @ w_opt  # the aggregated target the projection should hit
+        y_sa = T.channel_norm_array(y_t)[0] @ w_opt  # the hint the projection should hit
 
         def grad_of(loss_fn):
-            w = Tensor(RNG.standard_normal((d, d)), requires_grad=True)
-            w.data[:] = w_student
+            w = Tensor(w_student.copy(), requires_grad=True)
             loss_fn(w).backward()
             return w.grad
 
         w_student = RNG.standard_normal((d, d))
-        g_sa = grad_of(lambda w: T.frobenius_sq(T.sub(T.matmul(Tensor(x), w), Tensor(y_sa))))
-        g_sag = grad_of(lambda w: A.sag_loss(T.matmul(Tensor(x), w), [Tensor(y_t)],
-                                             [Tensor(w_opt)]))
+        g_sa = grad_of(lambda w: frobenius_sq(T.sub(channel_norm(T.matmul(Tensor(x), w)),
+                                                    Tensor(y_sa))))
+        g_sag = grad_of(lambda w: sag([T.matmul(Tensor(x), w)], [y_t], [[Tensor(w_opt)]], 1))
         assert np.max(np.abs(g_sa - g_sag)) < 1e-10
 
         delta = RNG.standard_normal((d, d)) * 0.1
-        g_pert = grad_of(lambda w: A.sag_loss(T.matmul(Tensor(x), w), [Tensor(y_t)],
-                                              [Tensor(w_opt - delta)]))
-        analytic = 2.0 * x.T @ (y_t @ delta)
+        g_pert = grad_of(lambda w: sag([T.matmul(Tensor(x), w)], [y_t],
+                                       [[Tensor(w_opt - delta)]], 1))
+        cn_vjp = T.channel_norm_array(x @ w_student)[1]
+        analytic = x.T @ cn_vjp(2.0 * T.channel_norm_array(y_t)[0] @ delta)
         assert np.max(np.abs((g_pert - g_sag) - analytic)) < 1e-8
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_equals_the_composed_ops_byte_for_byte(self, monkeypatch, cores):
+        # The oracle: channel norms, matmul, add, scale, sub, frobenius_sq and
+        # add as separate tape ops, at one share.
+        monkeypatch.setattr(T, "_max_shares", None)
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        # A seed whose layer terms sum to another value in another order.
+        students, rows, w_a = sag_case(np.random.default_rng(0))
+        leaves = students + [w for layer in w_a for w in layer]
+        want = sag_loss_composed(students, rows, w_a, 2)
+        want.backward()
+        want_grads = [leaf.grad for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        monkeypatch.setattr(T, "core_count", lambda: cores)
+        caller, builders = threading.current_thread(), {}
+
+        def hint_of(l):
+            builders[l] = threading.current_thread()
+            return A.aggregate_hint(rows[l], w_a[l], 2)
+
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            monkeypatch.setattr(T, "_share_pool", lambda: executor)
+            got = A.sa_loss(students, hint_of, 1.0)
+            got.backward()
+        assert got.data.tobytes() == want.data.tobytes()
+        for leaf, g in zip(leaves, want_grads):
+            assert leaf.grad.tobytes() == g.tobytes()
+        off_caller = {l for l, thread in builders.items() if thread is not caller}
+        assert off_caller == {l for l in range(4) if l % cores}
+
+    def test_constant_hints_stay_off_the_tape(self):
+        # Only a hint that needs a gradient is a parent of the loss.
+        students, teachers = sa_case(np.random.default_rng(8), 16, layers=2)
+        assert sa(students, teachers, 2)._parents == tuple(students)
+        students, rows, w_a = sag_case(np.random.default_rng(8), layers=2)
+        loss = sag(students, rows, w_a, 2)
+        assert loss._parents[:2] == tuple(students) and len(loss._parents) == 4
+
+    @pytest.mark.parametrize("rows, w_shape", [
+        ((2 * 2 * 8, 5), (5, 5)),    # the hint has other rows than the student
+        ((2 * 2 * 7, 5), (5, 5)),    # the rows do not split over images and teachers
+        ((2 * 2 * 8, 5), (5, 4)),    # W_a is not d x d
+        ((2 * 2 * 8, 4), (4, 4))])   # the hint is narrower than the student
+    def test_shape_errors(self, rows, w_shape):
+        students = [Tensor(np.ones((2 * 4, 5)))]
+        with pytest.raises(ShapeError):
+            sag(students, [np.ones(rows)], [[Tensor(np.ones(w_shape))] * 2], 2)
 
 
 class TestRedundancy:

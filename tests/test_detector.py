@@ -19,8 +19,8 @@ from kaseq import tensor as T
 from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
-from helpers import (backbone_project, compress_redundancy_per_image, finite_difference_grad,
-                     image_detections, is_leaf, rel_err, split_parts, student_forward,
+from helpers import (backbone_project, channel_norm, compress_redundancy_per_image,
+                     finite_difference_grad, frobenius_sq, image_detections, is_leaf, rel_err, split_parts, student_forward,
                      teacher_forward)
 
 RNG = np.random.default_rng(17)
@@ -79,7 +79,7 @@ class TestBackbone:
         cfg = tiny_cfg(num_parts=2)
         params = det.DetectorParams.init(cfg, RNG)
         seq = backbone_project(rand_image(), params, cfg, 1)
-        T.frobenius_sq(seq).backward()
+        frobenius_sq(seq).backward()
         assert params.proj[1].w.grad is not None
         assert params.proj[0].w.grad is None
 
@@ -314,7 +314,7 @@ def coefficients(shape):
 def every_output_loss(out):
     """A loss that reads every output, the sequences through channel_norm's
     statistics over the whole batch."""
-    terms = [T.tsum(T.mul(T.channel_norm(seq), Tensor(coefficients(seq.shape))))
+    terms = [T.tsum(T.mul(channel_norm(seq), Tensor(coefficients(seq.shape))))
              for seq in out.layer_seqs]
     if out.dists is not None:
         terms += [T.tsum(T.mul(T.log_floor(out.dists),
@@ -444,7 +444,8 @@ class TestSplitBackward:
         def step():
             out = det.forward_batch(images, params, cfg, guide=guide)
             keep = slice(None) if out.kept is None else out.kept
-            seq = ka.sa_loss(out.layer_seqs, lambda l: teacher_layers[l][keep], 2)
+            seq = ka.sa_loss(out.layer_seqs,
+                             lambda l: ka.concat_hint(teacher_layers[l][keep]), 0.5)
             task = ka.ta_loss(out.dists, out.boxes, pool_dists, pool_boxes, weights)
             return out, T.add(T.scale(seq, weights.lambda_seq),
                               T.scale(task, weights.lambda_task))

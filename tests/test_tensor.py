@@ -7,10 +7,10 @@ from kaseq import tensor as T
 from kaseq.errors import ContractError, ShapeError
 from kaseq.tensor import Tensor
 
-from helpers import (add_row, assert_same_bits, check_grad, clamp_min, div, layer_norm_reference,
-                     log, matmul_add_composed, maximum, minimum, mlp_composed, relu_reference,
-                     sigmoid_reference, slice_cols, slice_rows, SPECIAL_VALUES, special_values,
-                     tabs)
+from helpers import (add_row, assert_same_bits, channel_norm, check_grad, clamp_min, div,
+                     frobenius_sq, layer_norm_reference, log, matmul_add_composed, maximum,
+                     minimum, mlp_composed, relu_reference, sigmoid_reference, slice_cols,
+                     slice_rows, SPECIAL_VALUES, special_values, tabs)
 
 RNG = np.random.default_rng(20240811)
 
@@ -59,8 +59,8 @@ class TestForwardSemantics:
         np.testing.assert_allclose(s, shifted, atol=1e-12)
 
     def test_frobenius_zero_and_ones(self):
-        assert T.frobenius_sq(Tensor(np.zeros((3, 3)))).item() == 0.0
-        assert T.frobenius_sq(Tensor(np.ones((2, 3)))).item() == 6.0
+        assert frobenius_sq(Tensor(np.zeros((3, 3)))).item() == 0.0
+        assert frobenius_sq(Tensor(np.ones((2, 3)))).item() == 6.0
 
     def test_concat_slice_seam_identity(self):
         # With one block, interleave_rows is the concatenation of its parts.
@@ -71,8 +71,8 @@ class TestForwardSemantics:
 
     def test_channel_norm_constant_column_maps_to_zero(self):
         x = np.column_stack([np.full(7, 3.25), rand(7)])
-        out = T.channel_norm(Tensor(x))
-        np.testing.assert_array_equal(out.data[:, 0], 0.0)
+        out = T.channel_norm_array(x)[0]
+        np.testing.assert_array_equal(out[:, 0], 0.0)
 
     def test_permute_rows_roundtrip(self):
         x = rand(6, 3)
@@ -157,7 +157,7 @@ class TestTape:
     def test_frobenius_residual_gradient(self):
         w = Tensor(rand(4, 3), requires_grad=True)
         target = Tensor(rand(4, 3))
-        T.frobenius_sq(T.sub(w, target)).backward()
+        frobenius_sq(T.sub(w, target)).backward()
         np.testing.assert_allclose(w.grad, 2.0 * (w.data - target.data), atol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -191,7 +191,7 @@ class TestTape:
         def loss(w1):
             h = T.relu(add_row(T.matmul(Tensor(x), w1), Tensor(bias)))
             out = T.matmul(h, Tensor(w2))
-            return T.frobenius_sq(T.sub(out, Tensor(target)))
+            return frobenius_sq(T.sub(out, Tensor(target)))
 
         err = check_grad(loss, rand(4, 6, away_from=0.0), h=1e-5, tol=1e-4)
         assert err < 1e-4
@@ -316,7 +316,7 @@ GRAD_CASES = [
      lambda x, c=_c(1, 3): T.tsum(T.mul(T.tsum(x, axis=0), c))),
     ("tsum_axis1", rand(4, 3),
      lambda x, c=_c(4, 1): T.tsum(T.mul(T.tsum(x, axis=1), c))),
-    ("frobenius_sq", rand(4, 3), lambda x: T.frobenius_sq(x)),
+    ("frobenius_sq", rand(4, 3), lambda x: frobenius_sq(x)),
     ("relu", rand(4, 4, away_from=0.0),
      lambda x, c=_c(4, 4): T.tsum(T.mul(T.relu(x), c))),
     ("sigmoid", rand(4, 4),
@@ -361,7 +361,7 @@ GRAD_CASES = [
      lambda x, a=Tensor(rand(5, 4)), g=Tensor(rand(1, 4)), c=_c(5, 4):
          T.tsum(T.mul(T.layer_norm_rows(a, g, x), c))),
     ("channel_norm", rand(6, 3),
-     lambda x, c=_c(6, 3): T.tsum(T.mul(T.channel_norm(x), c))),
+     lambda x, c=_c(6, 3): T.tsum(T.mul(channel_norm(x), c))),
     # Two heads (d_k 2) over two blocks of 3 queries and 4 keys.
     ("block_attention_q", rand(6, 4),
      lambda x, k=Tensor(rand(8, 4)), v=Tensor(rand(8, 5)), c=_c(6, 10):
@@ -405,8 +405,8 @@ def test_mean_relu_gradient_matches_finite_differences():
 def test_random_matmul_gradient_tight_tolerance():
     a = rand(4, 5)
     b = rand(5, 3)
-    check_grad(lambda t: T.frobenius_sq(T.matmul(t, Tensor(b))), a, tol=1e-6)
-    check_grad(lambda t: T.frobenius_sq(T.matmul(Tensor(a), t)), b, tol=1e-6)
+    check_grad(lambda t: frobenius_sq(T.matmul(t, Tensor(b))), a, tol=1e-6)
+    check_grad(lambda t: frobenius_sq(T.matmul(Tensor(a), t)), b, tol=1e-6)
 
 
 def _special_inputs():

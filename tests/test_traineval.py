@@ -678,9 +678,9 @@ class TestTrainingLoops:
         finite = []
         sa_loss = ka.sa_loss
 
-        def recording_sa_loss(student, teacher_rows, n_teachers):
+        def recording_sa_loss(student, hint, scale):
             finite.append(all(np.isfinite(seq.data).all() for seq in student))
-            return sa_loss(student, teacher_rows, n_teachers)
+            return sa_loss(student, hint, scale)
 
         monkeypatch.setattr(ka, "sa_loss", recording_sa_loss)
         dump = str(tmp_path / "crash.ckpt")
