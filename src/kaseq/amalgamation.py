@@ -2,26 +2,26 @@
 
 Sequence-level amalgamation supervises the student's per-layer token
 sequences, normalized per channel over the mini-batch, with a hint per
-layer. SA's hint is the concatenation of the frozen teachers' sequences,
-normalized the same way; the sequence-aggregation baseline's projects each
-teacher's normalized sequence through a learned matrix and averages them
-into a fixed-size hint. Both are one tape op, :func:`sa_loss`, whose layers
-run forward and backward on the share pool (``tensor.run_shares``), each
-building its own hint. Compression keeps exactly one token
-per original grid position, choosing sources by token redundancy (mean
-cosine similarity within the sequence). Task-level amalgamation matches
-student slots to pooled, confidence-filtered teacher soft targets and
-weighs each matched pair's KL and box terms by teacher confidence (the box
-term, l1 plus 1 - GIoU, is one tape op that the ground-truth loss shares);
-it runs once per batch, with one assignment problem per image and one loss
-over all the batch's slots.
+layer: SA's is the teachers' concatenated sequences, normalized the same
+way; the sequence-aggregation baseline's averages their normalized sequences
+projected through learned matrices, a fixed-size hint. Both are one tape op,
+:func:`sa_loss`, whose layers run forward and backward on the share pool
+(``tensor.run_shares``), each building its own hint. Compression keeps
+exactly one token per original grid position, choosing sources by token
+redundancy (mean cosine similarity within the sequence). Task-level
+amalgamation matches student slots to pooled, confidence-filtered teacher
+soft targets and weighs each matched pair's KL and box terms by teacher
+confidence (the box term, l1 plus 1 - GIoU, is one tape op that the
+ground-truth loss shares); it runs once per batch, with one assignment
+problem per image and one loss over all the batch's slots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,17 +61,16 @@ class KAWeights(Settings):
 
 def sa_loss(student_layers: Sequence[Tensor], hint: Callable[[int], Tensor],
             scale: float) -> Tensor:
-    """``scale`` sum_l ||cn(S_l) - H_l||_F^2, cn being
-    :func:`tensor.channel_norm_array`, as one tape op over the student's raw
-    layer sequences S_l and their hints H_l = ``hint(l)``: SA passes
-    :func:`concat_hint` with scale 1/N, the aggregation baseline
-    :func:`aggregate_hint` with scale 1. Each layer's forward, its hint
-    included, and its vjp run on the share pool, the layers dealt to
-    ``min(L, tensor.share_count())`` groups. The operations and their order
-    are those of the composed ops, so the loss and gradients are byte-equal
-    to theirs. The backward keeps each layer's difference and student
-    channel-norm intermediates, and only the hints that need a gradient,
-    to which it hands -2 g (cn(S_l) - H_l)."""
+    """``scale`` sum_l ||cn(S_l) - H_l||_F^2 (cn: :func:`tensor.channel_norm_array`)
+    as one tape op over the student's raw layer sequences S_l and their hints
+    H_l = ``hint(l)``: SA's :func:`concat_hint` with scale 1/N, or the
+    aggregation baseline's :func:`aggregate_hint` with scale 1. Each layer's
+    forward, its hint included, and its vjp run on the share pool, the
+    layers dealt to ``min(L, tensor.share_count())`` groups. The operations
+    and their order are those of the composed ops, so the loss and gradients
+    are byte-equal to theirs. The backward keeps each layer's difference and
+    student channel-norm intermediates, and only the hints that need a
+    gradient, to which it hands -2 g (cn(S_l) - H_l)."""
     count = len(student_layers)
     if not count:
         raise ContractError("sa_loss needs at least one supervised layer")
@@ -91,26 +90,23 @@ def sa_loss(student_layers: Sequence[Tensor], hint: Callable[[int], Tensor],
             hints[l] = h if h.requires_grad else None
 
     T.run_shares(forward, groups)
-    total = saved[0][0]
-    for term, *_ in saved[1:]:
-        total = total + term
-    hinted = [l for l in range(count) if hints[l] is not None]
-    c = float(scale)
+    total = functools.reduce(np.add, [term for term, *_ in saved])  # in layer order
 
     def vjp(g):
-        g, grads, hint_grads = g * c, [None] * count, [None] * count
+        g, grads, hint_grads = g * scale, [None] * count, [None] * count
 
         def backward(layers: range) -> None:
             for l in layers:
                 _, diff, cn_vjp = saved[l]
                 g_diff = 2.0 * g * diff
                 grads[l] = cn_vjp(g_diff)
-                hint_grads[l] = -g_diff
+                if hints[l] is not None:
+                    hint_grads[l] = -g_diff
 
         T.run_shares(backward, groups)
-        return grads + [hint_grads[l] for l in hinted]
+        return grads + [gh for gh, h in zip(hint_grads, hints) if h is not None]
 
-    return T._from_op(total * c, tuple(student_layers) + tuple(hints[l] for l in hinted), vjp)
+    return T._from_op(total * scale, (*student_layers, *(h for h in hints if h is not None)), vjp)
 
 
 def concat_hint(rows: np.ndarray) -> Tensor:
@@ -122,21 +118,16 @@ def aggregate_hint(rows: np.ndarray, w_a: Sequence[Tensor], images: int) -> Tens
     """The aggregation baseline's hint (1/N) sum_i cn(Y_t^i) W_a^i with
     learned d x d projections W_a, Y_t^i being teacher i's rows of ``rows``,
     which stacks ``images`` images' N n rows image-major, N = len(w_a)."""
-    rows = np.asarray(rows, dtype=np.float64)
-    n_teachers = len(w_a)
-    if not n_teachers:
-        raise ContractError("aggregate_hint needs at least one teacher")
-    if rows.ndim != 2 or images < 1 or rows.shape[0] % (images * n_teachers):
+    rows, n_teachers = np.asarray(rows, dtype=np.float64), len(w_a)
+    if rows.ndim != 2 or images < 1 or not w_a or rows.shape[0] % (images * n_teachers):
         raise ShapeError(f"teacher rows {rows.shape} are not {images} x {n_teachers} x n")
     d = rows.shape[1]
     if any(w.shape != (d, d) for w in w_a):
         raise ShapeError(f"W_a must be d x d, d = {d}")
     blocks = rows.reshape(images, n_teachers, -1, d)
-    agg: Optional[Tensor] = None
-    for t, w in enumerate(w_a):
-        proj = T.matmul(Tensor(T.channel_norm_array(blocks[:, t].reshape(-1, d))[0]), w)
-        agg = proj if agg is None else T.add(agg, proj)
-    return T.scale(agg, 1.0 / n_teachers)
+    projected = [T.matmul(Tensor(T.channel_norm_array(blocks[:, t].reshape(-1, d))[0]), w)
+                 for t, w in enumerate(w_a)]
+    return T.scale(functools.reduce(T.add, projected), 1.0 / n_teachers)
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,6 @@ def _require_file(path: str, what: str) -> None:
         raise UsageError(f"{what} {path} does not exist")
 
 
-def _full_partition_for_subset(subset: list[int], num_categories: int) -> D.TaskPartition:
-    complement = tuple(c for c in range(1, num_categories + 1) if c not in set(subset))
-    subsets = (tuple(subset),) + ((complement,) if complement else ())
-    return D.TaskPartition(subsets, num_categories)
-
-
 # ---------------------------------------------------------------------------
 # training runs, one per kind, shared by the commands and the ablation suites
 
@@ -242,11 +236,11 @@ def _run_settings(cfg: dict, out: str):
 
 
 def run_teacher(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
-                partition: D.TaskPartition, task_index: int, seed: int, epochs: int,
+                subset: Sequence[int], task_index: int, seed: int, epochs: int,
                 out: str) -> tv.Checkpoint:
-    """Train teacher ``task_index`` of ``partition`` and save it at ``out``."""
+    """Train teacher ``task_index``, on the category ``subset``, and save it at ``out``."""
     with _run_settings(cfg, out) as settings:
-        ckpt, _ = tv.train_teacher(train, partition, task_index, _detector_config(cfg),
+        ckpt, _ = tv.train_teacher(train, subset, task_index, _detector_config(cfg),
                                    epochs=epochs, seed=seed, eval_ds=eval_ds, **settings)
     tv.save_checkpoint(ckpt, out)
     return ckpt
@@ -329,10 +323,9 @@ def cmd_train_teacher(args) -> int:
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
     subset = parse_task_spec(args.task)
-    if max(subset) > train.num_categories:
-        raise UsageError(f"task categories exceed the dataset universe 1..{train.num_categories}")
-    partition = _full_partition_for_subset(subset, train.num_categories)
-    ckpt = run_teacher(cfg, train, eval_ds, partition, 0, cfg["seed"],
+    if subset[0] < 1 or subset[-1] > train.num_categories:
+        raise UsageError(f"task categories outside the dataset universe 1..{train.num_categories}")
+    ckpt = run_teacher(cfg, train, eval_ds, subset, 0, cfg["seed"],
                        cfg["train"]["teacher_epochs"], args.out)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-teacher", args.out)
     print(f"teacher checkpoint written to {args.out}")
@@ -468,8 +461,8 @@ def _prepare_teachers(args, cfg, train, eval_ds, out_dir, resumed: bool) -> list
         if os.path.exists(path):
             ckpts.append(tv.load_checkpoint(path))
         else:
-            ckpts.append(run_teacher(cfg, train, eval_ds, partition, t, cfg["seed"] + 1000 + t,
-                                     cfg["train"]["teacher_epochs"], path))
+            ckpts.append(run_teacher(cfg, train, eval_ds, partition.subset(t), t,
+                                     cfg["seed"] + 1000 + t, cfg["train"]["teacher_epochs"], path))
     return ckpts
 
 

@@ -56,21 +56,17 @@ class DetectorConfig(Settings):
     ffn_dim: int = 128
 
     def __post_init__(self):
-        for key in ("image_size", "patch_size", "d_model", "heads", "queries",
-                    "num_categories", "num_parts", "ffn_dim"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1")
-        for key in ("enc_layers", "dec_layers"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative")
+        self._require(("image_size", "patch_size", "d_model", "heads", "queries",
+                       "num_categories", "num_parts", "ffn_dim"), lambda v: v >= 1, "at least 1")
+        self._require(("enc_layers", "dec_layers"), lambda v: v >= 0, "non-negative")
+        self._require(("compression",), lambda v: v in COMPRESSION_MODES,
+                      f"one of {', '.join(COMPRESSION_MODES)}")
         if self.image_size % self.patch_size:
             raise ConfigError("image size must be divisible by the patch size")
         if self.d_model % self.heads:
             raise ConfigError("head count must divide d_model")
         if self.d_model % 4:
             raise ConfigError("d_model must be divisible by 4 for positional encodings")
-        if self.compression not in COMPRESSION_MODES:
-            raise ConfigError(f"unknown compression strategy {self.compression!r}")
 
     @property
     def grid(self) -> int:

@@ -22,6 +22,20 @@ def box_cxcywh_to_corners(b) -> np.ndarray:
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
+def overlap_terms(corners_a: np.ndarray, corners_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Intersection width and height (clamped at 0), intersection, union and
+    IoU of (x0, y0, x1, y1) boxes ``corners_a`` and ``corners_b``, broadcast
+    against each other over their leading axes."""
+    ca, cb = np.asarray(corners_a, dtype=np.float64), np.asarray(corners_b, dtype=np.float64)
+    iw = np.maximum(0.0, np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0]))
+    ih = np.maximum(0.0, np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1]))
+    inter = iw * ih
+    area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
+    area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
+    union = area_a + area_b - inter
+    return iw, ih, inter, union, inter / union
+
+
 class GIoUTerms(NamedTuple):
     """IoU and generalized IoU of two sets of boxes, with the pieces they are
     made of (the gradient of the row-wise GIoU loss reads them)."""
@@ -38,20 +52,13 @@ class GIoUTerms(NamedTuple):
 
 
 def giou_terms(corners_a: np.ndarray, corners_b: np.ndarray) -> GIoUTerms:
-    """IoU and GIoU of (x0, y0, x1, y1) boxes ``corners_a`` and ``corners_b``,
-    broadcast against each other over their leading axes."""
-    ca = np.asarray(corners_a, dtype=np.float64)
-    cb = np.asarray(corners_b, dtype=np.float64)
-    iw = np.maximum(0.0, np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0]))
-    ih = np.maximum(0.0, np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1]))
-    inter = iw * ih
-    area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
-    area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
-    union = area_a + area_b - inter
+    """:func:`overlap_terms` of (x0, y0, x1, y1) boxes ``corners_a`` and
+    ``corners_b`` with their enclosure and GIoU."""
+    ca, cb = np.asarray(corners_a, dtype=np.float64), np.asarray(corners_b, dtype=np.float64)
+    iw, ih, inter, union, iou = overlap_terms(ca, cb)
     ew = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
     eh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
     enclosure = ew * eh
-    iou = inter / union
     return GIoUTerms(iw, ih, ew, eh, inter, union, enclosure, iou,
                      iou - (enclosure - union) / enclosure)
 
@@ -59,7 +66,7 @@ def giou_terms(corners_a: np.ndarray, corners_b: np.ndarray) -> GIoUTerms:
 def pairwise_iou(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray:
     """IoU of every (a, b) pair of (x0, y0, x1, y1) boxes; rows index a,
     columns index b."""
-    return giou_terms(np.asarray(corners_a)[:, None, :], np.asarray(corners_b)[None, :, :]).iou
+    return overlap_terms(np.asarray(corners_a)[:, None, :], np.asarray(corners_b)[None, :, :])[-1]
 
 
 def box_cost(boxes_a, boxes_b, l1_weight: float, giou_weight: float) -> np.ndarray:

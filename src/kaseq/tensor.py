@@ -13,9 +13,8 @@ graph of its own, as those outputs do to walk the forward's shares.
 The ops are the ones the detector and its losses use: elementwise ops of
 equal shapes, products (``matmul_add`` and ``mlp`` add a bias row), sums,
 nonlinearities (``log_floor``, a log floored at :data:`LOG_FLOOR`), row layout
-(``interleave_rows``, ``gather_rows``), softmax, layer norm and attention.
-The channel norm of the sequence-level loss is an array function,
-:func:`channel_norm_array`, whose vjp that loss's own op calls.
+(``interleave_rows``, ``gather_rows``), softmax, layer norm and attention;
+the channel norm is an array function whose vjp the loss op calls.
 
 Tensors are immutable values apart from gradient accumulation. A graph is
 used by one thread at a time; disjoint graphs may be built and walked in
@@ -469,10 +468,9 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
 
 
 def channel_norm_array(x: np.ndarray, eps: float = 1e-6):
-    """Each column of ``x`` to zero mean and unit std over all rows, divided
-    by (std + eps) so that a constant column maps to exactly zero: the
-    output, and its vjp, which maps an output gradient to the input's
-    through the batch statistics and keeps only what it reads."""
+    """``x`` with each column centered and divided by its std over all rows
+    plus eps, so that a constant column maps to exactly zero, and the vjp
+    through those batch statistics, which keeps only what it reads."""
     mu = x.mean(axis=0, keepdims=True)
     centered = x - mu
     sigma = np.sqrt((centered * centered).mean(axis=0, keepdims=True))

@@ -668,16 +668,15 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
     return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
-def train_teacher(train_ds: Dataset, partition: TaskPartition, task_index: int,
+def train_teacher(train_ds: Dataset, subset: Sequence[int], task_index: int,
                   cfg: DetectorConfig, epochs: int, seed: int,
                   **kwargs) -> tuple[Checkpoint, list[float]]:
-    """Train teacher t on its task-filtered annotations over |C^t| classes."""
-    subset = sorted(partition.subset(task_index))
-    teacher_cfg = replace(cfg, num_parts=1, compression="none",
-                          num_categories=len(subset))
-    ckpt, losses = train_detector_gt(
-        train_ds, teacher_cfg, epochs, seed, category_ids=subset,
-        mode_label=kwargs.pop("mode_label", f"teacher{task_index + 1}"), **kwargs)
+    """Train teacher ``task_index`` on the annotations of its category
+    ``subset`` over |subset| classes."""
+    subset = sorted(subset)
+    teacher_cfg = replace(cfg, num_parts=1, compression="none", num_categories=len(subset))
+    ckpt, losses = train_detector_gt(train_ds, teacher_cfg, epochs, seed, category_ids=subset,
+                                     mode_label=f"teacher{task_index + 1}", **kwargs)
     ckpt.metadata["task_subset"] = list(subset)
     ckpt.metadata["task_index"] = task_index
     return ckpt, losses
@@ -792,15 +791,12 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         for name in [n for n in trainable if not n.startswith(("proj", "enc")) or n == dead]:
             trainable.pop(name).requires_grad = False
 
-    w_a = []  # per supervised layer, the aggregation baseline's projection of each teacher
     if mode == "sag":
         for t in range(n_teachers):
             for l in range(cfg.supervised_layers):
                 trainable[f"wa.t{t}.l{l}"] = Tensor(
                     rng.normal(0.0, (1.0 / cfg.d_model) ** 0.5, size=(cfg.d_model, cfg.d_model)),
                     requires_grad=True)
-        w_a = [[trainable[f"wa.t{t}.l{l}"] for t in range(n_teachers)]
-               for l in range(cfg.supervised_layers)]
 
     category_ids = list(range(1, cfg.num_categories + 1))
     metadata = {"mode": mode + ("_lf" if label_free else ""), "seed": seed, "epochs": epochs,
@@ -811,7 +807,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
         batch = len(idx)
         terms: dict[str, Tensor] = {}
         if mode == "sag":  # the two sequence-level losses differ only in the hint
-            hint = lambda j: ka.aggregate_hint(cache.layer_rows(j, idx), w_a[j], batch)
+            hint = lambda j: ka.aggregate_hint(cache.layer_rows(j, idx), [
+                trainable[f"wa.t{t}.l{j}"] for t in range(n_teachers)], batch)
             terms["seq"] = T.scale(ka.sa_loss(out.layer_seqs, hint, 1.0), 1.0 / batch)
         elif mode != "ta":
             keep = slice(None) if out.kept is None else out.kept

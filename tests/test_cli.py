@@ -263,6 +263,18 @@ def test_bad_task_spec_exits_1(ws, capsys, task):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("task", ["0", "9", "0-2", "3,9"])
+def test_task_outside_the_categories_exits_1(ws, tmp_path, capsys, task):
+    data = tmp_path / "eight"
+    assert run("gen-data", "--out", data, "--images", 4, "--categories", 8, "--size", 32) == 0
+    capsys.readouterr()
+    assert run("train-teacher", "--data", data, "--task", task,
+               "--out", tmp_path / "outside.ckpt", "--config", ws["config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "1..8" in err
+    assert not (tmp_path / "outside.ckpt").exists()
+
+
 @pytest.mark.parametrize("key", ["detector.bogus", "weights.bogus", "optim.bogus",
                                  "detector.supervise_projection"])
 def test_unknown_config_key_exits_1(ws, capsys, key):
@@ -333,6 +345,20 @@ def test_out_of_range_optimizer_or_loss_weight_exits_1(ws, capsys, setting):
     err = capsys.readouterr().err
     key = setting.split("=")[0].split(".")[1]
     assert err.startswith("invalid request:") and f".{key} must be" in err
+    assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting", [
+    "detector.heads=0", "detector.patch_size=-8", "detector.num_parts=0", "detector.ffn_dim=0",
+    "detector.enc_layers=-1", "detector.dec_layers=-2", "detector.compression=zip"])
+def test_out_of_range_detector_setting_exits_1(ws, capsys, setting):
+    out = ws["root"] / "bad_detector" / "model.ckpt"
+    out.parent.mkdir(exist_ok=True)
+    assert run("train-baseline", "--data", ws["train"], "--out", out, "--config", ws["config"],
+               "--epochs", 1, "--set", setting) == 1
+    err = capsys.readouterr().err
+    key = setting.split("=")[0].split(".")[1]
+    assert err.startswith("invalid request:") and f"DetectorConfig.{key} must be" in err
     assert list(out.parent.iterdir()) == []
 
 

@@ -20,8 +20,8 @@ from kaseq.errors import ConfigError, ContractError
 from kaseq.tensor import Tensor
 
 from helpers import (backbone_project, channel_norm, compress_redundancy_per_image,
-                     finite_difference_grad, frobenius_sq, image_detections, is_leaf, rel_err, split_parts, student_forward,
-                     teacher_forward)
+                     finite_difference_grad, frobenius_sq, image_detections, is_leaf, rel_err,
+                     split_parts, student_forward, teacher_forward)
 
 RNG = np.random.default_rng(17)
 

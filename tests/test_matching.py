@@ -108,6 +108,25 @@ class TestPairwiseIoU:
         assert iou[1, 0] == 1.0 and iou[0, 1] == 0.0 and iou[1, 1] == 0.0
 
 
+class TestOverlapTerms:
+    def test_iou_is_byte_equal_to_the_giou_terms(self):
+        # Random pairs, a shared edge, a shared corner, a contained box and
+        # a zero-area one, broadcast as pairwise_iou broadcasts them.
+        a = M.box_cxcywh_to_corners(np.array([random_box(RNG) for _ in range(7)]))
+        b = M.box_cxcywh_to_corners(np.array([random_box(RNG) for _ in range(5)]))
+        a[0], b[0] = [0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 1.0, 0.5]
+        a[1], b[1] = [0.0, 0.0, 0.5, 0.5], [0.5, 0.5, 0.6, 0.6]
+        a[2], b[2] = [0.1, 0.1, 0.9, 0.9], [0.2, 0.3, 0.4, 0.5]
+        a[3] = [0.3, 0.3, 0.3, 0.7]
+        pairs = (a[:, None, :], b[None, :, :])
+        iw, ih, inter, union, iou = M.overlap_terms(*pairs)
+        terms = M.giou_terms(*pairs)
+        for got, want in ((iw, terms.iw), (ih, terms.ih), (inter, terms.inter),
+                          (union, terms.union), (iou, terms.iou)):
+            assert got.tobytes() == want.tobytes()
+        assert M.pairwise_iou(a, b).tobytes() == terms.iou.tobytes()
+
+
 class TestKL:
     def test_identical_distributions(self):
         p = random_dist(RNG, 5)

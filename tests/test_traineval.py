@@ -45,7 +45,7 @@ def tiny_eval():
 def tiny_teachers(tiny_train):
     part = TaskPartition.equal_split(8, 2)
     cfg = tiny_cfg()
-    return [tv.train_teacher(tiny_train, part, t, cfg, epochs=1, seed=t,
+    return [tv.train_teacher(tiny_train, part.subset(t), t, cfg, epochs=1, seed=t,
                              batch_size=8)[0] for t in range(2)]
 
 
@@ -430,7 +430,7 @@ class TestTrainingLoops:
         part = TaskPartition.equal_split(8, 2)
         csv_path = str(tmp_path / "teacher.csv")
         ckpt, losses = tv.train_teacher(
-            tiny_train, part, 0, tiny_cfg(), epochs=2, seed=0,
+            tiny_train, part.subset(0), 0, tiny_cfg(), epochs=2, seed=0,
             eval_ds=tiny_eval, batch_size=8, csv_path=csv_path,
             opt_settings=tv.OptimSettings(lr=1e-3))
         assert len(losses) == 2 and all(np.isfinite(losses))
@@ -443,9 +443,9 @@ class TestTrainingLoops:
 
     def test_deterministic_loss_trajectory_under_fixed_seed(self, tiny_train):
         part = TaskPartition.equal_split(8, 2)
-        _, a = tv.train_teacher(tiny_train, part, 1, tiny_cfg(), epochs=2, seed=9,
+        _, a = tv.train_teacher(tiny_train, part.subset(1), 1, tiny_cfg(), epochs=2, seed=9,
                                 batch_size=8)
-        _, b = tv.train_teacher(tiny_train, part, 1, tiny_cfg(), epochs=2, seed=9,
+        _, b = tv.train_teacher(tiny_train, part.subset(1), 1, tiny_cfg(), epochs=2, seed=9,
                                 batch_size=8)
         assert a == b
 
@@ -588,8 +588,8 @@ class TestTrainingLoops:
     def test_teacher_memo_separates_teachers_with_equal_subsets(self, tiny_train,
                                                                 tiny_teachers):
         part = TaskPartition.equal_split(8, 2)
-        retrained = tv.train_teacher(tiny_train, part, 0, tiny_cfg(), epochs=1, seed=11,
-                                     batch_size=8)[0]
+        retrained = tv.train_teacher(tiny_train, part.subset(0), 0, tiny_cfg(), epochs=1,
+                                     seed=11, batch_size=8)[0]
         assert retrained.metadata["task_subset"] == tiny_teachers[0].metadata["task_subset"]
         swapped = [retrained, tiny_teachers[1]]
         memo = {}
