@@ -307,6 +307,41 @@ class TestSAGLoss:
         off_caller = {l for l, thread in builders.items() if thread is not caller}
         assert off_caller == {l for l in range(4) if l % cores}
 
+    def test_more_groups_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # As for SA: six layers in six groups on five pool threads, switching
+        # threads every microsecond; a hint gradient handed to the wrong
+        # layer, or lost, breaks the equality with the composed ops.
+        monkeypatch.setattr(T, "_max_shares", None)
+        monkeypatch.setattr(T, "core_count", lambda: 1)
+        students, rows, w_a = sag_case(np.random.default_rng(0), teachers=3, layers=6)
+        leaves = students + [w for layer in w_a for w in layer]
+        want = sag_loss_composed(students, rows, w_a, 2)
+        want.backward()
+        want_grads = [leaf.grad.tobytes() for leaf in leaves]
+        runs = []
+
+        def run():
+            for _ in range(2):
+                for leaf in leaves:
+                    leaf.grad = None
+                loss = sag(students, rows, w_a, 2)
+                loss.backward()
+                runs.append((loss.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]))
+
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(max_workers=5) as executor:
+            monkeypatch.setattr(T, "_share_pool", lambda: executor)
+            monkeypatch.setattr(T, "core_count", lambda: 6)
+            sys.setswitchinterval(1e-6)
+            try:
+                runner = threading.Thread(target=run)
+                runner.start()
+                runner.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not runner.is_alive() and len(runs) == 2
+        assert runs == [(want.data.tobytes(), want_grads)] * 2
+
     def test_constant_hints_stay_off_the_tape(self):
         # Only a hint that needs a gradient is a parent of the loss.
         students, teachers = sa_case(np.random.default_rng(8), 16, layers=2)

@@ -54,7 +54,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="directory holding the kaseq package")
     parser.add_argument("--shares", type=int, default=1, help="shares per forward (default 1)")
-    parser.add_argument("--work", help="keep the runs here (default: a temporary directory)")
     args = parser.parse_args()
     if args.shares < 1:
         parser.error("--shares must be at least 1")
@@ -63,9 +62,7 @@ def main() -> int:
     from kaseq import tensor as T
     T.core_count = lambda: args.shares  # K shares on any machine
 
-    with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or tmp
-        os.makedirs(work, exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
         config = os.path.join(work, "config.json")
         with open(config, "w") as fh:
             json.dump(CONFIG, fh)
