@@ -25,9 +25,10 @@ freed heap mapped per malloc arena (one per share thread) for its next
 forward (see ``detector._keep_freed_heap``).
 A SIGTERM to this process terminates the workers and exits with code 143.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric
-failure (non-finite loss; the last good checkpoint is dumped next to the
-requested output).
+Exit codes: 0 success, 1 usage error (a path that cannot be read or
+written as given included: a missing input, or a directory where a file
+belongs or the reverse), 2 data/format error, 3 numeric failure (non-finite
+loss; the last good checkpoint is dumped next to the requested output).
 """
 
 from __future__ import annotations
@@ -109,8 +110,6 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file {path} does not exist")
     with open(path, "rb") as fh:
         doc = D.read_json(fh.read(), path)
     if not isinstance(doc, dict):
@@ -192,6 +191,10 @@ def _epochs_flag(args, key: str = "epochs") -> Optional[dict]:
 
 
 def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
+    """Refuse an output ``path`` that exists as the other kind of file than
+    ``is_dir`` names, or whose earlier output it would overwrite without ``force``."""
+    if os.path.exists(path) and os.path.isdir(path) != is_dir:
+        raise UsageError(f"output {path} is {'not ' if is_dir else ''}a directory")
     marker = os.path.join(path, "annotations.json") if is_dir else path
     if os.path.exists(marker) and not force:
         raise UsageError(f"refusing to overwrite {marker}; pass --force")
@@ -199,11 +202,6 @@ def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
 
 def _detector_config(cfg: dict, **overrides) -> DetectorConfig:
     return DetectorConfig.from_dict({**cfg["detector"], **overrides})
-
-
-def _require_file(path: str, what: str) -> None:
-    if not os.path.exists(path):
-        raise UsageError(f"{what} {path} does not exist")
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +295,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_dataset(path: str) -> D.Dataset:
-    _require_file(os.path.join(path, "annotations.json"), "dataset")
-    return D.load_dataset(path)
-
-
 def _load_train_eval(args):
-    train = _load_dataset(args.data)
-    return train, _load_dataset(args.eval_data) if getattr(args, "eval_data", None) else None
-
-
-def _load_teachers(paths: Sequence[str]) -> list:
-    ckpts = []
-    for t, path in enumerate(paths):
-        _require_file(path, "teacher checkpoint")
-        try:
-            ckpts.append(tv.load_checkpoint(path))
-        except DataFormatError as e:
-            raise DataFormatError(f"teacher {t + 1}: {e}") from None
-    return ckpts
+    train = D.load_dataset(args.data)
+    return train, D.load_dataset(args.eval_data) if args.eval_data else None
 
 
 def cmd_train_teacher(args) -> int:
@@ -352,7 +334,8 @@ def cmd_amalgamate(args) -> int:
     if args.label_free:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)
-    ckpt = run_amalgamation(cfg, train, eval_ds, _load_teachers(args.teachers), args.mode,
+    teachers = [tv.load_checkpoint(path) for path in args.teachers]
+    ckpt = run_amalgamation(cfg, train, eval_ds, teachers, args.mode,
                             args.compress or cfg["detector"]["compression"], args.label_free,
                             cfg["seed"], cfg["train"]["epochs"], args.out)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "amalgamate", args.out)
@@ -362,9 +345,9 @@ def cmd_amalgamate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
-    _require_file(args.model, "checkpoint")
-    dataset = _load_dataset(args.data)
-    report = tv.evaluate(tv.load_checkpoint(args.model), dataset,
+    if args.report:
+        _guard_output(args.report, force=True)  # an earlier report is rewritten
+    report = tv.evaluate(tv.load_checkpoint(args.model), D.load_dataset(args.data),
                          batch_size=cfg["train"]["eval_batch_size"])
     print(f"AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     for name, value in sorted(report.per_subset.items()):
@@ -379,9 +362,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze_redundancy(args) -> int:
     cfg = build_config(args)
-    _require_file(args.model, "checkpoint")
     _guard_output(args.out, args.force)
-    report = tv.analyze_redundancy(tv.load_checkpoint(args.model), _load_dataset(args.data))
+    report = tv.analyze_redundancy(tv.load_checkpoint(args.model), D.load_dataset(args.data))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -448,7 +430,7 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
 def _prepare_teachers(args, cfg, train, eval_ds, out_dir, resumed: bool) -> list:
     """``--teachers``, or those under ``<out>/teachers``, trained unless resumed."""
     if args.teachers:
-        return _load_teachers(args.teachers)
+        return [tv.load_checkpoint(path) for path in args.teachers]
     teacher_dir = os.path.join(out_dir, "teachers")
     paths = [os.path.join(teacher_dir, f"teacher{t + 1}.ckpt") for t in range(args.teacher_count)]
     if resumed and not all(os.path.exists(path) for path in paths):
@@ -495,7 +477,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("--seeds must be at least 1")
     cfg = build_config(args, _epochs_flag(args))
     settings = _suite_settings(args.suite)
-    train, eval_ds = _load_dataset(args.train_data), _load_dataset(args.eval_data)
+    train, eval_ds = D.load_dataset(args.train_data), D.load_dataset(args.eval_data)
     os.makedirs(args.out, exist_ok=True)
     # A resumed run reuses the teachers and cells of the run recorded here.
     recorded = os.path.join(args.out, "config.json")
@@ -665,7 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (ConfigError, ContractError, ShapeError) as e:

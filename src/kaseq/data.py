@@ -286,9 +286,10 @@ def _check_entry(entry, fields: dict, where: str) -> None:
 
 
 def load_dataset(root: str) -> Dataset:
+    """The dataset persisted under ``root``. A missing annotation document
+    raises FileNotFoundError; a malformed one, or one that names an image
+    file the directory lacks, raises DataFormatError."""
     ann_path = os.path.join(root, "annotations.json")
-    if not os.path.exists(ann_path):
-        raise DataFormatError(f"missing annotation document {ann_path}")
     with open(ann_path, "rb") as fh:
         doc = read_json(fh.read(), ann_path)
     if not isinstance(doc, dict):

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its exit-code contract: UsageError -> 1,
-DataFormatError -> 2, NumericError -> 3.
+DataFormatError -> 2, NumericError -> 3; an OSError, a path that cannot
+be read or written as given, is also exit 1.
 """
 
 

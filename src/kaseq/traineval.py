@@ -343,9 +343,10 @@ class TeacherCache:
     without it they are None, and the build runs only the teachers'
     projection and encoder. :func:`amalgamate` stores every layer for
     ``sa``, ``sa+ta`` and ``sag``, layer 0 for ``ta`` only when the student
-    selects tokens, and the pool for ``ta`` and ``sa+ta``. Reading what is
-    not stored is a ContractError. The cache freezes the teachers'
-    parameters, so that its forwards record no tape."""
+    selects tokens by the redundancy rule, the one that reads a guide, and
+    the pool for ``ta`` and ``sa+ta``. Reading what is not stored is a
+    ContractError. The cache freezes the teachers' parameters, so that its
+    forwards record no tape."""
 
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
                  dataset: Dataset, partition: TaskPartition, layers: int, pool: bool,
@@ -767,9 +768,11 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     elif cfg.num_parts != n_teachers:
         raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
 
-    # What the losses and the compression guide read of the teachers.
+    # What the losses and the compression guide read of the teachers; only
+    # the redundancy rule reads a guide.
     reads_pool = mode in ("ta", "sa+ta")
-    layers = first.supervised_layers if mode != "ta" else int(cfg.selects_tokens)
+    guided = cfg.selects_tokens and cfg.compression == "redundancy"
+    layers = first.supervised_layers if mode != "ta" else int(guided)
     teachers_by_id = {} if teachers_by_id is None else teachers_by_id
     key = (tuple(_teacher_digest(c) for c in teacher_ckpts), train_ds, partition)
     cache = teachers_by_id.get(key)
@@ -828,8 +831,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                                         for key, term in terms.items()]), terms
 
     # Training-time rule: the teachers' concatenated projections, layer 0 of
-    # the cache, guide compression.
-    guide = functools.partial(cache.layer_rows, 0) if cfg.selects_tokens else None
+    # the cache, guide the redundancy rule.
+    guide = functools.partial(cache.layer_rows, 0) if guided else None
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective, guide=guide, predict=predict,
                    eval_ds=eval_ds, eval_batch_size=eval_batch_size,

@@ -683,7 +683,7 @@ def test_teacher_task_subset_that_does_not_fit_exits_2(ws, capsys, subset):
     assert run("amalgamate", "--teachers", ws["t1"], bad, "--data", ws["train"],
                "--mode", "sa+ta", "--out", out, "--config", ws["config"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "'task_subset'" in err and "teacher 2" in err
+    assert err.startswith("data error:") and "'task_subset'" in err and str(bad) in err
     assert not out.exists()
 
 
@@ -715,6 +715,59 @@ def test_ablate_with_a_missing_dataset_exits_1(ws, capsys, missing):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "nope" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "evaluate --model <dir> --data <eval>",
+    "evaluate --model <t1> --data <eval> --config <dir>",
+    "evaluate --model <t1> --data <eval> --config <missing>",
+    "evaluate --model <missing> --data <eval>",
+    "evaluate --model <t1> --data <missing>",
+    "evaluate --model <t1> --data <eval> --report <dir>",
+    "amalgamate --teachers <dir> <dir> --data <train> --out <fresh>",
+    "gen-data --out <file> --images 2 --size 32",
+    "ablate --train-data <train> --eval-data <eval> --out <file>",
+    "ablate --train-data <missing> --eval-data <eval> --out <fresh>",
+    "train-baseline --data <train> --out <dir> --force",
+])
+def test_a_path_that_cannot_be_read_or_written_as_given_exits_1(ws, tmp_path, capsys,
+                                                               monkeypatch, argv):
+    # One path in ``argv`` is a directory where a file belongs, a file where
+    # a directory belongs, or missing; the command fails on it before it
+    # renders, trains, evaluates or writes anything.
+    paths = {**ws, "dir": tmp_path / "dir", "file": tmp_path / "file",
+             "missing": tmp_path / "missing", "fresh": tmp_path / "fresh"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    listing = sorted(tmp_path.rglob("*"))
+
+    def ran(*args, **kwargs):
+        raise AssertionError("ran")
+
+    for module, name in ((cli.D, "generate_dataset"), (tv, "_fit"), (tv, "evaluate")):
+        monkeypatch.setattr(module, name, ran)
+    words = argv.split()
+    assert run(*[paths[w[1:-1]] if w.startswith("<") else w for w in words]) == 1
+    err = capsys.readouterr().err
+    (fault,) = {w[1:-1] for w in words} & {"dir", "file", "missing"}
+    assert err.startswith("usage error:") and str(paths[fault]) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == listing
+
+
+def test_parallel_ablation_resumed_where_runs_is_a_file_exits_1(ws, capsys):
+    out = ws["root"] / "ablate_runs_file"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+            "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    assert run(*argv) == 0
+    shutil.rmtree(out / "runs")
+    (out / "runs").write_text("")
+    capsys.readouterr()
+    assert run(*argv, "--workers", 2) == 1  # each worker's cell fails on the file
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(out / "runs") in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_eval_data_without_the_models_categories_exits_2_before_training(ws, capsys):

@@ -168,7 +168,7 @@ class TestPersistence:
         assert D.load_dataset(root).digest() == D.load_dataset(root).digest()
 
     def test_missing_annotation_file(self, tmp_path):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(FileNotFoundError):
             D.load_dataset(str(tmp_path / "nothing"))
 
     def test_corrupt_json_reports_byte_offset(self, small_dataset, tmp_path):

@@ -516,7 +516,8 @@ class TestTrainingLoops:
         for a, b in zip(cache.layers, full.layers, strict=True):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("compression, layers", [("none", 0), ("redundancy", 1)])
+    @pytest.mark.parametrize("compression, layers", [("none", 0), ("redundancy", 1),
+                                                     ("isometric", 0), ("random", 0)])
     def test_task_level_builds_keep_only_the_compression_guide(self, tiny_train, tiny_teachers,
                                                                compression, layers):
         cache = self._memo_cache(tiny_teachers, tiny_train, "ta", 2, compression)
