@@ -69,8 +69,9 @@ def sa_loss(student_layers: Sequence[Tensor], hint: Callable[[int], Tensor],
     layers dealt to ``min(L, tensor.share_count())`` groups. The operations
     and their order are those of the composed ops, so the loss and gradients
     are byte-equal to theirs. The backward keeps each layer's difference and
-    student channel-norm intermediates, and only the hints that need a
-    gradient, to which it hands -2 g (cn(S_l) - H_l)."""
+    student channel-norm intermediates until its vjp has made that layer's
+    gradient, and only the hints that need a gradient, to which it hands
+    -2 g (cn(S_l) - H_l)."""
     count = len(student_layers)
     if not count:
         raise ContractError("sa_loss needs at least one supervised layer")
@@ -97,11 +98,13 @@ def sa_loss(student_layers: Sequence[Tensor], hint: Callable[[int], Tensor],
 
         def backward(layers: range) -> None:
             for l in layers:
-                _, diff, cn_vjp = saved[l]
-                g_diff = 2.0 * g * diff
+                _, g_diff, cn_vjp = saved[l]
+                saved[l] = None
+                g_diff *= 2.0 * g
                 grads[l] = cn_vjp(g_diff)
                 if hints[l] is not None:
                     hint_grads[l] = -g_diff
+                del g_diff, cn_vjp  # this layer's saved state goes now
 
         T.run_shares(backward, groups)
         return grads + [gh for gh, h in zip(hint_grads, hints) if h is not None]

@@ -190,11 +190,17 @@ def _epochs_flag(args, key: str = "epochs") -> Optional[dict]:
     return None if args.epochs is None else {"train": {key: args.epochs}}
 
 
-def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
+def _guard_kind(path: str, is_dir: bool) -> None:
     """Refuse an output ``path`` that exists as the other kind of file than
-    ``is_dir`` names, or whose earlier output it would overwrite without ``force``."""
+    ``is_dir`` names."""
     if os.path.exists(path) and os.path.isdir(path) != is_dir:
         raise UsageError(f"output {path} is {'not ' if is_dir else ''}a directory")
+
+
+def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
+    """:func:`_guard_kind`, and refuse an output ``path`` whose earlier
+    output it would overwrite without ``force``."""
+    _guard_kind(path, is_dir)
     marker = os.path.join(path, "annotations.json") if is_dir else path
     if os.path.exists(marker) and not force:
         raise UsageError(f"refusing to overwrite {marker}; pass --force")
@@ -475,6 +481,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("--workers must be at least 1")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
+    _guard_kind(args.out, is_dir=True)  # created only once the datasets have loaded
     cfg = build_config(args, _epochs_flag(args))
     settings = _suite_settings(args.suite)
     train, eval_ds = D.load_dataset(args.train_data), D.load_dataset(args.eval_data)

@@ -295,36 +295,37 @@ def _share_forward(images: Sequence[np.ndarray], guide: Optional[np.ndarray],
 
 def _merge_shares(bounds: list[tuple[int, int]], pairs: list[list[tuple[Tensor, Tensor]]],
                   outputs: list[list[Tensor]]) -> list[Tensor]:
-    """The shares' outputs, each joined in image order. A taped forward's
-    joins are tape nodes over one parent node, whose parents are the
-    parameters, so a walk reaches it after every join the loss reads;
-    ``pairs`` holds each share's (parameter, leaf view) pairs, in one order
-    for every share. Its backward walks each share's graph on its own
-    thread, seeded with the share's rows of the joins' gradients, and
-    returns each parameter's view gradients added in share order, so that
-    no sum depends on the thread schedule. It then drops the share graphs; a
-    second backward is a ContractError."""
+    """The shares' outputs, each joined in image order; with two or more
+    shares, each share output's value becomes a view of its rows of the
+    join, so no output is held twice. A taped forward's joins are tape
+    nodes over one parent node, whose parents are the parameters, so a walk
+    reaches it after every join the loss reads; ``pairs`` holds each
+    share's (parameter, leaf view) pairs, in one order for every share. Its
+    backward walks each share's graph on its own thread, seeded with the
+    share's rows of the joins' gradients, and returns each parameter's view
+    gradients added in share order, so that no sum depends on the thread
+    schedule. The walk releases the share graphs as it goes, as any walk
+    does; a second backward is a ContractError."""
     datas = [pieces[0].data if len(pieces) == 1 else np.concatenate([p.data for p in pieces])
              for pieces in zip(*outputs)]
     per_image = [data.shape[0] // bounds[-1][1] for data in datas]
+    if len(bounds) > 1:
+        for share, (lo, hi) in zip(outputs, bounds):
+            for out, data, rows in zip(share, datas, per_image):
+                out.data = data[lo * rows:hi * rows]
     grads: list[Optional[np.ndarray]] = [None] * len(datas)  # filled by the joins' backward
     named = [p for p, _ in pairs[0]]
 
     def share_backward(_):
-        nonlocal pairs, outputs
-        if outputs is None:
-            raise ContractError("a second backward through one split forward; "
-                                "its share graphs were released by the first")
         seeds = [[None if g is None else g[lo * rows:hi * rows]
                   for g, rows in zip(grads, per_image)] for lo, hi in bounds]
+        grads[:] = [None] * len(grads)  # joins the loss did not read keep the list
         T.run_shares(T.backward_seeded, list(zip(outputs, seeds)))
         gparams: list[Optional[np.ndarray]] = [None] * len(named)
         for share in pairs:
             for i, (_, v) in enumerate(share):
                 if v.grad is not None:
                     gparams[i] = v.grad if gparams[i] is None else gparams[i] + v.grad
-        pairs = outputs = None
-        grads[:] = [None] * len(grads)
         return gparams
 
     parent = T._from_op(np.zeros(()), named, share_backward)

@@ -121,7 +121,7 @@ def hungarian(cost) -> list[int]:
     # 1-based rows and columns with a virtual column 0 that holds the row
     # being added; owner[j] is the row assigned to column j (0 when free).
     # Plain lists: at these sizes Python scalars beat numpy's per-call cost.
-    rows = [None] + cost.tolist()
+    rows = [None] + [[0.0] + row for row in cost.tolist()]
     u = [0.0] * (m + 1)
     v = [0.0] * (k + 1)
     owner = [0] * (k + 1)
@@ -131,30 +131,34 @@ def hungarian(cost) -> list[int]:
         owner[0] = i
         j0 = 0
         minv = [inf] * (k + 1)
-        tree = [0]                       # columns on the search tree
+        tree, tree_rows = [0], [i]       # columns on the search tree and their rows
         free = list(range(1, k + 1))     # the others, in ascending order
+        lag = 0.0  # the last scan's delta, still to come off the free columns' minv
         while True:
             i0 = owner[j0]
             row = rows[i0]
             ui0 = u[i0]
             delta, j1 = inf, 0
             for j in free:
-                cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                mj = minv[j] - lag
+                cur = row[j] - ui0 - v[j]
+                if cur < mj:
+                    mj = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta, j1 = minv[j], j
+                minv[j] = mj
+                if mj < delta:
+                    delta, j1 = mj, j
+            for r in tree_rows:
+                u[r] += delta
             for j in tree:
-                u[owner[j]] += delta
                 v[j] -= delta
-            for j in free:
-                minv[j] -= delta
             j0 = j1
             if owner[j0] == 0:
                 break
             free.remove(j0)
             tree.append(j0)
+            tree_rows.append(owner[j0])
+            lag = delta
         while j0:
             j1 = way[j0]
             owner[j0] = owner[j1]

@@ -2,13 +2,14 @@
 
 The graph is define-by-run: every operation returns a new Tensor that
 records its parents and a vector-Jacobian-product closure. Calling
-``backward`` on a scalar walks the recorded graph once in reverse
-topological order and accumulates gradients additively on every
-requires-grad leaf, so repeated backward calls without clearing ``grad``
-sum their contributions (a graph through a split forward's outputs is
-walked once). :func:`backward_seeded` walks from several roots at once,
-each seeded with a given gradient; a node's backward may use it to walk a
-graph of its own, as those outputs do to walk the forward's shares.
+``backward`` on a scalar walks the recorded graph in reverse topological
+order and accumulates gradients additively on every requires-grad leaf, so
+backward calls on different graphs sum their contributions. Each graph is
+walked once: the walk releases each node it is done with, and a second
+walk through it is a ContractError. :func:`backward_seeded` walks from
+several roots at once, each seeded with a given gradient; a node's backward
+may use it to walk a graph of its own, as a split forward's outputs do to
+walk the forward's shares.
 
 The ops are the ones the detector and its losses use: elementwise ops of
 equal shapes, products (``matmul_add`` and ``mlp`` add a bias row), sums,
@@ -61,6 +62,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self) -> None:
+        """See :func:`backward`; the graph below this tensor is walked once."""
         backward(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -97,8 +99,13 @@ def _topo_order(*roots: Tensor) -> list[Tensor]:
     return order  # parents precede children
 
 
+def _walked(g):
+    raise ContractError("a second backward through a graph that a first one released")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) on every requires-grad leaf below ``loss``."""
+    """Accumulate d(loss)/d(leaf) on every requires-grad leaf below ``loss``,
+    releasing the graph as it goes (see :func:`backward_seeded`)."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -110,7 +117,10 @@ def backward_seeded(roots: Sequence[Tensor], seeds: Sequence[Optional[np.ndarray
     """Accumulate on every requires-grad leaf below ``roots`` the gradient of
     sum_i <seeds[i], roots[i]>, in one walk: a root that lies below another
     receives its seed plus what flows down to it. A None seed adds nothing;
-    a root may appear more than once, and its seeds then add up."""
+    a root may appear more than once, and its seeds then add up. Once a
+    node's vjp has returned, the node drops its parents and closure, so a
+    saved array is freed when the last node that reads it has been walked;
+    the node keeps its value, and a second walk through it is a ContractError."""
     if len(roots) != len(seeds):
         raise ContractError(f"{len(roots)} roots but {len(seeds)} seeds")
     flowing: dict[int, np.ndarray] = {}
@@ -128,22 +138,24 @@ def backward_seeded(roots: Sequence[Tensor], seeds: Sequence[Optional[np.ndarray
         else:
             flowing[key] = seed
             seeded.append(root)
-    for node in reversed(_topo_order(*seeded)):
+    order = _topo_order(*seeded)
+    while order:
+        node = order.pop()
         g = flowing.pop(id(node), None)
-        if g is None:
-            continue
         if node._vjp is None:
-            if node.requires_grad:
+            if g is not None and node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            key = id(parent)
-            if key in flowing:
-                flowing[key] = flowing[key] + pg
-            else:
-                flowing[key] = pg
+        if g is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in flowing:
+                    flowing[key] = flowing[key] + pg
+                else:
+                    flowing[key] = pg
+        node._parents, node._vjp = (), _walked
 
 
 # ---------------------------------------------------------------------------

@@ -603,9 +603,10 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
             out = forward_batch(images, params, cfg,
                                 guide=guide(idx) if guide is not None else None, rng=rng,
                                 predict=predict)
-            # Drop the previous step's loss graph only now, before this step's is built:
-            # dropping it with ``out`` at the end of each step was no faster, with freed
-            # heap kept mapped or not (ROADMAP item 5, "Measured and kept as is").
+            # The previous step's backward freed its graph as it walked it; what is
+            # left of that step, the joined outputs, the loss and its terms, goes only
+            # now, before this step's loss is built: dropping it at the end of each step
+            # was no faster (ROADMAP item 7, "Measured and kept as is").
             loss = terms = None
             value = float("nan")
             # Abort before matching when the forward pass has already exploded.

@@ -717,6 +717,23 @@ def test_ablate_with_a_missing_dataset_exits_1(ws, capsys, missing):
     assert not out.exists()
 
 
+def test_ablate_refuses_an_out_that_is_a_file_before_loading(ws, tmp_path, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "file"
+    out.write_text("")
+
+    def loaded(path):
+        raise AssertionError(f"loaded {path}")
+
+    monkeypatch.setattr(cli.D, "load_dataset", loaded)
+    assert run("ablate", "--suite", "compression", "--train-data", ws["train"],
+               "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+               "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: output {out} is not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [out] and out.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [
     "evaluate --model <dir> --data <eval>",
     "evaluate --model <t1> --data <eval> --config <dir>",

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -362,6 +363,56 @@ class TestSplitBackward:
         loss.backward()
         with pytest.raises(ContractError, match="second backward"):
             loss.backward()
+
+    @staticmethod
+    def share_graphs(out):
+        """The share outputs a taped split forward's joins walk, read from
+        the closure of the joins' parent node."""
+        walk = out.layer_seqs[0]._parents[0]._vjp
+        return walk.__closure__[walk.__code__.co_freevars.index("outputs")].cell_contents
+
+    def test_the_walk_releases_the_loss_graph_and_the_share_graphs(self, monkeypatch,
+                                                                   share_pool):
+        params, cfg = self.split_case("redundancy")
+        monkeypatch.setattr(T, "core_count", lambda: 2)
+        out = det.forward_batch([rand_image() for _ in range(3)], params, cfg)
+        loss = every_output_loss(out)
+        shares = self.share_graphs(out)
+        assert len(shares) == 2
+        reached = T._topo_order(loss) + T._topo_order(*[t for share in shares for t in share])
+        attention = [node._vjp for node in reached
+                     if node._vjp is not None and "weights" in node._vjp.__code__.co_freevars]
+        assert attention and all(node._parents for node in reached if node._vjp is not None)
+        vjp = attention[0]
+        weight = weakref.ref(vjp.__closure__[vjp.__code__.co_freevars.index("weights")]
+                             .cell_contents[0])
+        del shares, attention, vjp
+        assert weight() is not None
+        loss.backward()
+        assert not [node for node in reached if node._parents]
+        assert weight() is None
+
+    @pytest.mark.parametrize("compression", ["none", "redundancy"])
+    def test_taped_split_joins_equal_the_unsplit_pass(self, monkeypatch, share_pool,
+                                                      compression):
+        # The share outputs become views of the joins; the joins keep their
+        # bytes, before and after the walk.
+        params, cfg = self.split_case(compression)
+        images = [rand_image() for _ in range(5)]
+        joined = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(T, "core_count", lambda: cores)
+            out = det.forward_batch(images, params, cfg)
+            joins = out.layer_seqs + [out.dists, out.boxes]
+            if cores > 1:
+                for share in self.share_graphs(out):
+                    for piece, join in zip(share, joins, strict=True):
+                        assert np.shares_memory(piece.data, join.data)
+            before = [t.data.tobytes() for t in joins]
+            every_output_loss(out).backward()
+            assert [t.data.tobytes() for t in joins] == before
+            joined.append(before)
+        assert joined[1] == joined[0] and joined[2] == joined[0]
 
     @over_split_cases
     def test_split_gradients_equal_the_unsplit_step(self, monkeypatch, share_pool, compression,

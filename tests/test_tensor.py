@@ -10,7 +10,7 @@ from kaseq.tensor import Tensor
 from helpers import (add_row, assert_same_bits, channel_norm, check_grad, clamp_min, div,
                      frobenius_sq, layer_norm_reference, log, matmul_add_composed, maximum,
                      minimum, mlp_composed, relu_reference, sigmoid_reference, slice_cols,
-                     slice_rows, SPECIAL_VALUES, special_values, tabs)
+                     slice_rows, SPECIAL_VALUES, special_values, tabs, is_leaf)
 
 RNG = np.random.default_rng(20240811)
 
@@ -124,6 +124,7 @@ class TestInterleaveRows:
         arrays = [special_values(rng, (rows, 5)) for _ in range(parts)]
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = T.interleave_rows(leaves, blocks)
+        parents = out._parents  # the walk releases them
         perm = self.perm(parts, blocks, rows)
         assert_same_bits(out.data, np.concatenate(arrays)[perm])
         g = special_values(rng, out.shape)
@@ -131,14 +132,15 @@ class TestInterleaveRows:
         back = g[np.argsort(perm)]
         for t, leaf in enumerate(leaves):
             assert_same_bits(leaf.grad, back[t * rows:(t + 1) * rows])
-        assert len(out._parents) == parts
+        assert len(parents) == parts
 
     def test_a_frozen_part_gets_no_gradient_and_nothing_is_kept(self):
         a, b = Tensor(rand(4, 3), requires_grad=True), Tensor(rand(4, 3))
         out = T.interleave_rows([a, b], 2)
+        closure = out._vjp.__closure__  # the walk releases it
         T.backward_seeded([out], [np.ones(out.shape)])
         assert b.grad is None and np.array_equal(a.grad, np.ones((4, 3)))
-        assert not [c for c in out._vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert not [c for c in closure if isinstance(c.cell_contents, np.ndarray)]
 
     @pytest.mark.parametrize("shapes, blocks", [
         ([], 1), ([(4, 3), (4, 2)], 2), ([(4, 3), (2, 3)], 2), ([(4, 3)], 3),
@@ -175,6 +177,20 @@ class TestTape:
         first = w.grad.copy()
         T.tsum(w).backward()
         np.testing.assert_array_equal(w.grad, 2 * first)
+
+    def test_a_walk_releases_its_graph_and_a_second_one_is_rejected(self):
+        w = Tensor(rand(2, 3), requires_grad=True)
+        y = T.relu(T.mul(w, w))
+        loss = T.tsum(y)
+        reached = T._topo_order(loss)
+        loss.backward()
+        first = w.grad.copy()
+        assert not [node for node in reached if node._parents] and is_leaf(w)
+        with pytest.raises(ContractError, match="second backward"):
+            loss.backward()
+        with pytest.raises(ContractError, match="second backward"):
+            T.tsum(T.scale(y, 2.0)).backward()  # a new loss on a walked intermediate
+        np.testing.assert_array_equal(w.grad, first)
 
     def test_shared_subexpression_counted_once_per_use(self):
         w = Tensor(rand(2, 2), requires_grad=True)
@@ -247,8 +263,7 @@ class TestSeededBackward:
         leaves, (low, _, _) = self.graph()
         T.backward_seeded([T.tsum(low)], [np.ones(())])
         seeded = [leaf.grad.copy() for leaf in leaves]
-        for leaf in leaves:
-            leaf.grad = None
+        leaves, (low, _, _) = self.graph()  # each graph is walked once
         T.backward(T.tsum(low))
         for leaf, want in zip(leaves, seeded):
             np.testing.assert_array_equal(leaf.grad, want)
@@ -515,9 +530,10 @@ class TestFusedOpsAreExact:
     def _taped(op, arrays, frozen=()):
         leaves = [Tensor(a.copy(), requires_grad=i not in frozen) for i, a in enumerate(arrays)]
         out = op(*leaves)
+        node = out._vjp, out._parents  # read before the walk releases them
         g = np.random.default_rng(out.data.size).standard_normal(out.shape)
         T.backward_seeded([out], [g])
-        return [out.data] + [leaf.grad for leaf in leaves], out
+        return [out.data] + [leaf.grad for leaf in leaves], node
 
     @staticmethod
     def _same(got, want):
@@ -534,10 +550,10 @@ class TestFusedOpsAreExact:
     def test_matmul_add(self, case, residual, frozen):
         x, w, b, _, _, r = FUSED_CASES[case]
         arrays = [x, w, np.resize(r, (x.shape[0], w.shape[1])) if residual else b]
-        got, out = self._taped(T.matmul_add, arrays, frozen)
+        got, (vjp, parents) = self._taped(T.matmul_add, arrays, frozen)
         want, _ = self._taped(matmul_add_composed, arrays, frozen)
         self._same(got, want)
-        assert out._vjp is not None and len(out._parents) == 3
+        assert vjp is not None and len(parents) == 3
         for i in frozen:
             assert got[1 + i] is None
 
@@ -547,10 +563,10 @@ class TestFusedOpsAreExact:
     @pytest.mark.parametrize("case", range(len(FUSED_CASES)))
     def test_mlp(self, case, residual, frozen):
         arrays = FUSED_CASES[case] if residual else FUSED_CASES[case][:5]
-        got, out = self._taped(T.mlp, arrays, frozen)
+        got, (_, parents) = self._taped(T.mlp, arrays, frozen)
         want, _ = self._taped(mlp_composed, arrays, frozen)
         self._same(got, want)
-        assert len(out._parents) == len(arrays)
+        assert len(parents) == len(arrays)
         for i in frozen:
             assert got[1 + i] is None
 
