@@ -6,6 +6,10 @@ The configuration that ran is dumped alongside every artifact, with a
 trained model's own detector section, so any run can be reconstructed from
 its outputs; an ablation directory records it and digests of its datasets
 and teachers before the first cell, and resumes only with the same ones.
+These records and ``evaluate --report`` are written atomically, as
+checkpoints are. An ablation cell's checkpoint is its only record: a
+resumed ``ablate`` trains only the cells without one and recomputes every
+row from its checkpoint, so the table is scored by the running code.
 
 Each run splits its forwards and backward passes across the CPU cores
 itself, so BLAS runs one thread per matrix product unless
@@ -68,11 +72,10 @@ class TrainSettings(Settings):
     epochs: int = 40
     teacher_epochs: int = 60
     batch_size: int = 16
-    eval_batch_size: int = 32
 
     def __post_init__(self):
         self._require(("epochs", "teacher_epochs"), lambda v: v >= 0, "non-negative")
-        self._require(("batch_size", "eval_batch_size"), lambda v: v >= 1, "at least 1")
+        self._require(("batch_size",), lambda v: v >= 1, "at least 1")
 
 
 # The settings class that validates each configuration section.
@@ -155,8 +158,7 @@ def dump_effective_config(cfg: dict, command: str, target: str) -> None:
         path = os.path.join(target, "config.json")
     else:
         path = target + ".config.json"
-    with open(path, "w") as fh:
-        json.dump({"command": command, "config": cfg}, fh, indent=1)
+    D.write_atomic(path, json.dumps({"command": command, "config": cfg}, indent=1).encode())
 
 
 def parse_task_spec(spec: str) -> list[int]:
@@ -224,7 +226,6 @@ def _run_settings(cfg: dict, out: str):
     settings = {"opt_settings": tv.OptimSettings.from_dict(cfg["optim"]),
                 "weights": KAWeights.from_dict(cfg["weights"]),
                 "batch_size": cfg["train"]["batch_size"],
-                "eval_batch_size": cfg["train"]["eval_batch_size"],
                 "csv_path": out + ".metrics.csv", "crash_dump": out + ".crash.ckpt"}
     log, earlier = settings["csv_path"], settings["csv_path"] + ".earlier"
     if os.path.exists(log):
@@ -353,15 +354,13 @@ def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     if args.report:
         _guard_output(args.report, force=True)  # an earlier report is rewritten
-    report = tv.evaluate(tv.load_checkpoint(args.model), D.load_dataset(args.data),
-                         batch_size=cfg["train"]["eval_batch_size"])
+    report = tv.evaluate(tv.load_checkpoint(args.model), D.load_dataset(args.data))
     print(f"AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     for name, value in sorted(report.per_subset.items()):
         print(f"  {name}: AP={value:.4f}")
     if args.report:
         os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1)
+        D.write_atomic(args.report, json.dumps(report.to_dict(), indent=1).encode())
         dump_effective_config(cfg, "evaluate", args.report)
     return 0
 
@@ -405,16 +404,11 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
                         train: D.Dataset, eval_ds: D.Dataset,
                         teacher_ckpts: list, out_dir: str,
                         teachers_by_id=None) -> dict:
-    """Train (or resume) one ablation cell and return its consolidated row."""
-    label = f"{setting['label']}_s{seed}"
+    """One ablation cell's row, the evaluation of its checkpoint on ``eval_ds``;
+    the cell is trained first unless its checkpoint exists."""
     run_dir = os.path.join(out_dir, "runs")
     os.makedirs(run_dir, exist_ok=True)
-    ckpt_path = os.path.join(run_dir, f"{label}.ckpt")
-    report_path = os.path.join(run_dir, f"{label}.report.json")
-    if os.path.exists(report_path):
-        with open(report_path, "rb") as fh:
-            return D.read_json(fh.read(), report_path)
-
+    ckpt_path = os.path.join(run_dir, f"{setting['label']}_s{seed}.ckpt")
     epochs = cfg["train"]["epochs"]
     if os.path.exists(ckpt_path):
         ckpt = tv.load_checkpoint(ckpt_path)
@@ -425,12 +419,9 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
                                 setting["compress"], setting["label_free"], seed, epochs,
                                 ckpt_path, teachers_by_id)
 
-    report = tv.evaluate(ckpt, eval_ds, batch_size=cfg["train"]["eval_batch_size"])
-    row = {"mode": setting["label"], "seed": seed, "AP": report.ap,
-           "AP50": report.ap50, "AP75": report.ap75}
-    with open(report_path, "w") as fh:
-        json.dump(row, fh)
-    return row
+    report = tv.evaluate(ckpt, eval_ds)
+    return {"mode": setting["label"], "seed": seed, "AP": report.ap,
+            "AP50": report.ap50, "AP75": report.ap75}
 
 
 def _prepare_teachers(args, cfg, train, eval_ds, out_dir, resumed: bool) -> list:

@@ -59,6 +59,9 @@ IOU_THRESHOLDS = np.linspace(0.50, 0.95, 10)
 METRICS_COLUMNS = ["epoch", "mode", "seed", "L_seq", "L_task", "L_d",
                    "AP", "AP50", "AP75", "wall_seconds"]
 AMALGAMATION_MODES = ("sa", "ta", "sa+ta", "sag")
+# Images per forward that records no tape: the teacher-cache build,
+# evaluation and the redundancy analysis. No output depends on it.
+INFERENCE_BATCH = 32
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,14 @@ def detection_loss(out: BatchOutput, targets: Sequence[tuple[np.ndarray, np.ndar
 # teacher output cache
 
 
+def _image_batches(dataset: Dataset):
+    """The dataset's images as (first index, images) pairs of
+    :data:`INFERENCE_BATCH` consecutive images, the last one shorter."""
+    for start in range(0, len(dataset), INFERENCE_BATCH):
+        yield start, [dataset.image(i)
+                      for i in range(start, min(start + INFERENCE_BATCH, len(dataset)))]
+
+
 class TeacherCache:
     """Outputs of N teachers, (params, cfg) pairs of one geometry and
     encoder depth, on every image, as far as a run reads them.
@@ -346,11 +357,10 @@ class TeacherCache:
     selects tokens by the redundancy rule, the one that reads a guide, and
     the pool for ``ta`` and ``sa+ta``. Reading what is not stored is a
     ContractError. The cache freezes the teachers' parameters, so that its
-    forwards record no tape."""
+    forwards record no tape; they run :data:`INFERENCE_BATCH` images at a time."""
 
     def __init__(self, teachers: Sequence[tuple[DetectorParams, DetectorConfig]],
-                 dataset: Dataset, partition: TaskPartition, layers: int, pool: bool,
-                 batch_size: int = 32):
+                 dataset: Dataset, partition: TaskPartition, layers: int, pool: bool):
         for params, cfg in teachers:
             _check_fit(cfg, dataset)
             params.set_requires_grad(False)
@@ -363,9 +373,8 @@ class TeacherCache:
             self.dists = np.empty((count, k * m, partition.num_categories + 1),
                                   dtype=np.float32)
             self.boxes = np.empty((count, k * m, 4), dtype=np.float32)
-        for start in range(0, count, batch_size):
-            stop = min(start + batch_size, count)
-            images = [dataset.image(i) for i in range(start, stop)]
+        for start, images in _image_batches(dataset):
+            stop = start + len(images)
             for t, (params_t, cfg_t) in enumerate(teachers):
                 out = forward_batch(images, params_t, cfg_t, predict=pool)
                 for layer, seq in zip(self.layers, out.layer_seqs):
@@ -468,15 +477,15 @@ def category_ap(predictions: np.ndarray, gt: np.ndarray,
 
 
 def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Dataset,
-                        category_ids: Sequence[int], batch_size: int = 32) -> dict[int, np.ndarray]:
+                        category_ids: Sequence[int]) -> dict[int, np.ndarray]:
     """One prediction per decoder slot whose argmax is a real category, as a
-    (P, 7) array of rows (score, image, slot, x0, y0, x1, y1) per category."""
+    (P, 7) array of rows (score, image, slot, x0, y0, x1, y1) per category,
+    from forwards of :data:`INFERENCE_BATCH` images."""
     m = cfg.queries
     rng = np.random.default_rng(0)  # one stream, drawn in image order
     rows, labels = [], []
-    for start in range(0, len(dataset), batch_size):
-        idx = list(range(start, min(start + batch_size, len(dataset))))
-        out = forward_batch([dataset.image(i) for i in idx], params, cfg, rng=rng)
+    for start, images in _image_batches(dataset):
+        out = forward_batch(images, params, cfg, rng=rng)
         dists = out.dists.data
         best = np.argmax(dists, axis=1)
         kept = np.flatnonzero(best != dists.shape[1] - 1)  # drop no-object slots
@@ -489,18 +498,20 @@ def collect_predictions(params: DetectorParams, cfg: DetectorConfig, dataset: Da
     return {c: rows[labels == k] for k, c in enumerate(category_ids)}
 
 
-def evaluate(ckpt: Checkpoint, dataset: Dataset, partition: Optional[TaskPartition] = None,
-             batch_size: int = 32) -> EvalReport:
+def evaluate(ckpt: Checkpoint, dataset: Dataset,
+             partition: Optional[TaskPartition] = None) -> EvalReport:
     """COCO-style AP over IoU 0.50:0.05:0.95 with 101-point interpolation;
     one :func:`category_ap` call scores a category at all ten thresholds.
     Class k is scored as category ``category_ids[k]`` of the metadata (k + 1
     without it), which the dataset must have; ``per_subset`` scores each
-    task of ``partition``, by default the metadata's."""
+    task of ``partition``, by default the metadata's. The forwards run
+    :data:`INFERENCE_BATCH` images at a time, so the report depends only on
+    the checkpoint, the dataset and ``partition``."""
     params, cfg = detector_from_checkpoint(ckpt)
     category_ids = ckpt.metadata.get("category_ids", list(range(1, cfg.num_categories + 1)))
     _check_fit(cfg, dataset, category_ids=category_ids)
     params.set_requires_grad(False)
-    preds = collect_predictions(params, cfg, dataset, category_ids, batch_size)
+    preds = collect_predictions(params, cfg, dataset, category_ids)
 
     wanted = set(category_ids)
     owners = [(ann, i) for i in range(len(dataset)) for ann in dataset.annotations_for(i)
@@ -570,7 +581,6 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          guide: Optional[Callable[[np.ndarray], np.ndarray]] = None,
          predict: bool = True,
          eval_ds: Optional[Dataset] = None,
-         eval_batch_size: int = 32,
          csv_path: Optional[str] = None,
          crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
     """The one epoch/step loop behind every training run.
@@ -629,7 +639,7 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
         last_good = make_checkpoint(params, cfg, metadata)
         report = None
         if eval_ds is not None:
-            report = evaluate(last_good, eval_ds, batch_size=eval_batch_size)
+            report = evaluate(last_good, eval_ds)
         logger.log(epoch, epoch_terms[-1], report, time.time() - start_time)
 
     last_good.metadata["final_epoch"] = epochs - 1
@@ -646,7 +656,6 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                       opt_settings: Optional[OptimSettings] = None,
                       weights: Optional[ka.KAWeights] = None,
                       batch_size: int = 16,
-                      eval_batch_size: int = 32,
                       csv_path: Optional[str] = None,
                       mode_label: str = "raw",
                       crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[float]]:
@@ -665,8 +674,8 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
 
     ckpt, epoch_terms = _fit(params, params.named_parameters(), cfg, train_ds, epochs,
                              batch_size, rng, opt_settings, metadata,
-                             objective, eval_ds=eval_ds, eval_batch_size=eval_batch_size,
-                             csv_path=csv_path, crash_dump=crash_dump)
+                             objective, eval_ds=eval_ds, csv_path=csv_path,
+                             crash_dump=crash_dump)
     return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
@@ -715,7 +724,6 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                weights: Optional[ka.KAWeights] = None,
                opt_settings: Optional[OptimSettings] = None,
                batch_size: int = 16,
-               eval_batch_size: int = 32,
                csv_path: Optional[str] = None,
                crash_dump: Optional[str] = None,
                teachers_by_id: Optional[dict] = None) -> Checkpoint:
@@ -836,8 +844,7 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     guide = functools.partial(cache.layer_rows, 0) if guided else None
     ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
                    opt_settings, metadata, objective, guide=guide, predict=predict,
-                   eval_ds=eval_ds, eval_batch_size=eval_batch_size,
-                   csv_path=csv_path, crash_dump=crash_dump)
+                   eval_ds=eval_ds, csv_path=csv_path, crash_dump=crash_dump)
     return ckpt
 
 
@@ -860,10 +867,10 @@ class RedundancyReport:
         return [(float(lo), int(c)) for lo, c in zip(self.bin_lows, self.counts)]
 
 
-def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
-                       batch_size: int = 64) -> RedundancyReport:
+def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset) -> RedundancyReport:
     """Histogram of extended projection-output token redundancies (Fig.-5a
-    style, 0.05-wide bins spanning [-1, 1])."""
+    style, 0.05-wide bins spanning [-1, 1]), projected
+    :data:`INFERENCE_BATCH` images at a time."""
     params, cfg = detector_from_checkpoint(ckpt)
     _check_fit(cfg, dataset)
     params.set_requires_grad(False)
@@ -872,8 +879,7 @@ def analyze_redundancy(ckpt: Checkpoint, dataset: Dataset,
     counts = np.zeros(REDUNDANCY_BINS, dtype=np.int64)
     above, total = 0, 0
     # Projection outputs only: the analysis never needs the full forward pass.
-    for start in range(0, len(dataset), batch_size):
-        images = [dataset.image(i) for i in range(start, min(start + batch_size, len(dataset)))]
+    for _, images in _image_batches(dataset):
         r = ka.redundancy_all(extended_projection(images, params, cfg).data, len(images))
         bins = np.clip(((r + 1.0) / REDUNDANCY_BIN_WIDTH).astype(int), 0, REDUNDANCY_BINS - 1)
         counts += np.bincount(bins, minlength=REDUNDANCY_BINS)

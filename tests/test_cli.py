@@ -5,6 +5,7 @@ teachers; every test writes its own outputs beside them.
 """
 
 import csv
+import errno
 import json
 import os
 import shutil
@@ -26,7 +27,7 @@ from kaseq.detector import DetectorConfig, DetectorParams
 TINY = {
     "detector": {"image_size": 32, "patch_size": 8, "d_model": 16, "heads": 2,
                  "enc_layers": 1, "dec_layers": 1, "queries": 8, "ffn_dim": 16},
-    "train": {"epochs": 1, "teacher_epochs": 1, "batch_size": 8, "eval_batch_size": 8},
+    "train": {"epochs": 1, "teacher_epochs": 1, "batch_size": 8},
 }
 
 
@@ -121,11 +122,95 @@ def test_ablate_resumes_without_duplicating_metrics(ws):
     kept_mtime = os.stat(kept).st_mtime_ns
     # A cell interrupted mid-training leaves its metrics log and no checkpoint.
     os.remove(runs / "sa+ta_random_s0.ckpt")
-    os.remove(runs / "sa+ta_random_s0.report.json")
     assert run(*argv) == 0
     assert metrics_rows(table) == first
     assert os.stat(kept).st_mtime_ns == kept_mtime
     assert len(metrics_rows(runs / "sa+ta_random_s0.ckpt.metrics.csv")) == 1
+
+
+def test_a_finished_ablation_reruns_every_row_from_its_checkpoint(ws, monkeypatch):
+    out = ws["root"] / "ablate_rerun"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+            "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    assert run(*argv) == 0
+    table = (out / "compression.csv").read_bytes()
+    runs = {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()}
+    assert sorted(runs) == sorted(f"sa+ta_{s}_s0{ext}" for s in cli.COMPRESSION_SUITE
+                                  for ext in (".ckpt", ".ckpt.metrics.csv"))
+    # A row stored by an older version is not read back.
+    stale = out / "runs" / "sa+ta_random_s0.report.json"
+    stale.write_text(json.dumps({"mode": "sa+ta_random", "seed": 0, "AP": 1.0,
+                                 "AP50": 1.0, "AP75": 1.0}))
+    evaluated, shipped = [], tv.evaluate
+
+    def evaluate(ckpt, dataset):
+        evaluated.append(ckpt.metadata["compression"])
+        return shipped(ckpt, dataset)
+
+    def train(*args, **kwargs):
+        raise AssertionError("a cell with a checkpoint was trained again")
+
+    monkeypatch.setattr(tv, "evaluate", evaluate)
+    monkeypatch.setattr(tv, "amalgamate", train)
+    assert run(*argv) == 0
+    assert evaluated == list(cli.COMPRESSION_SUITE)
+    assert (out / "compression.csv").read_bytes() == table
+    stale.unlink()
+    assert {p.name: p.stat().st_mtime_ns for p in (out / "runs").iterdir()} == runs
+
+
+def _fail_encoding(monkeypatch, key: str) -> None:
+    """Make the JSON encoding of any object holding ``key`` raise a full-disk
+    OSError after its first chunks, as a write cut short would."""
+    shipped = json.JSONEncoder.iterencode
+
+    def iterencode(self, o, _one_shot=False):
+        chunks = shipped(self, o, _one_shot)
+        if not (isinstance(o, dict) and key in o):
+            return chunks
+
+        def cut():
+            for count, chunk in enumerate(chunks):
+                if count == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                yield chunk
+        return cut()
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", iterencode)
+
+
+def _files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def test_a_config_record_whose_write_fails_keeps_the_earlier_one(ws, monkeypatch, capsys):
+    out = ws["root"] / "ablate_cut_config"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+            "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    assert run(*argv) == 0
+    recorded = _files(out)
+    assert "config.json" in recorded
+    with monkeypatch.context() as patch:
+        _fail_encoding(patch, "command")
+        assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: [Errno 28]")
+    assert _files(out) == recorded
+    assert run(*argv) == 0  # the resume reads the recorded configuration
+
+
+def test_a_report_whose_write_fails_keeps_the_earlier_one(ws, monkeypatch, capsys):
+    report = ws["root"] / "cut_report.json"
+    argv = ["evaluate", "--model", ws["t1"], "--data", ws["eval"], "--report", report,
+            "--config", ws["config"]]
+    assert run(*argv) == 0
+    written = _files(ws["root"])
+    with monkeypatch.context() as patch:
+        _fail_encoding(patch, "per_subset")
+        assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: [Errno 28]")
+    assert _files(ws["root"]) == written
 
 
 def test_ablate_into_a_run_of_another_configuration_exits_1(ws, capsys):
@@ -141,7 +226,7 @@ def test_ablate_into_a_run_of_another_configuration_exits_1(ws, capsys):
     assert (out / "config.json").read_text() == recorded
     assert sorted(os.listdir(out / "runs")) == sorted(
         f"sa+ta_{s}_s0{ext}" for s in ("redundancy", "isometric", "random")
-        for ext in (".ckpt", ".ckpt.metrics.csv", ".report.json"))
+        for ext in (".ckpt", ".ckpt.metrics.csv"))
 
 
 def test_ablate_into_a_run_of_other_teachers_or_datasets_exits_1(ws, capsys):
@@ -293,7 +378,7 @@ def test_wrongly_typed_config_value_exits_1(ws, capsys):
 
 
 @pytest.mark.parametrize("setting, key", [("train.batch_size=x", "batch_size"),
-                                          ("train.eval_batch_size=0", "eval_batch_size"),
+                                          ("train.eval_batch_size=8", "'eval_batch_size'"),
                                           ("train.use_cache=true", "'use_cache'"),
                                           ("use_cache=true", "'use_cache'"),
                                           ("seed=x", "seed"), ("seed=-1", "seed"),
@@ -827,20 +912,24 @@ def test_ablation_seed_count_below_one_exits_1(ws, capsys):
 
 
 @pytest.mark.parametrize("command", ["train-teacher", "train-baseline", "amalgamate"])
-def test_per_epoch_evaluation_uses_the_eval_batch_size(ws, monkeypatch, command):
-    received, shipped = [], tv.collect_predictions
+def test_untaped_forwards_run_the_inference_batch(ws, monkeypatch, command):
+    monkeypatch.setattr(tv, "INFERENCE_BATCH", 5)
+    sizes, shipped = [], tv.forward_batch
 
-    def collect(params, cfg, dataset, category_ids, batch_size=32):
-        received.append(batch_size)
-        return shipped(params, cfg, dataset, category_ids, batch_size)
+    def forward(images, *args, **kwargs):
+        sizes.append(len(images))
+        return shipped(images, *args, **kwargs)
 
-    monkeypatch.setattr(tv, "collect_predictions", collect)
+    monkeypatch.setattr(tv, "forward_batch", forward)
     inputs = {"train-teacher": ["--task", "1-2"], "train-baseline": [],
               "amalgamate": ["--teachers", ws["t1"], ws["t2"]]}[command]
     assert run(command, *inputs, "--data", ws["train"], "--eval-data", ws["eval"],
-               "--out", ws["root"] / f"eval_batch_{command}.ckpt", "--config", ws["config"],
-               "--set", "train.batch_size=4") == 0
-    assert received == [TINY["train"]["eval_batch_size"]]  # one epoch, one evaluation
+               "--out", ws["root"] / f"inference_batch_{command}.ckpt",
+               "--config", ws["config"], "--set", "train.batch_size=4") == 0
+    # The teacher cache's 16 images for each of 2 teachers, one epoch of 16
+    # images in steps of 4, and one evaluation of 8 images.
+    cache = [5, 5, 5, 5, 5, 5, 1, 1] if command == "amalgamate" else []
+    assert sizes == cache + [4, 4, 4, 4] + [5, 3]
 
 
 @pytest.mark.parametrize("cores, workers, shares", [(8, 1, 8), (8, 3, 2), (2, 2, 1),

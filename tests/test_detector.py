@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
@@ -288,6 +289,23 @@ class TestSplitForward:
         params = det.DetectorParams.init(cfg, np.random.default_rng(2))
         params.set_requires_grad(False)
         assert det.forward_batch([rand_image(), rand_image()], params, cfg).batch == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_shares_on_a_pool_of_its_own(self):
+        # The child inherits the parent's pool object but not its threads;
+        # work submitted to that pool would never run.
+        assert T.run_shares(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)
+                code = int(T.run_shares(lambda x: x * 2, [(1,), (2,), (3,)]) != [2, 4, 6])
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.fixture

@@ -293,11 +293,12 @@ class TestAPMachinery:
             kinds["hits" if expected[0] > 0 else "misses"] += 1
         assert min(kinds.values()) >= 20, kinds
 
-    def test_collect_predictions_equals_the_per_row_oracle(self, tiny_eval):
+    def test_collect_predictions_equals_the_per_row_oracle(self, monkeypatch, tiny_eval):
         cfg = tiny_cfg()
         params = DetectorParams.init(cfg, np.random.default_rng(8))
         ids = list(range(11, 19))  # ids unlike their class positions
-        got = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=3)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 3)
+        got = tv.collect_predictions(params, cfg, tiny_eval, ids)
         expected = collect_predictions_per_row(params, cfg, tiny_eval, ids, batch_size=3)
         assert list(got) == ids
         for c in ids:
@@ -305,14 +306,17 @@ class TestAPMachinery:
         kept = sum(len(rows) for rows in got.values())
         assert 0 < kept < len(tiny_eval) * cfg.queries  # some slots are no-object
 
-    def test_random_compression_does_not_depend_on_the_batch_size(self, tiny_eval):
+    def test_random_compression_does_not_depend_on_the_batch_size(self, monkeypatch,
+                                                                  tiny_eval):
         # One generator per call draws each image's token sources in image
         # order, whatever batch the image falls in.
         cfg = tiny_cfg(num_parts=2, compression="random")
         params = DetectorParams.init(cfg, np.random.default_rng(8))
         ids = list(range(1, 9))
-        whole = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=8)
-        halves = tv.collect_predictions(params, cfg, tiny_eval, ids, batch_size=4)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 8)
+        whole = tv.collect_predictions(params, cfg, tiny_eval, ids)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 4)
+        halves = tv.collect_predictions(params, cfg, tiny_eval, ids)
         for c in ids:
             np.testing.assert_array_equal(whole[c], halves[c])
 
@@ -330,8 +334,8 @@ class TestAPMachinery:
         for cores in (1, 2, 3):
             monkeypatch.setattr(T, "core_count", lambda: cores)
             for batch_size in (1, 5, 32):
-                got[cores, batch_size] = tv.collect_predictions(params, cfg, tiny_eval, ids,
-                                                                batch_size)
+                monkeypatch.setattr(tv, "INFERENCE_BATCH", batch_size)
+                got[cores, batch_size] = tv.collect_predictions(params, cfg, tiny_eval, ids)
         want = got[1, 32]
         assert sum(len(rows) for rows in want.values()) > 0
         for key, preds in got.items():
@@ -462,7 +466,8 @@ class TestTrainingLoops:
         with open(csv_path) as fh:
             assert len(fh.read().strip().splitlines()) == 2
 
-    def test_cache_rows_match_fresh_forward(self, tiny_train, tiny_teachers):
+    def test_cache_rows_match_fresh_forward(self, monkeypatch, tiny_train, tiny_teachers):
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 8)
         part = TaskPartition.equal_split(8, 2)
         models = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
         ids = np.array([3, 17, 0])
@@ -475,8 +480,7 @@ class TestTrainingLoops:
             return np.concatenate([r.reshape(len(ids), width, -1) for r in rows], axis=1)
 
         for pool in (True, False):  # a full build, then an encoder-only one
-            cache = tv.TeacherCache(models, tiny_train, part, len(fresh[0].layer_seqs), pool,
-                                    batch_size=8)
+            cache = tv.TeacherCache(models, tiny_train, part, len(fresh[0].layer_seqs), pool)
             for layer in range(len(fresh[0].layer_seqs)):
                 want = per_image([out.layer_seqs[layer].data for out in fresh], n)
                 np.testing.assert_allclose(cache.layer_rows(layer, ids), want.reshape(-1, d),
@@ -851,13 +855,14 @@ class TestSplitForwards:
             return out
 
         monkeypatch.setattr(tv, "forward_batch", forward)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 10)
         for pool in (True, False):  # a full build and an encoder-only one
             frozen = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
             for params, _ in frozen:
                 params.set_requires_grad(False)
             given = [tv.detector_from_checkpoint(ckpt) for ckpt in tiny_teachers]
             del taped[:]
-            built, reference = (tv.TeacherCache(models, tiny_train, part, 3, pool, batch_size=10)
+            built, reference = (tv.TeacherCache(models, tiny_train, part, 3, pool)
                                 for models in (given, frozen))
             assert taped == [False] * (2 * 2 * 3)  # 2 caches, 2 teachers, 3 batches
             assert not any(p.requires_grad for params, _ in given
@@ -877,12 +882,13 @@ class TestSplitForwards:
             return pools[-1]
 
         monkeypatch.setattr(T, "_share_pool", share_pool)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", 5)
         for pool in (True, False):  # a full build and an encoder-only one
             caches = []
             for cores in (1, 2):
                 monkeypatch.setattr(T, "core_count", lambda: cores)
                 del pools[:]
-                caches.append(tv.TeacherCache(models, tiny_train, part, 3, pool, batch_size=5))
+                caches.append(tv.TeacherCache(models, tiny_train, part, 3, pool))
                 assert len(pools) == (0 if cores == 1 else 2 * 5)  # 2 teachers, 5 batches
             one, two = caches
             assert len(_stored(one)) == (5 if pool else 3)
@@ -1083,13 +1089,14 @@ class TestRedundancyAnalysis:
         assert 0.0 <= report.fraction_above_half <= 1.0
 
     @pytest.mark.parametrize("batch_size", [3, 64])
-    def test_histogram_is_pinned(self, batch_size):
+    def test_histogram_is_pinned(self, monkeypatch, batch_size):
         # Counts of the per-image computation, which one call per batch
         # keeps, whatever the batch size.
         cfg = tiny_cfg(queries=4, num_parts=2, compression="redundancy")
         ckpt = tv.make_checkpoint(DetectorParams.init(cfg, np.random.default_rng(2024)), cfg)
         data = generate_dataset(count=8, num_categories=8, image_size=32, seed=6)
-        report = tv.analyze_redundancy(ckpt, data, batch_size=batch_size)
+        monkeypatch.setattr(tv, "INFERENCE_BATCH", batch_size)
+        report = tv.analyze_redundancy(ckpt, data)
         want = np.zeros(41, dtype=np.int64)
         want[21:32] = [2, 0, 5, 3, 10, 7, 12, 21, 54, 71, 71]
         np.testing.assert_array_equal(report.counts, want)

@@ -29,7 +29,7 @@ import sys
 import tempfile
 
 CONFIG = {"detector": {"image_size": 32, "enc_layers": 2},
-          "train": {"epochs": 2, "teacher_epochs": 2, "batch_size": 8, "eval_batch_size": 8}}
+          "train": {"epochs": 2, "teacher_epochs": 2, "batch_size": 8}}
 TEACHERS = (("teacher1", "1-4"), ("teacher2", "5-8"))
 STUDENTS = (("sag", "sag", "none", False), ("sag_lf", "sag", "none", True),
             ("sa_none_lf", "sa", "none", True), ("sa_redundancy", "sa", "redundancy", False),
