@@ -1,15 +1,20 @@
 """Command-line entry point.
 
-Configuration is layered: built-in defaults, then an optional JSON config
-file (--config), then explicit command-line flags, later layers winning.
-The configuration that ran is dumped alongside every artifact, with a
-trained model's own detector section, so any run can be reconstructed from
-its outputs; an ablation directory records it and digests of its datasets
-and teachers before the first cell, and resumes only with the same ones.
-These records and ``evaluate --report`` are written atomically, as
-checkpoints are. An ablation cell's checkpoint is its only record: a
-resumed ``ablate`` trains only the cells without one and recomputes every
-row from its checkpoint, so the table is scored by the running code.
+The training commands (train-teacher, train-baseline, amalgamate, ablate)
+read a configuration layered from built-in defaults, an optional JSON file
+(--config) and command-line flags, later layers winning, and dump the one
+that ran next to their artifact, with a trained model's own detector
+section, so any run can be reconstructed from its outputs. gen-data sets
+only the seed (--seed) and dumps it too; evaluate and analyze-redundancy
+read only a checkpoint and a dataset. train-baseline trains ``raw`` at --parts 1 and
+``raw_ext`` at 2 or more. An ablation checks its teachers against every
+cell before it creates its directory, where it records its configuration
+and digests of its datasets and teachers before the first cell, and
+resumes only with the same ones. These records, the tables and ``evaluate
+--report`` are written atomically, as checkpoints are. An ablation cell's
+checkpoint is its only record: a resumed ``ablate`` trains only the cells
+without one and recomputes every row from its checkpoint, so the table is
+scored by the running code.
 
 Each run splits its forwards and backward passes across the CPU cores
 itself, so BLAS runs one thread per matrix product unless
@@ -41,6 +46,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -146,7 +152,7 @@ def build_config(args, flag_overrides: Optional[dict] = None) -> dict:
         cfg = deep_merge(cfg, _parse_set(args.set))
     if flag_overrides:
         cfg = deep_merge(cfg, flag_overrides)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
     validate_config(cfg)
     return cfg
@@ -208,6 +214,13 @@ def _guard_output(path: str, force: bool, is_dir: bool = False) -> None:
         raise UsageError(f"refusing to overwrite {marker}; pass --force")
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a CSV table atomically, as ``csv.writer`` writes one."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    D.write_atomic(path, text.getvalue().encode())
+
+
 def _detector_config(cfg: dict, **overrides) -> DetectorConfig:
     return DetectorConfig.from_dict({**cfg["detector"], **overrides})
 
@@ -266,14 +279,23 @@ def run_baseline(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
     return ckpt
 
 
+def _student_config(cfg: dict, train: D.Dataset, teachers: int, mode: str,
+                    compress: str) -> DetectorConfig:
+    return _detector_config(cfg, num_parts=1 if mode == "sag" else teachers,
+                            num_categories=train.num_categories, compression=compress)
+
+
+def _require_teachers(count: int) -> None:  # every amalgamation mode but sag
+    if count < 2:
+        raise UsageError(f"amalgamation expects at least two teachers, not {count}")
+
+
 def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
                      teacher_ckpts: list, mode: str, compress: str, label_free: bool,
                      seed: int, epochs: int, out: str,
                      teachers_by_id: Optional[dict] = None) -> tv.Checkpoint:
     """Amalgamate the teachers into a student and save it at ``out``."""
-    parts = 1 if mode == "sag" else len(teacher_ckpts)
-    det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
-                               compression=compress)
+    det_cfg = _student_config(cfg, train, len(teacher_ckpts), mode, compress)
     with _run_settings(cfg, out) as settings:
         ckpt = tv.amalgamate(teacher_ckpts, train, det_cfg, mode, epochs=epochs, seed=seed,
                              eval_ds=eval_ds, label_free=label_free,
@@ -325,19 +347,19 @@ def cmd_train_baseline(args) -> int:
     cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
-    ckpt = run_baseline(cfg, train, eval_ds, args.variant,
-                        1 if args.variant == "raw" else args.parts,
+    variant = "raw" if args.parts == 1 else "raw_ext"
+    ckpt = run_baseline(cfg, train, eval_ds, variant, args.parts,
                         cfg["seed"], cfg["train"]["epochs"], args.out)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-baseline", args.out)
-    print(f"{args.variant} checkpoint written to {args.out}")
+    print(f"{variant} checkpoint written to {args.out}")
     return 0
 
 
 def cmd_amalgamate(args) -> int:
     cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
-    if len(args.teachers) < 2 and args.mode != "sag":
-        raise UsageError("amalgamation expects at least two teacher checkpoints")
+    if args.mode != "sag":
+        _require_teachers(len(args.teachers))
     if args.label_free:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)
@@ -351,9 +373,8 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = build_config(args)
     if args.report:
-        _guard_output(args.report, force=True)  # an earlier report is rewritten
+        _guard_kind(args.report, is_dir=False)  # an earlier report is rewritten
     report = tv.evaluate(tv.load_checkpoint(args.model), D.load_dataset(args.data))
     print(f"AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     for name, value in sorted(report.per_subset.items()):
@@ -361,21 +382,15 @@ def cmd_evaluate(args) -> int:
     if args.report:
         os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
         D.write_atomic(args.report, json.dumps(report.to_dict(), indent=1).encode())
-        dump_effective_config(cfg, "evaluate", args.report)
     return 0
 
 
 def cmd_analyze_redundancy(args) -> int:
-    cfg = build_config(args)
     _guard_output(args.out, args.force)
     report = tv.analyze_redundancy(tv.load_checkpoint(args.model), D.load_dataset(args.data))
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "count"])
-        for low, count in report.rows():
-            writer.writerow([f"{low:.2f}", count])
-    dump_effective_config(cfg, "analyze-redundancy", args.out)
+    _write_csv(args.out, ["bin_low", "count"],
+               [[f"{low:.2f}", count] for low, count in report.rows()])
     print(f"tokens={report.token_count} fraction_R_above_0.5="
           f"{report.fraction_above_half:.4f}")
     return 0
@@ -424,17 +439,37 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
             "AP50": report.ap50, "AP75": report.ap75}
 
 
-def _prepare_teachers(args, cfg, train, eval_ds, out_dir, resumed: bool) -> list:
-    """``--teachers``, or those under ``<out>/teachers``, trained unless resumed."""
+def _check_teachers(args, cfg: dict, settings: list[dict],
+                    train: D.Dataset) -> tuple[list, D.TaskPartition]:
+    """``--teachers`` loaded (none when they are to be trained) and the
+    teachers' partition, once every amalgamation cell in ``settings`` is
+    known to accept them."""
     if args.teachers:
-        return [tv.load_checkpoint(path) for path in args.teachers]
+        given = [tv.load_checkpoint(path) for path in args.teachers]
+        partition = tv.teacher_partition(given, train.num_categories)
+        teacher_cfgs = [ckpt.config for ckpt in given]
+    else:
+        given, partition = [], D.TaskPartition.equal_split(train.num_categories,
+                                                           args.teacher_count)
+        teacher_cfgs = [tv.teacher_config(_detector_config(cfg), subset)
+                        for subset in partition.subsets]
+    _require_teachers(len(teacher_cfgs))
+    for setting in (s for s in settings if s["mode"] != "raw"):
+        tv.check_student(teacher_cfgs, _student_config(
+            cfg, train, len(teacher_cfgs), setting["mode"], setting["compress"]), setting["mode"])
+    return given, partition
+
+
+def _prepare_teachers(cfg, train, eval_ds, partition: D.TaskPartition, out_dir,
+                      resumed: bool) -> list:
+    """The teachers of ``partition`` under ``<out>/teachers``, trained unless they exist."""
     teacher_dir = os.path.join(out_dir, "teachers")
-    paths = [os.path.join(teacher_dir, f"teacher{t + 1}.ckpt") for t in range(args.teacher_count)]
+    paths = [os.path.join(teacher_dir, f"teacher{t + 1}.ckpt")
+             for t in range(partition.num_tasks)]
     if resumed and not all(os.path.exists(path) for path in paths):
         raise UsageError(f"{out_dir} records a run of other teachers than {len(paths)} under "
                          f"{teacher_dir}; resume with its --teachers or --teacher-count")
     os.makedirs(teacher_dir, exist_ok=True)
-    partition = D.TaskPartition.equal_split(train.num_categories, args.teacher_count)
     ckpts = []
     for t, path in enumerate(paths):
         if os.path.exists(path):
@@ -472,10 +507,11 @@ def cmd_ablate(args) -> int:
         raise UsageError("--workers must be at least 1")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
-    _guard_kind(args.out, is_dir=True)  # created only once the datasets have loaded
+    _guard_kind(args.out, is_dir=True)  # created only once the teachers are checked
     cfg = build_config(args, _epochs_flag(args))
     settings = _suite_settings(args.suite)
     train, eval_ds = D.load_dataset(args.train_data), D.load_dataset(args.eval_data)
+    given, partition = _check_teachers(args, cfg, settings, train)
     os.makedirs(args.out, exist_ok=True)
     # A resumed run reuses the teachers and cells of the run recorded here.
     recorded = os.path.join(args.out, "config.json")
@@ -483,9 +519,8 @@ def cmd_ablate(args) -> int:
         _check_recorded(recorded, "config", cfg)
     dump_effective_config(cfg, f"ablate:{args.suite}", args.out)
     recorded = os.path.join(args.out, "inputs.json")
-    teacher_ckpts = _prepare_teachers(args, cfg, train, eval_ds, args.out,
-                                      resumed=os.path.exists(recorded))
-    tv.teacher_partition(teacher_ckpts, train.num_categories)  # before the first cell
+    teacher_ckpts = given or _prepare_teachers(cfg, train, eval_ds, partition, args.out,
+                                               resumed=os.path.exists(recorded))
     digests = {"--train-data": train.digest(), "--eval-data": eval_ds.digest(),
                "--teachers": [tv._teacher_digest(c) for c in teacher_ckpts]}
     if os.path.exists(recorded):
@@ -514,11 +549,8 @@ def cmd_ablate(args) -> int:
 
     table = os.path.join(args.out, "ablation.csv" if args.suite == "table4"
                          else "compression.csv")
-    with open(table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["mode", "seed", "AP", "AP50", "AP75"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    fields = ["mode", "seed", "AP", "AP50", "AP75"]
+    _write_csv(table, fields, [[row[k] for k in fields] for row in rows])
     print(f"wrote {table} with {len(rows)} rows")
     return 0
 
@@ -551,13 +583,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON config file merged over defaults")
-    p.add_argument("--set", action="append", default=[],
-                   metavar="KEY=VALUE", help="override one config entry (dotted path)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true",
-                   help="overwrite existing outputs")
+_COMMON = {"--config": dict(help="JSON config file merged over defaults"),
+           "--set": dict(action="append", default=[], metavar="KEY=VALUE",
+                         help="override one config entry (dotted path)"),
+           "--seed": dict(type=int, default=None),
+           "--force": dict(action="store_true", help="overwrite existing outputs")}
+
+
+def _add_common(p: _Parser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_COMMON[name])
 
 
 def build_parser() -> _Parser:
@@ -570,7 +605,7 @@ def build_parser() -> _Parser:
     p.add_argument("--images", type=int, default=2000)
     p.add_argument("--categories", type=int, default=8)
     p.add_argument("--size", type=int, default=64)
-    _add_common(p)
+    _add_common(p, "--seed", "--force")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-teacher", help="train one task-specialized teacher")
@@ -579,18 +614,17 @@ def build_parser() -> _Parser:
     p.add_argument("--task", required=True, help="category subset, e.g. 1-4 or 1,3,5")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
-    _add_common(p)
+    _add_common(p, "--config", "--set", "--seed", "--force")
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("train-baseline", help="train the raw or raw_ext baseline")
-    p.add_argument("--variant", choices=("raw", "raw_ext"), default="raw")
-    p.add_argument("--parts", type=int, default=2,
-                   help="extension width for raw_ext")
+    p.add_argument("--parts", type=int, default=1,
+                   help="extension width: 1 trains raw, 2 or more raw_ext")
     p.add_argument("--data", required=True)
     p.add_argument("--eval-data")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
-    _add_common(p)
+    _add_common(p, "--config", "--set", "--seed", "--force")
     p.set_defaults(func=cmd_train_baseline)
 
     p = sub.add_parser("amalgamate", help="train the student from frozen teachers")
@@ -603,14 +637,13 @@ def build_parser() -> _Parser:
     p.add_argument("--label-free", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int)
-    _add_common(p)
+    _add_common(p, "--config", "--set", "--seed", "--force")
     p.set_defaults(func=cmd_amalgamate)
 
     p = sub.add_parser("evaluate", help="COCO-style AP report for a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", help="write the full report JSON here")
-    _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze-redundancy",
@@ -618,7 +651,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="destination CSV")
-    _add_common(p)
+    _add_common(p, "--force")
     p.set_defaults(func=cmd_analyze_redundancy)
 
     p = sub.add_parser("ablate", help="run an ablation suite end to end")
@@ -628,14 +661,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--teachers", nargs="*", default=None,
-                   help="pretrained teacher checkpoints (default: train them)")
-    p.add_argument("--teacher-count", type=int, default=2)
+    teachers = p.add_mutually_exclusive_group()
+    teachers.add_argument("--teachers", nargs="+",
+                          help="pretrained teacher checkpoints (default: train them)")
+    # A str default, so that an explicit --teacher-count 2 beside --teachers is refused.
+    teachers.add_argument("--teacher-count", type=int, default="2")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes running ablation cells in parallel, splitting "
                         "the cores; each receives the inputs and builds a teacher cache once "
                         "(1, the default, runs them in this process)")
-    _add_common(p)
+    _add_common(p, "--config", "--set", "--seed")
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -679,14 +679,19 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
     return ckpt, [terms["direct"] for terms in epoch_terms]
 
 
+def teacher_config(cfg: DetectorConfig, subset: Sequence[int]) -> DetectorConfig:
+    """The detector configuration of a teacher of category ``subset`` trained from ``cfg``."""
+    return replace(cfg, num_parts=1, compression="none", num_categories=len(subset))
+
+
 def train_teacher(train_ds: Dataset, subset: Sequence[int], task_index: int,
                   cfg: DetectorConfig, epochs: int, seed: int,
                   **kwargs) -> tuple[Checkpoint, list[float]]:
     """Train teacher ``task_index`` on the annotations of its category
     ``subset`` over |subset| classes."""
     subset = sorted(subset)
-    teacher_cfg = replace(cfg, num_parts=1, compression="none", num_categories=len(subset))
-    ckpt, losses = train_detector_gt(train_ds, teacher_cfg, epochs, seed, category_ids=subset,
+    ckpt, losses = train_detector_gt(train_ds, teacher_config(cfg, subset), epochs, seed,
+                                     category_ids=subset,
                                      mode_label=f"teacher{task_index + 1}", **kwargs)
     ckpt.metadata["task_subset"] = list(subset)
     ckpt.metadata["task_index"] = task_index
@@ -715,6 +720,31 @@ def teacher_partition(teacher_ckpts: Sequence[Checkpoint], num_categories: int) 
             raise DataFormatError(f"teacher {t + 1}'s checkpoint metadata lacks 'task_subset'")
         subsets.append(tuple(sorted(ckpt.metadata["task_subset"])))
     return TaskPartition(tuple(subsets), num_categories)
+
+
+def check_student(teacher_cfgs: Sequence[DetectorConfig], cfg: DetectorConfig,
+                  mode: str) -> None:
+    """Raise ConfigError unless a student of ``cfg`` can be amalgamated in
+    ``mode`` from teachers of ``teacher_cfgs``."""
+    first = teacher_cfgs[0]
+    for t, cfg_t in enumerate(teacher_cfgs):
+        if (cfg_t.d_model, cfg_t.tokens, cfg_t.queries) != (cfg.d_model, cfg.tokens, cfg.queries):
+            raise ConfigError("teacher and student geometry must agree")
+        if cfg_t.enc_layers != first.enc_layers:
+            raise ConfigError(
+                f"teachers 1 and {t + 1} supervise {first.supervised_layers} and "
+                f"{cfg_t.supervised_layers} layers (enc_layers {first.enc_layers} and "
+                f"{cfg_t.enc_layers}); they must be equal")
+    if mode != "ta" and cfg.supervised_layers != first.supervised_layers:
+        raise ConfigError(f"the student supervises {cfg.supervised_layers} layers and its "
+                          f"teachers {first.supervised_layers}; mode {mode!r} needs them equal")
+    if mode == "sag":
+        if cfg.num_parts != 1 or cfg.compression != "none":
+            raise ConfigError(
+                f"mode 'sag' runs on the unextended student, with detector.num_parts=1 and "
+                f"detector.compression='none', not {cfg.num_parts} and {cfg.compression!r}")
+    elif cfg.num_parts != len(teacher_cfgs):
+        raise ConfigError(f"student needs num_parts == {len(teacher_cfgs)} for mode {mode!r}")
 
 
 def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
@@ -756,26 +786,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     partition = teacher_partition(teacher_ckpts, cfg.num_categories)
     teacher_models = [detector_from_checkpoint(ckpt) for ckpt in teacher_ckpts]
     n_teachers = len(teacher_models)
-
     first = teacher_models[0][1]
-    for t, (_, cfg_t) in enumerate(teacher_models):
-        if (cfg_t.d_model, cfg_t.tokens, cfg_t.queries) != (cfg.d_model, cfg.tokens, cfg.queries):
-            raise ConfigError("teacher and student geometry must agree")
-        if cfg_t.enc_layers != first.enc_layers:
-            raise ConfigError(
-                f"teachers 1 and {t + 1} supervise {first.supervised_layers} and "
-                f"{cfg_t.supervised_layers} layers (enc_layers {first.enc_layers} and "
-                f"{cfg_t.enc_layers}); they must be equal")
-    if mode != "ta" and cfg.supervised_layers != first.supervised_layers:
-        raise ConfigError(f"the student supervises {cfg.supervised_layers} layers and its "
-                          f"teachers {first.supervised_layers}; mode {mode!r} needs them equal")
-    if mode == "sag":
-        if cfg.num_parts != 1 or cfg.compression != "none":
-            raise ConfigError(
-                f"mode 'sag' runs on the unextended student, with detector.num_parts=1 and "
-                f"detector.compression='none', not {cfg.num_parts} and {cfg.compression!r}")
-    elif cfg.num_parts != n_teachers:
-        raise ConfigError(f"student needs num_parts == {n_teachers} for mode {mode!r}")
+    check_student([cfg_t for _, cfg_t in teacher_models], cfg, mode)
 
     # What the losses and the compression guide read of the teachers; only
     # the redundancy rule reads a guide.

@@ -4,6 +4,7 @@ One module-scoped workspace holds the generated datasets and two trained
 teachers; every test writes its own outputs beside them.
 """
 
+import argparse
 import csv
 import errno
 import json
@@ -83,8 +84,8 @@ def test_amalgamate_then_evaluate(ws, capsys):
     assert dump["command"] == "amalgamate"
     assert dump["config"]["weights"]["lambda_task"] == 0.5
     report = ws["root"] / "report.json"
-    assert run("evaluate", "--model", student, "--data", ws["eval"], "--report", report,
-               "--config", ws["config"]) == 0
+    assert run("evaluate", "--model", student, "--data", ws["eval"], "--report", report) == 0
+    assert not (ws["root"] / "report.json.config.json").exists()
     values = json.loads(report.read_text())
     assert set(values) == {"AP", "AP50", "AP75", "per_category", "per_subset"}
     assert 0.0 <= values["AP"] <= values["AP50"] <= 1.0
@@ -202,8 +203,7 @@ def test_a_config_record_whose_write_fails_keeps_the_earlier_one(ws, monkeypatch
 
 def test_a_report_whose_write_fails_keeps_the_earlier_one(ws, monkeypatch, capsys):
     report = ws["root"] / "cut_report.json"
-    argv = ["evaluate", "--model", ws["t1"], "--data", ws["eval"], "--report", report,
-            "--config", ws["config"]]
+    argv = ["evaluate", "--model", ws["t1"], "--data", ws["eval"], "--report", report]
     assert run(*argv) == 0
     written = _files(ws["root"])
     with monkeypatch.context() as patch:
@@ -211,6 +211,55 @@ def test_a_report_whose_write_fails_keeps_the_earlier_one(ws, monkeypatch, capsy
         assert run(*argv) == 1
     assert capsys.readouterr().err.startswith("usage error: [Errno 28]")
     assert _files(ws["root"]) == written
+
+
+def _fail_csv_rows(monkeypatch, after: int) -> None:
+    """Make every CSV writer raise a full-disk OSError at its row ``after``,
+    as a write cut short would."""
+    shipped = csv.writer
+
+    class Cut:
+        def __init__(self, *args, **kwargs):
+            self.writer, self.rows = shipped(*args, **kwargs), 0
+
+        def writerow(self, row):
+            if self.rows == after:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.rows += 1
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", Cut)
+
+
+@pytest.mark.parametrize("command", ["ablate", "analyze-redundancy"])
+def test_a_table_whose_write_fails_keeps_the_earlier_one(ws, tmp_path, monkeypatch, capsys,
+                                                          command):
+    if command == "ablate":
+        out = tmp_path / "ablate"
+        argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+                "--eval-data", ws["eval"], "--out", out, "--seeds", 1,
+                "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]]
+    else:
+        cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4, "num_parts": 2})
+        student, out = tmp_path / "student.ckpt", tmp_path / "histogram"
+        tv.save_checkpoint(tv.make_checkpoint(
+            DetectorParams.init(cfg, np.random.default_rng(0)), cfg), str(student))
+        out.mkdir()
+        argv = ["analyze-redundancy", "--model", student, "--data", ws["eval"],
+                "--out", out / "redundancy.csv", "--force"]
+    assert run(*argv) == 0
+    written = _files(out)
+    assert {"compression.csv", "redundancy.csv"} & set(written)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        _fail_csv_rows(patch, 2)
+        assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: [Errno 28]")
+    assert _files(out) == written
 
 
 def test_ablate_into_a_run_of_another_configuration_exits_1(ws, capsys):
@@ -276,6 +325,47 @@ def test_ablate_resumed_with_teachers_it_would_train_exits_1_before_training(ws,
         assert (out / "inputs.json").read_text() == recorded
 
 
+def test_a_resumed_ablation_reuses_the_teachers_it_trained(ws, monkeypatch):
+    out = ws["root"] / "ablate_resumed_own_teachers"
+    argv = ["ablate", "--suite", "compression", "--train-data", ws["train"],
+            "--eval-data", ws["eval"], "--out", out, "--seeds", 1, "--config", ws["config"]]
+    assert run(*argv) == 0
+    teachers, table = _files(out / "teachers"), (out / "compression.csv").read_bytes()
+    assert sorted(teachers) == ["teacher1.ckpt", "teacher1.ckpt.metrics.csv",
+                                "teacher2.ckpt", "teacher2.ckpt.metrics.csv"]
+
+    def trained(*args, **kwargs):
+        raise AssertionError("a teacher or cell with a checkpoint was trained again")
+
+    monkeypatch.setattr(tv, "train_teacher", trained)
+    monkeypatch.setattr(tv, "amalgamate", trained)
+    assert run(*argv) == 0
+    assert _files(out / "teachers") == teachers
+    assert (out / "compression.csv").read_bytes() == table
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--teacher-count", 3], "4 categories do not split into 3 equal tasks"),
+    (["--teacher-count", 1], "at least two teachers, not 1"),
+    (["--teachers", "<t1>", "<t2>", "--set", "detector.d_model=32"],
+     "teacher and student geometry must agree"),
+], ids=["count-not-dividing", "one-teacher", "other-geometry"])
+def test_ablate_checks_its_teachers_before_creating_its_directory(ws, tmp_path, capsys,
+                                                                  monkeypatch, extra, named):
+    def trained(*args, **kwargs):
+        raise AssertionError("trained")
+
+    for name in ("train_detector_gt", "amalgamate"):
+        monkeypatch.setattr(tv, name, trained)
+    out = tmp_path / "ablate"
+    assert run("ablate", "--train-data", ws["train"], "--eval-data", ws["eval"], "--out", out,
+               "--seeds", 1, "--config", ws["config"],
+               *[ws[w[1:-1]] if str(w).startswith("<") else w for w in extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("usage error:", "invalid request:")) and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_into_a_missing_directory(ws):
     cfg = DetectorConfig.from_dict({**TINY["detector"], "num_categories": 4, "num_parts": 2})
     student = ws["root"] / "two_parts.ckpt"
@@ -288,6 +378,7 @@ def test_outputs_into_a_missing_directory(ws):
     assert run("analyze-redundancy", "--model", student, "--data", ws["eval"],
                "--out", histogram) == 0
     assert metrics_rows(histogram)[0]["bin_low"] == "-1.00"
+    assert os.listdir(histogram.parent) == ["redundancy.csv"]
 
 
 def test_forced_retraining_starts_a_fresh_metrics_log(ws):
@@ -298,6 +389,16 @@ def test_forced_retraining_starts_a_fresh_metrics_log(ws):
     assert run(*argv, "--force") == 0
     rows = metrics_rows(str(out) + ".metrics.csv")
     assert [r["epoch"] for r in rows] == ["0", "1"]
+
+
+@pytest.mark.parametrize("parts, variant", [(None, "raw"), (1, "raw"), (3, "raw_ext")])
+def test_parts_decide_the_baseline(ws, capsys, parts, variant):
+    out = ws["root"] / f"baseline_parts_{parts}.ckpt"
+    assert run("train-baseline", "--data", ws["train"], "--out", out, "--config", ws["config"],
+               *([] if parts is None else ["--parts", parts])) == 0
+    ckpt = tv.load_checkpoint(str(out))
+    assert (ckpt.metadata["mode"], ckpt.config.num_parts) == (variant, parts or 1)
+    assert capsys.readouterr().out == f"{variant} checkpoint written to {out}\n"
 
 
 def test_a_forced_run_rejected_before_training_keeps_the_metrics_log(ws, capsys):
@@ -399,16 +500,13 @@ def test_gen_data_with_a_negative_seed_exits_1(ws, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train-teacher", "train-baseline", "amalgamate", "evaluate",
-                                     "analyze-redundancy", "ablate"])
+@pytest.mark.parametrize("command", ["train-teacher", "train-baseline", "amalgamate", "ablate"])
 def test_every_command_rejects_a_negative_seed_before_writing(ws, capsys, command):
     out = ws["root"] / f"negative_seed_{command}"
     inputs = {"train-teacher": ["--data", ws["train"], "--task", "1-2", "--out", out],
               "train-baseline": ["--data", ws["train"], "--out", out],
               "amalgamate": ["--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
                              "--mode", "sa+ta", "--out", out],
-              "evaluate": ["--model", ws["t1"], "--data", ws["eval"], "--report", out],
-              "analyze-redundancy": ["--model", ws["t1"], "--data", ws["eval"], "--out", out],
               "ablate": ["--train-data", ws["train"], "--eval-data", ws["eval"], "--out", out,
                          "--seeds", 1, "--teachers", ws["t1"], ws["t2"]]}[command]
     assert run(command, *inputs, "--config", ws["config"], "--seed", -3) == 1
@@ -546,8 +644,7 @@ def test_checkpoint_that_records_a_supervised_projection_evaluates_alike(ws):
     reports = []
     for model in (ws["t1"], old):
         report = ws["root"] / f"{model.name}.report.json"
-        assert run("evaluate", "--model", model, "--data", ws["eval"], "--report", report,
-                   "--config", ws["config"]) == 0
+        assert run("evaluate", "--model", model, "--data", ws["eval"], "--report", report) == 0
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
 
@@ -699,7 +796,9 @@ def test_non_utf8_annotation_document_exits_2(ws, capsys):
 def test_non_utf8_config_file_exits_2(ws, capsys):
     config = ws["root"] / "latin1.json"
     config.write_bytes(b'{"seed": 1, "x": "\xe9"}')
-    assert run("evaluate", "--model", ws["t1"], "--data", ws["eval"], "--config", config) == 2
+    out = ws["root"] / "latin1_config.ckpt"
+    assert run("train-baseline", "--data", ws["train"], "--out", out, "--config", config) == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "invalid UTF-8 at byte 18" in err
 
@@ -821,8 +920,8 @@ def test_ablate_refuses_an_out_that_is_a_file_before_loading(ws, tmp_path, capsy
 
 @pytest.mark.parametrize("argv", [
     "evaluate --model <dir> --data <eval>",
-    "evaluate --model <t1> --data <eval> --config <dir>",
-    "evaluate --model <t1> --data <eval> --config <missing>",
+    "train-baseline --data <train> --out <fresh> --config <dir>",
+    "train-baseline --data <train> --out <fresh> --config <missing>",
     "evaluate --model <missing> --data <eval>",
     "evaluate --model <t1> --data <missing>",
     "evaluate --model <t1> --data <eval> --report <dir>",
@@ -855,6 +954,58 @@ def test_a_path_that_cannot_be_read_or_written_as_given_exits_1(ws, tmp_path, ca
     assert err.startswith("usage error:") and str(paths[fault]) in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == listing
+
+
+CONFIGURED = ["--config", "--set", "--seed"]
+COMMAND_OPTIONS = {
+    "gen-data": ["--out", "--images", "--categories", "--size", "--seed", "--force"],
+    "train-teacher": ["--data", "--eval-data", "--task", "--out", "--epochs", *CONFIGURED,
+                      "--force"],
+    "train-baseline": ["--parts", "--data", "--eval-data", "--out", "--epochs", *CONFIGURED,
+                       "--force"],
+    "amalgamate": ["--teachers", "--data", "--eval-data", "--mode", "--compress", "--label-free",
+                   "--out", "--epochs", *CONFIGURED, "--force"],
+    "evaluate": ["--model", "--data", "--report"],
+    "analyze-redundancy": ["--model", "--data", "--out", "--force"],
+    "ablate": ["--suite", "--train-data", "--eval-data", "--out", "--seeds", "--epochs",
+               "--teachers", "--teacher-count", "--workers", *CONFIGURED],
+}
+
+
+def test_each_command_offers_only_the_options_it_reads():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    offered = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+               for name, p in commands.choices.items()}
+    assert offered == COMMAND_OPTIONS
+    assert sum(map(len, offered.values())) == 55
+
+
+@pytest.mark.parametrize("argv", [
+    "evaluate --model <t1> --data <eval> --report <out> --config <config>",
+    "evaluate --model <t1> --data <eval> --report <out> --set seed=1",
+    "evaluate --model <t1> --data <eval> --report <out> --seed 1",
+    "evaluate --model <t1> --data <eval> --report <out> --force",
+    "analyze-redundancy --model <t1> --data <eval> --out <out> --config <config>",
+    "analyze-redundancy --model <t1> --data <eval> --out <out> --set seed=1",
+    "analyze-redundancy --model <t1> --data <eval> --out <out> --seed 1",
+    "gen-data --out <out> --images 2 --size 32 --config <config>",
+    "gen-data --out <out> --images 2 --size 32 --set seed=1",
+    "ablate --train-data <train> --eval-data <eval> --out <out> --teachers <t1> <t2> --force",
+    "train-baseline --data <train> --out <out> --variant raw",
+    "ablate --train-data <train> --eval-data <eval> --out <out> --teachers <t1> <t2> "
+    "--teacher-count 2",
+    "ablate --train-data <train> --eval-data <eval> --out <out> --teacher-count 3 "
+    "--teachers <t1> <t2>",
+    "ablate --train-data <train> --eval-data <eval> --out <out> --teachers",
+])
+def test_a_removed_or_conflicting_option_exits_1_writing_nothing(ws, tmp_path, capsys, argv):
+    paths = {**ws, "out": tmp_path / "out"}
+    words = [str(paths[w[1:-1]]) if w.startswith("<") else w for w in argv.split()]
+    assert run(*words) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and [w for w in words if w.startswith("--")][-1] in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parallel_ablation_resumed_where_runs_is_a_file_exits_1(ws, capsys):

@@ -70,20 +70,19 @@ def main() -> int:
 
         def run(*argv) -> None:
             with contextlib.redirect_stdout(io.StringIO()):  # the progress lines
-                code = cli.main([str(a) for a in argv] + ["--config", config, "--force"])
+                code = cli.main([str(a) for a in argv])
             if code:
                 raise SystemExit(f"kaseq {' '.join(map(str, argv))} exited {code}")
 
         run("gen-data", "--out", train, "--images", 32, "--size", 32, "--seed", 0)
         run("gen-data", "--out", test, "--images", 16, "--size", 32, "--seed", 1)
         ckpts = {}
-        common = ("--data", train, "--eval-data", test)
+        common = ("--data", train, "--eval-data", test, "--config", config)
         for name, task in TEACHERS:
             ckpts[name] = os.path.join(work, name + ".ckpt")
             run("train-teacher", *common, "--task", task, "--out", ckpts[name])
         ckpts["raw_ext"] = os.path.join(work, "raw_ext.ckpt")
-        run("train-baseline", *common, "--variant", "raw_ext", "--parts", 2,
-            "--out", ckpts["raw_ext"])
+        run("train-baseline", *common, "--parts", 2, "--out", ckpts["raw_ext"])
         teachers = [ckpts[name] for name, _ in TEACHERS]
         for name, mode, compress, label_free in STUDENTS:
             ckpts[name] = os.path.join(work, name + ".ckpt")
