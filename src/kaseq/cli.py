@@ -4,17 +4,21 @@ The training commands (train-teacher, train-baseline, amalgamate, ablate)
 read a configuration layered from built-in defaults, an optional JSON file
 (--config) and command-line flags, later layers winning, and dump the one
 that ran next to their artifact, with a trained model's own detector
-section, so any run can be reconstructed from its outputs. gen-data sets
-only the seed (--seed) and dumps it too; evaluate and analyze-redundancy
-read only a checkpoint and a dataset. train-baseline trains ``raw`` at --parts 1 and
-``raw_ext`` at 2 or more. An ablation checks its teachers against every
-cell before it creates its directory, where it records its configuration
-and digests of its datasets and teachers before the first cell, and
-resumes only with the same ones. These records, the tables and ``evaluate
---report`` are written atomically, as checkpoints are. An ablation cell's
-checkpoint is its only record: a resumed ``ablate`` trains only the cells
-without one and recomputes every row from its checkpoint, so the table is
-scored by the running code.
+section, so any run can be reconstructed from its outputs. Every one of
+their training runs, an ablation's teachers and cells included, goes
+through :func:`_train`: it restarts the run's metrics log, calls the
+trainer, which returns only the checkpoint, and saves that. gen-data reads
+only the seed (--seed) and records it with its own settings; evaluate and
+analyze-redundancy read only a checkpoint and a dataset. train-baseline
+trains ``raw`` at --parts 1 and ``raw_ext`` at 2 or more. An ablation
+checks its teachers against every cell before it creates its directory,
+where it records its configuration and digests of its datasets and
+teachers before the first cell, and resumes only with the same ones.
+These records, the tables and ``evaluate --report`` are written
+atomically, as checkpoints are. An ablation cell's checkpoint is its only
+record: a resumed ``ablate`` trains only the cells without one and
+recomputes every row from its checkpoint, so the table is scored by the
+running code.
 
 Each run splits its forwards and backward passes across the CPU cores
 itself, so BLAS runs one thread per matrix product unless
@@ -71,6 +75,15 @@ from .settings import Settings
 
 TABLE4_MODES = ("raw", "sag", "sa", "ta", "ta_lf", "sa+ta", "sa+ta_lf")
 COMPRESSION_SUITE = ("redundancy", "isometric", "random")
+# Each ablation suite's table and its cells, in table order.
+SUITES = {
+    "table4": ("ablation.csv", [
+        {"label": mode, "mode": mode.removesuffix("_lf"), "label_free": mode.endswith("_lf"),
+         "compress": "none"} for mode in TABLE4_MODES]),
+    "compression": ("compression.csv", [
+        {"label": f"sa+ta_{strategy}", "mode": "sa+ta", "label_free": False,
+         "compress": strategy} for strategy in COMPRESSION_SUITE]),
+}
 
 
 @dataclass
@@ -95,6 +108,12 @@ def default_config() -> dict:
     return cfg
 
 
+def _check_seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    return seed
+
+
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError naming the first unknown top-level key, bad section
     entry, or a seed that is not a non-negative int."""
@@ -103,9 +122,7 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"unknown top-level config key {key!r}")
     for name, cls in SECTIONS.items():
         cls.from_dict(cfg[name])
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    _check_seed(cfg["seed"])
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -146,9 +163,9 @@ def _parse_set(assignments: Sequence[str]) -> dict:
 
 def build_config(args, flag_overrides: Optional[dict] = None) -> dict:
     cfg = default_config()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = deep_merge(cfg, load_config_file(args.config))
-    if getattr(args, "set", None):
+    if args.set:
         cfg = deep_merge(cfg, _parse_set(args.set))
     if flag_overrides:
         cfg = deep_merge(cfg, flag_overrides)
@@ -188,8 +205,6 @@ def parse_task_spec(spec: str) -> list[int]:
                 cats.add(int(chunk))
             except ValueError:
                 raise UsageError(f"bad category {chunk!r} in task spec") from None
-    if not cats:
-        raise UsageError(f"task spec {spec!r} selects no categories")
     return sorted(cats)
 
 
@@ -226,55 +241,30 @@ def _detector_config(cfg: dict, **overrides) -> DetectorConfig:
 
 
 # ---------------------------------------------------------------------------
-# training runs, one per kind, shared by the commands and the ablation suites
+# training runs, the one path of every command and ablation suite
 
 
-@contextlib.contextmanager
-def _run_settings(cfg: dict, out: str):
-    """Arguments every training run takes from the configuration and from
-    the checkpoint path ``out``, for the run in the block. A run starts its
+def _train(cfg: dict, out: str, trainer, *args, **kwargs) -> tv.Checkpoint:
+    """Run ``trainer`` on ``args`` and ``kwargs`` with the arguments every
+    training run takes from the configuration and from the checkpoint path
+    ``out``, and save the checkpoint it returns at ``out``. A run starts its
     metrics log afresh, so rows of an earlier or interrupted run at the same
     path never precede its own; a run rejected before it began a log puts
     the earlier one back."""
-    settings = {"opt_settings": tv.OptimSettings.from_dict(cfg["optim"]),
-                "weights": KAWeights.from_dict(cfg["weights"]),
-                "batch_size": cfg["train"]["batch_size"],
-                "csv_path": out + ".metrics.csv", "crash_dump": out + ".crash.ckpt"}
-    log, earlier = settings["csv_path"], settings["csv_path"] + ".earlier"
+    log, earlier = out + ".metrics.csv", out + ".metrics.csv.earlier"
     if os.path.exists(log):
         os.replace(log, earlier)
     try:
-        yield settings
+        ckpt = trainer(*args, opt_settings=tv.OptimSettings.from_dict(cfg["optim"]),
+                       weights=KAWeights.from_dict(cfg["weights"]),
+                       batch_size=cfg["train"]["batch_size"], csv_path=log,
+                       crash_dump=out + ".crash.ckpt", **kwargs)
     finally:
         if os.path.exists(earlier):
             if os.path.exists(log):
                 os.remove(earlier)
             else:
                 os.replace(earlier, log)
-
-
-def run_teacher(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
-                subset: Sequence[int], task_index: int, seed: int, epochs: int,
-                out: str) -> tv.Checkpoint:
-    """Train teacher ``task_index``, on the category ``subset``, and save it at ``out``."""
-    with _run_settings(cfg, out) as settings:
-        ckpt, _ = tv.train_teacher(train, subset, task_index, _detector_config(cfg),
-                                   epochs=epochs, seed=seed, eval_ds=eval_ds, **settings)
-    tv.save_checkpoint(ckpt, out)
-    return ckpt
-
-
-def run_baseline(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
-                 variant: str, parts: int, seed: int, epochs: int,
-                 out: str) -> tv.Checkpoint:
-    """Train a ground-truth-only detector over all categories and save it at ``out``."""
-    det_cfg = _detector_config(cfg, num_parts=parts, num_categories=train.num_categories,
-                               compression="none")
-    with _run_settings(cfg, out) as settings:
-        ckpt, _ = tv.train_detector_gt(
-            train, det_cfg, epochs=epochs, seed=seed,
-            category_ids=list(range(1, train.num_categories + 1)), eval_ds=eval_ds,
-            mode_label=variant, **settings)
     tv.save_checkpoint(ckpt, out)
     return ckpt
 
@@ -290,20 +280,6 @@ def _require_teachers(count: int) -> None:  # every amalgamation mode but sag
         raise UsageError(f"amalgamation expects at least two teachers, not {count}")
 
 
-def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
-                     teacher_ckpts: list, mode: str, compress: str, label_free: bool,
-                     seed: int, epochs: int, out: str,
-                     teachers_by_id: Optional[dict] = None) -> tv.Checkpoint:
-    """Amalgamate the teachers into a student and save it at ``out``."""
-    det_cfg = _student_config(cfg, train, len(teacher_ckpts), mode, compress)
-    with _run_settings(cfg, out) as settings:
-        ckpt = tv.amalgamate(teacher_ckpts, train, det_cfg, mode, epochs=epochs, seed=seed,
-                             eval_ds=eval_ds, label_free=label_free,
-                             teachers_by_id=teachers_by_id, **settings)
-    tv.save_checkpoint(ckpt, out)
-    return ckpt
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -311,14 +287,14 @@ def run_amalgamation(cfg: dict, train: D.Dataset, eval_ds: Optional[D.Dataset],
 def cmd_gen_data(args) -> int:
     if args.images < 1:
         raise UsageError("--images must be at least 1")
-    cfg = build_config(args)
+    seed = _check_seed(args.seed or 0)
     _guard_output(args.out, args.force, is_dir=True)
     dataset = D.generate_dataset(count=args.images, num_categories=args.categories,
-                                 image_size=args.size, seed=cfg["seed"])
+                                 image_size=args.size, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     D.persist_dataset(dataset, args.out)
-    dump_effective_config(deep_merge(cfg, {"gen": {
-        "images": args.images, "categories": args.categories, "size": args.size}}),
+    dump_effective_config({"seed": seed, "gen": {
+        "images": args.images, "categories": args.categories, "size": args.size}},
         "gen-data", args.out)
     print(f"wrote {args.images} images to {args.out}")
     return 0
@@ -336,8 +312,8 @@ def cmd_train_teacher(args) -> int:
     subset = parse_task_spec(args.task)
     if subset[0] < 1 or subset[-1] > train.num_categories:
         raise UsageError(f"task categories outside the dataset universe 1..{train.num_categories}")
-    ckpt = run_teacher(cfg, train, eval_ds, subset, 0, cfg["seed"],
-                       cfg["train"]["teacher_epochs"], args.out)
+    ckpt = _train(cfg, args.out, tv.train_teacher, train, subset, 0, _detector_config(cfg),
+                  epochs=cfg["train"]["teacher_epochs"], seed=cfg["seed"], eval_ds=eval_ds)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-teacher", args.out)
     print(f"teacher checkpoint written to {args.out}")
     return 0
@@ -347,11 +323,11 @@ def cmd_train_baseline(args) -> int:
     cfg = build_config(args, _epochs_flag(args))
     _guard_output(args.out, args.force)
     train, eval_ds = _load_train_eval(args)
-    variant = "raw" if args.parts == 1 else "raw_ext"
-    ckpt = run_baseline(cfg, train, eval_ds, variant, args.parts,
-                        cfg["seed"], cfg["train"]["epochs"], args.out)
+    ckpt = _train(cfg, args.out, tv.train_baseline, train,
+                  _detector_config(cfg, num_parts=args.parts), epochs=cfg["train"]["epochs"],
+                  seed=cfg["seed"], eval_ds=eval_ds)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "train-baseline", args.out)
-    print(f"{variant} checkpoint written to {args.out}")
+    print(f"{ckpt.metadata['mode']} checkpoint written to {args.out}")
     return 0
 
 
@@ -364,9 +340,11 @@ def cmd_amalgamate(args) -> int:
         cfg = deep_merge(cfg, {"weights": {"lambda_direct": 0.0}})
     train, eval_ds = _load_train_eval(args)
     teachers = [tv.load_checkpoint(path) for path in args.teachers]
-    ckpt = run_amalgamation(cfg, train, eval_ds, teachers, args.mode,
-                            args.compress or cfg["detector"]["compression"], args.label_free,
-                            cfg["seed"], cfg["train"]["epochs"], args.out)
+    student = _student_config(cfg, train, len(teachers), args.mode,
+                              args.compress or cfg["detector"]["compression"])
+    ckpt = _train(cfg, args.out, tv.amalgamate, teachers, train, student, args.mode,
+                  epochs=cfg["train"]["epochs"], seed=cfg["seed"], eval_ds=eval_ds,
+                  label_free=args.label_free)
     dump_effective_config({**cfg, "detector": ckpt.config.to_dict()}, "amalgamate", args.out)
     print(f"student checkpoint written to {args.out}")
     return 0
@@ -400,21 +378,6 @@ def cmd_analyze_redundancy(args) -> int:
 # ablation suites
 
 
-def _suite_settings(suite: str) -> list[dict]:
-    if suite == "table4":
-        settings = []
-        for mode in TABLE4_MODES:
-            label_free = mode.endswith("_lf")
-            base = mode[:-3] if label_free else mode
-            settings.append({"label": mode, "mode": base, "label_free": label_free,
-                             "compress": "none"})
-        return settings
-    if suite == "compression":
-        return [{"label": f"sa+ta_{strategy}", "mode": "sa+ta", "label_free": False,
-                 "compress": strategy} for strategy in COMPRESSION_SUITE]
-    raise UsageError(f"unknown suite {suite!r}")
-
-
 def run_single_ablation(setting: dict, seed: int, cfg: dict,
                         train: D.Dataset, eval_ds: D.Dataset,
                         teacher_ckpts: list, out_dir: str,
@@ -424,15 +387,18 @@ def run_single_ablation(setting: dict, seed: int, cfg: dict,
     run_dir = os.path.join(out_dir, "runs")
     os.makedirs(run_dir, exist_ok=True)
     ckpt_path = os.path.join(run_dir, f"{setting['label']}_s{seed}.ckpt")
-    epochs = cfg["train"]["epochs"]
+    run = {"epochs": cfg["train"]["epochs"], "seed": seed, "eval_ds": eval_ds}
     if os.path.exists(ckpt_path):
         ckpt = tv.load_checkpoint(ckpt_path)
     elif setting["mode"] == "raw":
-        ckpt = run_baseline(cfg, train, eval_ds, "raw", 1, seed, epochs, ckpt_path)
+        ckpt = _train(cfg, ckpt_path, tv.train_baseline, train,
+                      _detector_config(cfg, num_parts=1), **run)
     else:
-        ckpt = run_amalgamation(cfg, train, eval_ds, teacher_ckpts, setting["mode"],
-                                setting["compress"], setting["label_free"], seed, epochs,
-                                ckpt_path, teachers_by_id)
+        student = _student_config(cfg, train, len(teacher_ckpts), setting["mode"],
+                                  setting["compress"])
+        ckpt = _train(cfg, ckpt_path, tv.amalgamate, teacher_ckpts, train, student,
+                      setting["mode"], label_free=setting["label_free"],
+                      teachers_by_id=teachers_by_id, **run)
 
     report = tv.evaluate(ckpt, eval_ds)
     return {"mode": setting["label"], "seed": seed, "AP": report.ap,
@@ -475,8 +441,9 @@ def _prepare_teachers(cfg, train, eval_ds, partition: D.TaskPartition, out_dir,
         if os.path.exists(path):
             ckpts.append(tv.load_checkpoint(path))
         else:
-            ckpts.append(run_teacher(cfg, train, eval_ds, partition.subset(t), t,
-                                     cfg["seed"] + 1000 + t, cfg["train"]["teacher_epochs"], path))
+            ckpts.append(_train(cfg, path, tv.train_teacher, train, partition.subset(t), t,
+                                _detector_config(cfg), epochs=cfg["train"]["teacher_epochs"],
+                                seed=cfg["seed"] + 1000 + t, eval_ds=eval_ds))
     return ckpts
 
 
@@ -509,7 +476,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("--seeds must be at least 1")
     _guard_kind(args.out, is_dir=True)  # created only once the teachers are checked
     cfg = build_config(args, _epochs_flag(args))
-    settings = _suite_settings(args.suite)
+    table_name, settings = SUITES[args.suite]
     train, eval_ds = D.load_dataset(args.train_data), D.load_dataset(args.eval_data)
     given, partition = _check_teachers(args, cfg, settings, train)
     os.makedirs(args.out, exist_ok=True)
@@ -547,8 +514,7 @@ def cmd_ablate(args) -> int:
             print(f"{row['mode']} seed {row['seed']}: AP50={row['AP50']:.4f}")
             rows.append(row)
 
-    table = os.path.join(args.out, "ablation.csv" if args.suite == "table4"
-                         else "compression.csv")
+    table = os.path.join(args.out, table_name)
     fields = ["mode", "seed", "AP", "AP50", "AP75"]
     _write_csv(table, fields, [[row[k] for k in fields] for row in rows])
     print(f"wrote {table} with {len(rows)} rows")
@@ -655,7 +621,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze_redundancy)
 
     p = sub.add_parser("ablate", help="run an ablation suite end to end")
-    p.add_argument("--suite", choices=("table4", "compression"), default="table4")
+    p.add_argument("--suite", choices=SUITES, default="table4")
     p.add_argument("--train-data", required=True)
     p.add_argument("--eval-data", required=True)
     p.add_argument("--out", required=True)

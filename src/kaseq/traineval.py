@@ -7,7 +7,9 @@ on a non-finite output or loss after dumping the last good checkpoint, steps
 AdamW, and checkpoints, evaluates and logs each epoch. Callers supply only
 the parameters and the loss: teachers and the raw baselines the
 set-prediction ground-truth loss, amalgamation any mix of sequence-level,
-task-level and ground-truth terms against frozen teachers. Each loss term
+task-level and ground-truth terms against frozen teachers. Every trainer
+returns only its checkpoint; its per-epoch losses go to the metrics log,
+which a run appends to and the command line restarts. Each loss term
 covers the whole batch at once: the sequence-level term, SA's or the
 aggregation baseline's, is one tape op, ``sa_loss``, whose supervised
 layers run forward and backward on the share pool, each building its own
@@ -428,8 +430,6 @@ _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 def _ap_101(hits: np.ndarray, total_gt: int) -> float:
     """101-point interpolated AP from score-ordered true-positive flags: at
     each recall point, the best precision at that recall or beyond."""
-    if total_gt == 0:
-        return 0.0
     tp = np.cumsum(hits, dtype=np.float64)
     fp = np.cumsum(~hits, dtype=np.float64)
     recall = tp / total_gt
@@ -582,8 +582,8 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
          predict: bool = True,
          eval_ds: Optional[Dataset] = None,
          csv_path: Optional[str] = None,
-         crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[dict[str, float]]]:
-    """The one epoch/step loop behind every training run.
+         crash_dump: Optional[str] = None) -> Checkpoint:
+    """The one epoch/step loop behind every training run; returns the final checkpoint.
 
     ``objective(out, idx)`` returns the step's loss and its named terms
     (``seq``/``task``/``direct``); ``guide(idx)``, when given, supplies the
@@ -593,14 +593,15 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
     are checked for finiteness in place of the predictions. The step's
     ``loss.backward()`` walks the forward's shares too, so it reaches every
     parameter. :func:`evaluate` scores each epoch's checkpoint on ``eval_ds``
-    by its ``metadata``. Returns the final checkpoint and each epoch's mean terms.
+    by its ``metadata``. Each epoch's mean terms and scores are appended to the
+    metrics log at ``csv_path``, which is created with its header only when
+    missing; the command line starts each run's log afresh (``cli._train``).
     """
     _check_fit(cfg, dataset, eval_ds, category_ids=metadata["category_ids"])
     optimizer = AdamW(trainable, opt_settings or OptimSettings())
     logger = MetricsLogger(csv_path, metadata["mode"], metadata["seed"])
     start_time = time.time()
     last_good = make_checkpoint(params, cfg, metadata)
-    epoch_terms: list[dict[str, float]] = []
 
     for epoch in range(epochs):
         order = rng.permutation(len(dataset))
@@ -635,15 +636,15 @@ def _fit(params: DetectorParams, trainable: dict[str, Tensor], cfg: DetectorConf
             for name in terms:  # no loop variable keeps this step's graph alive
                 sums[name] += terms[name].item()
             steps += 1
-        epoch_terms.append({k: v / max(steps, 1) for k, v in sums.items()})
         last_good = make_checkpoint(params, cfg, metadata)
         report = None
         if eval_ds is not None:
             report = evaluate(last_good, eval_ds)
-        logger.log(epoch, epoch_terms[-1], report, time.time() - start_time)
+        logger.log(epoch, {k: v / max(steps, 1) for k, v in sums.items()}, report,
+                   time.time() - start_time)
 
     last_good.metadata["final_epoch"] = epochs - 1
-    return last_good, epoch_terms
+    return last_good
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +659,10 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                       batch_size: int = 16,
                       csv_path: Optional[str] = None,
                       mode_label: str = "raw",
-                      crash_dump: Optional[str] = None) -> tuple[Checkpoint, list[float]]:
-    """Train a detector on ground truth only; backbone of teachers and the
-    raw/raw_ext baselines. Returns the checkpoint and per-epoch mean losses."""
+                      crash_dump: Optional[str] = None) -> Checkpoint:
+    """Train a detector on ground truth only, the trainer behind the teachers
+    and the baselines; returns its checkpoint, and each epoch's mean loss goes
+    to the metrics log (see :func:`_fit`)."""
     weights = weights or ka.KAWeights()
     rng = np.random.default_rng(seed)
     params = DetectorParams.init(cfg, rng)
@@ -672,11 +674,20 @@ def train_detector_gt(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed:
                               cfg.num_categories, weights)
         return loss, {"direct": loss}
 
-    ckpt, epoch_terms = _fit(params, params.named_parameters(), cfg, train_ds, epochs,
-                             batch_size, rng, opt_settings, metadata,
-                             objective, eval_ds=eval_ds, csv_path=csv_path,
-                             crash_dump=crash_dump)
-    return ckpt, [terms["direct"] for terms in epoch_terms]
+    return _fit(params, params.named_parameters(), cfg, train_ds, epochs, batch_size, rng,
+                opt_settings, metadata, objective, eval_ds=eval_ds, csv_path=csv_path,
+                crash_dump=crash_dump)
+
+
+def train_baseline(train_ds: Dataset, cfg: DetectorConfig, epochs: int, seed: int,
+                   **kwargs) -> Checkpoint:
+    """Train the ground-truth baseline over every category of ``train_ds``,
+    uncompressed at ``cfg``'s part count: ``raw`` at one part, ``raw_ext``
+    at more."""
+    return train_detector_gt(
+        train_ds, replace(cfg, num_categories=train_ds.num_categories, compression="none"),
+        epochs, seed, category_ids=list(range(1, train_ds.num_categories + 1)),
+        mode_label="raw" if cfg.num_parts == 1 else "raw_ext", **kwargs)
 
 
 def teacher_config(cfg: DetectorConfig, subset: Sequence[int]) -> DetectorConfig:
@@ -686,16 +697,16 @@ def teacher_config(cfg: DetectorConfig, subset: Sequence[int]) -> DetectorConfig
 
 def train_teacher(train_ds: Dataset, subset: Sequence[int], task_index: int,
                   cfg: DetectorConfig, epochs: int, seed: int,
-                  **kwargs) -> tuple[Checkpoint, list[float]]:
+                  **kwargs) -> Checkpoint:
     """Train teacher ``task_index`` on the annotations of its category
-    ``subset`` over |subset| classes."""
+    ``subset`` over |subset| classes; returns its checkpoint."""
     subset = sorted(subset)
-    ckpt, losses = train_detector_gt(train_ds, teacher_config(cfg, subset), epochs, seed,
-                                     category_ids=subset,
-                                     mode_label=f"teacher{task_index + 1}", **kwargs)
+    ckpt = train_detector_gt(train_ds, teacher_config(cfg, subset), epochs, seed,
+                             category_ids=subset, mode_label=f"teacher{task_index + 1}",
+                             **kwargs)
     ckpt.metadata["task_subset"] = list(subset)
     ckpt.metadata["task_index"] = task_index
-    return ckpt, losses
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +768,8 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
                csv_path: Optional[str] = None,
                crash_dump: Optional[str] = None,
                teachers_by_id: Optional[dict] = None) -> Checkpoint:
-    """Train the student against frozen teachers with the selected losses.
+    """Train the student against frozen teachers with the selected losses;
+    returns its checkpoint.
 
     ``mode`` is one of sa | ta | sa+ta | sag; ``label_free`` removes the
     ground-truth term entirely (its lambda is forced to zero and annotations
@@ -854,10 +866,9 @@ def amalgamate(teacher_ckpts: Sequence[Checkpoint], train_ds: Dataset,
     # Training-time rule: the teachers' concatenated projections, layer 0 of
     # the cache, guide the redundancy rule.
     guide = functools.partial(cache.layer_rows, 0) if guided else None
-    ckpt, _ = _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng,
-                   opt_settings, metadata, objective, guide=guide, predict=predict,
-                   eval_ds=eval_ds, csv_path=csv_path, crash_dump=crash_dump)
-    return ckpt
+    return _fit(params, trainable, cfg, train_ds, epochs, batch_size, rng, opt_settings,
+                metadata, objective, guide=guide, predict=predict, eval_ds=eval_ds,
+                csv_path=csv_path, crash_dump=crash_dump)
 
 
 # ---------------------------------------------------------------------------

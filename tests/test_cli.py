@@ -62,8 +62,7 @@ def test_gen_data_writes_dataset_and_config(ws):
     assert (ws["train"] / "annotations.json").exists()
     dump = json.loads((ws["train"] / "config.json").read_text())
     assert dump["command"] == "gen-data"
-    assert dump["config"]["gen"] == {"images": 16, "categories": 4, "size": 32}
-    assert dump["config"]["seed"] == 0
+    assert dump["config"] == {"seed": 0, "gen": {"images": 16, "categories": 4, "size": 32}}
 
 
 def test_train_teacher_dumps_effective_config(ws):
@@ -90,6 +89,15 @@ def test_amalgamate_then_evaluate(ws, capsys):
     assert set(values) == {"AP", "AP50", "AP75", "per_category", "per_subset"}
     assert 0.0 <= values["AP"] <= values["AP50"] <= 1.0
     assert "AP=" in capsys.readouterr().out
+
+
+def test_label_free_amalgamation_records_no_ground_truth_term(ws):
+    student = ws["root"] / "label_free.ckpt"
+    assert run("amalgamate", "--teachers", ws["t1"], ws["t2"], "--data", ws["train"],
+               "--mode", "sa", "--label-free", "--out", student, "--config", ws["config"]) == 0
+    dump = json.loads((ws["root"] / "label_free.ckpt.config.json").read_text())
+    assert dump["config"]["weights"]["lambda_direct"] == 0.0
+    assert tv.load_checkpoint(str(student)).metadata["mode"] == "sa_lf"
 
 
 def test_dumped_detector_section_is_the_trained_models(ws):
@@ -442,7 +450,7 @@ def test_existing_output_needs_force(ws, capsys):
     assert "--force" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("task", ["4-1", "x", "1,,2"])
+@pytest.mark.parametrize("task", ["4-1", "x", "1,,2", "a-3"])
 def test_bad_task_spec_exits_1(ws, capsys, task):
     assert run("train-teacher", "--data", ws["train"], "--task", task,
                "--out", ws["root"] / "bad.ckpt", "--config", ws["config"]) == 1
@@ -748,7 +756,7 @@ def test_parallel_ablation_matches_the_serial_table(ws, capsys, suite, seeds, ta
     assert lines[0] == lines[1]
     assert [line.split(":")[0] for line in lines[0]] == [
         f"{setting['label']} seed {seed}"
-        for setting in cli._suite_settings(suite) for seed in range(seeds)]
+        for setting in cli.SUITES[suite][1] for seed in range(seeds)]
 
 
 def test_non_integer_process_count_exits_1(ws, capsys):
@@ -801,6 +809,41 @@ def test_non_utf8_config_file_exits_2(ws, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "invalid UTF-8 at byte 18" in err
+
+
+def test_a_config_file_whose_root_is_not_an_object_exits_2(ws, capsys):
+    config = ws["root"] / "list.json"
+    config.write_text("[1]")
+    out = ws["root"] / "list_config.ckpt"
+    assert run("train-baseline", "--data", ws["train"], "--out", out, "--config", config) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "config root must be an object" in err
+
+
+def test_a_resumed_ablation_whose_record_lacks_its_config_exits_2(ws, tmp_path, capsys):
+    out = tmp_path / "ablate"
+    out.mkdir()
+    (out / "config.json").write_text(json.dumps({"command": "ablate:table4"}))
+    assert run("ablate", "--train-data", ws["train"], "--eval-data", ws["eval"], "--out", out,
+               "--seeds", 1, "--teachers", ws["t1"], ws["t2"], "--config", ws["config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "lacks a 'config' object" in err
+    assert os.listdir(out) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("amalgamate --teachers <t1> --data <train> --mode sa --out <out>",
+     "at least two teachers, not 1"),
+    ("train-baseline --data <train> --out <out> --set epochs", "--set expects key=value"),
+    ("gen-data --out <out> --images 0", "--images must be at least 1"),
+], ids=["one-teacher", "set-without-value", "no-images"])
+def test_a_malformed_request_exits_1_writing_nothing(ws, tmp_path, capsys, argv, named):
+    paths = {**ws, "out": tmp_path / "out"}
+    assert run(*[paths[w[1:-1]] if w.startswith("<") else w for w in argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _ppm(width, height):

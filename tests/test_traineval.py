@@ -1,6 +1,7 @@
 """Optimizer, checkpoint format, AP evaluation, and training-loop contracts."""
 
 import contextlib
+import csv
 import itertools
 import os
 import weakref
@@ -46,7 +47,14 @@ def tiny_teachers(tiny_train):
     part = TaskPartition.equal_split(8, 2)
     cfg = tiny_cfg()
     return [tv.train_teacher(tiny_train, part.subset(t), t, cfg, epochs=1, seed=t,
-                             batch_size=8)[0] for t in range(2)]
+                             batch_size=8) for t in range(2)]
+
+
+def _log_rows(path):
+    """A metrics log's rows, each without its ``wall_seconds``."""
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_seconds"}
+                for row in csv.DictReader(fh)]
 
 
 def _stored(cache):
@@ -419,6 +427,17 @@ class TestEvaluate:
         assert set(given.per_subset) == {"task1", "task2"}
         assert tv.evaluate(recorded, tiny_eval) == given
 
+    def test_a_dataset_without_an_object_of_the_models_categories_scores_zero(self, tiny_eval):
+        cfg = tiny_cfg(num_categories=4)
+        teacher = tv.make_checkpoint(DetectorParams.init(cfg, RNG), cfg,
+                                     {"category_ids": [5, 6, 7, 8]})
+        others = Dataset([tiny_eval.image(i) for i in range(len(tiny_eval))],
+                         [[a for a in tiny_eval._annotations[i] if a.category < 5]
+                          for i in range(len(tiny_eval))],
+                         tiny_eval.num_categories, tiny_eval.image_size)
+        assert any(others._annotations)
+        assert tv.evaluate(teacher, others) == tv.EvalReport(0.0, 0.0, 0.0, {}, {})
+
     def test_evaluate_does_not_mutate_parameters(self, tiny_eval):
         cfg = tiny_cfg()
         params = DetectorParams.init(cfg, RNG)
@@ -433,25 +452,28 @@ class TestTrainingLoops:
     def test_teacher_training_runs_and_logs(self, tiny_train, tiny_eval, tmp_path):
         part = TaskPartition.equal_split(8, 2)
         csv_path = str(tmp_path / "teacher.csv")
-        ckpt, losses = tv.train_teacher(
+        ckpt = tv.train_teacher(
             tiny_train, part.subset(0), 0, tiny_cfg(), epochs=2, seed=0,
             eval_ds=tiny_eval, batch_size=8, csv_path=csv_path,
             opt_settings=tv.OptimSettings(lr=1e-3))
-        assert len(losses) == 2 and all(np.isfinite(losses))
         assert ckpt.metadata["task_subset"] == [1, 2, 3, 4]
         assert ckpt.config.num_categories == 4
         with open(csv_path) as fh:
             rows = fh.read().strip().splitlines()
         assert rows[0].split(",") == tv.METRICS_COLUMNS
         assert len(rows) == 3
+        losses = [float(row["L_d"]) for row in _log_rows(csv_path)]
+        assert len(losses) == 2 and all(np.isfinite(losses))
 
-    def test_deterministic_loss_trajectory_under_fixed_seed(self, tiny_train):
+    def test_deterministic_loss_trajectory_under_fixed_seed(self, tiny_train, tmp_path):
         part = TaskPartition.equal_split(8, 2)
-        _, a = tv.train_teacher(tiny_train, part.subset(1), 1, tiny_cfg(), epochs=2, seed=9,
-                                batch_size=8)
-        _, b = tv.train_teacher(tiny_train, part.subset(1), 1, tiny_cfg(), epochs=2, seed=9,
-                                batch_size=8)
-        assert a == b
+        trajectories = []
+        for run in ("a", "b"):
+            csv_path = str(tmp_path / f"{run}.csv")
+            tv.train_teacher(tiny_train, part.subset(1), 1, tiny_cfg(), epochs=2, seed=9,
+                             batch_size=8, csv_path=csv_path)
+            trajectories.append([row["L_d"] for row in _log_rows(csv_path)])
+        assert len(trajectories[0]) == 2 and trajectories[0] == trajectories[1]
 
     @pytest.mark.parametrize("mode,parts,compression", [
         ("sa", 2, "none"), ("ta", 2, "none"), ("sa+ta", 2, "redundancy"),
@@ -594,7 +616,7 @@ class TestTrainingLoops:
                                                                 tiny_teachers):
         part = TaskPartition.equal_split(8, 2)
         retrained = tv.train_teacher(tiny_train, part.subset(0), 0, tiny_cfg(), epochs=1,
-                                     seed=11, batch_size=8)[0]
+                                     seed=11, batch_size=8)
         assert retrained.metadata["task_subset"] == tiny_teachers[0].metadata["task_subset"]
         swapped = [retrained, tiny_teachers[1]]
         memo = {}
@@ -627,6 +649,15 @@ class TestTrainingLoops:
         with pytest.raises(ConfigError, match="detector.num_parts"):
             tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=2),
                           "sag", epochs=1, seed=0)
+
+    @pytest.mark.parametrize("mode, parts, named", [
+        ("sa", 3, "num_parts == 2"), ("bogus", 2, "unknown amalgamation mode 'bogus'"),
+    ], ids=["wrong_part_count", "unknown_mode"])
+    def test_a_student_that_cannot_be_amalgamated_is_rejected(self, tiny_train, tiny_teachers,
+                                                              mode, parts, named):
+        with pytest.raises(ConfigError, match=named):
+            tv.amalgamate(tiny_teachers, tiny_train, tiny_cfg(num_parts=parts), mode,
+                          epochs=1, seed=0)
 
     @pytest.mark.parametrize("second, student, mode, counts", [
         ({"enc_layers": 1}, {}, "sa", ("3 and 2",)),
@@ -708,12 +739,12 @@ class TestTrainingLoops:
             self, tiny_train, tiny_teachers, tmp_path, monkeypatch,
             mode, parts, compression, label_free, predicts):
         # The full forward pass on every step is the oracle: skipping the
-        # decoder and heads must leave the student and its losses bit-equal.
+        # decoder and heads must leave the student bit-equal and its logged losses equal.
         cfg = tiny_cfg(num_parts=parts, compression=compression)
-        shipped_forward, shipped_fit = tv.forward_batch, tv._fit
+        shipped_forward = tv.forward_batch
 
         def train(force_predict):
-            predicted, epoch_terms = [], []
+            predicted = []
 
             def forward(*args, **kwargs):
                 if force_predict:
@@ -723,27 +754,22 @@ class TestTrainingLoops:
                     predicted.append(out.dists is not None and out.boxes is not None)
                 return out
 
-            def fit(*args, **kwargs):
-                ckpt, terms = shipped_fit(*args, **kwargs)
-                epoch_terms.append(terms)
-                return ckpt, terms
-
+            path = tmp_path / f"{mode}_{force_predict}.ckpt"
+            log = str(path) + ".metrics.csv"
             with monkeypatch.context() as patch:
                 patch.setattr(tv, "forward_batch", forward)
-                patch.setattr(tv, "_fit", fit)
                 ckpt = tv.amalgamate(tiny_teachers, tiny_train, cfg, mode, epochs=2, seed=4,
-                                     batch_size=8, label_free=label_free,
+                                     batch_size=8, label_free=label_free, csv_path=log,
                                      opt_settings=tv.OptimSettings(lr=1e-3))
-            path = tmp_path / f"{mode}_{force_predict}.ckpt"
             tv.save_checkpoint(ckpt, str(path))
-            return path.read_bytes(), epoch_terms, predicted
+            return path.read_bytes(), _log_rows(log), predicted
 
         shipped, shipped_terms, shipped_predicted = train(force_predict=False)
         full, full_terms, full_predicted = train(force_predict=True)
         assert shipped_predicted == [predicts] * 6  # 2 epochs of 3 steps
         assert full_predicted == [True] * 6
         assert shipped == full
-        assert shipped_terms == full_terms
+        assert len(shipped_terms) == 2 and shipped_terms == full_terms
 
 
 class TestSplitForwards:
@@ -932,7 +958,7 @@ class TestObjective:
                 metadata, objective, guide=None, predict=True, **kwargs):
             captured.update(params=params, cfg=cfg, objective=objective, guide=guide,
                             predict=predict)
-            return tv.make_checkpoint(params, cfg), []
+            return tv.make_checkpoint(params, cfg)
 
         monkeypatch.setattr(tv, "_fit", fit)
         tv.amalgamate(teachers, dataset, tiny_cfg(num_parts=2, compression="redundancy"),

@@ -8,12 +8,16 @@ on 32 generated 32-pixel images (evaluated on 16 others), 2 epochs each,
 ``enc_layers`` 2, batch 8: two ground-truth teachers (categories 1-4 and
 5-8), a ``raw_ext`` baseline, and the students ``sag``, label-free
 ``sag``, label-free ``sa``/none, ``sa``/redundancy, ``sa+ta``/redundancy,
-label-free ``sa+ta``/random and ``ta``/isometric. Every forward and
-backward is split into K shares, whatever the core count. It prints the
-sha256 of each checkpoint, each ``evaluate`` report and each metrics CSV
-with its ``wall_seconds`` column dropped. Run it on two source trees (say,
-a ``git archive`` of the parent commit and the working tree) at the same K
-and compare the printed lines.
+label-free ``sa+ta``/random and ``ta``/isometric. It then runs ``ablate
+--seeds 1`` on the same data and configuration: the table4 suite, whose
+two teachers it trains itself. Every forward and backward is split into K
+shares, whatever the core count. It prints the sha256 of each checkpoint,
+each ``evaluate`` report and each metrics CSV with its ``wall_seconds``
+column dropped, then of the ablation's ``ablation.csv``, each of its
+teacher and cell checkpoints and their metrics CSVs, again without
+``wall_seconds``. Run it on two source trees (say, a ``git archive`` of
+the parent commit and the working tree) at the same K and compare the
+printed lines.
 """
 
 from __future__ import annotations
@@ -97,6 +101,20 @@ def main() -> int:
             with open(report, "rb") as fh:
                 print(f"{_sha(fh.read())}  {name} report")
             print(f"{_metrics_digest(path + '.metrics.csv')}  {name} metrics")
+
+        ablation = os.path.join(work, "ablate")
+        run("ablate", "--train-data", train, "--eval-data", test, "--out", ablation,
+            "--seeds", 1, "--config", config)
+        with open(os.path.join(ablation, "ablation.csv"), "rb") as fh:
+            print(f"{_sha(fh.read())}  ablate ablation.csv")
+        for folder in ("teachers", "runs"):
+            for name in sorted(os.listdir(os.path.join(ablation, folder))):
+                if name.endswith(".ckpt"):
+                    path = os.path.join(ablation, folder, name)
+                    with open(path, "rb") as fh:
+                        print(f"{_sha(fh.read())}  ablate {folder}/{name} checkpoint")
+                    print(f"{_metrics_digest(path + '.metrics.csv')}  ablate {folder}/{name} "
+                          f"metrics")
     return 0
 
 
